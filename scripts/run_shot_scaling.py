@@ -10,9 +10,9 @@ import argparse
 
 import numpy as np
 
-from lurwit.measurement import estimate_witnesses, outcome_distribution, sample_counts
-from lurwit.rng import stream
-from lurwit.states import Basis, NoiseKind, noise_mixture
+from lurwit.cli import simulate_counts
+from lurwit.measurement import estimate_witnesses
+from lurwit.states import NoiseKind, noise_mixture
 
 
 def run(p: float, shot_grid, seeds: int, seed0: int) -> None:
@@ -22,13 +22,7 @@ def run(p: float, shot_grid, seeds: int, seed0: int) -> None:
     for shots in shot_grid:
         values, ses = [], []
         for s in range(seeds):
-            tables = [
-                sample_counts(
-                    outcome_distribution(rho, basis), shots, stream(seed0 + 101 * shots + s, i)
-                )
-                for i, basis in enumerate(Basis)
-            ]
-            report = estimate_witnesses(tables)
+            report = estimate_witnesses(simulate_counts(rho, shots, seed0 + 101 * shots + s))
             values.append(report.l_value)
             ses.append(report.l_se)
         mean_ses.append(np.mean(ses))

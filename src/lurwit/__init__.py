@@ -6,12 +6,7 @@ a partial-transpose ground-truth oracle, simulated coincidence counting
 with witness estimators, and a CLI for sweeps and Monte Carlo studies.
 """
 
-from .linalg import (
-    NumericsError,
-    hermitian_eigenvalues,
-    partial_transpose_second,
-    tensor_product,
-)
+from .linalg import NumericsError, partial_transpose_second, tensor_product
 from .measurement import (
     CountTable,
     EstimatedReport,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,24 +60,6 @@ BOUND_COLUMNS = ("observables", "bound")
 _OBSERVABLE_TOKENS = {"sx": states.SX, "sy": states.SY, "sz": states.SZ}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    state_spec: str = ""
-    noise: str = ""
-    base: str = "psi-"
-    p_start: float = 0.0
-    p_stop: float = 1.0
-    p_steps: int = 2
-    samples: int = 1
-    shots: int = 1
-    seed: int = 0
-    observables: str = ""
-    out: str | None = None
-    per_sample: str | None = None
-    fmt: str = "csv"
-
-
 def _format_value(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -116,24 +97,24 @@ def _full_report(rho: states.DensityMatrix) -> dict:
     }
 
 
-def run_evaluate(config: RunConfig):
-    rho = states.parse_state_spec(config.state_spec)
-    row = {"state": config.state_spec, **_full_report(rho)}
+def run_evaluate(args: argparse.Namespace):
+    rho = states.parse_state_spec(args.state)
+    row = {"state": args.state, **_full_report(rho)}
     return [row], EVALUATE_COLUMNS
 
 
-def run_sweep(config: RunConfig):
+def run_sweep(args: argparse.Namespace):
     try:
-        kind = states.NoiseKind(config.noise)
+        kind = states.NoiseKind(args.noise)
     except ValueError:
-        raise ValueError(f"unknown noise family {config.noise!r}; expected werner or polarized")
-    if config.p_steps < 2:
+        raise ValueError(f"unknown noise family {args.noise!r}; expected werner or polarized")
+    if args.p_steps < 2:
         raise ValueError("need at least 2 grid points")
-    grid = np.linspace(config.p_start, config.p_stop, config.p_steps)
+    grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
     sets = witness.standard_sets()
     rows = []
     for p in grid:
-        rho = states.noise_mixture(float(p), kind, base=config.base)
+        rho = states.noise_mixture(float(p), kind, base=args.base)
         r2 = witness.evaluate(rho, sets["L2"])
         r3 = witness.evaluate(rho, sets["L3"])
         rows.append(
@@ -191,17 +172,15 @@ def run_haar_study(kind: str, samples: int, seed: int):
     return summary, per_sample
 
 
-def run_study_command(config: RunConfig):
-    if config.samples < 1:
+def run_study_command(args: argparse.Namespace):
+    if args.samples < 1:
         raise ValueError("need at least one sample")
-    kind = config.state_spec or "psi-"
-    if kind == "singlet":
-        kind = "psi-"
+    kind = "psi-" if args.state == "singlet" else args.state
     if kind not in states.BELL_KINDS:
-        raise ValueError(f"haar-study expects a Bell state, got {config.state_spec!r}")
-    summary, per_sample = run_haar_study(kind, config.samples, config.seed)
-    if config.per_sample is not None:
-        _write_rows(per_sample, SAMPLE_COLUMNS, config.fmt, config.per_sample)
+        raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
+    summary, per_sample = run_haar_study(kind, args.samples, args.seed)
+    if args.per_sample is not None:
+        _write_rows(per_sample, SAMPLE_COLUMNS, args.fmt, args.per_sample)
     return [summary], STUDY_COLUMNS
 
 
@@ -214,19 +193,19 @@ def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
     return tables
 
 
-def run_simulate(config: RunConfig):
-    if config.shots < 2:
+def run_simulate(args: argparse.Namespace):
+    if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
-    rho = states.parse_state_spec(config.state_spec)
-    tables = simulate_counts(rho, config.shots, config.seed)
+    rho = states.parse_state_spec(args.state)
+    tables = simulate_counts(rho, args.shots, args.seed)
     by_basis = {t.basis: t for t in tables}
     two = measurement.estimate_witnesses(
         [by_basis[states.Basis.LIN_0_90], by_basis[states.Basis.LIN_45_135]]
     )
     three = measurement.estimate_witnesses(tables)
     row = {
-        "state": config.state_spec,
-        "shots": config.shots,
+        "state": args.state,
+        "shots": args.shots,
         "l2": two.l_value,
         "l2_se": two.l_se,
         "ml2": two.ml_value,
@@ -239,8 +218,8 @@ def run_simulate(config: RunConfig):
     return [row], SIMULATE_COLUMNS
 
 
-def run_bound(config: RunConfig):
-    tokens = [t.strip() for t in config.observables.split(",") if t.strip()]
+def run_bound(args: argparse.Namespace):
+    tokens = [t.strip() for t in args.observables.split(",") if t.strip()]
     if not tokens:
         raise ValueError("need at least one observable (from sx, sy, sz)")
     try:
@@ -251,15 +230,6 @@ def run_bound(config: RunConfig):
     return [{"observables": "+".join(tokens), "bound": value}], BOUND_COLUMNS
 
 
-_COMMANDS = {
-    "evaluate": run_evaluate,
-    "sweep": run_sweep,
-    "haar-study": run_study_command,
-    "simulate": run_simulate,
-    "bound": run_bound,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lurwit",
@@ -267,13 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("evaluate", help="exact witness values for one state")
     p.add_argument("--state", required=True, help='state spec, e.g. "singlet" or "werner:p=0.5"')
-    add_common(p)
+    add_common(p, run_evaluate)
 
     p = sub.add_parser("sweep", help="witness values over a noise-mixture grid")
     p.add_argument("--noise", required=True, help="noise family: werner or polarized")
@@ -281,59 +252,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-start", type=float, default=0.0)
     p.add_argument("--p-stop", type=float, default=1.0)
     p.add_argument("--p-steps", type=int, default=101)
-    add_common(p)
+    add_common(p, run_sweep)
 
     p = sub.add_parser("haar-study", help="detection rates under Haar-random local rotations")
     p.add_argument("--state", default="psi-", help="Bell state to rotate")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-sample", default=None, help="also write one row per sample here")
-    add_common(p)
+    add_common(p, run_study_command)
 
     p = sub.add_parser("simulate", help="finite-shot coincidence-count estimate")
     p.add_argument("--state", required=True)
     p.add_argument("--shots", type=int, required=True, help="shots per basis")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, run_simulate)
 
     p = sub.add_parser("bound", help="minimized single-party variance bound")
     p.add_argument("--observables", required=True, help="comma-separated from sx, sy, sz")
-    add_common(p)
+    add_common(p, run_bound)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        state_spec=getattr(args, "state", ""),
-        noise=getattr(args, "noise", ""),
-        base=getattr(args, "base", "psi-"),
-        p_start=getattr(args, "p_start", 0.0),
-        p_stop=getattr(args, "p_stop", 1.0),
-        p_steps=getattr(args, "p_steps", 2),
-        samples=getattr(args, "samples", 1),
-        shots=getattr(args, "shots", 1),
-        seed=getattr(args, "seed", 0),
-        observables=getattr(args, "observables", ""),
-        out=args.out,
-        per_sample=getattr(args, "per_sample", None),
-        fmt=args.fmt,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        rows, columns = _COMMANDS[config.command](config)
+        rows, columns = args.run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    _write_rows(rows, columns, config.fmt, config.out)
+    _write_rows(rows, columns, args.fmt, args.out)
     return 0
 
 

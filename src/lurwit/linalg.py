@@ -1,9 +1,8 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything works on plain numpy arrays of dtype complex128 and shape (2, 2)
-or (4, 4). The one nontrivial algorithm is a cyclic Jacobi eigensolver for
-Hermitian matrices; it is kept in-package because the entanglement oracle
-built on top of it must be checkable against an external eigensolver.
+or (4, 4). Spectra come from numpy's LAPACK wrapper; the package itself only
+validates, combines and re-indexes operators.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 class NumericsError(RuntimeError):
@@ -60,58 +57,3 @@ def partial_transpose_second(m) -> np.ndarray:
     """
     a = as_operator(m, dim=4)
     return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a complex Jacobi rotation, in place."""
-    apq = a[p, q]
-    absb = abs(apq)
-    if absb < JACOBI_OFFDIAG_TOL / 100.0:
-        # too small to matter: 6 such entries still sit below the sweep tolerance
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-        return
-    phase = apq / absb
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # unitary J: J[p,p]=c, J[p,q]=s, J[q,p]=-conj(phase)*s, J[q,q]=conj(phase)*c
-    j = np.array([[c, s], [-np.conj(phase) * s, np.conj(phase) * c]])
-    idx = [p, q]
-    a[:, idx] = a[:, idx] @ j
-    a[idx, :] = j.conj().T @ a[idx, :]
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-
-def hermitian_eigenvalues(h, hermiticity_tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi sweeps.
-
-    Raises ValueError if the input is not Hermitian within `hermiticity_tol`
-    in max-norm, and NumericsError if the sweep limit is reached (which does
-    not happen for Hermitian input at the operator scales used here).
-    """
-    a = as_operator(h)
-    if not is_hermitian(a, hermiticity_tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    a = (a + dagger(a)) / 2.0  # symmetrize roundoff before rotating
-    n = a.shape[0]
-
-    def off_norm():
-        return np.linalg.norm(a - np.diag(np.diag(a)))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm() < JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, p, q)
-    else:
-        if off_norm() >= JACOBI_OFFDIAG_TOL:
-            raise NumericsError("Jacobi eigensolver did not converge within the sweep limit")
-    return np.sort(np.diag(a).real)

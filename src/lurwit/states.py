@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericsError, as_operator, dagger, is_hermitian, tensor_product
+from .linalg import (
+    HERMITIAN_TOL, NumericsError, as_operator, dagger, is_hermitian, tensor_product,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
-HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 NORM_TOL = 1e-12
@@ -76,8 +77,6 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
-        # PSD validation only; the package's own eigensolver is reserved for
-        # the entanglement oracle so the two stay independent.
         if float(np.linalg.eigvalsh(m)[0]) < -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "matrix", m)
@@ -216,8 +215,11 @@ def density_from_json(obj) -> DensityMatrix:
 
 
 def load_density_file(path: str) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return density_from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return density_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"density file {path!r}: {exc}") from exc
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:

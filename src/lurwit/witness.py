@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     NumericsError,
     as_operator,
-    hermitian_eigenvalues,
     is_hermitian,
     partial_transpose_second,
     tensor_product,
@@ -34,7 +34,6 @@ from .states import I2, SX, SY, SZ, Basis, DensityMatrix
 EXPECTATION_IMAG_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
 VERDICT_MARGIN = 1e-9
-HERMITIAN_TOL = 1e-10
 
 
 class Verdict(enum.Enum):
@@ -151,28 +150,12 @@ def _pair_stats(rho: DensityMatrix, label: str, lifted) -> PairStats:
 
 def lur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
     """Sum of variances of the paired sums; compare against oset.separable_bound."""
-    return sum(
-        _pair_stats(rho, label, ops).var_sum
-        for (_, _, label), ops in zip(oset.pairs, oset._lifted)
-    )
+    return evaluate(rho, oset).l_value
 
 
 def mlur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
-    """Sum of var(a_i) + var(b_i) - 2|cov_i|.
-
-    The equivalent form sum_i var(a_i + b_i) - 4*max(0, cov_i) is computed
-    alongside as an internal consistency check; the two must agree to
-    within roundoff or the statistics code is broken.
-    """
-    primary = 0.0
-    alternative = 0.0
-    for (_, _, label), ops in zip(oset.pairs, oset._lifted):
-        st = _pair_stats(rho, label, ops)
-        primary += st.var_a + st.var_b - 2.0 * abs(st.covariance)
-        alternative += st.var_sum - 4.0 * max(0.0, st.covariance)
-    if abs(primary - alternative) > DECOMPOSITION_TOL:
-        raise NumericsError(f"modified-witness forms disagree: {primary} vs {alternative}")
-    return primary
+    """Sum of var(a_i) + var(b_i) - 2|cov_i|; compare against oset.separable_bound."""
+    return evaluate(rho, oset).ml_value
 
 
 def standard_sets() -> dict[str, ObservableSet]:
@@ -199,30 +182,13 @@ def standard_sets() -> dict[str, ObservableSet]:
     return {"L2": l2, "L3": l3}
 
 
-def _variance_sum_grid(observables, theta, phi) -> np.ndarray:
-    """Sum of single-qubit variances on a (theta, phi) Bloch grid."""
-    c0 = np.cos(theta / 2.0)
-    s1 = np.sin(theta / 2.0)
-    phase = np.exp(1j * phi)
-    total = np.zeros(np.broadcast(theta, phi).shape)
-    for o in observables:
-        o2 = o @ o
-        cross = np.real(o[0, 1] * phase)  # <psi|O|psi> cross term, O Hermitian
-        cross2 = np.real(o2[0, 1] * phase)
-        mean = c0**2 * o[0, 0].real + s1**2 * o[1, 1].real + 2.0 * c0 * s1 * cross
-        mean_sq = c0**2 * o2[0, 0].real + s1**2 * o2[1, 1].real + 2.0 * c0 * s1 * cross2
-        total += mean_sq - mean**2
-    return total
-
-
-def local_bound(observables, grid: tuple[int, int] = (64, 128), tol: float = 1e-6) -> float:
+def local_bound(observables) -> float:
     """Greatest lower bound of sum_i var(o_i) over single-qubit states.
 
-    Each variance is concave in the state (<O^2> is linear, -<O>^2 concave),
-    so the minimum of the sum over all states is attained on the pure-state
-    boundary; it suffices to search the Bloch sphere. A coarse grid locates
-    the basin and a shrinking local grid refines the minimizer until the
-    value is converged to `tol`.
+    Write each Hermitian o_i as c_i I + v_i . sigma with v_i = Tr(o_i sigma)/2
+    real. On a state with Bloch vector r (|r| <= 1), var(o_i) = |v_i|^2 -
+    (v_i . r)^2, so the sum is sum_i |v_i|^2 - r^T M r with M = sum_i v_i v_i^T.
+    Its minimum over the Bloch ball is sum_i |v_i|^2 - lambda_max(M), exactly.
     """
     obs = [as_operator(o, dim=2) for o in observables]
     if not obs:
@@ -230,35 +196,13 @@ def local_bound(observables, grid: tuple[int, int] = (64, 128), tol: float = 1e-
     for o in obs:
         if not is_hermitian(o, HERMITIAN_TOL):
             raise ValueError("observables must be Hermitian")
-
-    n_theta, n_phi = grid
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    values = _variance_sum_grid(obs, theta[:, None], phi[None, :])
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    best = float(values[i, j])
-    t_best, p_best = float(theta[i]), float(phi[j])
-
-    # halve the search box until it is far below sqrt(tol); the value
-    # converges quadratically in the box size near the minimizer
-    dt = np.pi / (n_theta - 1)
-    dp = 2.0 * np.pi / n_phi
-    while dt > tol * 1e-3:
-        t_grid = np.clip(np.linspace(t_best - dt, t_best + dt, 9), 0.0, np.pi)
-        p_grid = p_best + np.linspace(-dp, dp, 9)  # phi is periodic, no clamping
-        values = _variance_sum_grid(obs, t_grid[:, None], p_grid[None, :])
-        i, j = np.unravel_index(np.argmin(values), values.shape)
-        if float(values[i, j]) < best:
-            best = float(values[i, j])
-            t_best, p_best = float(t_grid[i]), float(p_grid[j])
-        dt *= 0.5
-        dp *= 0.5
-    return best
+    v = np.array([[0.5 * np.trace(o @ s).real for s in (SX, SY, SZ)] for o in obs])
+    return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative iff entangled."""
-    return float(hermitian_eigenvalues(partial_transpose_second(rho.matrix))[0])
+    return float(np.linalg.eigvalsh(partial_transpose_second(rho.matrix))[0])
 
 
 def verdict_for(value: float, bound: float) -> Verdict:
@@ -269,13 +213,20 @@ def verdict_for(value: float, bound: float) -> Verdict:
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
-    """Full per-pair statistics plus both witness values and verdicts."""
+    """Full per-pair statistics plus both witness values and verdicts.
+
+    The modified value is also formed as sum_i var(a_i + b_i) - 4*max(0, cov_i);
+    the two forms must agree to within roundoff or the statistics code is broken.
+    """
     stats = [
         _pair_stats(rho, label, ops)
         for (_, _, label), ops in zip(oset.pairs, oset._lifted)
     ]
     l_value = sum(st.var_sum for st in stats)
     ml_value = sum(st.var_a + st.var_b - 2.0 * abs(st.covariance) for st in stats)
+    ml_alternative = sum(st.var_sum - 4.0 * max(0.0, st.covariance) for st in stats)
+    if abs(ml_value - ml_alternative) > DECOMPOSITION_TOL:
+        raise NumericsError(f"modified-witness forms disagree: {ml_value} vs {ml_alternative}")
     bound = oset.separable_bound
     return WitnessReport(
         pairs=tuple(stats),

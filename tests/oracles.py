@@ -1,8 +1,9 @@
 """Brute-force reference computations for tests.
 
 Deliberately independent of the package's code paths: expectations are
-explicit double sums, eigenvalues come from numpy's LAPACK wrapper, and the
-partial transpose is re-derived entrywise from its index definition.
+explicit double sums, the partial transpose is re-derived entrywise from its
+index definition, and the entanglement test is the sign of a determinant
+(an LU factorisation), not an eigenvalue.
 """
 
 import numpy as np
@@ -48,6 +49,34 @@ def partial_transpose_brute(m: np.ndarray) -> np.ndarray:
 
 def eig_oracle(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
+
+
+def partial_transpose_det(rho: np.ndarray) -> float:
+    """det(rho^T_B): negative iff a two-qubit rho is entangled (Augusiak,
+    Demianowicz & Horodecki, PRA 77, 030301(R) (2008))."""
+    return float(np.linalg.det(partial_transpose_brute(rho)).real)
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n near-uniform unit vectors; every point of the sphere is within about 2.5/sqrt(n) rad."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def local_bound_brute(observables, n: int) -> float:
+    """Minimum of sum_i var(o_i) over n pure qubit states spread over the Bloch sphere."""
+    x, y, z = fibonacci_sphere(n).T
+    theta = np.arccos(z)
+    psi = np.stack([np.cos(theta / 2.0), np.exp(1j * np.arctan2(y, x)) * np.sin(theta / 2.0)], 1)
+    total = np.zeros(n)
+    for o in observables:
+        mean = np.einsum("ni,ij,nj->n", psi.conj(), o, psi).real
+        mean_sq = np.einsum("ni,ij,nj->n", psi.conj(), o @ o, psi).real
+        total += mean_sq - mean**2
+    return float(total.min())
 
 
 def random_mixed_matrix(rng: np.random.Generator) -> np.ndarray:

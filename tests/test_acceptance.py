@@ -281,9 +281,9 @@ def test_criterion_10_finite_shot_consistency():
 def test_criterion_11_local_bound_minimizer():
     two = local_bound([SX, SZ])
     three = local_bound([SX, SY, SZ])
-    ok = abs(two - 1.0) <= 1e-6 and abs(three - 2.0) <= 1e-6
-    ok &= abs(2.0 * two - L2.separable_bound) <= 2e-6
-    ok &= abs(2.0 * three - L3.separable_bound) <= 2e-6
+    ok = abs(two - 1.0) <= 1e-12 and abs(three - 2.0) <= 1e-12
+    ok &= abs(2.0 * two - L2.separable_bound) <= 2e-12
+    ok &= abs(2.0 * three - L3.separable_bound) <= 2e-12
     _criterion(11, "local bound minimizer: {sx,sz} -> 1 and {sx,sy,sz} -> 2, matching "
                    "the witness bounds as U_A + U_B", ok,
                f"two-basis={two:.9f}, three-basis={three:.9f}")

@@ -71,8 +71,13 @@ def test_evaluate_invalid_density_file_exits_2(tmp_path, capsys):
 
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    code, _, _ = _run(capsys, ["evaluate", "--state", f"file:{garbled}"])
-    assert code == 2
+    bad_im = tmp_path / "bad_im.json"
+    bad_im.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 4.0).tolist(), "im": "x"}))
+    for path in (garbled, "/dev/null", bad_im):
+        code, out, err = _run(capsys, ["evaluate", "--state", f"file:{path}"])
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
 
 
 def test_sweep_werner_grid(tmp_path, capsys):
@@ -211,10 +216,14 @@ def test_simulate_rejects_single_shot(capsys):
 def test_bound_command(capsys):
     code, out, _ = _run(capsys, ["bound", "--observables", "sx,sz"])
     assert code == 0
-    assert float(_parse_csv(out)[0]["bound"]) == pytest.approx(1.0, abs=1e-6)
+    assert float(_parse_csv(out)[0]["bound"]) == pytest.approx(1.0, abs=1e-12)
 
     code, out, _ = _run(capsys, ["bound", "--observables", "sx,sy,sz"])
-    assert float(_parse_csv(out)[0]["bound"]) == pytest.approx(2.0, abs=1e-6)
+    assert float(_parse_csv(out)[0]["bound"]) == pytest.approx(2.0, abs=1e-12)
+
+    code, out, _ = _run(capsys, ["bound", "--observables", "sx"])
+    assert code == 0
+    assert _parse_csv(out)[0]["bound"] == "0"
 
 
 def test_bound_rejects_unknown_observable(capsys):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from lurwit.linalg import (
-    as_operator,
-    hermitian_eigenvalues,
-    partial_transpose_second,
-    tensor_product,
+from lurwit.linalg import as_operator, partial_transpose_second, tensor_product
+from lurwit.rng import stream
+from lurwit.states import DensityMatrix, density_from_pure, random_pure_state, random_separable_state
+from lurwit.witness import ppt_min_eigenvalue
+from oracles import (
+    SX,
+    SZ,
+    I2,
+    eig_oracle,
+    partial_transpose_brute,
+    partial_transpose_det,
+    random_mixed_matrix,
 )
-from oracles import SX, SZ, I2, eig_oracle, partial_transpose_brute, random_hermitian
-from strategies import hermitian_4x4, pure_states
+from strategies import density_matrices, hermitian_4x4, pure_states
 
 
 def test_tensor_identity():
@@ -104,51 +110,41 @@ def test_partial_transpose_fixes_real_symmetric_second_factor():
 def test_singlet_partial_transpose_spectrum():
     psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
-    eigs = hermitian_eigenvalues(partial_transpose_second(rho))
+    eigs = np.linalg.eigvalsh(partial_transpose_second(rho))
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
     assert np.allclose(eig_oracle(partial_transpose_brute(rho)), eigs, atol=1e-12)
 
 
-def test_eigenvalues_of_diagonal_pauli():
-    assert np.allclose(hermitian_eigenvalues(SZ), [-1.0, 1.0], atol=1e-14)
+@given(density_matrices())
+def test_eigenvalues_match_external_solver(rho):
+    expected = eig_oracle(partial_transpose_brute(rho.matrix))[0]
+    assert abs(ppt_min_eigenvalue(rho) - expected) <= 1e-12
 
 
-def test_eigenvalues_of_rank_one_projector():
-    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    eigs = hermitian_eigenvalues(np.outer(psi, psi.conj()))
-    assert np.allclose(eigs, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+@given(density_matrices(), pure_states())
+def test_min_eigenvalue_lower_bounds_quadratic_form(rho, v):
+    lam = ppt_min_eigenvalue(rho)
+    quad = np.real(np.conj(v) @ partial_transpose_brute(rho.matrix) @ v)
+    assert quad >= lam - 1e-12
 
 
-def test_non_hermitian_input_rejected():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-@given(hermitian_4x4())
-def test_eigenvalue_sum_equals_trace(h):
-    eigs = hermitian_eigenvalues(h)
-    assert abs(eigs.sum() - np.trace(h).real) <= 1e-10
-
-
-@given(hermitian_4x4())
-def test_eigenvalues_match_external_solver(h):
-    assert np.max(np.abs(hermitian_eigenvalues(h) - eig_oracle(h))) <= 1e-9
-
-
-@given(hermitian_4x4(), pure_states())
-def test_min_eigenvalue_lower_bounds_quadratic_form(h, v):
-    lam = hermitian_eigenvalues(h)[0]
-    quad = np.real(np.conj(v) @ (h - lam * np.eye(4)) @ v)
-    assert quad >= -1e-8
-
-
-def test_random_hermitian_stress_against_oracle():
-    rng = np.random.default_rng(2024)
-    for _ in range(500):
-        h = random_hermitian(rng, 4 if rng.uniform() < 0.7 else 2)
-        assert np.max(np.abs(hermitian_eigenvalues(h) - eig_oracle(h))) <= 1e-9
-
-
-def test_jacobi_handles_degenerate_and_zero_matrices():
-    assert np.allclose(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
-    assert np.allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4))
+def test_ppt_sign_matches_determinant_oracle():
+    # Two-qubit rho is entangled iff det(rho^T_B) < 0; the determinant comes
+    # from an LU factorisation, so this checks the sign without an eigensolver.
+    g = stream(2024)
+    checked = {True: 0, False: 0}
+    for i in range(25_000):
+        if i % 3 == 0:
+            rho = density_from_pure(random_pure_state(g))
+        elif i % 3 == 1:
+            rho = DensityMatrix(random_mixed_matrix(g))
+        else:
+            rho = random_separable_state(g, int(g.integers(1, 7)))
+        lam = ppt_min_eigenvalue(rho)
+        if abs(lam) < 1e-9:
+            continue  # on the PPT boundary the sign of either quantity is roundoff
+        negative = lam < 0
+        assert negative == (partial_transpose_det(rho.matrix) < 0), (i, lam)
+        checked[negative] += 1
+    assert sum(checked.values()) >= 20_000
+    assert min(checked.values()) >= 2_000

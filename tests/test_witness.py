@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from lurwit import witness
 from lurwit.linalg import NumericsError
 from lurwit.rng import stream
 from lurwit.states import (
@@ -36,6 +39,8 @@ from oracles import (
     I2,
     covariance_brute,
     expect_brute,
+    local_bound_brute,
+    random_hermitian,
     random_mixed_matrix,
     var_sum_brute,
 )
@@ -226,21 +231,42 @@ def test_observable_set_validation():
 
 
 def test_local_bound_single_pauli_is_zero():
-    assert local_bound([SZ]) == pytest.approx(0.0, abs=1e-9)
-    assert local_bound([SX]) == pytest.approx(0.0, abs=1e-9)
+    assert local_bound([SZ]) == pytest.approx(0.0, abs=1e-12)
+    assert local_bound([SX]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_local_bound_two_paulis():
-    assert local_bound([SX, SZ]) == pytest.approx(1.0, abs=1e-6)
+    assert local_bound([SX, SZ]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_bound_three_paulis():
-    assert local_bound([SX, SY, SZ]) == pytest.approx(2.0, abs=1e-6)
+    assert local_bound([SX, SY, SZ]) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("names", ["sx", "sy", "sz", "sx,sy", "sx,sz", "sy,sz", "sx,sy,sz"])
+def test_local_bound_pauli_subsets(names):
+    paulis = {"sx": SX, "sy": SY, "sz": SZ}
+    obs = [paulis[name] for name in names.split(",")]
+    assert local_bound(obs) == pytest.approx(len(obs) - 1, abs=1e-12)
+
+
+def test_local_bound_matches_sampled_minimum():
+    g = stream(99)
+    n = 20_000
+    for _ in range(50):
+        obs = [random_hermitian(g, 2) for _ in range(int(g.integers(1, 5)))]
+        exact = local_bound(obs)
+        sampled = local_bound_brute(obs, n)
+        assert exact <= sampled + 1e-12
+        # An angle t from the minimizer costs at most lambda_max(M) * t^2, where
+        # lambda_max(M) <= sum_i ||o_i||^2 and the sample leaves t < 3/sqrt(n).
+        resolution = sum(np.linalg.norm(o, 2) ** 2 for o in obs) * 9.0 / n
+        assert sampled - exact <= resolution
 
 
 def test_local_bound_consistent_with_standard_bounds():
-    assert 2.0 * local_bound([SZ, SX]) == pytest.approx(SETS["L2"].separable_bound, abs=1e-6)
-    assert 2.0 * local_bound([SZ, SX, SY]) == pytest.approx(SETS["L3"].separable_bound, abs=1e-6)
+    assert 2.0 * local_bound([SZ, SX]) == pytest.approx(SETS["L2"].separable_bound, abs=1e-12)
+    assert 2.0 * local_bound([SZ, SX, SY]) == pytest.approx(SETS["L3"].separable_bound, abs=1e-12)
 
 
 def test_local_bound_rejects_bad_input():
@@ -305,6 +331,18 @@ def test_boundary_product_state_stays_inconclusive():
         assert report.l_value == pytest.approx(value, abs=1e-12)
         assert report.verdict_l is Verdict.INCONCLUSIVE
         assert report.verdict_ml is Verdict.INCONCLUSIVE
+
+
+def test_evaluate_checks_modified_witness_forms(monkeypatch):
+    real = witness._pair_stats
+
+    def skewed(rho, label, lifted):
+        st = real(rho, label, lifted)
+        return dataclasses.replace(st, var_sum=st.var_sum + 1e-6)
+
+    monkeypatch.setattr(witness, "_pair_stats", skewed)
+    with pytest.raises(NumericsError, match="modified-witness forms disagree"):
+        evaluate(SINGLET, SETS["L3"])
 
 
 @given(density_matrices())
