@@ -37,11 +37,13 @@ from .witness import (
     WitnessReport,
     covariance,
     evaluate,
+    evaluate_many,
     expectation,
     local_bound,
     lur_value,
     mlur_value,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     standard_sets,
     variance,
     variance_of_sum,

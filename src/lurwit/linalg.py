@@ -16,6 +16,16 @@ class NumericsError(RuntimeError):
     """An internal numerical invariant failed (not a caller mistake)."""
 
 
+def first_failure(ok: np.ndarray) -> tuple | None:
+    """Index of the first False entry of a check mask (C order), or None if all pass.
+
+    Write masks as `deviation <= tol` so that a NaN deviation fails.
+    """
+    if ok.all():
+        return None
+    return np.unravel_index(int(np.argmin(ok)), ok.shape)
+
+
 def as_operator(m, dim: int | None = None) -> np.ndarray:
     """Validate and return `m` as a square complex matrix of dim 2 or 4."""
     a = np.asarray(m, dtype=complex)
@@ -49,11 +59,16 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_transpose_second(m) -> np.ndarray:
-    """Transpose the second-qubit indices of a two-qubit operator.
+def transpose_second_qubit(a: np.ndarray) -> np.ndarray:
+    """Partial transpose on the second qubit of every 4x4 matrix in a (..., 4, 4) array.
 
     Entry <i,j|out|k,l> equals <i,l|m|k,j>. Applying the map twice returns
-    the original matrix exactly (pure index shuffling, no arithmetic).
+    the original array exactly (pure index shuffling, no arithmetic). The
+    shape is not validated; `partial_transpose_second` is the checked form.
     """
-    a = as_operator(m, dim=4)
-    return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return a.reshape(a.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(a.shape)
+
+
+def partial_transpose_second(m) -> np.ndarray:
+    """Transpose the second-qubit indices of one two-qubit operator."""
+    return transpose_second_qubit(as_operator(m, dim=4))

@@ -34,6 +34,7 @@ SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
 
 PROB_SUM_TOL = 1e-12
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # counts are int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +121,8 @@ def sample_counts(
     """Multinomial coincidence counts; deterministic given the generator state."""
     if shots < 1:
         raise ValueError("need at least one shot")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
     return CountTable(dist.basis, rng.multinomial(shots, dist.probabilities))
 
 

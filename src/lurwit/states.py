@@ -6,7 +6,9 @@ Conventions used throughout the package:
     R/L -> sigma_y (so H/V is the computational basis).
 
 All constructors return immutable values; random constructors take an
-explicit numpy Generator (see `lurwit.rng.stream`).
+explicit numpy Generator (see `lurwit.rng.stream`). The one exception is
+`haar_rotated_bell_states`, which returns a validated (n, 4, 4) array for
+the stacked witness kernel and draws its own task-keyed streams.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as _rng
 from .linalg import (
-    HERMITIAN_TOL, NumericsError, as_operator, dagger, is_hermitian, tensor_product,
+    HERMITIAN_TOL, NumericsError, as_operator, dagger, first_failure, is_hermitian, tensor_product,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -162,16 +165,63 @@ def apply_to_pure(pair: LocalUnitaryPair, psi) -> np.ndarray:
 
 
 def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    # unit quaternion (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ), an SU(2) element
-    w, x, y, z = q
+    # unit quaternions (..., 4) = (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ),
+    # SU(2) elements of shape (..., 2, 2)
+    w, x, y, z = (c[..., None, None] for c in np.moveaxis(q, -1, 0))
     return w * I2 + 1j * (x * SX + y * SY + z * SZ)
+
+
+def _haar_su2(gaussians: np.ndarray) -> np.ndarray:
+    # normalized Gaussian 4-vectors are Haar-uniform unit quaternions
+    return _su2_from_quaternion(gaussians / np.linalg.norm(gaussians, axis=-1, keepdims=True))
 
 
 def haar_random_local_unitary(rng: np.random.Generator) -> LocalUnitaryPair:
     """Independent Haar-uniform SU(2) rotation for each party."""
-    qs = rng.standard_normal((2, 4))
-    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
-    return LocalUnitaryPair(_su2_from_quaternion(qs[0]), _su2_from_quaternion(qs[1]))
+    u_a, u_b = _haar_su2(rng.standard_normal((2, 4)))
+    return LocalUnitaryPair(u_a, u_b)
+
+
+def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
+    """Validated (n, 4, 4) stack of a Bell state under Haar-random local rotations.
+
+    `indices` is a range (or sequence) of sample indices, and row k is
+    sample indices[k]: the rotation drawn from `rng.stream(seed, i)`
+    exactly as `haar_random_local_unitary` draws it, applied to the Bell
+    state, as a density matrix. The stack passes the checks the scalar path
+    makes on each object (`LocalUnitaryPair`, `density_from_pure`,
+    `DensityMatrix`), as maxima over the stack with the same tolerances.
+    The states are generated here, so a failed check is a NumericsError.
+    """
+    psi0 = bell_state(kind)
+    draws = [_rng.stream(seed, i).standard_normal((2, 4)) for i in indices]
+    u = _haar_su2(np.array(draws).reshape(-1, 2, 4))  # (n, party, 2, 2)
+    checks = [
+        ("local rotation is not unitary",
+         np.abs(u.conj().swapaxes(-1, -2) @ u - I2).max(axis=(1, 2, 3)), UNITARY_TOL),
+    ]
+    # u_a x u_b as np.kron forms it (one broadcast product per entry), then a
+    # matrix-vector product: the same arithmetic as `apply_to_pure`
+    joint = (u[:, 0, :, None, :, None] * u[:, 1, None, :, None, :]).reshape(-1, 4, 4)
+    psi = joint @ psi0
+    checks.append(("rotated state is not normalized",
+                   np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0), NORM_TOL))
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    checks += [
+        ("density matrix is not Hermitian",
+         np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(1, 2)), HERMITIAN_TOL),
+        ("density matrix trace is not 1", np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
+         TRACE_TOL),
+        ("density matrix has a negative eigenvalue", -np.linalg.eigvalsh(rho)[:, 0], PSD_TOL),
+    ]
+    for what, deviation, tol in checks:
+        failed = first_failure(deviation <= tol)
+        if failed is not None:
+            (k,) = failed
+            raise NumericsError(
+                f"{what} for sample {indices[k]} (seed {seed}): deviation {deviation[k]} > {tol}"
+            )
+    return rho
 
 
 def random_bloch_state(rng: np.random.Generator) -> np.ndarray:

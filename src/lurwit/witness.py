@@ -11,7 +11,17 @@ single-party states. A value below the bound certifies entanglement; the
 modified form is sensitive only to the covariance magnitude, so it also
 catches states whose covariances have unhelpful signs. The Peres
 partial-transpose test gives the exact ground truth for two qubits and is
-exposed as `ppt_min_eigenvalue`.
+exposed as `ppt_min_eigenvalue` (one state) and `ppt_min_eigenvalues` (a
+stack).
+
+Every witness quantity is linear in the state, so one kernel serves every
+caller: a single contraction of an (N, 4, 4) stack of density matrices with
+the (P, 7, 4, 4) lifted operators of an `ObservableSet` gives all 7 * P
+expectations of all N states at once. `evaluate_many` returns the witness
+values of a stack; `evaluate` is the same kernel on a stack of one, plus
+the per-pair report. The runtime invariant checks (real expectations, the
+variance decomposition, the agreement of the two modified-witness forms)
+run on every call, as maxima over the stack.
 """
 
 from __future__ import annotations
@@ -25,9 +35,10 @@ from .linalg import (
     HERMITIAN_TOL,
     NumericsError,
     as_operator,
+    first_failure,
     is_hermitian,
-    partial_transpose_second,
     tensor_product,
+    transpose_second_qubit,
 )
 from .states import I2, SX, SY, SZ, Basis, DensityMatrix
 
@@ -47,8 +58,12 @@ class ObservableSet:
 
     `pairs` holds (a_i, b_i, label) triples of Hermitian 2x2 operators;
     `bound_a + bound_b` is the separable bound for both witness families.
-    The lifted two-qubit operators are precomputed once per set because
-    Monte Carlo studies evaluate the same set on very many states.
+    The lifted two-qubit operators are precomputed once per set, stacked as
+    one (P, 7, 4, 4) array `_ops`: for pair i, with a = a_i x I, b = I x b_i
+    and s = a + b, the 7 operators are a, a^2, b, b^2, a_i x b_i, s, s^2.
+    Each is stored transposed, so that Tr(rho op) = sum_ij rho_ij (op^T)_ij
+    contracts matching, contiguous indices; in that layout every state's
+    result is the same whatever the size of the stack it is evaluated in.
     """
 
     pairs: tuple
@@ -73,7 +88,7 @@ class ObservableSet:
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValueError("single-party bounds must be nonnegative")
         object.__setattr__(self, "pairs", tuple(checked))
-        object.__setattr__(self, "_lifted", tuple(lifted))
+        object.__setattr__(self, "_ops", np.array(lifted).swapaxes(-1, -2).copy())
 
     @property
     def separable_bound(self) -> float:
@@ -132,20 +147,58 @@ def variance_of_sum(rho: DensityMatrix, a, b) -> float:
     return variance(rho, s)
 
 
-def _pair_stats(rho: DensityMatrix, label: str, lifted) -> PairStats:
-    a4, a4_sq, b4, b4_sq, ab, s, s_sq = lifted
-    mean_a = _expect(rho, a4)
-    mean_b = _expect(rho, b4)
-    var_a = _expect(rho, a4_sq) - mean_a**2
-    var_b = _expect(rho, b4_sq) - mean_b**2
-    cov = _expect(rho, ab) - mean_a * mean_b
-    var_sum = _expect(rho, s_sq) - _expect(rho, s) ** 2  # direct route, not the decomposition
-    if abs(var_sum - (var_a + var_b + 2.0 * cov)) > DECOMPOSITION_TOL:
+def _stack(matrices) -> np.ndarray:
+    m = np.ascontiguousarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (N, 4, 4) stack of matrices, got shape {m.shape}")
+    return m
+
+
+def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
+    """var_a, var_b, var_sum and cov of every pair on every state, as (N, P) arrays.
+
+    One contraction gives all expectations (`_ops` holds the transposes).
+    var_sum takes the direct route through <s> and <s^2>, not the
+    decomposition, so the decomposition check compares two computations.
+    """
+    values = np.einsum("nij,pkij->npk", matrices, oset._ops)
+    imag = np.abs(values.imag).max(axis=2)
+    failed = first_failure(imag < EXPECTATION_IMAG_TOL)
+    if failed is not None:
+        n, p = failed
         raise NumericsError(
-            f"variance decomposition failed for pair {label!r}: "
-            f"{var_sum} vs {var_a + var_b + 2.0 * cov}"
+            f"expectation of a Hermitian operator came out complex at stack index {n}, "
+            f"pair {oset.pairs[p][2]!r}: imaginary part {imag[n, p]}"
         )
-    return PairStats(label, var_a, var_b, var_sum, cov)
+    mean_a, sq_a, mean_b, sq_b, joint, mean_s, sq_s = values.real.transpose(2, 0, 1)
+    var_a = sq_a - mean_a**2
+    var_b = sq_b - mean_b**2
+    cov = joint - mean_a * mean_b
+    var_sum = sq_s - mean_s**2
+    residual = np.abs(var_sum - (var_a + var_b + 2.0 * cov))
+    failed = first_failure(residual <= DECOMPOSITION_TOL)
+    if failed is not None:
+        n, p = failed
+        raise NumericsError(
+            f"variance decomposition failed at stack index {n}, pair {oset.pairs[p][2]!r}: "
+            f"{var_sum[n, p]} vs {var_a[n, p] + var_b[n, p] + 2.0 * cov[n, p]}"
+        )
+    return var_a, var_b, var_sum, cov
+
+
+def _witness_values(var_a, var_b, var_sum, cov):
+    """Plain and modified witness values per state; checks the two modified forms agree."""
+    l_values = var_sum.sum(axis=1)
+    ml_values = (var_a + var_b - 2.0 * np.abs(cov)).sum(axis=1)
+    ml_alternative = (var_sum - 4.0 * np.maximum(0.0, cov)).sum(axis=1)
+    failed = first_failure(np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL)
+    if failed is not None:
+        (n,) = failed
+        raise NumericsError(
+            f"modified-witness forms disagree at stack index {n}: "
+            f"{ml_values[n]} vs {ml_alternative[n]}"
+        )
+    return l_values, ml_values
 
 
 def lur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
@@ -200,16 +253,33 @@ def local_bound(observables) -> float:
     return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 
+def ppt_min_eigenvalues(matrices) -> np.ndarray:
+    """Minimum eigenvalue of the partial transpose of each state in an (N, 4, 4) stack."""
+    return np.linalg.eigvalsh(transpose_second_qubit(_stack(matrices)))[:, 0]
+
+
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative iff entangled."""
-    return float(np.linalg.eigvalsh(partial_transpose_second(rho.matrix))[0])
+    return float(ppt_min_eigenvalues(rho.matrix[None])[0])
+
+
+def detected(values, bound: float):
+    """True where a witness value certifies entanglement; scalars or arrays."""
+    # margin keeps boundary separable states from being flagged by roundoff
+    return values < bound - VERDICT_MARGIN
 
 
 def verdict_for(value: float, bound: float) -> Verdict:
-    # margin keeps boundary separable states from being flagged by roundoff
-    if value < bound - VERDICT_MARGIN:
-        return Verdict.ENTANGLEMENT_DETECTED
-    return Verdict.INCONCLUSIVE
+    return Verdict.ENTANGLEMENT_DETECTED if detected(value, bound) else Verdict.INCONCLUSIVE
+
+
+def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray]:
+    """Plain and modified witness values, as two length-N arrays, for an (N, 4, 4) stack.
+
+    The matrices are taken as given (no density-matrix validation); every
+    runtime check of `evaluate` runs on each of them.
+    """
+    return _witness_values(*_pair_moments(_stack(matrices), oset))
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
@@ -218,18 +288,18 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     The modified value is also formed as sum_i var(a_i + b_i) - 4*max(0, cov_i);
     the two forms must agree to within roundoff or the statistics code is broken.
     """
-    stats = [
-        _pair_stats(rho, label, ops)
-        for (_, _, label), ops in zip(oset.pairs, oset._lifted)
-    ]
-    l_value = sum(st.var_sum for st in stats)
-    ml_value = sum(st.var_a + st.var_b - 2.0 * abs(st.covariance) for st in stats)
-    ml_alternative = sum(st.var_sum - 4.0 * max(0.0, st.covariance) for st in stats)
-    if abs(ml_value - ml_alternative) > DECOMPOSITION_TOL:
-        raise NumericsError(f"modified-witness forms disagree: {ml_value} vs {ml_alternative}")
+    moments = _pair_moments(rho.matrix[None], oset)
+    l_values, ml_values = _witness_values(*moments)
+    var_a, var_b, var_sum, cov = (m[0].tolist() for m in moments)
+    stats = tuple(
+        PairStats(label, var_a[p], var_b[p], var_sum[p], cov[p])
+        for p, (_, _, label) in enumerate(oset.pairs)
+    )
+    l_value = float(l_values[0])
+    ml_value = float(ml_values[0])
     bound = oset.separable_bound
     return WitnessReport(
-        pairs=tuple(stats),
+        pairs=stats,
         l_value=l_value,
         ml_value=ml_value,
         separable_bound=bound,

@@ -3,7 +3,8 @@
 Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
 index definition, and the entanglement test is the sign of a determinant
-(an LU factorisation), not an eigenvalue.
+(an LU factorisation), not an eigenvalue. `haar_study_reference` is the one
+exception: it keeps the per-sample loop that the stacked Haar study replaced.
 """
 
 import numpy as np
@@ -89,3 +90,35 @@ def random_mixed_matrix(rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def haar_study_reference(kind: str, samples: int, seed: int):
+    """The per-sample Haar study loop: (per-sample rows, detection counts).
+
+    Unlike the rest of this module it runs the package's own scalar path, one
+    state at a time (rotation, projector, `evaluate`, `ppt_min_eigenvalue`), as
+    the reference for the stacked study.
+    """
+    from lurwit import rng, states, witness
+
+    l3_set = witness.standard_sets()["L3"]
+    rows = []
+    l3_detect = ml3_detect = ml3_only = 0
+    for i in range(samples):
+        pair = states.haar_random_local_unitary(rng.stream(seed, i))
+        rho = states.density_from_pure(states.apply_to_pure(pair, states.bell_state(kind)))
+        report = witness.evaluate(rho, l3_set)
+        l_hit = report.verdict_l is witness.Verdict.ENTANGLEMENT_DETECTED
+        ml_hit = report.verdict_ml is witness.Verdict.ENTANGLEMENT_DETECTED
+        l3_detect += l_hit
+        ml3_detect += ml_hit
+        ml3_only += ml_hit and not l_hit
+        rows.append(
+            {
+                "sample": i,
+                "l3": report.l_value,
+                "ml3": report.ml_value,
+                "ppt_min_eig": witness.ppt_min_eigenvalue(rho),
+            }
+        )
+    return rows, (l3_detect, ml3_detect, ml3_only)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from lurwit.cli import main, run_haar_study
+from lurwit import states
+from lurwit.cli import HAAR_CHUNK, main, run_haar_study
+from oracles import haar_study_reference
 
 
 def _run(capsys, argv):
@@ -170,6 +172,41 @@ def test_haar_study_library_entry_matches_cli(tmp_path, capsys):
     assert len(per_sample) == 50
 
 
+@pytest.mark.parametrize("kind", ["psi+", "psi-", "phi+", "phi-"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_haar_study_matches_per_sample_loop(kind, seed):
+    summary, per_sample = run_haar_study(kind, 300, seed)
+    rows, (l3_detect, ml3_detect, ml3_only) = haar_study_reference(kind, 300, seed)
+    assert [r["sample"] for r in per_sample] == list(range(300))
+    for got, want in zip(per_sample, rows):
+        for name in ("l3", "ml3", "ppt_min_eig"):
+            assert abs(got[name] - want[name]) <= 1e-12
+    assert summary["l3_detect_fraction"] == l3_detect / 300
+    assert summary["ml3_detect_fraction"] == ml3_detect / 300
+    assert summary["ml3_only_count"] == ml3_only
+
+
+def test_haar_study_rows_do_not_depend_on_chunking():
+    _, longer = run_haar_study("phi+", HAAR_CHUNK + 5, 3)
+    for n in (HAAR_CHUNK - 1, HAAR_CHUNK, HAAR_CHUNK + 1):
+        _, rows = run_haar_study("phi+", n, 3)
+        assert rows == longer[:n]
+
+
+def test_haar_study_non_unitary_rotation_exits_3(tmp_path, capsys, monkeypatch):
+    real = states._su2_from_quaternion
+    monkeypatch.setattr(states, "_su2_from_quaternion", lambda q: 1.001 * real(q))
+    out, per_sample = tmp_path / "summary.csv", tmp_path / "samples.csv"
+    code, stdout, err = _run(
+        capsys,
+        ["haar-study", "--samples", "20", "--out", str(out), "--per-sample", str(per_sample)],
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "not unitary" in err
+    assert not out.exists() and not per_sample.exists()
+
+
 def test_haar_study_rejects_non_bell_state(capsys):
     code, _, _ = _run(capsys, ["haar-study", "--state", "werner:p=0.5", "--samples", "5"])
     assert code == 2
@@ -211,6 +248,14 @@ def test_simulate_phi_plus_modified_witness(capsys):
 def test_simulate_rejects_single_shot(capsys):
     code, _, _ = _run(capsys, ["simulate", "--state", "singlet", "--shots", "1"])
     assert code == 2
+
+
+def test_simulate_rejects_oversized_shot_count(capsys):
+    shots = "100000000000000000000"  # 10^20 > 2^63 - 1
+    code, out, err = _run(capsys, ["simulate", "--state", "singlet", "--shots", shots])
+    assert code == 2
+    assert out == ""
+    assert shots in err
 
 
 def test_bound_command(capsys):

@@ -79,6 +79,14 @@ def test_sample_counts_requires_shots():
         sample_counts(dist, 0, stream(0))
 
 
+def test_sample_counts_rejects_counts_past_int64():
+    dist = outcome_distribution(noise_mixture(0.5, NoiseKind.WERNER), Basis.LIN_0_90)
+    largest = 2**63 - 1
+    assert sample_counts(dist, largest, stream(0)).shots == largest
+    with pytest.raises(ValueError, match=str(largest + 1)):
+        sample_counts(dist, largest + 1, stream(0))
+
+
 def test_empirical_frequencies_converge():
     rho = noise_mixture(0.5, NoiseKind.WERNER)
     shots = 100_000

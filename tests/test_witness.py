@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lurwit import witness
 from lurwit.linalg import NumericsError
@@ -23,11 +22,13 @@ from lurwit.witness import (
     Verdict,
     covariance,
     evaluate,
+    evaluate_many,
     expectation,
     local_bound,
     lur_value,
     mlur_value,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     standard_sets,
     variance,
     variance_of_sum,
@@ -333,16 +334,93 @@ def test_boundary_product_state_stays_inconclusive():
         assert report.verdict_ml is Verdict.INCONCLUSIVE
 
 
+def test_detection_margin_on_scalars_and_arrays():
+    values = np.array([4.0, 4.0 - 0.5e-9, 4.0 - 2e-9, 0.0])
+    expected = [False, False, True, True]
+    assert witness.detected(values, 4.0).tolist() == expected
+    verdicts = [witness.verdict_for(float(v), 4.0) for v in values]
+    assert [v is Verdict.ENTANGLEMENT_DETECTED for v in verdicts] == expected
+
+
 def test_evaluate_checks_modified_witness_forms(monkeypatch):
-    real = witness._pair_stats
+    real = witness._pair_moments
 
-    def skewed(rho, label, lifted):
-        st = real(rho, label, lifted)
-        return dataclasses.replace(st, var_sum=st.var_sum + 1e-6)
+    def skewed(matrices, oset):
+        var_a, var_b, var_sum, cov = real(matrices, oset)
+        return var_a, var_b, var_sum + 1e-6, cov
 
-    monkeypatch.setattr(witness, "_pair_stats", skewed)
+    monkeypatch.setattr(witness, "_pair_moments", skewed)
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
         evaluate(SINGLET, SETS["L3"])
+
+
+def test_evaluate_many_names_the_non_hermitian_state():
+    k = 5
+    stack = np.array([SINGLET.matrix] * 8)
+    stack[k] = stack[k] + 1e-3j * np.kron(SZ, SZ)  # Tr(rho (sz x sz)) picks up 4e-3j
+    with pytest.raises(NumericsError, match=f"complex at stack index {k}, pair '0/90'"):
+        evaluate_many(stack, SETS["L3"])
+
+
+def test_kernel_checks_the_variance_decomposition():
+    oset = standard_sets()["L3"]
+    ops = oset._ops.copy()
+    ops[1, 6] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair: var_sum moves, the parts do not
+    object.__setattr__(oset, "_ops", ops)
+    stack = np.array([SINGLET.matrix] * 3)
+    message = "decomposition failed at stack index 0, pair '45/135'"
+    with pytest.raises(NumericsError, match=message):
+        evaluate_many(stack, oset)
+
+
+def test_evaluate_many_rejects_a_bad_shape():
+    with pytest.raises(ValueError, match="stack"):
+        evaluate_many(SINGLET.matrix, SETS["L3"])
+
+
+def _check_kernel_against_reference(matrices, osets):
+    """Kernel moments vs the scalar reference; evaluate and PPT rows bit for bit."""
+    ppt = ppt_min_eigenvalues(matrices)
+    for oset in osets:
+        moments = witness._pair_moments(matrices, oset)
+        l_values, ml_values = evaluate_many(matrices, oset)
+        lifted = [(np.kron(a, I2), np.kron(I2, b)) for a, b, _ in oset.pairs]
+        for k, m in enumerate(matrices):
+            rho = DensityMatrix(m)
+            for p, ((a, b, _), (a4, b4)) in enumerate(zip(oset.pairs, lifted)):
+                var_a, var_b, var_sum, cov = (x[k, p] for x in moments)
+                assert abs(var_a - variance(rho, a4)) <= 1e-12
+                assert abs(var_b - variance(rho, b4)) <= 1e-12
+                assert abs(var_sum - variance_of_sum(rho, a, b)) <= 1e-12
+                assert abs(cov - covariance(rho, a, b)) <= 1e-12
+            report = evaluate(rho, oset)
+            assert report.l_value == l_values[k] and report.ml_value == ml_values[k]
+            assert [(s.var_a, s.var_b, s.var_sum, s.covariance) for s in report.pairs] == [
+                tuple(x[k, p] for x in moments) for p in range(len(oset.pairs))
+            ]
+    for k, m in enumerate(matrices):
+        assert ppt_min_eigenvalue(DensityMatrix(m)) == ppt[k]
+
+
+@given(st.lists(density_matrices(), min_size=1, max_size=6), hermitian_2x2(), hermitian_2x2())
+@settings(max_examples=40)
+def test_kernel_matches_scalar_reference_on_hypothesis_states(rhos, a, b):
+    pairs = SETS["L3"].pairs + ((a, b, "random"),)
+    extra = ObservableSet(pairs=pairs, bound_a=0.0, bound_b=0.0)
+    _check_kernel_against_reference(np.array([r.matrix for r in rhos]), (SETS["L2"], extra))
+
+
+def test_kernel_matches_scalar_reference_on_seeded_states():
+    g = stream(2024)
+    matrices = []
+    for i in range(2000):
+        if i % 3 == 0:
+            matrices.append(density_from_pure(random_pure_state(g)).matrix)
+        elif i % 3 == 1:
+            matrices.append(random_mixed_matrix(g))
+        else:
+            matrices.append(random_separable_state(g, int(g.integers(1, 5))).matrix)
+    _check_kernel_against_reference(np.array(matrices), tuple(SETS.values()))
 
 
 @given(density_matrices())
