@@ -135,57 +135,52 @@ def run_sweep(args: argparse.Namespace):
 def run_haar_study(kind: str, samples: int, seed: int):
     """Detection-rate study: random local rotations of a Bell state.
 
-    Sample i uses the stream keyed (seed, i), so any subset of samples can
-    be recomputed independently and concurrently. Samples are evaluated in
-    stacked chunks of HAAR_CHUNK (one kernel pass each), which bounds the
-    working memory for any sample count; each row depends only on (seed, i),
-    so the rows do not depend on the chunk size.
+    Returns the summary row and the per-sample columns, arrays keyed by
+    SAMPLE_COLUMNS. Sample i uses the stream keyed (seed, i), so any subset
+    of samples can be recomputed independently and concurrently. Samples
+    are evaluated in stacked chunks of HAAR_CHUNK (one kernel pass each);
+    each row depends only on (seed, i), so the rows do not depend on the
+    chunk size.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     l3_set = witness.standard_sets()["L3"]
     bound = l3_set.separable_bound
-    per_sample = []
+    chunks = []
     l3_detect = ml3_detect = ml3_only = 0
-    l3_total = ml3_total = 0.0
     for start in range(0, samples, HAAR_CHUNK):
         indices = range(start, min(start + HAAR_CHUNK, samples))
         stack = states.haar_rotated_bell_states(kind, seed, indices)
         l3, ml3 = witness.evaluate_many(stack, l3_set)
-        ppt = witness.ppt_min_eigenvalues(stack)
+        chunks.append((l3, ml3, witness.ppt_min_eigenvalues(stack)))
         l_hit = witness.detected(l3, bound)
         ml_hit = witness.detected(ml3, bound)
         l3_detect += int(np.count_nonzero(l_hit))
         ml3_detect += int(np.count_nonzero(ml_hit))
         ml3_only += int(np.count_nonzero(ml_hit & ~l_hit))
-        for i, l_value, ml_value, ppt_value in zip(
-            indices, l3.tolist(), ml3.tolist(), ppt.tolist()
-        ):
-            # running sums in sample order, so the means do not depend on the chunk size
-            l3_total += l_value
-            ml3_total += ml_value
-            per_sample.append(
-                {"sample": i, "l3": l_value, "ml3": ml_value, "ppt_min_eig": ppt_value}
-            )
+    values = (np.arange(samples), *(np.concatenate(c) for c in zip(*chunks)))
+    columns = dict(zip(SAMPLE_COLUMNS, values))
     summary = {
         "samples": samples,
         "seed": seed,
-        "l3_mean": l3_total / samples,
-        "ml3_mean": ml3_total / samples,
+        # sums in sample order (cumsum, not pairwise np.sum), as a running total adds them
+        "l3_mean": float(np.cumsum(columns["l3"])[-1]) / samples,
+        "ml3_mean": float(np.cumsum(columns["ml3"])[-1]) / samples,
         "l3_detect_fraction": l3_detect / samples,
         "ml3_detect_fraction": ml3_detect / samples,
         "ml3_only_count": ml3_only,
     }
-    return summary, per_sample
+    return summary, columns
 
 
 def run_study_command(args: argparse.Namespace):
-    if args.samples < 1:
-        raise ValueError("need at least one sample")
     kind = "psi-" if args.state == "singlet" else args.state
     if kind not in states.BELL_KINDS:
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
-    summary, per_sample = run_haar_study(kind, args.samples, args.seed)
+    summary, columns = run_haar_study(kind, args.samples, args.seed)
     if args.per_sample is not None:
-        _write_rows(per_sample, SAMPLE_COLUMNS, args.fmt, args.per_sample)
+        rows = (dict(zip(SAMPLE_COLUMNS, r)) for r in zip(*(v.tolist() for v in columns.values())))
+        _write_rows(rows, SAMPLE_COLUMNS, args.fmt, args.per_sample)
     return [summary], STUDY_COLUMNS
 
 

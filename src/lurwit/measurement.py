@@ -15,6 +15,10 @@ Estimator conventions, chosen to keep identities exact on finite samples:
   * standard errors use the first-order delta method on the multinomial
     covariance of the outcome frequencies (approximate, and reported as 0
     when the statistic sits at a stationary point of the frequencies).
+
+The tables' bases select the standard witness set that supplies the bound,
+and the witness sums (with their check that the two ML forms agree) are the
+exact path's own.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor_product
 from .states import Basis, DensityMatrix, I2
-from .witness import Verdict, expectation, verdict_for
+from .witness import Verdict, _expect, _witness_values, standard_sets, verdict_for
 
 # joint outcomes in the fixed order (+,+), (+,-), (-,+), (-,-)
 SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
@@ -98,18 +101,19 @@ class EstimatedReport:
     verdict_ml: Verdict
 
 
+def _outcome_projectors(pauli: np.ndarray) -> tuple:
+    plus, minus = (I2 + pauli) / 2.0, (I2 - pauli) / 2.0
+    return tuple(np.kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus))
+
+
+_PROJECTORS = {basis: _outcome_projectors(basis.pauli) for basis in Basis}  # P_a x P_b
+
+
 def outcome_distribution(rho: DensityMatrix, basis: Basis) -> OutcomeDistribution:
     """Joint probabilities Tr[rho (P_a x P_b)] in the +/- eigenbasis of the basis Pauli."""
-    pauli = basis.pauli
-    plus = (I2 + pauli) / 2.0
-    minus = (I2 - pauli) / 2.0
-    probs = np.array(
-        [
-            expectation(rho, tensor_product(pa, pb))
-            for pa in (plus, minus)
-            for pb in (plus, minus)
-        ]
-    )
+    # projector traces, not the closed form (1 + s<a> + t<b> + st<ab>)/4: that moves
+    # p by an ulp, and an ulp off 0.5 changes what numpy's binomial sampler draws
+    probs = np.array([_expect(rho, op) for op in _PROJECTORS[basis]])
     probs = np.clip(probs, 0.0, 1.0)  # roundoff only; projector traces are in [0, 1]
     probs /= probs.sum()
     return OutcomeDistribution(basis, probs)
@@ -133,7 +137,8 @@ def _delta_se(grad: np.ndarray, freqs: np.ndarray, shots: int) -> float:
     return math.sqrt(max(0.0, second - mean * mean) / shots)
 
 
-def _basis_estimate(table: CountTable) -> tuple[BasisEstimate, float, float, float, float]:
+def _basis_estimate(table: CountTable) -> tuple[BasisEstimate, float]:
+    """Moments and their standard errors for one basis, plus the SE of its ML term."""
     shots = table.shots
     f = table.counts / shots
     m_a = float(f @ SIGN_A)
@@ -145,7 +150,6 @@ def _basis_estimate(table: CountTable) -> tuple[BasisEstimate, float, float, flo
     var_b = 1.0 - m_b**2
     cov = m_ab - m_a * m_b
     var_sum = var_a + var_b + 2.0 * cov
-    ml_term = var_a + var_b - 2.0 * abs(cov)
 
     grad_cov = SIGN_AB - m_b * SIGN_A - m_a * SIGN_B
     grad_var_sum = 2.0 * SIGN_AB - 2.0 * (m_a + m_b) * (SIGN_A + SIGN_B)
@@ -163,47 +167,40 @@ def _basis_estimate(table: CountTable) -> tuple[BasisEstimate, float, float, flo
         covariance=cov,
         covariance_se=_delta_se(grad_cov, f, shots),
     )
-    ml_se = _delta_se(grad_ml, f, shots)
-    return est, var_sum, ml_term, est.var_sum_se, ml_se
-
-
-_L2_BASES = frozenset({Basis.LIN_0_90, Basis.LIN_45_135})
-_L3_BASES = frozenset(Basis)
+    return est, _delta_se(grad_ml, f, shots)
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
     """Estimate both witness values from per-basis count tables.
 
-    Two tables (0/90 and 45/135) estimate the two-basis witness against
-    bound 2; all three bases estimate the three-basis witness against
-    bound 4. Counts in different bases are independent, so the witness
-    standard errors add in quadrature over bases.
+    The tables' bases pick the standard set (0/90 and 45/135 for L2, all
+    three for L3) and its separable bound. The witness values are summed in
+    table order, as the exact path sums its pairs. Counts in different bases
+    are independent, so the witness standard errors add in quadrature.
     """
     tables = list(tables)
     bases = [t.basis for t in tables]
     if len(set(bases)) != len(bases):
         raise ValueError("duplicate basis in count tables")
-    present = frozenset(bases)
-    if present == _L2_BASES:
-        bound = 2.0
-    elif present == _L3_BASES:
-        bound = 4.0
-    else:
-        missing = sorted(b.value for b in _L3_BASES - present)
-        raise ValueError(f"count tables must cover two or three bases; missing {missing}")
+    labels = {b.value for b in bases}
+    sets = [s for s in standard_sets().values() if {label for _, _, label in s.pairs} == labels]
+    if not sets:
+        raise ValueError(f"count tables cover bases {sorted(labels)}, not those of L2 or L3")
+    bound = sets[0].separable_bound
     for t in tables:
         if t.shots < 2:
             raise ValueError(f"basis {t.basis.value}: need at least 2 shots to estimate a variance")
 
     estimates = []
-    l_value = ml_value = l_var = ml_var = 0.0
+    l_var = ml_var = 0.0
     for t in tables:
-        est, vs, ml_term, vs_se, ml_se = _basis_estimate(t)
+        est, ml_se = _basis_estimate(t)
         estimates.append(est)
-        l_value += vs
-        ml_value += ml_term
-        l_var += vs_se**2
+        l_var += est.var_sum_se**2
         ml_var += ml_se**2
+    moments = np.array([[(e.var_a, e.var_b, e.var_sum, e.covariance) for e in estimates]])
+    l_values, ml_values = _witness_values(*moments.transpose(2, 0, 1))
+    l_value, ml_value = float(l_values[0]), float(ml_values[0])
 
     return EstimatedReport(
         bases=tuple(estimates),

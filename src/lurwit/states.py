@@ -28,6 +28,8 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+for _m in (I2, SX, SY, SZ):
+    _m.flags.writeable = False  # shared: `Basis` and the standard witness sets hold them
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -36,18 +38,22 @@ UNITARY_TOL = 1e-10
 
 
 class Basis(enum.Enum):
-    """Polarization measurement basis and its Pauli operator."""
+    """Polarization measurement basis: its label (the value) and its Pauli operator.
 
-    LIN_0_90 = "0/90"
-    LIN_45_135 = "45/135"
-    CIRC_R_L = "R/L"
+    The one table of the measurement scheme: the standard witness sets and
+    the outcome projectors are built from it.
+    """
 
-    @property
-    def pauli(self) -> np.ndarray:
-        return _BASIS_PAULI[self]
+    LIN_0_90 = ("0/90", SZ)
+    LIN_45_135 = ("45/135", SX)
+    CIRC_R_L = ("R/L", SY)
 
+    def __new__(cls, label: str, pauli: np.ndarray):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.pauli = pauli
+        return member
 
-_BASIS_PAULI = {Basis.LIN_0_90: SZ, Basis.LIN_45_135: SX, Basis.CIRC_R_L: SY}
 
 BELL_KINDS = ("psi+", "psi-", "phi+", "phi-")
 

@@ -64,6 +64,7 @@ class ObservableSet:
     Each is stored transposed, so that Tr(rho op) = sum_ij rho_ij (op^T)_ij
     contracts matching, contiguous indices; in that layout every state's
     result is the same whatever the size of the stack it is evaluated in.
+    `_ops` is read-only, so a set can be shared.
     """
 
     pairs: tuple
@@ -88,7 +89,9 @@ class ObservableSet:
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValueError("single-party bounds must be nonnegative")
         object.__setattr__(self, "pairs", tuple(checked))
-        object.__setattr__(self, "_ops", np.array(lifted).swapaxes(-1, -2).copy())
+        ops = np.array(lifted).swapaxes(-1, -2).copy()
+        ops.flags.writeable = False
+        object.__setattr__(self, "_ops", ops)
 
     @property
     def separable_bound(self) -> float:
@@ -211,28 +214,25 @@ def mlur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
     return evaluate(rho, oset).ml_value
 
 
-def standard_sets() -> dict[str, ObservableSet]:
-    """The two polarization witness sets.
+def _basis_set(bases) -> ObservableSet:
+    # each party measures the basis Pauli, labelled by the basis; k
+    # anticommuting Paulis have single-party bound k - 1 (see `local_bound`)
+    bound = len(bases) - 1.0
+    return ObservableSet(tuple((b.pauli, b.pauli, b.value) for b in bases), bound, bound)
 
-    L2 pairs the 0/90 and 45/135 bases (separable bound 1 + 1 = 2); L3 adds
-    the circular basis (bound 2 + 2 = 4). Identical Pauli measurements on
-    both parties in every basis.
+
+_STANDARD_SETS = {"L2": _basis_set(tuple(Basis)[:2]), "L3": _basis_set(tuple(Basis))}
+
+
+def standard_sets() -> dict[str, ObservableSet]:
+    """The two polarization witness sets, built once from `Basis`.
+
+    L2 pairs the first two bases, 0/90 and 45/135 (separable bound
+    1 + 1 = 2); L3 adds the circular basis (bound 2 + 2 = 4). Both parties
+    measure the same Pauli in every basis. The dict is new on every call;
+    the sets in it are shared and read-only.
     """
-    l2 = ObservableSet(
-        pairs=((SZ, SZ, Basis.LIN_0_90.value), (SX, SX, Basis.LIN_45_135.value)),
-        bound_a=1.0,
-        bound_b=1.0,
-    )
-    l3 = ObservableSet(
-        pairs=(
-            (SZ, SZ, Basis.LIN_0_90.value),
-            (SX, SX, Basis.LIN_45_135.value),
-            (SY, SY, Basis.CIRC_R_L.value),
-        ),
-        bound_a=2.0,
-        bound_b=2.0,
-    )
-    return {"L2": l2, "L3": l3}
+    return dict(_STANDARD_SETS)
 
 
 def local_bound(observables) -> float:

@@ -38,6 +38,15 @@ def var_sum_brute(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return variance_brute(rho, np.kron(a, I2) + np.kron(I2, b))
 
 
+def outcome_probabilities_brute(rho: np.ndarray, pauli: np.ndarray) -> np.ndarray:
+    """Joint +/- probabilities Tr[rho (P_a x P_b)] of measuring `pauli` on both qubits,
+    clipped to [0, 1] and normalised, in the order (+,+), (+,-), (-,+), (-,-)."""
+    plus, minus = (I2 + pauli) / 2.0, (I2 - pauli) / 2.0
+    projectors = [np.kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus)]
+    probs = np.clip(np.array([np.trace(rho @ p).real for p in projectors]), 0.0, 1.0)
+    return probs / probs.sum()
+
+
 def partial_transpose_brute(m: np.ndarray) -> np.ndarray:
     out = np.zeros_like(m)
     for i in range(2):

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from lurwit import states
-from lurwit.cli import HAAR_CHUNK, main, run_haar_study
+from lurwit import measurement, states
+from lurwit.cli import HAAR_CHUNK, SAMPLE_COLUMNS, main, run_haar_study
 from oracles import haar_study_reference
 
 
@@ -169,7 +170,18 @@ def test_haar_study_is_deterministic(tmp_path, capsys):
 def test_haar_study_library_entry_matches_cli(tmp_path, capsys):
     summary, per_sample = run_haar_study("psi-", 50, 7)
     assert summary["samples"] == 50
-    assert len(per_sample) == 50
+    assert list(per_sample) == list(SAMPLE_COLUMNS)
+    assert all(per_sample[c].shape == (50,) for c in SAMPLE_COLUMNS)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_haar_study_rejects_non_positive_sample_counts(samples, capsys):
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_haar_study("psi-", samples, 1)
+    code, out, err = _run(capsys, ["haar-study", "--samples", str(samples)])
+    assert code == 2
+    assert out == ""
+    assert "at least one sample" in err
 
 
 @pytest.mark.parametrize("kind", ["psi+", "psi-", "phi+", "phi-"])
@@ -177,10 +189,11 @@ def test_haar_study_library_entry_matches_cli(tmp_path, capsys):
 def test_haar_study_matches_per_sample_loop(kind, seed):
     summary, per_sample = run_haar_study(kind, 300, seed)
     rows, (l3_detect, ml3_detect, ml3_only) = haar_study_reference(kind, 300, seed)
-    assert [r["sample"] for r in per_sample] == list(range(300))
-    for got, want in zip(per_sample, rows):
-        for name in ("l3", "ml3", "ppt_min_eig"):
-            assert abs(got[name] - want[name]) <= 1e-12
+    assert per_sample["sample"].tolist() == list(range(300))
+    for name in ("l3", "ml3", "ppt_min_eig"):
+        assert len(per_sample[name]) == len(rows)
+        for got, want in zip(per_sample[name].tolist(), rows):
+            assert abs(got - want[name]) <= 1e-12
     assert summary["l3_detect_fraction"] == l3_detect / 300
     assert summary["ml3_detect_fraction"] == ml3_detect / 300
     assert summary["ml3_only_count"] == ml3_only
@@ -190,7 +203,9 @@ def test_haar_study_rows_do_not_depend_on_chunking():
     _, longer = run_haar_study("phi+", HAAR_CHUNK + 5, 3)
     for n in (HAAR_CHUNK - 1, HAAR_CHUNK, HAAR_CHUNK + 1):
         _, rows = run_haar_study("phi+", n, 3)
-        assert rows == longer[:n]
+        assert list(rows) == list(longer)
+        for name in SAMPLE_COLUMNS:
+            assert rows[name].tobytes() == longer[name][:n].tobytes()
 
 
 def test_haar_study_non_unitary_rotation_exits_3(tmp_path, capsys, monkeypatch):
@@ -243,6 +258,24 @@ def test_simulate_phi_plus_modified_witness(capsys):
     # estimate collapses to 0 at any shot count
     assert abs(float(row["ml3"])) <= 5.0 * float(row["ml3_se"]) + 1e-12
     assert float(row["ml3"]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkeypatch):
+    real = measurement._basis_estimate
+
+    def skewed(table):
+        est, ml_se = real(table)
+        return dataclasses.replace(est, covariance=est.covariance + 1e-6), ml_se
+
+    monkeypatch.setattr(measurement, "_basis_estimate", skewed)
+    out = tmp_path / "simulate.csv"
+    code, stdout, err = _run(
+        capsys, ["simulate", "--state", "werner:p=0.5", "--shots", "1000", "--out", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "modified-witness forms disagree" in err
+    assert not out.exists()
 
 
 def test_simulate_rejects_single_shot(capsys):

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lurwit import measurement
+from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
     OutcomeDistribution,
@@ -16,9 +20,10 @@ from lurwit.states import (
     bell_state,
     density_from_pure,
     noise_mixture,
+    random_pure_state,
 )
 from lurwit.witness import evaluate, standard_sets
-from oracles import random_mixed_matrix
+from oracles import SX, SY, SZ, outcome_probabilities_brute, random_mixed_matrix
 
 SETS = standard_sets()
 SINGLET = density_from_pure(bell_state("psi-"))
@@ -58,6 +63,20 @@ def test_outcome_distribution_validation():
         OutcomeDistribution(Basis.LIN_0_90, np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValueError):
         OutcomeDistribution(Basis.LIN_0_90, np.array([0.3, 0.3, 0.3, 0.3]))
+
+
+def test_outcome_distribution_matches_projector_trace_oracle():
+    paulis = {Basis.LIN_0_90: SZ, Basis.LIN_45_135: SX, Basis.CIRC_R_L: SY}
+    for i in range(1000):
+        g = stream(77, i)
+        if i % 2:
+            rho = density_from_pure(random_pure_state(g))
+        else:
+            rho = DensityMatrix(random_mixed_matrix(g))
+        for basis in Basis:
+            got = outcome_distribution(rho, basis).probabilities
+            want = outcome_probabilities_brute(rho.matrix, paulis[basis])
+            assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 def test_degenerate_distribution_sampling():
@@ -120,6 +139,13 @@ def test_plugin_estimates_reproduce_exact_values():
         assert report2.ml_value == pytest.approx(exact2.ml_value, abs=1e-10)
         assert report2.separable_bound == 2.0
         assert report3.separable_bound == 4.0
+        assert report2.separable_bound == SETS["L2"].separable_bound
+        assert report3.separable_bound == SETS["L3"].separable_bound
+        # the bases, not their order, pick the set; sums follow the table order
+        reordered = estimate_witnesses(tables[::-1])
+        assert reordered.separable_bound == SETS["L3"].separable_bound
+        assert [b.label for b in reordered.bases] == ["R/L", "45/135", "0/90"]
+        assert reordered.l_value == pytest.approx(report3.l_value, abs=1e-12)
 
 
 def test_estimated_identity_is_exact_on_any_table():
@@ -143,11 +169,25 @@ def test_estimator_input_validation():
         estimate_witnesses(tables[:1])  # one basis is not a witness
     with pytest.raises(ValueError):
         estimate_witnesses([tables[0], tables[0]])  # duplicate basis
-    with pytest.raises(ValueError):
-        estimate_witnesses([tables[0], tables[2]])  # 0/90 + R/L is not the two-basis set
+    for subset in ([tables[0], tables[2]], [tables[1], tables[2]]):  # not the two-basis set
+        with pytest.raises(ValueError, match="not those of L2 or L3"):
+            estimate_witnesses(subset)
     starved = CountTable(Basis.LIN_0_90, np.array([1, 0, 0, 0]))
     with pytest.raises(ValueError):
         estimate_witnesses([starved, tables[1], tables[2]])
+
+
+def test_estimated_path_checks_modified_witness_forms(monkeypatch):
+    real = measurement._basis_estimate
+
+    def skewed(table):
+        est, ml_se = real(table)
+        return dataclasses.replace(est, covariance=est.covariance + 1e-6), ml_se
+
+    monkeypatch.setattr(measurement, "_basis_estimate", skewed)
+    tables = _tables_from_probabilities(noise_mixture(0.5, NoiseKind.WERNER), 4096)
+    with pytest.raises(NumericsError, match="modified-witness forms disagree"):
+        estimate_witnesses(tables)
 
 
 def test_singlet_witness_estimate_is_deterministically_zero():

@@ -7,6 +7,7 @@ from lurwit import witness
 from lurwit.linalg import NumericsError
 from lurwit.rng import stream
 from lurwit.states import (
+    Basis,
     DensityMatrix,
     NoiseKind,
     apply_local_unitary,
@@ -204,6 +205,26 @@ def test_standard_set_bounds():
     assert SETS["L3"].separable_bound == 4.0
     labels = [label for _, _, label in SETS["L3"].pairs]
     assert labels == ["0/90", "45/135", "R/L"]
+    # both sets come from the Basis table: L2 its first two bases, L3 all three
+    paulis = {Basis.LIN_0_90: SZ, Basis.LIN_45_135: SX, Basis.CIRC_R_L: SY}  # H/V computational
+    for oset, bases in ((SETS["L2"], list(Basis)[:2]), (SETS["L3"], list(Basis))):
+        assert [label for _, _, label in oset.pairs] == [b.value for b in bases]
+        for (a, b, _), basis in zip(oset.pairs, bases):
+            assert np.array_equal(basis.pauli, paulis[basis])
+            assert np.array_equal(a, basis.pauli) and np.array_equal(b, basis.pauli)
+
+
+def test_standard_sets_are_shared_and_read_only():
+    first, second = standard_sets(), standard_sets()
+    assert first is not second
+    for key in ("L2", "L3"):
+        assert first[key] is second[key]
+        with pytest.raises(ValueError, match="read-only"):
+            first[key]._ops[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            first[key].pairs[0][0][0, 0] = 1.0  # the Basis Paulis themselves
+    first["L3"] = SETS["L2"]  # the dict is the caller's own
+    assert standard_sets()["L3"] is SETS["L3"]
 
 
 @given(density_matrices())
@@ -363,7 +384,7 @@ def test_evaluate_many_names_the_non_hermitian_state():
 
 
 def test_kernel_checks_the_variance_decomposition():
-    oset = standard_sets()["L3"]
+    oset = ObservableSet(SETS["L3"].pairs, 2.0, 2.0)  # its own copy: the standard sets are shared
     ops = oset._ops.copy()
     ops[1, 6] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair: var_sum moves, the parts do not
     object.__setattr__(oset, "_ops", ops)
