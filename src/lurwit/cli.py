@@ -59,7 +59,7 @@ BOUND_COLUMNS = ("observables", "bound")
 
 _OBSERVABLE_TOKENS = {"sx": states.SX, "sy": states.SY, "sz": states.SZ}
 
-HAAR_CHUNK = 4096  # samples per stacked kernel pass in `run_haar_study`
+STACK_CHUNK = 4096  # states per stacked kernel pass in `run_sweep` and `run_haar_study`
 
 
 def _format_value(v) -> str:
@@ -68,18 +68,39 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _column_rows(columns: dict):
+    """Row dicts, made one at a time, from equal-length column arrays."""
+    n = len(next(iter(columns.values())))
+    for start in range(0, n, STACK_CHUNK):
+        block = (v[start:start + STACK_CHUNK].tolist() for v in columns.values())
+        yield from (dict(zip(columns, r)) for r in zip(*block))
+
+
+def _csv_lines(rows, columns):
+    yield ",".join(columns) + "\n"
+    for r in rows:
+        yield ",".join(_format_value(r[c]) for c in columns) + "\n"
+
+
+def _json_lines(rows, columns):
+    # the text of json.dumps(list_of_rows, indent=2), one row at a time: each
+    # row's own indented text, shifted one level in
+    encoder = json.JSONEncoder(indent=2)
+    sep = "[\n  "
+    for r in rows:
+        yield sep + encoder.encode({c: r[c] for c in columns}).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
 def _write_rows(rows, columns, fmt: str, path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(_format_value(r[c]) for c in columns) for r in rows]
-        text = "\n".join(lines) + "\n"
+    """Write rows as CSV or JSON text, streamed: no whole document is held in memory."""
+    lines = (_json_lines if fmt == "json" else _csv_lines)(rows, columns)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _full_report(rho: states.DensityMatrix) -> dict:
@@ -106,6 +127,13 @@ def run_evaluate(args: argparse.Namespace):
 
 
 def run_sweep(args: argparse.Namespace):
+    """Witness values and the PPT minimum over a noise-mixture grid.
+
+    The grid is evaluated in stacked chunks of STACK_CHUNK points; each row
+    depends only on its p, so the rows do not depend on the chunk size.
+    Every chunk is finished before this returns; the rows come back as an
+    iterator of dicts, made one at a time from the result columns.
+    """
     try:
         kind = states.NoiseKind(args.noise)
     except ValueError:
@@ -114,22 +142,14 @@ def run_sweep(args: argparse.Namespace):
         raise ValueError("need at least 2 grid points")
     grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
     sets = witness.standard_sets()
-    rows = []
-    for p in grid:
-        rho = states.noise_mixture(float(p), kind, base=args.base)
-        r2 = witness.evaluate(rho, sets["L2"])
-        r3 = witness.evaluate(rho, sets["L3"])
-        rows.append(
-            {
-                "p": float(p),
-                "l2": r2.l_value,
-                "ml2": r2.ml_value,
-                "l3": r3.l_value,
-                "ml3": r3.ml_value,
-                "ppt_min_eig": witness.ppt_min_eigenvalue(rho),
-            }
-        )
-    return rows, SWEEP_COLUMNS
+    chunks = []
+    for start in range(0, len(grid), STACK_CHUNK):
+        stack = states.noise_mixtures(grid[start:start + STACK_CHUNK], kind, base=args.base)
+        l2, ml2 = witness.evaluate_many(stack, sets["L2"])
+        l3, ml3 = witness.evaluate_many(stack, sets["L3"])
+        chunks.append((l2, ml2, l3, ml3, witness.ppt_min_eigenvalues(stack)))
+    values = (grid, *(np.concatenate(c) for c in zip(*chunks)))
+    return _column_rows(dict(zip(SWEEP_COLUMNS, values))), SWEEP_COLUMNS
 
 
 def run_haar_study(kind: str, samples: int, seed: int):
@@ -138,7 +158,7 @@ def run_haar_study(kind: str, samples: int, seed: int):
     Returns the summary row and the per-sample columns, arrays keyed by
     SAMPLE_COLUMNS. Sample i uses the stream keyed (seed, i), so any subset
     of samples can be recomputed independently and concurrently. Samples
-    are evaluated in stacked chunks of HAAR_CHUNK (one kernel pass each);
+    are evaluated in stacked chunks of STACK_CHUNK (one kernel pass each);
     each row depends only on (seed, i), so the rows do not depend on the
     chunk size.
     """
@@ -148,8 +168,8 @@ def run_haar_study(kind: str, samples: int, seed: int):
     bound = l3_set.separable_bound
     chunks = []
     l3_detect = ml3_detect = ml3_only = 0
-    for start in range(0, samples, HAAR_CHUNK):
-        indices = range(start, min(start + HAAR_CHUNK, samples))
+    for start in range(0, samples, STACK_CHUNK):
+        indices = range(start, min(start + STACK_CHUNK, samples))
         stack = states.haar_rotated_bell_states(kind, seed, indices)
         l3, ml3 = witness.evaluate_many(stack, l3_set)
         chunks.append((l3, ml3, witness.ppt_min_eigenvalues(stack)))
@@ -179,8 +199,7 @@ def run_study_command(args: argparse.Namespace):
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
     summary, columns = run_haar_study(kind, args.samples, args.seed)
     if args.per_sample is not None:
-        rows = (dict(zip(SAMPLE_COLUMNS, r)) for r in zip(*(v.tolist() for v in columns.values())))
-        _write_rows(rows, SAMPLE_COLUMNS, args.fmt, args.per_sample)
+        _write_rows(_column_rows(columns), SAMPLE_COLUMNS, args.fmt, args.per_sample)
     return [summary], STUDY_COLUMNS
 
 

@@ -6,9 +6,10 @@ Conventions used throughout the package:
     R/L -> sigma_y (so H/V is the computational basis).
 
 All constructors return immutable values; random constructors take an
-explicit numpy Generator (see `lurwit.rng.stream`). The one exception is
-`haar_rotated_bell_states`, which returns a validated (n, 4, 4) array for
-the stacked witness kernel and draws its own task-keyed streams.
+explicit numpy Generator (see `lurwit.rng.stream`). The exceptions are the
+stack constructors `noise_mixtures` and `haar_rotated_bell_states`, which
+return validated (n, 4, 4) arrays for the stacked witness kernel; the
+latter draws its own task-keyed streams.
 """
 
 from __future__ import annotations
@@ -117,12 +118,52 @@ _NOISE_STATES = {
 }
 
 
+def _density_checks(rho: np.ndarray) -> list:
+    """The `DensityMatrix` checks on an (n, 4, 4) stack: (what, deviation per row, tol)."""
+    return [
+        ("density matrix is not Hermitian",
+         np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(1, 2)), HERMITIAN_TOL),
+        ("density matrix trace is not 1", np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
+         TRACE_TOL),
+        ("density matrix has a negative eigenvalue", -np.linalg.eigvalsh(rho)[:, 0], PSD_TOL),
+    ]
+
+
+def _check_stack(checks, name) -> None:
+    """Raise NumericsError at the first row past its tolerance; `name(k)` names row k."""
+    for what, deviation, tol in checks:
+        failed = first_failure(deviation <= tol)
+        if failed is not None:
+            (k,) = failed
+            raise NumericsError(f"{what} for {name(k)}: deviation {deviation[k]} > {tol}")
+
+
 def noise_mixture(p: float, kind: NoiseKind, base: str = "psi-") -> DensityMatrix:
     """Convex mixture p * |Bell><Bell| + (1 - p) * noise, 0 <= p <= 1."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight p={p} outside [0, 1]")
     proj = density_from_pure(bell_state(base)).matrix
     return DensityMatrix(p * proj + (1.0 - p) * _NOISE_STATES[kind])
+
+
+def noise_mixtures(ps, kind: NoiseKind, base: str = "psi-") -> np.ndarray:
+    """Validated (n, 4, 4) stack of noise mixtures; row k is `noise_mixture(ps[k], kind, base)`.
+
+    Each row is bit for bit that state's matrix: the same expression,
+    broadcast over p. The whole grid is range-checked first, with the
+    `ValueError` of `noise_mixture` naming the first bad p (NaN included);
+    the stack then passes the `DensityMatrix` checks as maxima with the same
+    tolerances. The weights were valid, so a failed check is a NumericsError.
+    """
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    failed = first_failure((0.0 <= ps) & (ps <= 1.0))
+    if failed is not None:
+        raise ValueError(f"mixing weight p={float(ps[failed])} outside [0, 1]")
+    proj = density_from_pure(bell_state(base)).matrix
+    p = ps[:, None, None]
+    rho = p * proj + (1.0 - p) * _NOISE_STATES[kind]
+    _check_stack(_density_checks(rho), lambda k: f"p={float(ps[k])}")
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,20 +254,7 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
     checks.append(("rotated state is not normalized",
                    np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0), NORM_TOL))
     rho = psi[:, :, None] * psi.conj()[:, None, :]
-    checks += [
-        ("density matrix is not Hermitian",
-         np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(1, 2)), HERMITIAN_TOL),
-        ("density matrix trace is not 1", np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
-         TRACE_TOL),
-        ("density matrix has a negative eigenvalue", -np.linalg.eigvalsh(rho)[:, 0], PSD_TOL),
-    ]
-    for what, deviation, tol in checks:
-        failed = first_failure(deviation <= tol)
-        if failed is not None:
-            (k,) = failed
-            raise NumericsError(
-                f"{what} for sample {indices[k]} (seed {seed}): deviation {deviation[k]} > {tol}"
-            )
+    _check_stack(checks + _density_checks(rho), lambda k: f"sample {indices[k]} (seed {seed})")
     return rho
 
 

@@ -52,6 +52,12 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    copy = m.copy()
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
     """Paired local observables plus the single-party bounds they must beat.
@@ -64,7 +70,9 @@ class ObservableSet:
     Each is stored transposed, so that Tr(rho op) = sum_ij rho_ij (op^T)_ij
     contracts matching, contiguous indices; in that layout every state's
     result is the same whatever the size of the stack it is evaluated in.
-    `_ops` is read-only, so a set can be shared.
+    The operators in `pairs` are read-only copies of the caller's, and
+    `_ops` is read-only, so a set can be shared and does not change with
+    the caller's arrays.
     """
 
     pairs: tuple
@@ -77,8 +85,8 @@ class ObservableSet:
         checked = []
         lifted = []
         for a, b, label in self.pairs:
-            a = as_operator(a, dim=2)
-            b = as_operator(b, dim=2)
+            a = _read_only(as_operator(a, dim=2))
+            b = _read_only(as_operator(b, dim=2))
             if not is_hermitian(a, HERMITIAN_TOL) or not is_hermitian(b, HERMITIAN_TOL):
                 raise ValueError(f"observables for {label!r} must be Hermitian")
             checked.append((a, b, str(label)))
@@ -89,9 +97,7 @@ class ObservableSet:
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValueError("single-party bounds must be nonnegative")
         object.__setattr__(self, "pairs", tuple(checked))
-        ops = np.array(lifted).swapaxes(-1, -2).copy()
-        ops.flags.writeable = False
-        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_ops", _read_only(np.array(lifted).swapaxes(-1, -2)))
 
     @property
     def separable_bound(self) -> float:

@@ -3,8 +3,9 @@
 Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
 index definition, and the entanglement test is the sign of a determinant
-(an LU factorisation), not an eigenvalue. `haar_study_reference` is the one
-exception: it keeps the per-sample loop that the stacked Haar study replaced.
+(an LU factorisation), not an eigenvalue. `haar_study_reference` and
+`sweep_reference` are the exceptions: they keep the per-state loops that the
+stacked Haar study and sweep replaced.
 """
 
 import numpy as np
@@ -131,3 +132,32 @@ def haar_study_reference(kind: str, samples: int, seed: int):
             }
         )
     return rows, (l3_detect, ml3_detect, ml3_only)
+
+
+def sweep_reference(noise: str, base: str, p_start: float, p_stop: float, p_steps: int):
+    """The per-point sweep loop: one row dict per grid point.
+
+    Like `haar_study_reference` it runs the package's own scalar path, one
+    state at a time (`noise_mixture`, `evaluate` with L2 and L3,
+    `ppt_min_eigenvalue`), as the reference for the stacked sweep.
+    """
+    from lurwit import states, witness
+
+    kind = states.NoiseKind(noise)
+    sets = witness.standard_sets()
+    rows = []
+    for p in np.linspace(p_start, p_stop, p_steps):
+        rho = states.noise_mixture(float(p), kind, base=base)
+        r2 = witness.evaluate(rho, sets["L2"])
+        r3 = witness.evaluate(rho, sets["L3"])
+        rows.append(
+            {
+                "p": float(p),
+                "l2": r2.l_value,
+                "ml2": r2.ml_value,
+                "l3": r3.l_value,
+                "ml3": r3.ml_value,
+                "ppt_min_eig": witness.ppt_min_eigenvalue(rho),
+            }
+        )
+    return rows

@@ -20,6 +20,7 @@ from lurwit.states import (
     bell_state,
     density_from_pure,
     noise_mixture,
+    noise_mixtures,
     random_pure_state,
     random_separable_state,
     special_unitary,
@@ -32,6 +33,7 @@ from lurwit.witness import (
     lur_value,
     mlur_value,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     standard_sets,
     variance,
     variance_of_sum,
@@ -127,41 +129,31 @@ def test_criterion_4_werner_thresholds():
 
 
 def test_criterion_5_polarized_thresholds():
-    ok = True
-    for p in np.linspace(0.01, 1.0, 100):
-        rho = noise_mixture(float(p), NoiseKind.POLARIZED)
-        ok &= lur_value(rho, L3) < 4.0
-        ok &= ppt_min_eigenvalue(rho) < 0.0
+    stack = noise_mixtures(np.linspace(0.01, 1.0, 100), NoiseKind.POLARIZED)
+    l3, _ = evaluate_many(stack, L3)
+    ok = bool(np.all(l3 < 4.0) and np.all(ppt_min_eigenvalues(stack) < 0.0))
     _criterion(5, "polarized sweep: L3 < 4 and PPT < 0 for every p >= 0.01", ok)
 
 
 def test_criterion_6_separable_soundness():
     n = 10_000
-    violations = 0
-    worst = {"l2_low": np.inf, "l2_high": -np.inf, "l3": np.inf, "ml2": np.inf, "ml3": np.inf}
-    for i in range(n):
-        rho = random_separable_state(stream(600, i), (i % 6) + 1)
-        r2 = evaluate(rho, L2)
-        r3 = evaluate(rho, L3)
-        worst["l2_low"] = min(worst["l2_low"], r2.l_value)
-        worst["l2_high"] = max(worst["l2_high"], r2.l_value)
-        worst["l3"] = min(worst["l3"], r3.l_value)
-        worst["ml2"] = min(worst["ml2"], r2.ml_value)
-        worst["ml3"] = min(worst["ml3"], r3.ml_value)
-        if (
-            r2.l_value < 2.0 - TOL
-            or r2.l_value > 6.0 + TOL
-            or r3.l_value < 4.0 - TOL
-            or r2.ml_value < 2.0 - TOL
-            or r3.ml_value < 4.0 - TOL
-            or r3.ml_value > r3.l_value + 1e-12
-        ):
-            violations += 1
+    stack = np.array([random_separable_state(stream(600, i), (i % 6) + 1).matrix for i in range(n)])
+    l2, ml2 = evaluate_many(stack, L2)
+    l3, ml3 = evaluate_many(stack, L3)
+    bad = (
+        (l2 < 2.0 - TOL)
+        | (l2 > 6.0 + TOL)
+        | (l3 < 4.0 - TOL)
+        | (ml2 < 2.0 - TOL)
+        | (ml3 < 4.0 - TOL)
+        | (ml3 > l3 + 1e-12)
+    )
+    violations = int(np.count_nonzero(bad))
     ok = violations == 0
     _criterion(6, f"soundness over {n} separable states: L2 in [2, 6], L3 >= 4, "
                   "ML2 >= 2, ML3 >= 4", ok,
-               f"violations={violations}, worst L2=[{worst['l2_low']:.6f}, {worst['l2_high']:.6f}], "
-               f"min L3={worst['l3']:.6f}, min ML2={worst['ml2']:.6f}, min ML3={worst['ml3']:.6f}")
+               f"violations={violations}, worst L2=[{l2.min():.6f}, {l2.max():.6f}], "
+               f"min L3={l3.min():.6f}, min ML2={ml2.min():.6f}, min ML3={ml3.min():.6f}")
 
 
 def test_criterion_7_cross_implication():

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from lurwit import measurement, states
-from lurwit.cli import HAAR_CHUNK, SAMPLE_COLUMNS, main, run_haar_study
-from oracles import haar_study_reference
+from lurwit import cli, measurement, states
+from lurwit.cli import SAMPLE_COLUMNS, STACK_CHUNK, SWEEP_COLUMNS, main, run_haar_study
+from oracles import haar_study_reference, sweep_reference
 
 
 def _run(capsys, argv):
@@ -134,6 +134,99 @@ def test_sweep_with_base_bell_state(capsys):
     assert float(rows[-1]["ml3"]) == pytest.approx(0.0, abs=1e-9)
 
 
+def _sweep_args(noise, base, p_start, p_stop, p_steps):
+    return cli.build_parser().parse_args(
+        ["sweep", "--noise", noise, "--base", base, "--p-start", str(p_start),
+         "--p-stop", str(p_stop), "--p-steps", str(p_steps)]
+    )
+
+
+def _row_bytes(rows, columns):
+    return np.array([[r[c] for c in columns] for r in rows]).tobytes()  # bits, so -0.0 != 0.0
+
+
+def _chunk_sizes(chunk):
+    return (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
+
+
+@pytest.mark.parametrize("noise", ["werner", "polarized"])
+@pytest.mark.parametrize("base", ["psi+", "psi-", "phi+", "phi-"])
+def test_sweep_matches_per_point_loop(noise, base, monkeypatch):
+    # a small chunk puts every chunk boundary case on a short grid
+    monkeypatch.setattr(cli, "STACK_CHUNK", 5)
+    for p_steps in _chunk_sizes(cli.STACK_CHUNK):
+        rows, columns = cli.run_sweep(_sweep_args(noise, base, 0.0, 1.0, p_steps))
+        assert columns == SWEEP_COLUMNS
+        want = sweep_reference(noise, base, 0.0, 1.0, p_steps)
+        assert _row_bytes(rows, columns) == _row_bytes(want, columns)
+
+
+def test_sweep_matches_per_point_loop_at_full_chunks():
+    # STACK_CHUNK-sized stacks: two full chunks and a short one
+    p_steps = _chunk_sizes(STACK_CHUNK)[-1]
+    rows, columns = cli.run_sweep(_sweep_args("polarized", "phi-", 0.0, 1.0, p_steps))
+    want = sweep_reference("polarized", "phi-", 0.0, 1.0, p_steps)
+    assert _row_bytes(rows, columns) == _row_bytes(want, columns)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p-stop", "1.5"], "mixing weight p=1.005 outside [0, 1]"),
+        (["--p-start", "nan"], "mixing weight p=nan outside [0, 1]"),
+        (["--p-start", "-0.1"], "mixing weight p=-0.1 outside [0, 1]"),
+        (["--base", "xx"], "unknown Bell state 'xx'"),
+        (["--p-steps", "1"], "need at least 2 grid points"),
+    ],
+)
+def test_sweep_input_errors_exit_2(flags, message, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = _run(capsys, ["sweep", "--noise", "werner", "--out", str(out), *flags])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_sweep_failed_density_check_exits_3(tmp_path, capsys, monkeypatch):
+    # noise with trace 1.001: every weight but p = 1 breaks the trace check
+    monkeypatch.setitem(states._NOISE_STATES, states.NoiseKind.WERNER, np.eye(4) / 4.0 * 1.001)
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = _run(
+        capsys, ["sweep", "--noise", "werner", "--p-steps", "5", "--out", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "internal error: density matrix trace is not 1 for p=0.0:" in err
+    assert not out.exists()
+
+
+def _old_text(rows, columns, fmt):
+    """`_write_rows`' text as it was built before streaming: the whole document at once."""
+    if fmt == "json":
+        return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
+    lines = [",".join(columns)]
+    lines += [",".join(cli._format_value(r[c]) for c in columns) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_rows_equal_whole_document_text(fmt, tmp_path, capsys):
+    sweep_rows, _ = cli.run_sweep(_sweep_args("werner", "phi+", -0.0, 1.0, 9))
+    _, per_sample = run_haar_study("psi+", 7, 2)
+    cases = [
+        (list(sweep_rows), SWEEP_COLUMNS),
+        (list(cli._column_rows(per_sample)), SAMPLE_COLUMNS),
+        ([], SWEEP_COLUMNS),
+    ]
+    for rows, columns in cases:
+        path = tmp_path / f"rows.{fmt}"
+        cli._write_rows(iter(rows), columns, fmt, str(path))
+        assert path.read_bytes() == _old_text(rows, columns, fmt).encode()
+        cli._write_rows(iter(rows), columns, fmt, None)
+        assert capsys.readouterr().out == _old_text(rows, columns, fmt)
+
+
 def test_haar_study_summary_and_per_sample(tmp_path, capsys):
     per_sample = tmp_path / "samples.csv"
     code, out, _ = _run(
@@ -200,8 +293,8 @@ def test_haar_study_matches_per_sample_loop(kind, seed):
 
 
 def test_haar_study_rows_do_not_depend_on_chunking():
-    _, longer = run_haar_study("phi+", HAAR_CHUNK + 5, 3)
-    for n in (HAAR_CHUNK - 1, HAAR_CHUNK, HAAR_CHUNK + 1):
+    _, longer = run_haar_study("phi+", STACK_CHUNK + 5, 3)
+    for n in (STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1):
         _, rows = run_haar_study("phi+", n, 3)
         assert list(rows) == list(longer)
         for name in SAMPLE_COLUMNS:

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from lurwit import states
 from lurwit.linalg import NumericsError, partial_transpose_second
 from lurwit.rng import stream
 from lurwit.states import (
@@ -17,6 +19,7 @@ from lurwit.states import (
     density_from_pure,
     haar_random_local_unitary,
     noise_mixture,
+    noise_mixtures,
     parse_state_spec,
     random_bloch_state,
     random_pure_state,
@@ -82,6 +85,43 @@ def test_noise_mixture_rejects_bad_weight():
         noise_mixture(-0.1, NoiseKind.WERNER)
     with pytest.raises(ValueError):
         noise_mixture(1.1, NoiseKind.POLARIZED)
+
+
+def test_noise_mixtures_rows_equal_scalar_states():
+    ps = np.append(np.linspace(0.0, 1.0, 31), 1.0 / 3.0)  # 0, 1/3 and 1 included
+    for kind in NoiseKind:
+        for base in BELL_KINDS:
+            stack = noise_mixtures(ps, kind, base)
+            assert stack.shape == (len(ps), 4, 4)
+            want = np.array([noise_mixture(float(p), kind, base).matrix for p in ps])
+            assert stack.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-9, float("nan")])
+def test_noise_mixtures_name_the_first_bad_weight(bad):
+    with pytest.raises(ValueError) as scalar:
+        noise_mixture(bad, NoiseKind.WERNER)
+    message = re.escape(str(scalar.value))
+    assert f"p={bad} " in str(scalar.value)
+    with pytest.raises(ValueError, match=message):
+        noise_mixtures([0.0, 0.5, bad, 1.5, -2.0], NoiseKind.WERNER)
+    # the weights are checked before anything else, as in `noise_mixture`
+    with pytest.raises(ValueError, match=message):
+        noise_mixtures([0.5, bad], NoiseKind.POLARIZED, base="xx")
+
+
+@pytest.mark.parametrize(
+    "noise, what",
+    [
+        (np.eye(4) / 4.0 + 1e-6j * np.eye(4, k=1), "not Hermitian"),
+        (np.eye(4) / 4.0 * 1.001, "trace is not 1"),
+        (np.diag([-0.01, 0.51, 0.25, 0.25]), "negative eigenvalue"),
+    ],
+)
+def test_noise_mixtures_failed_density_check_is_internal_error(noise, what, monkeypatch):
+    monkeypatch.setitem(states._NOISE_STATES, NoiseKind.WERNER, noise.astype(complex))
+    with pytest.raises(NumericsError, match=f"{what} for p=0.25: deviation"):
+        noise_mixtures([1.0, 0.25, 0.0], NoiseKind.WERNER)
 
 
 def test_werner_boundary_is_ppt_critical():

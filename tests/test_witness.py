@@ -222,7 +222,7 @@ def test_standard_sets_are_shared_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             first[key]._ops[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            first[key].pairs[0][0][0, 0] = 1.0  # the Basis Paulis themselves
+            first[key].pairs[0][0][0, 0] = 1.0  # its copy of a Basis Pauli
     first["L3"] = SETS["L2"]  # the dict is the caller's own
     assert standard_sets()["L3"] is SETS["L3"]
 
@@ -247,6 +247,19 @@ def test_observable_set_validation():
         ObservableSet(pairs=((np.array([[0, 1], [0, 0]]), SZ, "bad"),), bound_a=1.0, bound_b=1.0)
     with pytest.raises(ValueError):
         ObservableSet(pairs=((SZ, SZ, "z"),), bound_a=-1.0, bound_b=1.0)
+
+
+def test_observable_set_holds_read_only_copies():
+    a, b = SX.copy(), SZ.copy()
+    oset = ObservableSet(((a, b, "x-z"),), 0.0, 0.0)
+    ops = oset._ops.copy()
+    a[0, 1] = 5.0
+    b[0, 0] = 5.0
+    assert np.array_equal(oset.pairs[0][0], SX) and np.array_equal(oset.pairs[0][1], SZ)
+    assert np.array_equal(oset._ops, ops)
+    for op in oset.pairs[0][:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- local bound
