@@ -26,7 +26,6 @@ from .states import (
     density_from_pure,
     haar_random_local_unitary,
     noise_mixture,
-    noise_mixtures,
     parse_state_spec,
     random_pure_state,
     random_separable_state,

@@ -138,10 +138,16 @@ def _check_stack(checks, name) -> None:
             raise NumericsError(f"{what} for {name(k)}: deviation {deviation[k]} > {tol}")
 
 
+def _check_weights(ps: np.ndarray) -> None:
+    """Raise the `ValueError` naming the first mixing weight outside [0, 1] (NaN is outside)."""
+    failed = first_failure((0.0 <= ps) & (ps <= 1.0))
+    if failed is not None:
+        raise ValueError(f"mixing weight p={ps[failed]} outside [0, 1]")
+
+
 def noise_mixture(p: float, kind: NoiseKind, base: str = "psi-") -> DensityMatrix:
     """Convex mixture p * |Bell><Bell| + (1 - p) * noise, 0 <= p <= 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight p={p} outside [0, 1]")
+    _check_weights(np.asarray(p))
     proj = density_from_pure(bell_state(base)).matrix
     return DensityMatrix(p * proj + (1.0 - p) * _NOISE_STATES[kind])
 
@@ -150,16 +156,16 @@ def noise_mixtures(ps, kind: NoiseKind, base: str = "psi-") -> np.ndarray:
     """Validated (n, 4, 4) stack of noise mixtures; row k is `noise_mixture(ps[k], kind, base)`.
 
     Each row is bit for bit that state's matrix: the same expression,
-    broadcast over p. The whole grid is range-checked first, with the
-    `ValueError` of `noise_mixture` naming the first bad p (NaN included);
-    the stack then passes the `DensityMatrix` checks as maxima with the same
-    tolerances. The weights were valid, so a failed check is a NumericsError.
+    broadcast over p. The inputs fail as a loop of `noise_mixture` calls
+    would: the first p, then the base, then the first bad p of the rest
+    (NaN included), each with the scalar's `ValueError`. The stack then
+    passes the `DensityMatrix` checks as maxima with the same tolerances.
+    The inputs were valid, so a failed check is a NumericsError.
     """
     ps = np.asarray(ps, dtype=float).reshape(-1)
-    failed = first_failure((0.0 <= ps) & (ps <= 1.0))
-    if failed is not None:
-        raise ValueError(f"mixing weight p={float(ps[failed])} outside [0, 1]")
+    _check_weights(ps[:1])
     proj = density_from_pure(bell_state(base)).matrix
+    _check_weights(ps)
     p = ps[:, None, None]
     rho = p * proj + (1.0 - p) * _NOISE_STATES[kind]
     _check_stack(_density_checks(rho), lambda k: f"p={float(ps[k])}")

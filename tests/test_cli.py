@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,23 @@ def test_sweep_matches_per_point_loop_at_full_chunks():
     assert _row_bytes(rows, columns) == _row_bytes(want, columns)
 
 
+def test_noise_sweep_script_output_does_not_depend_on_chunking(tmp_path, monkeypatch):
+    # the study script end to end on a grid of three STACK_CHUNK-sized chunks,
+    # against the same files written in chunks of 7
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_noise_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_noise_sweeps", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    steps = 2 * STACK_CHUNK + 3
+    script.run(tmp_path / "full", steps)
+    monkeypatch.setattr(cli, "STACK_CHUNK", 7)
+    script.run(tmp_path / "small", steps)
+    for family in ("werner", "polarized"):
+        full = (tmp_path / "full" / f"{family}_sweep.csv").read_bytes()
+        assert full.count(b"\n") == steps + 1
+        assert full == (tmp_path / "small" / f"{family}_sweep.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -177,6 +196,9 @@ def test_sweep_matches_per_point_loop_at_full_chunks():
         (["--p-start", "-0.1"], "mixing weight p=-0.1 outside [0, 1]"),
         (["--base", "xx"], "unknown Bell state 'xx'"),
         (["--p-steps", "1"], "need at least 2 grid points"),
+        # both bad: the per-point loop fails on the first point, so its fault is named
+        (["--base", "xx", "--p-stop", "1.5"], "unknown Bell state 'xx'"),
+        (["--base", "xx", "--p-start", "-0.1"], "mixing weight p=-0.1 outside [0, 1]"),
     ],
 )
 def test_sweep_input_errors_exit_2(flags, message, tmp_path, capsys):

@@ -105,8 +105,10 @@ def test_noise_mixtures_name_the_first_bad_weight(bad):
     assert f"p={bad} " in str(scalar.value)
     with pytest.raises(ValueError, match=message):
         noise_mixtures([0.0, 0.5, bad, 1.5, -2.0], NoiseKind.WERNER)
-    # the weights are checked before anything else, as in `noise_mixture`
+    # as a loop of `noise_mixture` calls: the first p, then the base, then the rest
     with pytest.raises(ValueError, match=message):
+        noise_mixtures([bad, 0.5], NoiseKind.POLARIZED, base="xx")
+    with pytest.raises(ValueError, match="unknown Bell state 'xx'"):
         noise_mixtures([0.5, bad], NoiseKind.POLARIZED, base="xx")
 
 
