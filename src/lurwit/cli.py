@@ -297,13 +297,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rows, columns = args.run(args)
+        _write_rows(rows, columns, args.fmt, args.out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    _write_rows(rows, columns, args.fmt, args.out)
     return 0
 
 

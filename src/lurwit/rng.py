@@ -3,16 +3,61 @@
 Streams are counter-based (Philox) and keyed by (seed, task), so any task in
 a batch can be recomputed independently and results never depend on
 execution order.
+
+`stream` builds one Generator per key. `keyed_draws` gives the same draws for
+many keys from one Generator: it re-keys a single Philox bit generator by
+writing its `state` dict, which is far cheaper than constructing a new
+Philox. That relies on the layout of numpy's Philox state dict, so
+`keyed_draws` checks the layout on each call and raises RuntimeError if it
+has changed.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import numpy as np
 
 _WORD = 2**64
+
+# the keys of numpy's Philox `state` dict, top level and under "state"
+_PHILOX_LAYOUT = (
+    frozenset({"bit_generator", "state", "buffer", "buffer_pos", "has_uint32", "uinteger"}),
+    frozenset({"counter", "key"}),
+)
 
 
 def stream(seed: int, task: int = 0) -> np.random.Generator:
     """Generator for the (seed, task) pair; same pair, same bit stream."""
     key = np.array([seed % _WORD, task % _WORD], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def keyed_draws(seed: int, tasks: Iterable[int], draw: Callable[[np.random.Generator], object]) -> list:
+    """`[draw(stream(seed, t)) for t in tasks]`, bit for bit, on one Generator.
+
+    Before each task the Philox bit generator is reset to the state a fresh
+    `stream(seed, t)` starts in: key (seed, t) mod 2**64, counter 0, an empty
+    output buffer and no buffered half-word. So nothing drawn for one task
+    reaches the next. The Philox and Generator are local to the call.
+    """
+    bit_gen = np.random.Philox(key=0)
+    state = bit_gen.state
+    if (frozenset(state), frozenset(state.get("state", ()))) != _PHILOX_LAYOUT:
+        raise RuntimeError(
+            "numpy's Philox state layout has changed (keys "
+            f"{sorted(state)} / {sorted(state.get('state', ()))}); "
+            "keyed_draws cannot re-key it, so its streams would no longer match rng.stream"
+        )
+    gen = np.random.Generator(bit_gen)
+    key = state["state"]["key"]
+    key[0] = seed % _WORD
+    state["state"]["counter"][:] = 0
+    state["buffer"][:] = 0
+    state.update(buffer_pos=len(state["buffer"]), has_uint32=0, uinteger=0)
+    out = []
+    for t in tasks:
+        key[1] = t % _WORD
+        bit_gen.state = state
+        out.append(draw(gen))
+    return out

@@ -9,7 +9,9 @@ All constructors return immutable values; random constructors take an
 explicit numpy Generator (see `lurwit.rng.stream`). The exceptions are the
 stack constructors `noise_mixtures` and `haar_rotated_bell_states`, which
 return validated (n, 4, 4) arrays for the stacked witness kernel; the
-latter draws its own task-keyed streams.
+latter draws its own task-keyed streams, re-keying one Philox generator per
+sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
+layout) rather than building a Generator for each.
 """
 
 from __future__ import annotations
@@ -241,13 +243,16 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
     `indices` is a range (or sequence) of sample indices, and row k is
     sample indices[k]: the rotation drawn from `rng.stream(seed, i)`
     exactly as `haar_random_local_unitary` draws it, applied to the Bell
-    state, as a density matrix. The stack passes the checks the scalar path
-    makes on each object (`LocalUnitaryPair`, `density_from_pure`,
-    `DensityMatrix`), as maxima over the stack with the same tolerances.
+    state, as a density matrix. The draws come from `rng.keyed_draws`, which
+    re-keys one Philox generator per sample (through numpy's Philox state
+    layout) and gives the same bits as a new stream for each. The stack
+    passes the checks the scalar path makes on each object
+    (`LocalUnitaryPair`, `density_from_pure`, `DensityMatrix`), as maxima
+    over the stack with the same tolerances.
     The states are generated here, so a failed check is a NumericsError.
     """
     psi0 = bell_state(kind)
-    draws = [_rng.stream(seed, i).standard_normal((2, 4)) for i in indices]
+    draws = _rng.keyed_draws(seed, indices, lambda g: g.standard_normal((2, 4)))
     u = _haar_su2(np.array(draws).reshape(-1, 2, 4))  # (n, party, 2, 2)
     checks = [
         ("local rotation is not unitary",

@@ -54,6 +54,15 @@ def test_evaluate_unknown_state_exits_2(capsys):
     assert "glorp" in err
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = _run(capsys, ["evaluate", "--state", "singlet", "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_evaluate_density_file(tmp_path, capsys):
     rho = np.eye(4) / 4.0
     path = tmp_path / "mixed.json"

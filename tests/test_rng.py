@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from lurwit.rng import stream
+from lurwit.rng import keyed_draws, stream
 
 
 def test_same_key_gives_identical_bits():
@@ -22,3 +23,48 @@ def test_tasks_are_order_independent():
     g0.standard_normal(1000)
     after = stream(9, 1).standard_normal(8)
     assert np.array_equal(before, after)
+
+
+KEYS = [0, 1, 2**64 - 1, 2**64 + 5, -1, -(2**64) - 3]
+
+
+def _normal_pair(g):
+    return g.standard_normal((2, 4))
+
+
+@pytest.mark.parametrize("seed", KEYS)
+def test_keyed_draws_equal_fresh_streams(seed):
+    got = keyed_draws(seed, KEYS, _normal_pair)
+    want = [_normal_pair(stream(seed, t)) for t in KEYS]
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        # an odd count of 32-bit integers leaves a buffered half-word behind
+        lambda g: (g.integers(0, 2**32, size=3, dtype=np.uint32), g.standard_normal(5)),
+        lambda g: (g.multinomial(1000, [0.2, 0.3, 0.5]), g.standard_normal(5)),
+    ],
+    ids=["half-word", "multinomial"],
+)
+def test_keyed_draws_do_not_leak_between_keys(draw):
+    tasks = [3, 3, 4, 3]  # the repeats follow a draw under the same or another key
+    got = keyed_draws(11, tasks, draw)
+    for t, parts in zip(tasks, got):
+        for a, b in zip(parts, draw(stream(11, t))):
+            assert np.array_equal(a, b)
+
+
+def test_keyed_draws_reject_a_changed_state_layout(monkeypatch):
+    class RenamedCounter(np.random.Philox):
+        @property
+        def state(self):
+            state = super().state
+            state["state"]["ctr"] = state["state"].pop("counter")
+            return state
+
+    monkeypatch.setattr(np.random, "Philox", RenamedCounter)
+    with pytest.raises(RuntimeError, match="Philox state layout has changed"):
+        keyed_draws(0, [0], _normal_pair)

@@ -209,14 +209,18 @@ def test_haar_unitaries_are_special_unitary():
 
 
 def test_haar_mean_polarization_vanishes():
-    # <sz> averaged over rotations of |H> converges to 0
-    g = stream(99)
-    total = 0.0
+    # <sz> averaged over rotations of |H> converges to 0. On one stream, n
+    # draws of shape (2, 4) are one (n, 2, 4) draw, so the rotations are
+    # built as one stack; the prefix check pins them to the scalar draws.
     n = 100_000
-    for _ in range(n):
-        u = haar_random_local_unitary(g).u_a
-        total += (u.conj().T @ SZ @ u)[0, 0].real
-    assert abs(total / n) <= 0.02
+    u = states._haar_su2(stream(99).standard_normal((n, 2, 4)))  # (n, party, 2, 2)
+    g = stream(99)
+    for k in range(2000):
+        pair = haar_random_local_unitary(g)
+        assert np.array_equal(u[k, 0], pair.u_a) and np.array_equal(u[k, 1], pair.u_b)
+    u_a = u[:, 0]
+    sz = (u_a.conj().swapaxes(-1, -2) @ SZ @ u_a)[:, 0, 0].real
+    assert abs(sz.mean()) <= 0.02
 
 
 def test_random_bloch_state_is_normalized():
