@@ -12,7 +12,9 @@ from .measurement import (
     EstimatedReport,
     OutcomeDistribution,
     estimate_witnesses,
+    estimate_witnesses_many,
     outcome_distribution,
+    outcome_probabilities,
     sample_counts,
 )
 from .rng import stream

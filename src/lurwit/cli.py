@@ -204,12 +204,13 @@ def run_study_command(args: argparse.Namespace):
 
 
 def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
-    """One count table per basis, each from its own derived stream."""
-    tables = []
-    for i, basis in enumerate(states.Basis):
-        dist = measurement.outcome_distribution(rho, basis)
-        tables.append(measurement.sample_counts(dist, shots, rng.stream(seed, i)))
-    return tables
+    """One count table per basis, in `Basis` order; basis i draws from stream (seed, i)."""
+    measurement.check_shots(shots)
+    probs = measurement.outcome_probabilities(rho)
+    return [
+        measurement.CountTable(basis, rng.stream(seed, i).multinomial(shots, p))
+        for i, (basis, p) in enumerate(zip(states.Basis, probs))
+    ]
 
 
 def run_simulate(args: argparse.Namespace):

@@ -19,25 +19,51 @@ Estimator conventions, chosen to keep identities exact on finite samples:
 The tables' bases select the standard witness set that supplies the bound,
 and the witness sums (with their check that the two ML forms agree) are the
 exact path's own.
+
+The layer is array code. `outcome_probabilities` takes all 12 projector
+traces of a state in one contraction with the (3, 4, 4, 4) projector stack
+and validates the (3, 4) result once; `outcome_distribution` is one row of
+it. The estimator works on a (..., B, 4) stack of int64 counts (replicates,
+bases, outcomes): `estimate_witnesses_many` returns the witness arrays of R
+replicates, and `estimate_witnesses` is its R = 1 case plus the per-basis
+report. Every result is bit for bit what a per-table loop of Python scalars
+gives, and a row of a stack does not depend on the stack: the frequency dot
+products use `np.vecdot`, which like the 1-D `f @ g` makes one BLAS dot per
+row (a `sum` or `einsum` adds in another order), and squares use
+`np.float_power(x, 2.0)`, which like Python's `x**2` calls libm `pow`
+(numpy's `x**2` is `x*x`, and the two differ in the last bit now and then).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NumericsError, first_failure
 from .states import Basis, DensityMatrix, I2
-from .witness import Verdict, _expect, _witness_values, standard_sets, verdict_for
+from .witness import EXPECTATION_IMAG_TOL, Verdict, _witness_values, standard_sets, verdict_for
 
 # joint outcomes in the fixed order (+,+), (+,-), (-,+), (-,-)
 SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
+_SIGNS = np.array([SIGN_A, SIGN_B, SIGN_AB])
+# the delta-method gradients' constant vectors (see `_table_moments`)
+_GRAD_VAR = np.array([-2.0 * SIGN_A, -2.0 * SIGN_B])
+_GRAD_SUM_BASE = 2.0 * SIGN_AB
+_GRAD_SUM_SLOPE = 2.0 * (SIGN_A + SIGN_B)
 
 PROB_SUM_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # counts are int64
+
+
+def _is_distribution(p: np.ndarray) -> np.ndarray:
+    """Per row of a (..., 4) array: entries in [0, 1] summing to 1 (NaN fails)."""
+    in_range = ((0.0 <= p) & (p <= 1.0)).all(axis=-1)
+    return in_range & (np.abs(p.sum(axis=-1) - 1.0) <= PROB_SUM_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +77,7 @@ class OutcomeDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (4,):
             raise ValueError(f"expected 4 joint probabilities, got shape {p.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        if not _is_distribution(p):
             raise ValueError(f"not a probability vector: {p}")
         object.__setattr__(self, "probabilities", p)
 
@@ -64,10 +90,16 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (4,) or np.any(c < 0):
+        c = np.asarray(self.counts)
+        if c.shape != (4,) or c.dtype.kind not in "iuf" or not np.all(c >= 0):  # NaN fails
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
-        object.__setattr__(self, "counts", c)
+        values = c.tolist()
+        if not all(math.isfinite(v) and v == int(v) for v in values):
+            raise ValueError(f"counts must be whole numbers, got {self.counts}")
+        total = sum(int(v) for v in values)
+        if total > MAX_SHOTS:
+            raise ValueError(f"counts total {total} exceeds the largest supported count {MAX_SHOTS}")
+        object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
 
     @property
     def shots(self) -> int:
@@ -106,108 +138,189 @@ def _outcome_projectors(pauli: np.ndarray) -> tuple:
     return tuple(np.kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus))
 
 
-_PROJECTORS = {basis: _outcome_projectors(basis.pauli) for basis in Basis}  # P_a x P_b
+# P_a x P_b for every basis (rows in `Basis` order) and outcome
+_PROJECTORS = np.array([_outcome_projectors(basis.pauli) for basis in Basis])
+_PROJECTORS.flags.writeable = False
+_BASIS_ROW = {basis: i for i, basis in enumerate(Basis)}
+# separable bound of each standard set, keyed by the labels of its bases
+_BOUNDS = {
+    frozenset(label for _, _, label in s.pairs): s.separable_bound for s in standard_sets().values()
+}
+
+
+def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Joint probabilities Tr[rho (P_a x P_b)] of every basis, as a (3, 4) array.
+
+    Row i belongs to the i-th `Basis`, in the +/- eigenbasis of its Pauli.
+    """
+    # projector traces, not the closed form (1 + s<a> + t<b> + st<ab>)/4: that moves
+    # p by an ulp, and an ulp off 0.5 changes what numpy's binomial sampler draws
+    values = np.trace(rho.matrix @ _PROJECTORS, axis1=-2, axis2=-1)
+    failed = first_failure(np.abs(values.imag) < EXPECTATION_IMAG_TOL)
+    if failed is not None:
+        raise NumericsError(f"expectation of a Hermitian operator came out complex: {values[failed]}")
+    probs = np.clip(values.real, 0.0, 1.0)  # roundoff only; projector traces are in [0, 1]
+    probs /= probs.sum(axis=-1, keepdims=True)
+    failed = first_failure(_is_distribution(probs))
+    if failed is not None:
+        raise ValueError(f"not a probability vector: {probs[failed]}")
+    return probs
 
 
 def outcome_distribution(rho: DensityMatrix, basis: Basis) -> OutcomeDistribution:
-    """Joint probabilities Tr[rho (P_a x P_b)] in the +/- eigenbasis of the basis Pauli."""
-    # projector traces, not the closed form (1 + s<a> + t<b> + st<ab>)/4: that moves
-    # p by an ulp, and an ulp off 0.5 changes what numpy's binomial sampler draws
-    probs = np.array([_expect(rho, op) for op in _PROJECTORS[basis]])
-    probs = np.clip(probs, 0.0, 1.0)  # roundoff only; projector traces are in [0, 1]
-    probs /= probs.sum()
-    return OutcomeDistribution(basis, probs)
+    """One basis' row of `outcome_probabilities`."""
+    return OutcomeDistribution(basis, outcome_probabilities(rho)[_BASIS_ROW[basis]])
+
+
+def check_shots(shots) -> None:
+    """Raise ValueError unless `shots` is an integer in [1, MAX_SHOTS]."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
 
 
 def sample_counts(
     dist: OutcomeDistribution, shots: int, rng: np.random.Generator
 ) -> CountTable:
     """Multinomial coincidence counts; deterministic given the generator state."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
+    check_shots(shots)
     return CountTable(dist.basis, rng.multinomial(shots, dist.probabilities))
 
 
-def _delta_se(grad: np.ndarray, freqs: np.ndarray, shots: int) -> float:
-    # first-order propagation through the multinomial covariance of freqs
-    mean = float(freqs @ grad)
-    second = float(freqs @ (grad * grad))
-    return math.sqrt(max(0.0, second - mean * mean) / shots)
+def _table_moments(counts: np.ndarray):
+    """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
 
-
-def _basis_estimate(table: CountTable) -> tuple[BasisEstimate, float]:
-    """Moments and their standard errors for one basis, plus the SE of its ML term."""
-    shots = table.shots
-    f = table.counts / shots
-    m_a = float(f @ SIGN_A)
-    m_b = float(f @ SIGN_B)
-    m_ab = float(f @ SIGN_AB)
+    Returns var_a, var_b, var_sum and cov, each (..., B), and the SEs as
+    (..., B, 5): those of var_a, var_b, var_sum, cov and the table's ML term
+    var_a + var_b - 2|cov|. Every table needs at least one shot.
+    """
+    shots = np.add.reduce(counts, axis=-1)
+    f = counts / shots[..., None]
+    rows = f[..., None, :]  # (..., B, 1, 4): one dot product per row and vector
+    means = np.vecdot(rows, _SIGNS)  # <A>, <B>, <AB>
+    m_a, m_b, m_ab = means[..., 0], means[..., 1], means[..., 2]
 
     # outcomes are +/-1 so <A^2> = <B^2> = 1 exactly
-    var_a = 1.0 - m_a**2
-    var_b = 1.0 - m_b**2
+    var_ab = 1.0 - np.float_power(means[..., :2], 2.0)
+    var_a, var_b = var_ab[..., 0], var_ab[..., 1]
     cov = m_ab - m_a * m_b
     var_sum = var_a + var_b + 2.0 * cov
 
-    grad_cov = SIGN_AB - m_b * SIGN_A - m_a * SIGN_B
-    grad_var_sum = 2.0 * SIGN_AB - 2.0 * (m_a + m_b) * (SIGN_A + SIGN_B)
+    # gradients of var_a, var_b, var_sum, cov and the ML term in the frequencies;
+    # the sign vectors are +/-1 and the factors 2, so folding them into constants
+    # changes no rounding
+    a, b = m_a[..., None], m_b[..., None]
+    grads = np.empty(f.shape[:-1] + (5, 4))
+    np.multiply(means[..., :2, None], _GRAD_VAR, out=grads[..., :2, :])  # -2<A>s_A, -2<B>s_B
+    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[..., 2, :])
+    grad_cov = np.subtract(SIGN_AB - b * SIGN_A, a * SIGN_B, out=grads[..., 3, :])
     # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
-    grad_ml = -2.0 * m_a * SIGN_A - 2.0 * m_b * SIGN_B - 2.0 * np.sign(cov) * grad_cov
+    sign2 = (2.0 * np.sign(cov))[..., None]
+    np.subtract(grads[..., 0, :] + grads[..., 1, :], sign2 * grad_cov, out=grads[..., 4, :])
 
-    est = BasisEstimate(
-        label=table.basis.value,
-        var_a=var_a,
-        var_a_se=_delta_se(-2.0 * m_a * SIGN_A, f, shots),
-        var_b=var_b,
-        var_b_se=_delta_se(-2.0 * m_b * SIGN_B, f, shots),
-        var_sum=var_sum,
-        var_sum_se=_delta_se(grad_var_sum, f, shots),
-        covariance=cov,
-        covariance_se=_delta_se(grad_cov, f, shots),
+    # first-order propagation through the multinomial covariance of f
+    mean = np.vecdot(rows, grads)
+    spread = np.vecdot(rows, grads * grads) - mean * mean
+    se = np.sqrt(np.maximum(0.0, spread) / shots[..., None])
+    return var_a, var_b, var_sum, cov, se
+
+
+def _separable_bound(bases: tuple) -> float:
+    """The bound of the standard set the bases pick; ValueError if they pick none."""
+    if len(set(bases)) != len(bases):
+        raise ValueError("duplicate basis in count tables")
+    labels = frozenset(b.value for b in bases)
+    if labels not in _BOUNDS:
+        raise ValueError(f"count tables cover bases {sorted(labels)}, not those of L2 or L3")
+    return _BOUNDS[labels]
+
+
+def _estimate(counts: np.ndarray, bases: tuple, name):
+    """Witness values, their SEs and the per-table moments of an (R, B, 4) count stack.
+
+    The witness values are summed in basis order, as the exact path sums its
+    pairs. Counts in different bases are independent, so the witness SEs add
+    in quadrature, also in basis order. `name(r)` prefixes the message of a
+    table with fewer than 2 shots.
+    """
+    failed = first_failure(np.add.reduce(counts, axis=-1) >= 2)
+    if failed is not None:
+        r, b = failed
+        raise ValueError(f"{name(r)}basis {bases[b].value}: need at least 2 shots to estimate a variance")
+    var_a, var_b, var_sum, cov, se = moments = _table_moments(counts)
+    l_values, ml_values = _witness_values(var_a, var_b, var_sum, cov)
+    # squared SEs of var_sum and the ML term, added up one basis after another
+    l_var, ml_var = np.add.accumulate(np.float_power(se[..., 2::2], 2.0), axis=-2)[..., -1, :].T
+    return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var), moments
+
+
+def _checked_counts(counts, bases: tuple) -> np.ndarray:
+    """`counts` as an (R, B, 4) int64 stack; ValueError naming the first bad table."""
+    c = np.asarray(counts)
+    if c.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+    if c.ndim != 3 or c.shape[1:] != (len(bases), 4):
+        raise ValueError(f"expected counts of shape (R, {len(bases)}, 4), got {c.shape}")
+    failed = first_failure(((0 <= c) & (c <= MAX_SHOTS)).all(axis=-1))
+    if failed is None:
+        # no table's total may pass MAX_SHOTS; two halves of entries <= MAX_SHOTS
+        # cannot wrap in uint64, and their sum only matters when each half fits
+        u = c.astype(np.uint64)
+        low, high = u[..., :2].sum(axis=-1), u[..., 2:].sum(axis=-1)
+        failed = first_failure((low <= MAX_SHOTS) & (high <= MAX_SHOTS) & (low + high <= MAX_SHOTS))
+    if failed is not None:
+        r, b = failed
+        raise ValueError(
+            f"replicate {r}, basis {bases[b].value}: counts {c[r, b].tolist()} are not "
+            f"nonnegative with a total of at most {MAX_SHOTS}"
+        )
+    return c.astype(np.int64, copy=False)
+
+
+def estimate_witnesses_many(counts, bases):
+    """Both witness estimates of R replicates, from an (R, B, 4) integer count stack.
+
+    counts[r, b] is replicate r's count table in bases[b]. Returns
+    (l, l_se, ml, ml_se), four length-R arrays; row r equals
+    `estimate_witnesses` on replicate r's tables, bit for bit. The checks are
+    `estimate_witnesses`' own (bases, then counts, then at least 2 shots per
+    table), and a failed count check names the first failing replicate.
+    """
+    bases = tuple(bases)
+    _separable_bound(bases)
+    l_values, l_se, ml_values, ml_se, _ = _estimate(
+        _checked_counts(counts, bases), bases, lambda r: f"replicate {r}, "
     )
-    return est, _delta_se(grad_ml, f, shots)
+    return l_values, l_se, ml_values, ml_se
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
     """Estimate both witness values from per-basis count tables.
 
     The tables' bases pick the standard set (0/90 and 45/135 for L2, all
-    three for L3) and its separable bound. The witness values are summed in
-    table order, as the exact path sums its pairs. Counts in different bases
-    are independent, so the witness standard errors add in quadrature.
+    three for L3) and its separable bound. This is `estimate_witnesses_many`
+    on one replicate, plus the per-basis estimates.
     """
     tables = list(tables)
-    bases = [t.basis for t in tables]
-    if len(set(bases)) != len(bases):
-        raise ValueError("duplicate basis in count tables")
-    labels = {b.value for b in bases}
-    sets = [s for s in standard_sets().values() if {label for _, _, label in s.pairs} == labels]
-    if not sets:
-        raise ValueError(f"count tables cover bases {sorted(labels)}, not those of L2 or L3")
-    bound = sets[0].separable_bound
-    for t in tables:
-        if t.shots < 2:
-            raise ValueError(f"basis {t.basis.value}: need at least 2 shots to estimate a variance")
-
-    estimates = []
-    l_var = ml_var = 0.0
-    for t in tables:
-        est, ml_se = _basis_estimate(t)
-        estimates.append(est)
-        l_var += est.var_sum_se**2
-        ml_var += ml_se**2
-    moments = np.array([[(e.var_a, e.var_b, e.var_sum, e.covariance) for e in estimates]])
-    l_values, ml_values = _witness_values(*moments.transpose(2, 0, 1))
+    bases = tuple(t.basis for t in tables)
+    bound = _separable_bound(bases)
+    counts = np.array([[t.counts for t in tables]])
+    l_values, l_se, ml_values, ml_se, moments = _estimate(counts, bases, lambda r: "")
+    var_a, var_b, var_sum, cov, se = (m[0].tolist() for m in moments)
+    estimates = tuple(
+        BasisEstimate(b.value, var_a[i], se[i][0], var_b[i], se[i][1], var_sum[i], se[i][2], cov[i], se[i][3])
+        for i, b in enumerate(bases)
+    )
     l_value, ml_value = float(l_values[0]), float(ml_values[0])
-
     return EstimatedReport(
-        bases=tuple(estimates),
+        bases=estimates,
         l_value=l_value,
-        l_se=math.sqrt(l_var),
+        l_se=float(l_se[0]),
         ml_value=ml_value,
-        ml_se=math.sqrt(ml_var),
+        ml_se=float(ml_se[0]),
         separable_bound=bound,
         verdict_l=verdict_for(l_value, bound),
         verdict_ml=verdict_for(ml_value, bound),

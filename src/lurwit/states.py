@@ -306,6 +306,9 @@ def density_from_json(obj) -> DensityMatrix:
         raise ValueError(f"density JSON must carry dim/re/im fields: {exc}") from exc
     if dim != 4 or re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError("density JSON must describe a 4x4 matrix")
+    # checked before combining: 1j * inf is inf*0 in its real part, which warns
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return DensityMatrix(re + 1j * im)
 
 

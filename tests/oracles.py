@@ -3,10 +3,13 @@
 Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
 index definition, and the entanglement test is the sign of a determinant
-(an LU factorisation), not an eigenvalue. `haar_study_reference` and
-`sweep_reference` are the exceptions: they keep the per-state loops that the
-stacked Haar study and sweep replaced.
+(an LU factorisation), not an eigenvalue. `haar_study_reference`,
+`sweep_reference` and `estimate_reference` are the exceptions: they keep the
+per-state and per-table loops that the stacked Haar study, sweep and
+estimator replaced.
 """
+
+import math
 
 import numpy as np
 
@@ -161,3 +164,75 @@ def sweep_reference(noise: str, base: str, p_start: float, p_stop: float, p_step
             }
         )
     return rows
+
+
+# joint outcomes in the order (+,+), (+,-), (-,+), (-,-)
+SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
+SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
+SIGN_AB = SIGN_A * SIGN_B
+
+
+def _delta_se(grad: np.ndarray, freqs: np.ndarray, shots: int) -> float:
+    # first-order propagation through the multinomial covariance of freqs
+    mean = float(freqs @ grad)
+    second = float(freqs @ (grad * grad))
+    return math.sqrt(max(0.0, second - mean * mean) / shots)
+
+
+def basis_estimate_reference(counts: np.ndarray) -> tuple:
+    """One table's plug-in moments and delta-method SEs, in Python scalars.
+
+    Returns (var_a, var_a_se, var_b, var_b_se, var_sum, var_sum_se, cov,
+    cov_se, ml_se), where ml_se is the SE of var_a + var_b - 2|cov|.
+    """
+    shots = int(counts.sum())
+    f = counts / shots
+    m_a = float(f @ SIGN_A)
+    m_b = float(f @ SIGN_B)
+    m_ab = float(f @ SIGN_AB)
+
+    var_a = 1.0 - m_a**2
+    var_b = 1.0 - m_b**2
+    cov = m_ab - m_a * m_b
+    var_sum = var_a + var_b + 2.0 * cov
+
+    grad_cov = SIGN_AB - m_b * SIGN_A - m_a * SIGN_B
+    grad_var_sum = 2.0 * SIGN_AB - 2.0 * (m_a + m_b) * (SIGN_A + SIGN_B)
+    # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
+    grad_ml = -2.0 * m_a * SIGN_A - 2.0 * m_b * SIGN_B - 2.0 * np.sign(cov) * grad_cov
+    return (
+        var_a,
+        _delta_se(-2.0 * m_a * SIGN_A, f, shots),
+        var_b,
+        _delta_se(-2.0 * m_b * SIGN_B, f, shots),
+        var_sum,
+        _delta_se(grad_var_sum, f, shots),
+        cov,
+        _delta_se(grad_cov, f, shots),
+        _delta_se(grad_ml, f, shots),
+    )
+
+
+def estimate_reference(tables) -> tuple:
+    """The per-table estimator loop: (per-table tuples without ml_se, l, l_se, ml, ml_se).
+
+    Like `haar_study_reference` it uses the package's own witness sums
+    (`witness._witness_values`, with its check that the two ML forms agree);
+    the witness SEs add in quadrature, one table after another.
+    """
+    from lurwit import witness
+
+    per_table = [basis_estimate_reference(t.counts) for t in tables]
+    l_var = ml_var = 0.0
+    for est in per_table:
+        l_var += est[5] ** 2
+        ml_var += est[8] ** 2
+    moments = np.array([[(e[0], e[2], e[4], e[6]) for e in per_table]])
+    l_values, ml_values = witness._witness_values(*moments.transpose(2, 0, 1))
+    return (
+        [e[:8] for e in per_table],
+        float(l_values[0]),
+        math.sqrt(l_var),
+        float(ml_values[0]),
+        math.sqrt(ml_var),
+    )

@@ -1,13 +1,14 @@
 import csv
-import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lurwit import cli, measurement, states
+from lurwit import cli, measurement, rng, states
 from lurwit.cli import SAMPLE_COLUMNS, STACK_CHUNK, SWEEP_COLUMNS, main, run_haar_study
 from oracles import haar_study_reference, sweep_reference
 
@@ -92,6 +93,21 @@ def test_evaluate_invalid_density_file_exits_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert str(path) in err
+
+    # an infinite entry is refused before re and im are combined, so no numpy
+    # warning reaches stderr ahead of the error line
+    overflow = tmp_path / "overflow.json"
+    text = json.dumps({"dim": 4, "re": (np.eye(4) / 4.0).tolist(), "im": np.zeros((4, 4)).tolist()})
+    overflow.write_text(text.replace('"im": [[0.0', '"im": [[1e400'))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lurwit", "evaluate", "--state", f"file:{overflow}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "must be finite" in proc.stderr
 
 
 def test_sweep_werner_grid(tmp_path, capsys):
@@ -385,13 +401,13 @@ def test_simulate_phi_plus_modified_witness(capsys):
 
 
 def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkeypatch):
-    real = measurement._basis_estimate
+    real = measurement._table_moments
 
-    def skewed(table):
-        est, ml_se = real(table)
-        return dataclasses.replace(est, covariance=est.covariance + 1e-6), ml_se
+    def skewed(counts):
+        var_a, var_b, var_sum, cov, se = real(counts)
+        return var_a, var_b, var_sum, cov + 1e-6, se
 
-    monkeypatch.setattr(measurement, "_basis_estimate", skewed)
+    monkeypatch.setattr(measurement, "_table_moments", skewed)
     out = tmp_path / "simulate.csv"
     code, stdout, err = _run(
         capsys, ["simulate", "--state", "werner:p=0.5", "--shots", "1000", "--out", str(out)]
@@ -400,6 +416,21 @@ def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkey
     assert stdout == ""
     assert "modified-witness forms disagree" in err
     assert not out.exists()
+
+
+def test_simulate_counts_matches_per_basis_sampling():
+    for spec, shots, seed in (("werner:p=0.3", 2, 0), ("u2-singlet", 1000, 5), ("phi+", 10**6, 9)):
+        rho = states.parse_state_spec(spec)
+        tables = cli.simulate_counts(rho, shots, seed)
+        for i, (basis, table) in enumerate(zip(states.Basis, tables)):
+            dist = measurement.outcome_distribution(rho, basis)
+            want = measurement.sample_counts(dist, shots, rng.stream(seed, i))
+            assert table.basis is basis
+            assert table.counts.dtype == np.int64 and np.array_equal(table.counts, want.counts)
+    singlet = states.parse_state_spec("singlet")
+    for shots, message in ((0, "need at least one shot"), (2**63, "exceeds"), (2.5, "integer")):
+        with pytest.raises(ValueError, match=message):
+            cli.simulate_counts(singlet, shots, 0)
 
 
 def test_simulate_rejects_single_shot(capsys):

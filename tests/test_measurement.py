@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
     OutcomeDistribution,
+    MAX_SHOTS,
     estimate_witnesses,
+    estimate_witnesses_many,
     outcome_distribution,
+    outcome_probabilities,
     sample_counts,
 )
 from lurwit.rng import stream
@@ -23,7 +27,14 @@ from lurwit.states import (
     random_pure_state,
 )
 from lurwit.witness import evaluate, standard_sets
-from oracles import SX, SY, SZ, outcome_probabilities_brute, random_mixed_matrix
+from oracles import (
+    SX,
+    SY,
+    SZ,
+    estimate_reference,
+    outcome_probabilities_brute,
+    random_mixed_matrix,
+)
 
 SETS = standard_sets()
 SINGLET = density_from_pure(bell_state("psi-"))
@@ -106,6 +117,14 @@ def test_sample_counts_rejects_counts_past_int64():
         sample_counts(dist, largest + 1, stream(0))
 
 
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, "3"])
+def test_sample_counts_rejects_non_integer_shots(shots):
+    dist = outcome_distribution(SINGLET, Basis.LIN_0_90)
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        sample_counts(dist, shots, stream(0))
+    assert sample_counts(dist, np.int64(5), stream(0)).shots == 5
+
+
 def test_empirical_frequencies_converge():
     rho = noise_mixture(0.5, NoiseKind.WERNER)
     shots = 100_000
@@ -122,6 +141,32 @@ def test_count_table_validation():
         CountTable(Basis.LIN_0_90, np.array([1, 2, 3]))
     with pytest.raises(ValueError):
         CountTable(Basis.LIN_0_90, np.array([1, -2, 3, 4]))
+
+
+def test_count_table_rejects_fractional_and_overflowing_counts():
+    with pytest.raises(ValueError, match="whole numbers"):
+        CountTable(Basis.LIN_0_90, [1.7, 2, 3, 4])
+    with pytest.raises(ValueError, match="exceeds the largest supported count"):
+        CountTable(Basis.LIN_0_90, [2**62] * 3 + [0])
+    for bad in ([math.nan, 1, 2, 3], [math.inf, 1, 2, 3], [True, False, True, True]):
+        with pytest.raises(ValueError):
+            CountTable(Basis.LIN_0_90, bad)
+    whole = CountTable(Basis.LIN_0_90, [1.0, 2.0, 3.0, 4.0])
+    assert whole.counts.dtype == np.int64 and whole.shots == 10
+    assert CountTable(Basis.LIN_0_90, [2**62, 2**62 - 1, 0, 0]).shots == MAX_SHOTS
+
+
+def test_outcome_distribution_rejects_nan():
+    with pytest.raises(ValueError, match="not a probability vector"):
+        OutcomeDistribution(Basis.LIN_0_90, np.array([math.nan, 0.5, 0.25, 0.25]))
+
+
+def test_outcome_probabilities_stack_the_bases():
+    for rho in (SINGLET, noise_mixture(0.3, NoiseKind.POLARIZED)):
+        probs = outcome_probabilities(rho)
+        assert probs.shape == (3, 4)
+        for row, basis in zip(probs, Basis):
+            assert row.tobytes() == outcome_distribution(rho, basis).probabilities.tobytes()
 
 
 def test_plugin_estimates_reproduce_exact_values():
@@ -178,13 +223,13 @@ def test_estimator_input_validation():
 
 
 def test_estimated_path_checks_modified_witness_forms(monkeypatch):
-    real = measurement._basis_estimate
+    real = measurement._table_moments
 
-    def skewed(table):
-        est, ml_se = real(table)
-        return dataclasses.replace(est, covariance=est.covariance + 1e-6), ml_se
+    def skewed(counts):
+        var_a, var_b, var_sum, cov, se = real(counts)
+        return var_a, var_b, var_sum, cov + 1e-6, se
 
-    monkeypatch.setattr(measurement, "_basis_estimate", skewed)
+    monkeypatch.setattr(measurement, "_table_moments", skewed)
     tables = _tables_from_probabilities(noise_mixture(0.5, NoiseKind.WERNER), 4096)
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
         estimate_witnesses(tables)
@@ -230,3 +275,126 @@ def test_estimates_converge_at_large_shots():
         if abs(report.l_value - exact.l_value) <= 5.0 * report.l_se:
             hits += 1
     assert hits >= seeds - 1
+
+
+HH = density_from_pure(np.array([1, 0, 0, 0], dtype=complex))
+H_PLUS = density_from_pure(np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0))
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _seeded_tables(rho, shots, seed):
+    return [
+        sample_counts(outcome_distribution(rho, basis), shots, stream(seed, i))
+        for i, basis in enumerate(Basis)
+    ]
+
+
+def test_estimator_matches_scalar_reference_bitwise():
+    # every field of every report, bit for bit, against the per-table loop in
+    # Python scalars (BLAS dot products, libm pow for the squares)
+    g = stream(4242)
+    named = {"singlet": SINGLET, "HH": HH, "H+": H_PLUS, "werner": noise_mixture(0.5, NoiseKind.WERNER)}
+    named.update({f"mixed{k}": DensityMatrix(random_mixed_matrix(g)) for k in range(6)})
+    named.update({f"pure{k}": density_from_pure(random_pure_state(g)) for k in range(6)})
+    # the bases in which one party's outcome is certain, so the plug-in
+    # covariance is exactly 0 and the ML gradient takes the subgradient 0
+    certain = {"HH": {"0/90"}, "H+": {"0/90", "45/135"}}
+    checked = 0
+    for name, rho in named.items():
+        for shots in (2, 3, 100, 10**6):
+            for seed in range(11):
+                tables = _seeded_tables(rho, shots, seed)
+                checked += len(tables)
+                for subset in (tables, tables[:2], tables[::-1]):
+                    report = estimate_witnesses(subset)
+                    per_table, l, l_se, ml, ml_se = estimate_reference(subset)
+                    assert [b.label for b in report.bases] == [t.basis.value for t in subset]
+                    got = [_bits(dataclasses.astuple(b)[1:]) for b in report.bases]
+                    assert got == [_bits(e) for e in per_table]
+                    assert _bits((report.l_value, report.l_se, report.ml_value, report.ml_se)) == _bits(
+                        (l, l_se, ml, ml_se)
+                    )
+                    if name == "singlet":
+                        assert report.l_value == report.l_se == 0.0
+                    for b in report.bases:
+                        if b.label in certain.get(name, ()):
+                            assert b.covariance == 0.0
+    assert checked >= 2000
+
+
+def test_estimator_matches_scalar_reference_on_generic_tables():
+    # uniform random partitions of 10^6 shots give generic frequencies, on
+    # which x*x and libm pow(x, 2) differ in about one square in 1,000
+    shots = 10**6
+    cuts = np.sort(stream(5151).integers(0, shots + 1, (1500, 3, 3)), axis=-1)
+    counts = np.diff(cuts, prepend=0, append=shots, axis=-1)
+    bases = list(Basis)
+    columns = estimate_witnesses_many(counts, bases)
+    for r, replicate in enumerate(counts):
+        tables = [CountTable(b, c) for b, c in zip(bases, replicate)]
+        report = estimate_witnesses(tables)
+        per_table, *want = estimate_reference(tables)
+        assert [_bits(dataclasses.astuple(b)[1:]) for b in report.bases] == [_bits(e) for e in per_table]
+        assert _bits((report.l_value, report.l_se, report.ml_value, report.ml_se)) == _bits(want)
+        assert _bits(c[r] for c in columns) == _bits(want)
+
+
+def test_many_rows_equal_single_calls_bitwise():
+    g = stream(99)
+    rhos = [SINGLET, HH, H_PLUS] + [DensityMatrix(random_mixed_matrix(g)) for _ in range(5)]
+    replicates = [
+        _seeded_tables(rho, shots, seed) for rho in rhos for shots in (2, 50, 10**6) for seed in range(8)
+    ]
+    for order in ([0, 1, 2], [0, 1], [2, 0, 1]):
+        bases = [list(Basis)[i] for i in order]
+        counts = np.array([[tables[i].counts for i in order] for tables in replicates])
+        columns = estimate_witnesses_many(counts, bases)
+        assert [c.shape for c in columns] == [(len(replicates),)] * 4
+        for r, tables in enumerate(replicates):
+            report = estimate_witnesses([tables[i] for i in order])
+            want = (report.l_value, report.l_se, report.ml_value, report.ml_se)
+            assert _bits(c[r] for c in columns) == _bits(want)
+
+
+def test_many_input_errors_name_the_first_bad_replicate():
+    good = np.array([t.counts for t in _tables_from_probabilities(SINGLET, 64)])
+    counts = np.array([good] * 5)
+    bases = list(Basis)
+    with pytest.raises(ValueError, match="duplicate basis"):
+        estimate_witnesses_many(counts[:, :2], [Basis.LIN_0_90] * 2)
+    with pytest.raises(ValueError, match="not those of L2 or L3"):
+        estimate_witnesses_many(counts[:, 1:], bases[1:])
+
+    starved = counts.copy()
+    starved[4, 0] = [0, 0, 0, 0]
+    starved[3, 1] = [1, 0, 0, 0]
+    with pytest.raises(ValueError, match="replicate 3, basis 45/135: need at least 2 shots"):
+        estimate_witnesses_many(starved, bases)
+
+    negative = counts.copy()
+    negative[4, 0, 0] = -5
+    negative[2, 2, 1] = -1
+    with pytest.raises(ValueError, match="replicate 2, basis R/L"):
+        estimate_witnesses_many(negative, bases)
+    with pytest.raises(ValueError, match="duplicate basis"):  # the bases are checked first
+        estimate_witnesses_many(negative, [Basis.LIN_0_90] * 3)
+
+    past = counts.copy()
+    past[1, 0] = [2**62, 2**62, 0, 0]
+    with pytest.raises(ValueError, match="replicate 1, basis 0/90"):
+        estimate_witnesses_many(past, bases)
+    unsigned = counts.astype(np.uint64)
+    unsigned[0, 2, 3] = 2**63
+    with pytest.raises(ValueError, match="replicate 0, basis R/L"):
+        estimate_witnesses_many(unsigned, bases)
+    largest = counts.copy()
+    largest[1, 0] = [2**62, 2**62 - 1, 0, 0]
+    assert np.isfinite(estimate_witnesses_many(largest, bases)[0]).all()
+
+    with pytest.raises(ValueError, match="integers"):
+        estimate_witnesses_many(counts.astype(float), bases)
+    with pytest.raises(ValueError, match="shape"):
+        estimate_witnesses_many(counts[0], bases)
