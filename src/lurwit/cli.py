@@ -6,13 +6,20 @@ finite-shot counting experiment, and `bound` for the minimized single-party
 variance bound. Output is CSV (default) or JSON, to stdout or --out; runs
 are bit-identical for identical arguments and seed.
 
-Exit codes: 0 success, 2 usage or input error, 3 internal numerical error.
+`main(argv)` may be called many times in one process: the argument parser
+is built on the first call and shared by every later one.
+
+Exit codes: 0 success, 2 usage or input error, 3 internal numerical error,
+141 (128 + SIGPIPE) when the reader of the output closes it early, as
+`| head` does; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -98,6 +105,7 @@ def _write_rows(rows, columns, fmt: str, path: str | None) -> None:
     lines = (_json_lines if fmt == "json" else _csv_lines)(rows, columns)
     if path is None:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
@@ -250,7 +258,16 @@ def run_bound(args: argparse.Namespace):
     return [{"observables": "+".join(tokens), "bound": value}], BOUND_COLUMNS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lurwit` argument parser, built on the first call and shared after it.
+
+    Every call returns the same parser, so callers must not change it.
+    Sharing it is safe: `parse_args` leaves the parser as it was and makes
+    a fresh namespace each time, and usage, error and help text are
+    formatted when they are printed. `build_parser.__wrapped__()` builds a
+    fresh parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lurwit",
         description="Uncertainty-sum entanglement witnesses for two-qubit states",
@@ -299,6 +316,9 @@ def main(argv=None) -> int:
     try:
         rows, columns = args.run(args)
         _write_rows(rows, columns, args.fmt, args.out)
+    except BrokenPipeError:
+        _detach_closed_stdout()
+        return 141
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -306,6 +326,21 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _detach_closed_stdout() -> None:
+    """Point a stdout whose reader has gone at os.devnull.
+
+    Output still buffered for a closed pipe would otherwise raise again in
+    the flush at interpreter exit. Only a stream with a real file descriptor
+    can be the closed pipe, so an in-memory stdout is left alone.
+    """
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def console_main() -> None:

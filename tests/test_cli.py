@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -513,3 +515,127 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert _parse_csv(proc.stdout)[0]["verdict_l3"] == "ENTANGLEMENT_DETECTED"
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.__wrapped__() is not cli.build_parser()
+
+
+def test_shared_parser_namespaces_do_not_leak():
+    parser = cli.build_parser()
+    parser.parse_args(["sweep", "--noise", "werner", "--base", "phi+", "--p-steps", "3"])
+    args = parser.parse_args(["sweep", "--noise", "werner"])
+    assert args.base == "psi-" and args.p_steps == 101
+
+    parser.parse_args(["haar-study", "--per-sample", "x.csv"])
+    args = parser.parse_args(["evaluate", "--state", "singlet"])
+    assert not hasattr(args, "per_sample") and not hasattr(args, "samples")
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of a `main(argv)` that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out = capsys.readouterr()
+    return excinfo.value.code, out.out, out.err
+
+
+@contextlib.contextmanager
+def _fresh_parser(monkeypatch):
+    """`main` builds a new parser for each call inside this block."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        yield
+
+
+def test_rejected_argv_leaves_shared_parser_intact(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = shared = _exit(capsys, ["sweep"])
+    assert code == 2 and out == ""
+    assert err.endswith("error: the following arguments are required: --noise\n")
+    argv = ["sweep", "--noise", "werner", "--p-steps", "4"]
+    after = _run(capsys, argv)
+    with _fresh_parser(monkeypatch):
+        assert _exit(capsys, ["sweep"]) == shared
+        assert _run(capsys, argv) == after
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+def test_help_text_matches_fresh_parser(columns, capsys, monkeypatch):
+    # the help is laid out for the terminal width at the time it is printed
+    monkeypatch.setenv("COLUMNS", columns)
+    assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+    for command in ("evaluate", "sweep", "haar-study", "simulate", "bound"):
+        code, out, err = shared = _exit(capsys, [command, "--help"])
+        assert code == 0 and out.startswith(f"usage: lurwit {command}") and err == ""
+        assert all(len(line) <= int(columns) for line in out.splitlines())
+        with _fresh_parser(monkeypatch):
+            assert _exit(capsys, [command, "--help"]) == shared
+
+
+# (argv, files it writes); paths are relative to the working directory
+_COMMAND_SEQUENCE = [
+    (["evaluate", "--state", "singlet"], []),
+    (["evaluate", "--state", "werner:p=0.5", "--format", "json", "--out", "eval.json"],
+     ["eval.json"]),
+    (["bound", "--observables", "sx,sz", "--format", "json"], []),
+    (["sweep", "--noise", "werner", "--p-steps", "5", "--out", "sweep.csv"], ["sweep.csv"]),
+    (["sweep", "--noise", "gaussian"], []),  # input error, exit 2
+    (["sweep", "--noise", "polarized", "--base", "phi+", "--p-steps", "4", "--format", "json"], []),
+    (["simulate", "--state", "werner:p=0.3", "--shots", "500", "--seed", "4"], []),
+    (["simulate", "--state", "phi+", "--shots", "100", "--format", "json", "--out", "sim.json"],
+     ["sim.json"]),
+    (["haar-study", "--samples", "20", "--seed", "3", "--per-sample", "haar.csv"], ["haar.csv"]),
+    (["haar-study", "--state", "phi-", "--samples", "9", "--seed", "1", "--format", "json",
+      "--per-sample", "haar.json", "--out", "study.json"], ["haar.json", "study.json"]),
+    (["bound", "--observables", "sx,sy,sz"], []),
+]
+
+
+def _subprocess_env():
+    """The environment, with this `lurwit` importable from any working directory."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_command_sequence_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # one process runs every command in turn on the shared parser; each must
+    # give the output bytes, stderr and exit code of the same command run alone
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    shared.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(shared)
+    results = [_run(capsys, argv) for argv, _ in _COMMAND_SEQUENCE]
+    assert [code for code, _, _ in results] == [0] * 4 + [2] + [0] * 6
+    env = _subprocess_env()
+    for (argv, files), (code, out, err) in zip(_COMMAND_SEQUENCE, results):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lurwit", *argv], cwd=alone, env=env, capture_output=True
+        )
+        got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert got == (code, out, err), argv
+        for name in files:
+            assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+    assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in alone.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--noise", "werner", "--p-steps", "200000"],
+        ["haar-study", "--samples", "20000", "--per-sample", "/dev/stdout"],
+    ],
+)
+def test_closed_output_pipe_exits_141_quietly(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lurwit", *argv],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"p," if argv[0] == "sweep" else b"sample,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
