@@ -6,6 +6,13 @@ finite-shot counting experiment, and `bound` for the minimized single-party
 variance bound. Output is CSV (default) or JSON, to stdout or --out; runs
 are bit-identical for identical arguments and seed.
 
+Every command computes its whole result first, as one array per column (a
+list of one value for one-row commands), and `_write_columns` then formats
+it in blocks of STACK_CHUNK rows: one conversion to strings per column and
+block, and one `%` template fill per row. A CSV string cell holding a comma,
+quote, CR or LF is quoted. A write that fails removes the partial file,
+unless the path is not a regular file (such as /dev/stdout).
+
 `main(argv)` may be called many times in one process: the argument parser
 is built on the first call and shared by every later one.
 
@@ -17,10 +24,14 @@ Exit codes: 0 success, 2 usage or input error, 3 internal numerical error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import re
+import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,49 +77,95 @@ BOUND_COLUMNS = ("observables", "bound")
 
 _OBSERVABLE_TOKENS = {"sx": states.SX, "sy": states.SY, "sz": states.SZ}
 
-STACK_CHUNK = 4096  # states per stacked kernel pass in `run_sweep` and `run_haar_study`
+# states per stacked kernel pass in `run_sweep` and `run_haar_study`, and rows
+# per block of formatted output
+STACK_CHUNK = 4096
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-def _format_value(v) -> str:
+def _csv_string(v: str) -> str:
+    """A CSV string cell: quoted, with its quotes doubled, if it holds a comma,
+    quote, CR or LF (RFC 4180), and as it is otherwise."""
+    return '"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v
+
+
+def _csv_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
+    return _csv_string(v) if isinstance(v, str) else str(v)
 
 
-def _column_rows(columns: dict):
-    """Row dicts, made one at a time, from equal-length column arrays."""
-    n = len(next(iter(columns.values())))
-    for start in range(0, n, STACK_CHUNK):
-        block = (v[start:start + STACK_CHUNK].tolist() for v in columns.values())
-        yield from (dict(zip(columns, r)) for r in zip(*block))
+# the text of a cell, by format and by the Python type of every cell in its block
+_TYPED_RULES = {
+    "csv": {float: "{:.12g}".format, int: int.__repr__, str: _csv_string},
+    "json": {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii},
+}
+# the rule for each cell of a block of any other type, or of mixed types
+_CELL_RULES = {"csv": _csv_cell, "json": json.dumps}
+_ARRAY_TYPES = {"f": float, "i": int, "u": int, "U": str}  # by dtype kind, after tolist()
 
 
-def _csv_lines(rows, columns):
-    yield ",".join(columns) + "\n"
-    for r in rows:
-        yield ",".join(_format_value(r[c]) for c in columns) + "\n"
-
-
-def _json_lines(rows, columns):
-    # the text of json.dumps(list_of_rows, indent=2), one row at a time: each
-    # row's own indented text, shifted one level in
-    encoder = json.JSONEncoder(indent=2)
-    sep = "[\n  "
-    for r in rows:
-        yield sep + encoder.encode({c: r[c] for c in columns}).replace("\n", "\n  ")
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
-
-
-def _write_rows(rows, columns, fmt: str, path: str | None) -> None:
-    """Write rows as CSV or JSON text, streamed: no whole document is held in memory."""
-    lines = (_json_lines if fmt == "json" else _csv_lines)(rows, columns)
-    if path is None:
-        sys.stdout.writelines(lines)
-        sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
+def _cells(block, fmt: str) -> list:
+    """The text of one block of one column, from one C-level map over its values."""
+    if isinstance(block, np.ndarray):
+        kind, values = _ARRAY_TYPES.get(block.dtype.kind), block.tolist()
+        finite = kind is float and np.isfinite(block).all()
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        types = set(map(type, block))
+        kind, values, finite = (types.pop() if len(types) == 1 else None), block, False
+    rule = _TYPED_RULES[fmt].get(kind, _CELL_RULES[fmt])
+    text = list(map(rule, values))
+    if rule is float.__repr__ and not finite:
+        text = list(map(_JSON_NONFINITE.get, text, text))  # the json module's names
+    return text
+
+
+def _blocks(columns: dict, names, fmt: str):
+    """The document text, one block of STACK_CHUNK rows at a time.
+
+    Each row is one `%` fill of a template with one slot per column. The JSON
+    text is that of `json.dumps(rows, indent=2) + "\n"` for the row objects
+    keyed by `names`; the CSV text is a header line and one line per row.
+    """
+    n = len(columns[names[0]])
+    if fmt == "json":
+        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
+        template = "{\n    " + ",\n    ".join(f"{key}: %s" for key in keys) + "\n  }"
+        lead, sep, end, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
+    else:
+        template = ",".join(["%s"] * len(names)) + "\n"
+        header = ",".join(names) + "\n"
+        lead, sep, end, empty = header, "", "", header
+    for start in range(0, n, STACK_CHUNK):
+        cells = (_cells(columns[name][start:start + STACK_CHUNK], fmt) for name in names)
+        yield lead + sep.join(map(template.__mod__, zip(*cells)))
+        lead = sep
+    yield end if n else empty
+
+
+def _write_columns(columns: dict, names, fmt: str, path: str | None) -> None:
+    """Write the columns `names` as CSV or JSON text, streamed block by block.
+
+    No whole document is held in memory. If writing to `path` fails, the
+    file is closed and, if it is a regular file, removed before the error is
+    raised again; a device such as /dev/stdout is left in place.
+    """
+    blocks = _blocks(columns, names, fmt)
+    if path is None:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
+        return
+    fh = open(path, "w", encoding="utf-8", newline="")  # a path not opened is left alone
+    try:
+        with fh:
+            fh.writelines(blocks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        raise
 
 
 def _full_report(rho: states.DensityMatrix) -> dict:
@@ -128,10 +185,14 @@ def _full_report(rho: states.DensityMatrix) -> dict:
     }
 
 
+def _one_row(row: dict) -> dict:
+    """The columns of a one-row output: each value in a list of one."""
+    return {name: [value] for name, value in row.items()}
+
+
 def run_evaluate(args: argparse.Namespace):
     rho = states.parse_state_spec(args.state)
-    row = {"state": args.state, **_full_report(rho)}
-    return [row], EVALUATE_COLUMNS
+    return _one_row({"state": args.state, **_full_report(rho)}), EVALUATE_COLUMNS
 
 
 def run_sweep(args: argparse.Namespace):
@@ -139,8 +200,8 @@ def run_sweep(args: argparse.Namespace):
 
     The grid is evaluated in stacked chunks of STACK_CHUNK points; each row
     depends only on its p, so the rows do not depend on the chunk size.
-    Every chunk is finished before this returns; the rows come back as an
-    iterator of dicts, made one at a time from the result columns.
+    Every chunk is finished before this returns; the result is one array
+    per column.
     """
     try:
         kind = states.NoiseKind(args.noise)
@@ -157,7 +218,7 @@ def run_sweep(args: argparse.Namespace):
         l3, ml3 = witness.evaluate_many(stack, sets["L3"])
         chunks.append((l2, ml2, l3, ml3, witness.ppt_min_eigenvalues(stack)))
     values = (grid, *(np.concatenate(c) for c in zip(*chunks)))
-    return _column_rows(dict(zip(SWEEP_COLUMNS, values))), SWEEP_COLUMNS
+    return dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS
 
 
 def run_haar_study(kind: str, samples: int, seed: int):
@@ -207,8 +268,8 @@ def run_study_command(args: argparse.Namespace):
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
     summary, columns = run_haar_study(kind, args.samples, args.seed)
     if args.per_sample is not None:
-        _write_rows(_column_rows(columns), SAMPLE_COLUMNS, args.fmt, args.per_sample)
-    return [summary], STUDY_COLUMNS
+        _write_columns(columns, SAMPLE_COLUMNS, args.fmt, args.per_sample)
+    return _one_row(summary), STUDY_COLUMNS
 
 
 def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
@@ -231,7 +292,7 @@ def run_simulate(args: argparse.Namespace):
         [by_basis[states.Basis.LIN_0_90], by_basis[states.Basis.LIN_45_135]]
     )
     three = measurement.estimate_witnesses(tables)
-    row = {
+    columns = _one_row({
         "state": args.state,
         "shots": args.shots,
         "l2": two.l_value,
@@ -242,8 +303,8 @@ def run_simulate(args: argparse.Namespace):
         "l3_se": three.l_se,
         "ml3": three.ml_value,
         "ml3_se": three.ml_se,
-    }
-    return [row], SIMULATE_COLUMNS
+    })
+    return columns, SIMULATE_COLUMNS
 
 
 def run_bound(args: argparse.Namespace):
@@ -255,7 +316,7 @@ def run_bound(args: argparse.Namespace):
     except KeyError as exc:
         raise ValueError(f"unknown observable {exc.args[0]!r}; expected sx, sy or sz") from exc
     value = witness.local_bound(obs)
-    return [{"observables": "+".join(tokens), "bound": value}], BOUND_COLUMNS
+    return _one_row({"observables": "+".join(tokens), "bound": value}), BOUND_COLUMNS
 
 
 @functools.cache
@@ -314,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rows, columns = args.run(args)
-        _write_rows(rows, columns, args.fmt, args.out)
+        columns, names = args.run(args)
+        _write_columns(columns, names, args.fmt, args.out)
     except BrokenPipeError:
         _detach_closed_stdout()
         return 141

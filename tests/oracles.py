@@ -6,9 +6,11 @@ index definition, and the entanglement test is the sign of a determinant
 (an LU factorisation), not an eigenvalue. `haar_study_reference`,
 `sweep_reference` and `estimate_reference` are the exceptions: they keep the
 per-state and per-table loops that the stacked Haar study, sweep and
-estimator replaced.
+estimator replaced. `write_rows_reference` keeps the one-dict-per-row text
+writer that the CLI's columnar writer replaced.
 """
 
+import json
 import math
 
 import numpy as np
@@ -164,6 +166,25 @@ def sweep_reference(noise: str, base: str, p_start: float, p_stop: float, p_step
             }
         )
     return rows
+
+
+def _format_value(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def write_rows_reference(rows, columns, fmt: str) -> str:
+    """The CLI's output text for row dicts, as the row writer built it.
+
+    JSON is the json module's encoding of the list of rows; CSV is a header
+    line and one `_format_value` join per row, with no quoting of any cell.
+    """
+    if fmt == "json":
+        return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
+    lines = [",".join(columns)]
+    lines += [",".join(_format_value(r[c]) for c in columns) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 # joint outcomes in the order (+,+), (+,-), (-,+), (-,-)

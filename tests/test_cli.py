@@ -1,8 +1,11 @@
 import contextlib
 import csv
+import errno
 import importlib.util
 import json
 import os
+import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 
 from lurwit import cli, measurement, rng, states
 from lurwit.cli import SAMPLE_COLUMNS, STACK_CHUNK, SWEEP_COLUMNS, main, run_haar_study
-from oracles import haar_study_reference, sweep_reference
+from oracles import haar_study_reference, sweep_reference, write_rows_reference
 
 
 def _run(capsys, argv):
@@ -64,6 +67,68 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["sweep", "--noise", "werner", "--p-steps", "5000", "--out", "big.csv"], ["big.csv"]),
+        (["haar-study", "--samples", "2000", "--format", "json",
+          "--per-sample", "samples.json", "--out", "study.json"], ["samples.json", "study.json"]),
+    ],
+)
+def test_failed_write_leaves_no_partial_file(argv, outputs, tmp_path):
+    # past the size limit the write fails with EFBIG (CPython ignores SIGXFSZ)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lurwit", *argv],
+        cwd=tmp_path,
+        env=_subprocess_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, 64 * 1024)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and os.strerror(errno.EFBIG) in proc.stderr
+    assert not any((tmp_path / name).exists() for name in outputs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--state", "singlet"],  # fails when the file is closed
+        ["sweep", "--noise", "werner", "--p-steps", "3000"],  # fails mid-write
+    ],
+)
+def test_failed_write_to_a_device_leaves_the_device(argv, capsys):
+    code, out, err = _run(capsys, [*argv, "--out", "/dev/full"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+    assert stat.S_ISCHR(os.lstat("/dev/full").st_mode)
+
+
+@pytest.mark.parametrize("name", ["a,b.json", 'q"x.json'])
+def test_csv_quotes_string_cells(name, tmp_path, capsys):
+    path = tmp_path / name
+    rho = np.eye(4) / 4.0
+    path.write_text(json.dumps({"dim": 4, "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
+    spec = f"file:{path}"
+    for argv, names in (
+        (["evaluate", "--state", spec], cli.EVALUATE_COLUMNS),
+        (["simulate", "--state", spec, "--shots", "100"], cli.SIMULATE_COLUMNS),
+    ):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        # RFC 4180: the cell is quoted and its quotes doubled
+        assert out.splitlines()[1].startswith('"' + spec.replace('"', '""') + '",')
+        [row] = _parse_csv(out)
+        assert list(row) == list(names)  # a cell split in two would add a column
+        assert row["state"] == spec
+        assert float(row["l2"]) >= 0.0
+    assert row["shots"] == "100"
 
 
 def test_evaluate_density_file(tmp_path, capsys):
@@ -174,6 +239,11 @@ def _row_bytes(rows, columns):
     return np.array([[r[c] for c in columns] for r in rows]).tobytes()  # bits, so -0.0 != 0.0
 
 
+def _column_bytes(columns, names):
+    """`_row_bytes` of the same table held as columns."""
+    return np.column_stack([columns[c] for c in names]).tobytes()
+
+
 def _chunk_sizes(chunk):
     return (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
 
@@ -184,18 +254,18 @@ def test_sweep_matches_per_point_loop(noise, base, monkeypatch):
     # a small chunk puts every chunk boundary case on a short grid
     monkeypatch.setattr(cli, "STACK_CHUNK", 5)
     for p_steps in _chunk_sizes(cli.STACK_CHUNK):
-        rows, columns = cli.run_sweep(_sweep_args(noise, base, 0.0, 1.0, p_steps))
-        assert columns == SWEEP_COLUMNS
+        columns, names = cli.run_sweep(_sweep_args(noise, base, 0.0, 1.0, p_steps))
+        assert names == SWEEP_COLUMNS
         want = sweep_reference(noise, base, 0.0, 1.0, p_steps)
-        assert _row_bytes(rows, columns) == _row_bytes(want, columns)
+        assert _column_bytes(columns, names) == _row_bytes(want, names)
 
 
 def test_sweep_matches_per_point_loop_at_full_chunks():
     # STACK_CHUNK-sized stacks: two full chunks and a short one
     p_steps = _chunk_sizes(STACK_CHUNK)[-1]
-    rows, columns = cli.run_sweep(_sweep_args("polarized", "phi-", 0.0, 1.0, p_steps))
+    columns, names = cli.run_sweep(_sweep_args("polarized", "phi-", 0.0, 1.0, p_steps))
     want = sweep_reference("polarized", "phi-", 0.0, 1.0, p_steps)
-    assert _row_bytes(rows, columns) == _row_bytes(want, columns)
+    assert _column_bytes(columns, names) == _row_bytes(want, names)
 
 
 def test_noise_sweep_script_output_does_not_depend_on_chunking(tmp_path, monkeypatch):
@@ -250,30 +320,65 @@ def test_sweep_failed_density_check_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def _old_text(rows, columns, fmt):
-    """`_write_rows`' text as it was built before streaming: the whole document at once."""
-    if fmt == "json":
-        return json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n"
-    lines = [",".join(columns)]
-    lines += [",".join(cli._format_value(r[c]) for c in columns) for r in rows]
-    return "\n".join(lines) + "\n"
+def _rows(columns, names):
+    """Row dicts of equal-length columns, each cell a Python value."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in map(columns.get, names)]
+    return [dict(zip(names, r)) for r in zip(*values)]
+
+
+def _assert_writes_reference(columns, names, fmt, path, capsys):
+    """`_write_columns` gives the row writer's text, to a file and to stdout."""
+    want = write_rows_reference(_rows(columns, names), names, fmt)
+    cli._write_columns(columns, names, fmt, str(path))
+    assert path.read_bytes() == want.encode()
+    cli._write_columns(columns, names, fmt, None)
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_rows_equal_whole_document_text(fmt, tmp_path, capsys):
-    sweep_rows, _ = cli.run_sweep(_sweep_args("werner", "phi+", -0.0, 1.0, 9))
+    sweep_columns, _ = cli.run_sweep(_sweep_args("werner", "phi+", -0.0, 1.0, 9))
     _, per_sample = run_haar_study("psi+", 7, 2)
     cases = [
-        (list(sweep_rows), SWEEP_COLUMNS),
-        (list(cli._column_rows(per_sample)), SAMPLE_COLUMNS),
-        ([], SWEEP_COLUMNS),
+        (sweep_columns, SWEEP_COLUMNS),
+        (per_sample, SAMPLE_COLUMNS),
+        ({c: np.empty(0) for c in SWEEP_COLUMNS}, SWEEP_COLUMNS),
     ]
-    for rows, columns in cases:
-        path = tmp_path / f"rows.{fmt}"
-        cli._write_rows(iter(rows), columns, fmt, str(path))
-        assert path.read_bytes() == _old_text(rows, columns, fmt).encode()
-        cli._write_rows(iter(rows), columns, fmt, None)
-        assert capsys.readouterr().out == _old_text(rows, columns, fmt)
+    for columns, names in cases:
+        _assert_writes_reference(columns, names, fmt, tmp_path / f"rows.{fmt}", capsys)
+
+
+_ADVERSARIAL = {
+    "float": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3]),
+    "float list": [0.1, -0.0, np.inf, 1e16, -np.inf, np.nan, 5e-324, 1 / 3],
+    "int": np.array([0, -3, 2**62, -(2**63)]),
+    "uint": np.array([0, 2**64 - 1], dtype=np.uint64),
+    "big int": [0, -3, 2**64 + 5, -(2**64)],
+    "bool": np.array([True, False]),
+    "text": ["back\\slash", "ünïcødé ∑", "ctl \x00\x01\x1f\t\x7f end", ""],
+    "text array": np.array(["a\\b", "é", "\x1b[0m"]),
+    "50% ä": np.array([1.5, -2.25]),  # a key with a `%` and a non-ASCII letter
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_matches_row_reference(fmt, chunk, tmp_path, capsys, monkeypatch):
+    # non-finite, signed-zero, subnormal and round-trip floats, ints past 64 bits,
+    # and strings with backslashes, non-ASCII and control characters, at row
+    # counts on each side of a block boundary
+    if chunk is not None:
+        monkeypatch.setattr(cli, "STACK_CHUNK", chunk)
+    size = cli.STACK_CHUNK
+    names = tuple(_ADVERSARIAL)
+    for n in (0, 1, size - 1, size, size + 1):
+        columns = {
+            name: np.resize(v, n) if isinstance(v, np.ndarray) else (v * n)[:n]
+            for name, v in _ADVERSARIAL.items()
+        }
+        _assert_writes_reference(columns, names, fmt, tmp_path / f"cells.{fmt}", capsys)
+        for name in names:  # each column alone, so no other cell hides a difference
+            _assert_writes_reference(columns, (name,), fmt, tmp_path / f"cell.{fmt}", capsys)
 
 
 def test_haar_study_summary_and_per_sample(tmp_path, capsys):
