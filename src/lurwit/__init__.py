@@ -10,12 +10,9 @@ from .linalg import NumericsError, partial_transpose_second, tensor_product
 from .measurement import (
     CountTable,
     EstimatedReport,
-    OutcomeDistribution,
     estimate_witnesses,
     estimate_witnesses_many,
-    outcome_distribution,
     outcome_probabilities,
-    sample_counts,
 )
 from .rng import stream
 from .states import (
@@ -26,7 +23,6 @@ from .states import (
     apply_local_unitary,
     bell_state,
     density_from_pure,
-    haar_random_local_unitary,
     noise_mixture,
     parse_state_spec,
     random_pure_state,
@@ -37,18 +33,12 @@ from .witness import (
     ObservableSet,
     Verdict,
     WitnessReport,
-    covariance,
     evaluate,
     evaluate_many,
-    expectation,
     local_bound,
-    lur_value,
-    mlur_value,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,
     standard_sets,
-    variance,
-    variance_of_sum,
 )
 
 __version__ = "0.1.0"

@@ -6,19 +6,21 @@ finite-shot counting experiment, and `bound` for the minimized single-party
 variance bound. Output is CSV (default) or JSON, to stdout or --out; runs
 are bit-identical for identical arguments and seed.
 
-Every command computes its whole result first, as one array per column (a
-list of one value for one-row commands), and `_write_columns` then formats
-it in blocks of STACK_CHUNK rows: one conversion to strings per column and
-block, and one `%` template fill per row. A CSV string cell holding a comma,
-quote, CR or LF is quoted. A write that fails removes the partial file,
+Every command computes its whole result first and returns its outputs:
+one (columns, names, path) each, the columns one array per column (a list
+of one value for one-row outputs). `main` then writes them in order, and
+`_write_outputs` formats each in blocks of STACK_CHUNK rows: one conversion
+to strings per column and block, and one `%` template fill per row. A CSV
+string cell holding a comma, quote, CR or LF is quoted. If a write fails,
+the partial file and every file the command wrote before it are removed,
 unless the path is not a regular file (such as /dev/stdout).
 
 `main(argv)` may be called many times in one process: the argument parser
 is built on the first call and shared by every later one.
 
-Exit codes: 0 success, 2 usage or input error, 3 internal numerical error,
-141 (128 + SIGPIPE) when the reader of the output closes it early, as
-`| head` does; nothing is printed then.
+Exit codes: 0 success, 2 usage or input error (also an input too large for
+memory), 3 internal numerical error, 141 (128 + SIGPIPE) when the reader of
+the output closes it early, as `| head` does; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -145,26 +147,31 @@ def _blocks(columns: dict, names, fmt: str):
     yield end if n else empty
 
 
-def _write_columns(columns: dict, names, fmt: str, path: str | None) -> None:
-    """Write the columns `names` as CSV or JSON text, streamed block by block.
+def _write_outputs(outputs, fmt: str) -> None:
+    """Write each (columns, names, path) in order as CSV or JSON text, block by block.
 
-    No whole document is held in memory. If writing to `path` fails, the
-    file is closed and, if it is a regular file, removed before the error is
-    raised again; a device such as /dev/stdout is left in place.
+    No whole document is held in memory; a path of None is stdout. If a
+    write fails, its partial file and every file written before it are
+    closed and removed, regular files only (a device such as /dev/stdout
+    stays), before the error is raised again.
     """
-    blocks = _blocks(columns, names, fmt)
-    if path is None:
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
-        return
-    fh = open(path, "w", encoding="utf-8", newline="")  # a path not opened is left alone
+    opened = []
     try:
-        with fh:
-            fh.writelines(blocks)
+        for columns, names, path in outputs:
+            blocks = _blocks(columns, names, fmt)
+            if path is None:
+                sys.stdout.writelines(blocks)
+                sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
+                continue
+            fh = open(path, "w", encoding="utf-8", newline="")  # a path not opened is left alone
+            opened.append(path)
+            with fh:
+                fh.writelines(blocks)
     except BaseException:
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.unlink(path)
+        for path in opened:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
         raise
 
 
@@ -192,7 +199,7 @@ def _one_row(row: dict) -> dict:
 
 def run_evaluate(args: argparse.Namespace):
     rho = states.parse_state_spec(args.state)
-    return _one_row({"state": args.state, **_full_report(rho)}), EVALUATE_COLUMNS
+    return [(_one_row({"state": args.state, **_full_report(rho)}), EVALUATE_COLUMNS, args.out)]
 
 
 def run_sweep(args: argparse.Namespace):
@@ -218,7 +225,7 @@ def run_sweep(args: argparse.Namespace):
         l3, ml3 = witness.evaluate_many(stack, sets["L3"])
         chunks.append((l2, ml2, l3, ml3, witness.ppt_min_eigenvalues(stack)))
     values = (grid, *(np.concatenate(c) for c in zip(*chunks)))
-    return dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS
+    return [(dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS, args.out)]
 
 
 def run_haar_study(kind: str, samples: int, seed: int):
@@ -267,9 +274,8 @@ def run_study_command(args: argparse.Namespace):
     if kind not in states.BELL_KINDS:
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
     summary, columns = run_haar_study(kind, args.samples, args.seed)
-    if args.per_sample is not None:
-        _write_columns(columns, SAMPLE_COLUMNS, args.fmt, args.per_sample)
-    return _one_row(summary), STUDY_COLUMNS
+    outputs = [] if args.per_sample is None else [(columns, SAMPLE_COLUMNS, args.per_sample)]
+    return outputs + [(_one_row(summary), STUDY_COLUMNS, args.out)]
 
 
 def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
@@ -304,7 +310,7 @@ def run_simulate(args: argparse.Namespace):
         "ml3": three.ml_value,
         "ml3_se": three.ml_se,
     })
-    return columns, SIMULATE_COLUMNS
+    return [(columns, SIMULATE_COLUMNS, args.out)]
 
 
 def run_bound(args: argparse.Namespace):
@@ -316,7 +322,7 @@ def run_bound(args: argparse.Namespace):
     except KeyError as exc:
         raise ValueError(f"unknown observable {exc.args[0]!r}; expected sx, sy or sz") from exc
     value = witness.local_bound(obs)
-    return _one_row({"observables": "+".join(tokens), "bound": value}), BOUND_COLUMNS
+    return [(_one_row({"observables": "+".join(tokens), "bound": value}), BOUND_COLUMNS, args.out)]
 
 
 @functools.cache
@@ -375,12 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        columns, names = args.run(args)
-        _write_columns(columns, names, args.fmt, args.out)
+        _write_outputs(args.run(args), args.fmt)
     except BrokenPipeError:
         _detach_closed_stdout()
         return 141
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

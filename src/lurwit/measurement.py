@@ -22,11 +22,11 @@ exact path's own.
 
 The layer is array code. `outcome_probabilities` takes all 12 projector
 traces of a state in one contraction with the (3, 4, 4, 4) projector stack
-and validates the (3, 4) result once; `outcome_distribution` is one row of
-it. The estimator works on a (..., B, 4) stack of int64 counts (replicates,
-bases, outcomes): `estimate_witnesses_many` returns the witness arrays of R
-replicates, and `estimate_witnesses` is its R = 1 case plus the per-basis
-report. Every result is bit for bit what a per-table loop of Python scalars
+and validates the (3, 4) result once; every count table is one multinomial
+draw from one of its rows (`lurwit.cli.simulate_counts`). The estimator
+works on a (..., B, 4) stack of int64 counts (replicates, bases, outcomes):
+`estimate_witnesses_many` returns the witness arrays of R replicates, and
+`estimate_witnesses` is its R = 1 case plus the per-basis report. Every result is bit for bit what a per-table loop of Python scalars
 gives, and a row of a stack does not depend on the stack: the frequency dot
 products use `np.vecdot`, which like the 1-D `f @ g` makes one BLAS dot per
 row (a `sum` or `einsum` adds in another order), and squares use
@@ -64,22 +64,6 @@ def _is_distribution(p: np.ndarray) -> np.ndarray:
     """Per row of a (..., 4) array: entries in [0, 1] summing to 1 (NaN fails)."""
     in_range = ((0.0 <= p) & (p <= 1.0)).all(axis=-1)
     return in_range & (np.abs(p.sum(axis=-1) - 1.0) <= PROB_SUM_TOL)
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Joint +/- outcome probabilities for one measurement basis."""
-
-    basis: Basis
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (4,):
-            raise ValueError(f"expected 4 joint probabilities, got shape {p.shape}")
-        if not _is_distribution(p):
-            raise ValueError(f"not a probability vector: {p}")
-        object.__setattr__(self, "probabilities", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +125,6 @@ def _outcome_projectors(pauli: np.ndarray) -> tuple:
 # P_a x P_b for every basis (rows in `Basis` order) and outcome
 _PROJECTORS = np.array([_outcome_projectors(basis.pauli) for basis in Basis])
 _PROJECTORS.flags.writeable = False
-_BASIS_ROW = {basis: i for i, basis in enumerate(Basis)}
 # separable bound of each standard set, keyed by the labels of its bases
 _BOUNDS = {
     frozenset(label for _, _, label in s.pairs): s.separable_bound for s in standard_sets().values()
@@ -167,11 +150,6 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs
 
 
-def outcome_distribution(rho: DensityMatrix, basis: Basis) -> OutcomeDistribution:
-    """One basis' row of `outcome_probabilities`."""
-    return OutcomeDistribution(basis, outcome_probabilities(rho)[_BASIS_ROW[basis]])
-
-
 def check_shots(shots) -> None:
     """Raise ValueError unless `shots` is an integer in [1, MAX_SHOTS]."""
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
@@ -180,14 +158,6 @@ def check_shots(shots) -> None:
         raise ValueError("need at least one shot")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
-
-
-def sample_counts(
-    dist: OutcomeDistribution, shots: int, rng: np.random.Generator
-) -> CountTable:
-    """Multinomial coincidence counts; deterministic given the generator state."""
-    check_shots(shots)
-    return CountTable(dist.basis, rng.multinomial(shots, dist.probabilities))
 
 
 def _table_moments(counts: np.ndarray):

@@ -11,7 +11,8 @@ stack constructors `noise_mixtures` and `haar_rotated_bell_states`, which
 return validated (n, 4, 4) arrays for the stacked witness kernel; the
 latter draws its own task-keyed streams, re-keying one Philox generator per
 sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
-layout) rather than building a Generator for each.
+layout) rather than building a Generator for each. Haar-random local
+rotations exist only in that stack; no constructor returns one rotation.
 """
 
 from __future__ import annotations
@@ -215,10 +216,6 @@ def apply_local_unitary(pair: LocalUnitaryPair, rho: DensityMatrix) -> DensityMa
         raise NumericsError(f"local unitary broke a state invariant: {exc}") from exc
 
 
-def apply_to_pure(pair: LocalUnitaryPair, psi) -> np.ndarray:
-    return pair.joint() @ np.asarray(psi, dtype=complex).reshape(4)
-
-
 def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     # unit quaternions (..., 4) = (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ),
     # SU(2) elements of shape (..., 2, 2)
@@ -231,24 +228,18 @@ def _haar_su2(gaussians: np.ndarray) -> np.ndarray:
     return _su2_from_quaternion(gaussians / np.linalg.norm(gaussians, axis=-1, keepdims=True))
 
 
-def haar_random_local_unitary(rng: np.random.Generator) -> LocalUnitaryPair:
-    """Independent Haar-uniform SU(2) rotation for each party."""
-    u_a, u_b = _haar_su2(rng.standard_normal((2, 4)))
-    return LocalUnitaryPair(u_a, u_b)
-
-
 def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
     """Validated (n, 4, 4) stack of a Bell state under Haar-random local rotations.
 
     `indices` is a range (or sequence) of sample indices, and row k is
-    sample indices[k]: the rotation drawn from `rng.stream(seed, i)`
-    exactly as `haar_random_local_unitary` draws it, applied to the Bell
-    state, as a density matrix. The draws come from `rng.keyed_draws`, which
-    re-keys one Philox generator per sample (through numpy's Philox state
-    layout) and gives the same bits as a new stream for each. The stack
-    passes the checks the scalar path makes on each object
-    (`LocalUnitaryPair`, `density_from_pure`, `DensityMatrix`), as maxima
-    over the stack with the same tolerances.
+    sample indices[k]: one `standard_normal((2, 4))` draw from
+    `rng.stream(seed, i)`, normalized to a Haar-uniform SU(2) rotation per
+    party, applied to the Bell state, as a density matrix. The draws come
+    from `rng.keyed_draws`, which re-keys one Philox generator per sample
+    (through numpy's Philox state layout) and gives the same bits as a new
+    stream for each. The stack passes the checks a state built one object
+    at a time would (`LocalUnitaryPair`, `density_from_pure`,
+    `DensityMatrix`), as maxima over the stack with the same tolerances.
     The states are generated here, so a failed check is a NumericsError.
     """
     psi0 = bell_state(kind)
@@ -259,7 +250,7 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
          np.abs(u.conj().swapaxes(-1, -2) @ u - I2).max(axis=(1, 2, 3)), UNITARY_TOL),
     ]
     # u_a x u_b as np.kron forms it (one broadcast product per entry), then a
-    # matrix-vector product: the same arithmetic as `apply_to_pure`
+    # matrix-vector product: the same arithmetic as `LocalUnitaryPair.joint() @ psi`
     joint = (u[:, 0, :, None, :, None] * u[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     psi = joint @ psi0
     checks.append(("rotated state is not normalized",

@@ -15,13 +15,14 @@ exposed as `ppt_min_eigenvalue` (one state) and `ppt_min_eigenvalues` (a
 stack).
 
 Every witness quantity is linear in the state, so one kernel serves every
-caller: a single contraction of an (N, 4, 4) stack of density matrices with
-the (P, 7, 4, 4) lifted operators of an `ObservableSet` gives all 7 * P
-expectations of all N states at once. `evaluate_many` returns the witness
-values of a stack; `evaluate` is the same kernel on a stack of one, plus
-the per-pair report. The runtime invariant checks (real expectations, the
-variance decomposition, the agreement of the two modified-witness forms)
-run on every call, as maxima over the stack.
+caller and there is no scalar path beside it: a single contraction of an
+(N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
+of an `ObservableSet` gives all 7 * P expectations of all N states at once.
+`evaluate_many` returns the witness values of a stack; `evaluate` is the
+same kernel on a stack of one, plus the per-pair report (the variances and
+the covariance of each pair). The runtime invariant checks (real
+expectations, the variance decomposition, the agreement of the two
+modified-witness forms) run on every call, as maxima over the stack.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .linalg import (
     as_operator,
     first_failure,
     is_hermitian,
-    tensor_product,
     transpose_second_qubit,
 )
 from .states import I2, SX, SY, SZ, Basis, DensityMatrix
@@ -125,37 +125,6 @@ class WitnessReport:
     verdict_ml: Verdict
 
 
-def _expect(rho: DensityMatrix, op: np.ndarray) -> float:
-    value = np.trace(rho.matrix @ op)
-    if abs(value.imag) >= EXPECTATION_IMAG_TOL:
-        raise NumericsError(f"expectation of a Hermitian operator came out complex: {value}")
-    return float(value.real)
-
-
-def expectation(rho: DensityMatrix, obs) -> float:
-    """<obs> = Tr(rho obs) for a Hermitian two-qubit operator."""
-    return _expect(rho, as_operator(obs, dim=4))
-
-
-def variance(rho: DensityMatrix, obs) -> float:
-    o = as_operator(obs, dim=4)
-    return _expect(rho, o @ o) - _expect(rho, o) ** 2
-
-
-def covariance(rho: DensityMatrix, a, b) -> float:
-    """cov(a, b) = <a x b> - <a x I><I x b> for local observables a, b."""
-    a = as_operator(a, dim=2)
-    b = as_operator(b, dim=2)
-    joint = _expect(rho, tensor_product(a, b))
-    return joint - _expect(rho, tensor_product(a, I2)) * _expect(rho, tensor_product(I2, b))
-
-
-def variance_of_sum(rho: DensityMatrix, a, b) -> float:
-    """Variance of (a x I + I x b), computed directly on the joint operator."""
-    s = tensor_product(as_operator(a, dim=2), I2) + tensor_product(I2, as_operator(b, dim=2))
-    return variance(rho, s)
-
-
 def _stack(matrices) -> np.ndarray:
     m = np.ascontiguousarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -208,16 +177,6 @@ def _witness_values(var_a, var_b, var_sum, cov):
             f"{ml_values[n]} vs {ml_alternative[n]}"
         )
     return l_values, ml_values
-
-
-def lur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
-    """Sum of variances of the paired sums; compare against oset.separable_bound."""
-    return evaluate(rho, oset).l_value
-
-
-def mlur_value(rho: DensityMatrix, oset: ObservableSet) -> float:
-    """Sum of var(a_i) + var(b_i) - 2|cov_i|; compare against oset.separable_bound."""
-    return evaluate(rho, oset).ml_value
 
 
 def _basis_set(bases) -> ObservableSet:

@@ -6,8 +6,10 @@ index definition, and the entanglement test is the sign of a determinant
 (an LU factorisation), not an eigenvalue. `haar_study_reference`,
 `sweep_reference` and `estimate_reference` are the exceptions: they keep the
 per-state and per-table loops that the stacked Haar study, sweep and
-estimator replaced. `write_rows_reference` keeps the one-dict-per-row text
-writer that the CLI's columnar writer replaced.
+estimator replaced. The one-sample Haar rotation they need
+(`haar_random_local_unitary`, `apply_to_pure`) lives here too, since the
+package draws rotations only as a stack. `write_rows_reference` keeps the
+one-dict-per-row text writer that the CLI's columnar writer replaced.
 """
 
 import json
@@ -107,12 +109,24 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def haar_random_local_unitary(rng: np.random.Generator):
+    """Independent Haar-uniform SU(2) rotation for each party, from one (2, 4) normal draw."""
+    from lurwit import states
+
+    u_a, u_b = states._haar_su2(rng.standard_normal((2, 4)))
+    return states.LocalUnitaryPair(u_a, u_b)
+
+
+def apply_to_pure(pair, psi) -> np.ndarray:
+    return pair.joint() @ np.asarray(psi, dtype=complex).reshape(4)
+
+
 def haar_study_reference(kind: str, samples: int, seed: int):
     """The per-sample Haar study loop: (per-sample rows, detection counts).
 
-    Unlike the rest of this module it runs the package's own scalar path, one
-    state at a time (rotation, projector, `evaluate`, `ppt_min_eigenvalue`), as
-    the reference for the stacked study.
+    Unlike the rest of this module it runs the package's own code, one state
+    at a time (this module's rotation, then `density_from_pure`, `evaluate`,
+    `ppt_min_eigenvalue`), as the reference for the stacked study.
     """
     from lurwit import rng, states, witness
 
@@ -120,8 +134,8 @@ def haar_study_reference(kind: str, samples: int, seed: int):
     rows = []
     l3_detect = ml3_detect = ml3_only = 0
     for i in range(samples):
-        pair = states.haar_random_local_unitary(rng.stream(seed, i))
-        rho = states.density_from_pure(states.apply_to_pure(pair, states.bell_state(kind)))
+        pair = haar_random_local_unitary(rng.stream(seed, i))
+        rho = states.density_from_pure(apply_to_pure(pair, states.bell_state(kind)))
         report = witness.evaluate(rho, l3_set)
         l_hit = report.verdict_l is witness.Verdict.ENTANGLEMENT_DETECTED
         ml_hit = report.verdict_ml is witness.Verdict.ENTANGLEMENT_DETECTED

@@ -7,16 +7,14 @@ package's keyed streams, so every run checks the same ensembles.
 
 import numpy as np
 
-from lurwit.cli import run_haar_study
-from lurwit.measurement import estimate_witnesses, outcome_distribution, sample_counts
+from lurwit.cli import run_haar_study, simulate_counts
+from lurwit.measurement import estimate_witnesses
 from lurwit.rng import stream
 from lurwit.states import (
     NORM_TOL,
-    Basis,
     DensityMatrix,
     NoiseKind,
     apply_local_unitary,
-    apply_to_pure,
     bell_state,
     density_from_pure,
     noise_mixture,
@@ -26,19 +24,14 @@ from lurwit.states import (
     special_unitary,
 )
 from lurwit.witness import (
-    covariance,
     evaluate,
     evaluate_many,
     local_bound,
-    lur_value,
-    mlur_value,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,
     standard_sets,
-    variance,
-    variance_of_sum,
 )
-from oracles import SX, SY, SZ, var_sum_brute
+from oracles import I2, SX, SY, SZ, random_hermitian, var_sum_brute
 
 SETS = standard_sets()
 L2, L3 = SETS["L2"], SETS["L3"]
@@ -67,13 +60,16 @@ def _bisect(f, lo, hi, iters=80):
     return (lo + hi) / 2.0
 
 
+def _l(rho, oset):
+    return evaluate(rho, oset).l_value
+
+
+def _ml(rho, oset):
+    return evaluate(rho, oset).ml_value
+
+
 def test_criterion_1_singlet_fixtures():
-    values = (
-        lur_value(SINGLET, L2),
-        lur_value(SINGLET, L3),
-        mlur_value(SINGLET, L2),
-        mlur_value(SINGLET, L3),
-    )
+    values = (_l(SINGLET, L2), _l(SINGLET, L3), _ml(SINGLET, L2), _ml(SINGLET, L3))
     ppt = ppt_min_eigenvalue(SINGLET)
     ok = all(abs(v) <= 1e-12 for v in values) and abs(ppt + 0.5) <= TOL
     _criterion(1, "singlet witness values all 0, PPT minimum -1/2", ok,
@@ -84,14 +80,14 @@ def test_criterion_2_bell_state_asymmetry():
     rho = {k: density_from_pure(bell_state(k)) for k in ("psi+", "psi-", "phi+", "phi-")}
     ok = True
     for kind in ("psi+", "phi+", "phi-"):
-        ok &= abs(lur_value(rho[kind], L3) - 8.0) <= TOL
+        ok &= abs(_l(rho[kind], L3) - 8.0) <= TOL
     for kind in rho:
-        ok &= abs(mlur_value(rho[kind], L3)) <= TOL
-    ok &= abs(lur_value(rho["psi+"], L2) - 4.0) <= TOL
-    ok &= abs(lur_value(rho["phi-"], L2) - 4.0) <= TOL
+        ok &= abs(_ml(rho[kind], L3)) <= TOL
+    ok &= abs(_l(rho["psi+"], L2) - 4.0) <= TOL
+    ok &= abs(_l(rho["phi-"], L2) - 4.0) <= TOL
     # phi+ has positive covariance in both linear bases; the measured
     # two-basis value sits at the top of the window, not at 4
-    phi_plus_l2 = lur_value(rho["phi+"], L2)
+    phi_plus_l2 = _l(rho["phi+"], L2)
     phi_plus_oracle = var_sum_brute(rho["phi+"].matrix, SZ, SZ) + var_sum_brute(
         rho["phi+"].matrix, SX, SX
     )
@@ -107,13 +103,14 @@ def test_criterion_3_special_unitary_fixtures():
     ok = abs(r1.l_value - 6.0) <= TOL and abs(r1.ml_value - 6.0) <= TOL
     ok &= all(abs(p.covariance) <= 1e-10 for p in r1.pairs)
 
-    u2 = apply_local_unitary(special_unitary("u2"), SINGLET)
-    ok &= abs(lur_value(u2, L2) - 3.0) <= TOL
-    ok &= abs(mlur_value(u2, L2) - 1.0) <= TOL
-    ok &= abs(2.0 * covariance(u2, SZ, SZ) + 2.0) <= TOL
-    ok &= abs(2.0 * covariance(u2, SX, SX) - 1.0) <= TOL
+    r2 = evaluate(apply_local_unitary(special_unitary("u2"), SINGLET), L2)
+    zz, xx = r2.pairs  # sz on both sides, then sx
+    ok &= abs(r2.l_value - 3.0) <= TOL
+    ok &= abs(r2.ml_value - 1.0) <= TOL
+    ok &= abs(2.0 * zz.covariance + 2.0) <= TOL
+    ok &= abs(2.0 * xx.covariance - 1.0) <= TOL
 
-    out = apply_to_pure(special_unitary("u3"), bell_state("psi-"))
+    out = special_unitary("u3").joint() @ bell_state("psi-")
     fidelity = abs(np.vdot(bell_state("psi+"), out)) ** 2
     ok &= abs(fidelity - 1.0) <= 1e-12
     _criterion(3, "u1: ML3 = L3 = 6 with vanishing covariances; u2: L2 = 3, ML2 = 1; "
@@ -121,7 +118,7 @@ def test_criterion_3_special_unitary_fixtures():
 
 
 def test_criterion_4_werner_thresholds():
-    root_l3 = _bisect(lambda p: lur_value(noise_mixture(p, NoiseKind.WERNER), L3) - 4.0, 0.0, 1.0)
+    root_l3 = _bisect(lambda p: _l(noise_mixture(p, NoiseKind.WERNER), L3) - 4.0, 0.0, 1.0)
     root_ppt = _bisect(lambda p: ppt_min_eigenvalue(noise_mixture(p, NoiseKind.WERNER)), 0.0, 1.0)
     ok = abs(root_l3 - 1.0 / 3.0) <= 1e-6 and abs(root_ppt - 1.0 / 3.0) <= 1e-6
     _criterion(4, "Werner sweep: L3 crosses 4 and PPT crosses 0 at p = 1/3", ok,
@@ -184,36 +181,64 @@ def test_criterion_8_dominance_and_detection_rates():
                f"entangled-but-missed-by-L3={missed_by_l3}")
 
 
+def _expect(rho, ops):
+    """Tr(rho_k op_k) of each state of a stack, for one operator per state."""
+    return np.einsum("nij,nji->n", rho, ops).real
+
+
+def _variance(rho, ops):
+    return _expect(rho, ops @ ops) - _expect(rho, ops) ** 2
+
+
+def _kron(x, y):
+    """np.kron of each pair of 2x2 matrices; a 2x2 factor is shared by the stack."""
+    x, y = np.broadcast_arrays(x, y)
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(*x.shape[:-2], 4, 4)
+
+
 def test_criterion_9_identity_suite():
     n = 10_000
-    eq2_ok = eq5_ok = True
+    # `random_hermitian` draws what this test drew with its own helper
+    g, h = stream(900), stream(900)
+    m = h.standard_normal((2, 2)) + 1j * h.standard_normal((2, 2))
+    assert np.array_equal(random_hermitian(g, 2), (m + m.conj().T) / 2.0)
+
+    # the draws interleave on one stream, so they are taken in a loop and
+    # the identities are checked on the stacks afterwards
+    rho, a, b = [], [], []
     g = stream(900)
     for _ in range(n):
         v = random_pure_state(g)
         w = random_pure_state(g)
         lam = g.uniform()
-        rho = DensityMatrix(lam * np.outer(v, v.conj()) + (1 - lam) * np.outer(w, w.conj()))
-        a = _random_hermitian2(g)
-        b = _random_hermitian2(g)
-        va = variance(rho, np.kron(a, np.eye(2)))
-        vb = variance(rho, np.kron(np.eye(2), b))
-        cov = covariance(rho, a, b)
-        vs = variance_of_sum(rho, a, b)
-        eq2_ok &= abs(vs - (va + vb + 2.0 * cov)) <= 1e-10
-        eq5_ok &= -(va + vb) - 1e-10 <= 2.0 * cov <= va + vb + 1e-10
+        rho.append(DensityMatrix(lam * np.outer(v, v.conj()) + (1 - lam) * np.outer(w, w.conj())).matrix)
+        a.append(random_hermitian(g, 2))
+        b.append(random_hermitian(g, 2))
+    rho, a, b = np.array(rho), np.array(a), np.array(b)
+    a4, b4 = _kron(a, I2), _kron(I2, b)
+    va = _variance(rho, a4)
+    vb = _variance(rho, b4)
+    cov = _expect(rho, _kron(a, b)) - _expect(rho, a4) * _expect(rho, b4)
+    vs = _variance(rho, a4 + b4)
+    eq2_ok = bool(np.all(np.abs(vs - (va + vb + 2.0 * cov)) <= 1e-10))
+    eq5_ok = bool(np.all((-(va + vb) - 1e-10 <= 2.0 * cov) & (2.0 * cov <= va + vb + 1e-10)))
 
-    eq3_ok = True
+    mixes, comps, weights, owner, obs = [], [], [], [], []
     g = stream(901)
-    for _ in range(n):
+    for i in range(n):
         k = int(g.integers(1, 5))
-        weights = g.exponential(size=k)
-        weights /= weights.sum()
-        comps = [random_separable_state(g, 1) for _ in range(k)]
-        mix = DensityMatrix(sum(w * c.matrix for w, c in zip(weights, comps)))
-        obs = _random_hermitian4(g)
-        mixture_var = variance(mix, obs)
-        avg = sum(w * variance(c, obs) for w, c in zip(weights, comps))
-        eq3_ok &= mixture_var >= avg - 1e-10
+        w = g.exponential(size=k)
+        w /= w.sum()
+        parts = [random_separable_state(g, 1).matrix for _ in range(k)]
+        mixes.append(DensityMatrix(sum(wj * c for wj, c in zip(w, parts))).matrix)
+        comps += parts
+        weights += w.tolist()
+        owner += [i] * k
+        obs.append(random_hermitian(g, 4))
+    obs = np.array(obs)
+    mixture_var = _variance(np.array(mixes), obs)
+    avg = np.bincount(owner, np.array(weights) * _variance(np.array(comps), obs[owner]), minlength=n)
+    eq3_ok = bool(np.all(mixture_var >= avg - 1e-10))
 
     ok = eq2_ok and eq5_ok and eq3_ok
     _criterion(9, f"identity suite on {n} draws: sum-variance decomposition, covariance "
@@ -221,22 +246,8 @@ def test_criterion_9_identity_suite():
                f"eq2={eq2_ok}, eq5={eq5_ok}, eq3={eq3_ok}")
 
 
-def _random_hermitian2(g):
-    m = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
-    return (m + m.conj().T) / 2.0
-
-
-def _random_hermitian4(g):
-    m = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
-    return (m + m.conj().T) / 2.0
-
-
 def _simulate_l3(rho, shots, seed):
-    tables = [
-        sample_counts(outcome_distribution(rho, basis), shots, stream(seed, i))
-        for i, basis in enumerate(Basis)
-    ]
-    return estimate_witnesses(tables)
+    return estimate_witnesses(simulate_counts(rho, shots, seed))
 
 
 def test_criterion_10_finite_shot_consistency():

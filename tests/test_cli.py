@@ -15,7 +15,12 @@ import pytest
 
 from lurwit import cli, measurement, rng, states
 from lurwit.cli import SAMPLE_COLUMNS, STACK_CHUNK, SWEEP_COLUMNS, main, run_haar_study
-from oracles import haar_study_reference, sweep_reference, write_rows_reference
+from oracles import (
+    haar_study_reference,
+    outcome_probabilities_brute,
+    sweep_reference,
+    write_rows_reference,
+)
 
 
 def _run(capsys, argv):
@@ -67,6 +72,38 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def test_unwritable_out_path_removes_the_per_sample_file(tmp_path, capsys):
+    # the per-sample file is written first, and removed when --out then fails
+    per_sample, out = tmp_path / "s.csv", tmp_path / "missing" / "x.csv"
+    argv = ["haar-study", "--samples", "10", "--per-sample", str(per_sample), "--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not per_sample.exists() and not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_input_too_large_for_memory_exits_2(tmp_path):
+    # an address-space limit makes the grid's allocation fail at once, whatever
+    # the machine's memory; one BLAS thread keeps the start-up inside the limit
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "lurwit", "sweep", "--noise", "werner",
+         "--p-steps", "100000000000", "--out", "x.csv"],
+        cwd=tmp_path,
+        env={**_subprocess_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -254,7 +291,7 @@ def test_sweep_matches_per_point_loop(noise, base, monkeypatch):
     # a small chunk puts every chunk boundary case on a short grid
     monkeypatch.setattr(cli, "STACK_CHUNK", 5)
     for p_steps in _chunk_sizes(cli.STACK_CHUNK):
-        columns, names = cli.run_sweep(_sweep_args(noise, base, 0.0, 1.0, p_steps))
+        [(columns, names, _)] = cli.run_sweep(_sweep_args(noise, base, 0.0, 1.0, p_steps))
         assert names == SWEEP_COLUMNS
         want = sweep_reference(noise, base, 0.0, 1.0, p_steps)
         assert _column_bytes(columns, names) == _row_bytes(want, names)
@@ -263,7 +300,7 @@ def test_sweep_matches_per_point_loop(noise, base, monkeypatch):
 def test_sweep_matches_per_point_loop_at_full_chunks():
     # STACK_CHUNK-sized stacks: two full chunks and a short one
     p_steps = _chunk_sizes(STACK_CHUNK)[-1]
-    columns, names = cli.run_sweep(_sweep_args("polarized", "phi-", 0.0, 1.0, p_steps))
+    [(columns, names, _)] = cli.run_sweep(_sweep_args("polarized", "phi-", 0.0, 1.0, p_steps))
     want = sweep_reference("polarized", "phi-", 0.0, 1.0, p_steps)
     assert _column_bytes(columns, names) == _row_bytes(want, names)
 
@@ -327,17 +364,17 @@ def _rows(columns, names):
 
 
 def _assert_writes_reference(columns, names, fmt, path, capsys):
-    """`_write_columns` gives the row writer's text, to a file and to stdout."""
+    """`_write_outputs` gives the row writer's text, to a file and to stdout."""
     want = write_rows_reference(_rows(columns, names), names, fmt)
-    cli._write_columns(columns, names, fmt, str(path))
+    cli._write_outputs([(columns, names, str(path))], fmt)
     assert path.read_bytes() == want.encode()
-    cli._write_columns(columns, names, fmt, None)
+    cli._write_outputs([(columns, names, None)], fmt)
     assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_rows_equal_whole_document_text(fmt, tmp_path, capsys):
-    sweep_columns, _ = cli.run_sweep(_sweep_args("werner", "phi+", -0.0, 1.0, 9))
+    [(sweep_columns, _, _)] = cli.run_sweep(_sweep_args("werner", "phi+", -0.0, 1.0, 9))
     _, per_sample = run_haar_study("psi+", 7, 2)
     cases = [
         (sweep_columns, SWEEP_COLUMNS),
@@ -530,10 +567,11 @@ def test_simulate_counts_matches_per_basis_sampling():
         rho = states.parse_state_spec(spec)
         tables = cli.simulate_counts(rho, shots, seed)
         for i, (basis, table) in enumerate(zip(states.Basis, tables)):
-            dist = measurement.outcome_distribution(rho, basis)
-            want = measurement.sample_counts(dist, shots, rng.stream(seed, i))
+            # the oracle's probabilities are the package's, bit for bit
+            probs = outcome_probabilities_brute(rho.matrix, basis.pauli)
+            want = rng.stream(seed, i).multinomial(shots, probs)
             assert table.basis is basis
-            assert table.counts.dtype == np.int64 and np.array_equal(table.counts, want.counts)
+            assert table.counts.dtype == np.int64 and np.array_equal(table.counts, want)
     singlet = states.parse_state_spec("singlet")
     for shots, message in ((0, "need at least one shot"), (2**63, "exceeds"), (2.5, "integer")):
         with pytest.raises(ValueError, match=message):

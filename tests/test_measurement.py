@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from lurwit import measurement
+from lurwit.cli import simulate_counts
 from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
-    OutcomeDistribution,
     MAX_SHOTS,
     estimate_witnesses,
     estimate_witnesses_many,
-    outcome_distribution,
     outcome_probabilities,
-    sample_counts,
 )
 from lurwit.rng import stream
 from lurwit.states import (
@@ -43,8 +41,7 @@ SINGLET = density_from_pure(bell_state("psi-"))
 def _tables_from_probabilities(rho, shots):
     """Counts proportional to the exact outcome probabilities (no sampling)."""
     tables = []
-    for basis in Basis:
-        probs = outcome_distribution(rho, basis).probabilities
+    for basis, probs in zip(Basis, outcome_probabilities(rho)):
         counts = np.round(probs * shots).astype(np.int64)
         assert counts.sum() == shots  # states in these tests have dyadic probabilities
         tables.append(CountTable(basis, counts))
@@ -52,28 +49,26 @@ def _tables_from_probabilities(rho, shots):
 
 
 def test_singlet_linear_basis_distribution():
-    dist = outcome_distribution(SINGLET, Basis.LIN_0_90)
-    assert np.allclose(dist.probabilities, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+    probs = outcome_probabilities(SINGLET)[0]  # 0/90
+    assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_maximally_mixed_distribution_is_flat():
     mixed = noise_mixture(0.0, NoiseKind.WERNER)
-    for basis in Basis:
-        assert np.allclose(outcome_distribution(mixed, basis).probabilities, 0.25, atol=1e-12)
+    assert np.allclose(outcome_probabilities(mixed), 0.25, atol=1e-12)
 
 
 def test_polarized_eigenstate_distribution():
     hh = np.zeros(4, dtype=complex)
     hh[0] = 1.0
-    dist = outcome_distribution(density_from_pure(hh), Basis.LIN_0_90)
-    assert np.allclose(dist.probabilities, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    probs = outcome_probabilities(density_from_pure(hh))[0]  # 0/90
+    assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_outcome_distribution_validation():
-    with pytest.raises(ValueError):
-        OutcomeDistribution(Basis.LIN_0_90, np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(Basis.LIN_0_90, np.array([0.3, 0.3, 0.3, 0.3]))
+    # the check `outcome_probabilities` makes on each row
+    rows = np.array([[0.5, 0.5, 0.5, -0.5], [0.3, 0.3, 0.3, 0.3], [0.25, 0.25, 0.5, 0.0]])
+    assert measurement._is_distribution(rows).tolist() == [False, False, True]
 
 
 def test_outcome_distribution_matches_projector_trace_oracle():
@@ -84,54 +79,49 @@ def test_outcome_distribution_matches_projector_trace_oracle():
             rho = density_from_pure(random_pure_state(g))
         else:
             rho = DensityMatrix(random_mixed_matrix(g))
-        for basis in Basis:
-            got = outcome_distribution(rho, basis).probabilities
+        for basis, got in zip(Basis, outcome_probabilities(rho)):
             want = outcome_probabilities_brute(rho.matrix, paulis[basis])
             assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 def test_degenerate_distribution_sampling():
-    dist = OutcomeDistribution(Basis.LIN_0_90, np.array([1.0, 0.0, 0.0, 0.0]))
-    table = sample_counts(dist, 12345, stream(0))
+    hh = density_from_pure(np.array([1, 0, 0, 0], dtype=complex))  # 0/90 row: [1, 0, 0, 0]
+    table = simulate_counts(hh, 12345, 0)[0]
     assert np.array_equal(table.counts, [12345, 0, 0, 0])
 
 
 def test_zero_probability_outcomes_never_fire():
-    dist = outcome_distribution(SINGLET, Basis.LIN_0_90)
-    table = sample_counts(dist, 1_000_000, stream(1))
+    table = simulate_counts(SINGLET, 1_000_000, 1)[0]  # 0/90: (+,+) and (-,-) have p = 0
     assert table.counts[0] == 0
     assert table.counts[3] == 0
 
 
 def test_sample_counts_requires_shots():
-    dist = outcome_distribution(SINGLET, Basis.LIN_0_90)
     with pytest.raises(ValueError):
-        sample_counts(dist, 0, stream(0))
+        simulate_counts(SINGLET, 0, 0)
 
 
 def test_sample_counts_rejects_counts_past_int64():
-    dist = outcome_distribution(noise_mixture(0.5, NoiseKind.WERNER), Basis.LIN_0_90)
+    rho = noise_mixture(0.5, NoiseKind.WERNER)
     largest = 2**63 - 1
-    assert sample_counts(dist, largest, stream(0)).shots == largest
+    assert [t.shots for t in simulate_counts(rho, largest, 0)] == [largest] * 3
     with pytest.raises(ValueError, match=str(largest + 1)):
-        sample_counts(dist, largest + 1, stream(0))
+        simulate_counts(rho, largest + 1, 0)
 
 
 @pytest.mark.parametrize("shots", [2.5, 2.0, True, "3"])
 def test_sample_counts_rejects_non_integer_shots(shots):
-    dist = outcome_distribution(SINGLET, Basis.LIN_0_90)
     with pytest.raises(ValueError, match="shots must be an integer"):
-        sample_counts(dist, shots, stream(0))
-    assert sample_counts(dist, np.int64(5), stream(0)).shots == 5
+        simulate_counts(SINGLET, shots, 0)
+    assert [t.shots for t in simulate_counts(SINGLET, np.int64(5), 0)] == [5] * 3
 
 
 def test_empirical_frequencies_converge():
     rho = noise_mixture(0.5, NoiseKind.WERNER)
     shots = 100_000
-    for i, basis in enumerate(Basis):
-        probs = outcome_distribution(rho, basis).probabilities
-        counts = sample_counts(outcome_distribution(rho, basis), shots, stream(42, i)).counts
-        freqs = counts / shots
+    tables = simulate_counts(rho, shots, 42)  # basis i draws from stream (42, i)
+    for probs, table in zip(outcome_probabilities(rho), tables):
+        freqs = table.counts / shots
         se = np.sqrt(probs * (1.0 - probs) / shots)
         assert np.all(np.abs(freqs - probs) <= 5.0 * se + 1e-12)
 
@@ -157,16 +147,15 @@ def test_count_table_rejects_fractional_and_overflowing_counts():
 
 
 def test_outcome_distribution_rejects_nan():
-    with pytest.raises(ValueError, match="not a probability vector"):
-        OutcomeDistribution(Basis.LIN_0_90, np.array([math.nan, 0.5, 0.25, 0.25]))
+    assert not measurement._is_distribution(np.array([math.nan, 0.5, 0.25, 0.25]))
 
 
 def test_outcome_probabilities_stack_the_bases():
     for rho in (SINGLET, noise_mixture(0.3, NoiseKind.POLARIZED)):
         probs = outcome_probabilities(rho)
         assert probs.shape == (3, 4)
-        for row, basis in zip(probs, Basis):
-            assert row.tobytes() == outcome_distribution(rho, basis).probabilities.tobytes()
+        for row, basis in zip(probs, Basis):  # rows in `Basis` order
+            assert row.tobytes() == outcome_probabilities_brute(rho.matrix, basis.pauli).tobytes()
 
 
 def test_plugin_estimates_reproduce_exact_values():
@@ -197,9 +186,7 @@ def test_estimated_identity_is_exact_on_any_table():
     g = stream(9)
     for trial in range(100):
         rho = DensityMatrix(random_mixed_matrix(g))
-        tables = [
-            sample_counts(outcome_distribution(rho, basis), 500, g) for basis in Basis
-        ]
+        tables = [CountTable(b, g.multinomial(500, p)) for b, p in zip(Basis, outcome_probabilities(rho))]
         report = estimate_witnesses(tables)
         for basis_est in report.bases:
             lhs = basis_est.var_sum
@@ -239,22 +226,14 @@ def test_singlet_witness_estimate_is_deterministically_zero():
     # the summed outcome is certain for the singlet, so the plug-in witness
     # estimate and its propagated error both vanish at any shot count
     for shots in (10, 1000, 100_000):
-        tables = [
-            sample_counts(outcome_distribution(SINGLET, basis), shots, stream(3, i))
-            for i, basis in enumerate(Basis)
-        ]
-        report = estimate_witnesses(tables)
+        report = estimate_witnesses(simulate_counts(SINGLET, shots, 3))
         assert report.l_value == 0.0
         assert report.l_se == 0.0
 
 
 def test_werner_estimates_have_positive_errors():
     rho = noise_mixture(0.5, NoiseKind.WERNER)
-    tables = [
-        sample_counts(outcome_distribution(rho, basis), 4096, stream(11, i))
-        for i, basis in enumerate(Basis)
-    ]
-    report = estimate_witnesses(tables)
+    report = estimate_witnesses(simulate_counts(rho, 4096, 11))
     assert report.l_se > 0.0
     assert report.ml_se > 0.0
 
@@ -267,11 +246,7 @@ def test_estimates_converge_at_large_shots():
     hits = 0
     seeds = 30
     for seed in range(seeds):
-        tables = [
-            sample_counts(outcome_distribution(rho, basis), 1_000_000, stream(1000 + seed, i))
-            for i, basis in enumerate(Basis)
-        ]
-        report = estimate_witnesses(tables)
+        report = estimate_witnesses(simulate_counts(rho, 1_000_000, 1000 + seed))
         if abs(report.l_value - exact.l_value) <= 5.0 * report.l_se:
             hits += 1
     assert hits >= seeds - 1
@@ -283,13 +258,6 @@ H_PLUS = density_from_pure(np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0))
 
 def _bits(values) -> list:
     return [float(v).hex() for v in values]
-
-
-def _seeded_tables(rho, shots, seed):
-    return [
-        sample_counts(outcome_distribution(rho, basis), shots, stream(seed, i))
-        for i, basis in enumerate(Basis)
-    ]
 
 
 def test_estimator_matches_scalar_reference_bitwise():
@@ -306,7 +274,7 @@ def test_estimator_matches_scalar_reference_bitwise():
     for name, rho in named.items():
         for shots in (2, 3, 100, 10**6):
             for seed in range(11):
-                tables = _seeded_tables(rho, shots, seed)
+                tables = simulate_counts(rho, shots, seed)
                 checked += len(tables)
                 for subset in (tables, tables[:2], tables[::-1]):
                     report = estimate_witnesses(subset)
@@ -346,7 +314,7 @@ def test_many_rows_equal_single_calls_bitwise():
     g = stream(99)
     rhos = [SINGLET, HH, H_PLUS] + [DensityMatrix(random_mixed_matrix(g)) for _ in range(5)]
     replicates = [
-        _seeded_tables(rho, shots, seed) for rho in rhos for shots in (2, 50, 10**6) for seed in range(8)
+        simulate_counts(rho, shots, seed) for rho in rhos for shots in (2, 50, 10**6) for seed in range(8)
     ]
     for order in ([0, 1, 2], [0, 1], [2, 0, 1]):
         bases = [list(Basis)[i] for i in order]
