@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import stat
@@ -216,7 +217,10 @@ def run_sweep(args: argparse.Namespace):
         raise ValueError(f"unknown noise family {args.noise!r}; expected werner or polarized")
     if args.p_steps < 2:
         raise ValueError("need at least 2 grid points")
-    grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
+    if math.isfinite(args.p_stop - args.p_start):
+        grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
+    else:  # a NaN or infinite endpoint or span has no grid; an endpoint is then
+        grid = np.array([args.p_start, args.p_stop])  # outside [0, 1], and this names it
     sets = witness.standard_sets()
     chunks = []
     for start in range(0, len(grid), STACK_CHUNK):
@@ -238,44 +242,56 @@ def run_haar_study(kind: str, samples: int, seed: int):
     each row depends only on (seed, i), so the rows do not depend on the
     chunk size.
     """
+    chunks = []
+    summary = _study_summary(kind, samples, seed, chunks)
+    values = (np.arange(samples), *(np.concatenate(c) for c in zip(*chunks)))
+    return summary, dict(zip(SAMPLE_COLUMNS, values))
+
+
+def _study_summary(kind: str, samples: int, seed: int, chunks: list | None = None) -> dict:
+    """The summary row of `run_haar_study`; each chunk's per-sample columns go to `chunks`.
+
+    Without `chunks` only running totals outlive a chunk, so memory does not grow with `samples`.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     l3_set = witness.standard_sets()["L3"]
     bound = l3_set.separable_bound
-    chunks = []
+    sums = np.empty((2, 0))  # the l3 and ml3 sums so far
     l3_detect = ml3_detect = ml3_only = 0
     for start in range(0, samples, STACK_CHUNK):
         indices = range(start, min(start + STACK_CHUNK, samples))
         stack = states.haar_rotated_bell_states(kind, seed, indices)
         l3, ml3 = witness.evaluate_many(stack, l3_set)
-        chunks.append((l3, ml3, witness.ppt_min_eigenvalues(stack)))
+        if chunks is not None:
+            chunks.append((l3, ml3, witness.ppt_min_eigenvalues(stack)))
+        # add in sample order, one term at a time (cumsum, not pairwise np.sum)
+        sums = np.cumsum(np.concatenate([sums, [l3, ml3]], axis=1), axis=1)[:, -1:]
         l_hit = witness.detected(l3, bound)
         ml_hit = witness.detected(ml3, bound)
         l3_detect += int(np.count_nonzero(l_hit))
         ml3_detect += int(np.count_nonzero(ml_hit))
         ml3_only += int(np.count_nonzero(ml_hit & ~l_hit))
-    values = (np.arange(samples), *(np.concatenate(c) for c in zip(*chunks)))
-    columns = dict(zip(SAMPLE_COLUMNS, values))
-    summary = {
+    return {
         "samples": samples,
         "seed": seed,
-        # sums in sample order (cumsum, not pairwise np.sum), as a running total adds them
-        "l3_mean": float(np.cumsum(columns["l3"])[-1]) / samples,
-        "ml3_mean": float(np.cumsum(columns["ml3"])[-1]) / samples,
+        "l3_mean": float(sums[0, 0]) / samples,
+        "ml3_mean": float(sums[1, 0]) / samples,
         "l3_detect_fraction": l3_detect / samples,
         "ml3_detect_fraction": ml3_detect / samples,
         "ml3_only_count": ml3_only,
     }
-    return summary, columns
 
 
 def run_study_command(args: argparse.Namespace):
     kind = "psi-" if args.state == "singlet" else args.state
     if kind not in states.BELL_KINDS:
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
+    if args.per_sample is None:  # no per-sample column is kept, or its PPT value computed
+        return [(_one_row(_study_summary(kind, args.samples, args.seed)), STUDY_COLUMNS, args.out)]
     summary, columns = run_haar_study(kind, args.samples, args.seed)
-    outputs = [] if args.per_sample is None else [(columns, SAMPLE_COLUMNS, args.per_sample)]
-    return outputs + [(_one_row(summary), STUDY_COLUMNS, args.out)]
+    per_sample = (columns, SAMPLE_COLUMNS, args.per_sample)
+    return [per_sample, (_one_row(summary), STUDY_COLUMNS, args.out)]
 
 
 def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
@@ -292,25 +308,14 @@ def run_simulate(args: argparse.Namespace):
     if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     rho = states.parse_state_spec(args.state)
-    tables = simulate_counts(rho, args.shots, args.seed)
-    by_basis = {t.basis: t for t in tables}
-    two = measurement.estimate_witnesses(
-        [by_basis[states.Basis.LIN_0_90], by_basis[states.Basis.LIN_45_135]]
+    counts = np.array([[t.counts for t in simulate_counts(rho, args.shots, args.seed)]])
+    bases = tuple(states.Basis)  # L2 is the first two
+    estimates = (
+        *measurement.estimate_witnesses_many(counts[:, :2], bases[:2]),
+        *measurement.estimate_witnesses_many(counts, bases),
     )
-    three = measurement.estimate_witnesses(tables)
-    columns = _one_row({
-        "state": args.state,
-        "shots": args.shots,
-        "l2": two.l_value,
-        "l2_se": two.l_se,
-        "ml2": two.ml_value,
-        "ml2_se": two.ml_se,
-        "l3": three.l_value,
-        "l3_se": three.l_se,
-        "ml3": three.ml_value,
-        "ml3_se": three.ml_se,
-    })
-    return [(columns, SIMULATE_COLUMNS, args.out)]
+    row = (args.state, args.shots, *(float(v[0]) for v in estimates))
+    return [(_one_row(dict(zip(SIMULATE_COLUMNS, row))), SIMULATE_COLUMNS, args.out)]
 
 
 def run_bound(args: argparse.Namespace):

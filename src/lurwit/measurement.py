@@ -21,23 +21,26 @@ and the witness sums (with their check that the two ML forms agree) are the
 exact path's own.
 
 The layer is array code. `outcome_probabilities` takes all 12 projector
-traces of a state in one contraction with the (3, 4, 4, 4) projector stack
-and validates the (3, 4) result once; every count table is one multinomial
-draw from one of its rows (`lurwit.cli.simulate_counts`). The estimator
-works on a (..., B, 4) stack of int64 counts (replicates, bases, outcomes):
-`estimate_witnesses_many` returns the witness arrays of R replicates, and
-`estimate_witnesses` is its R = 1 case plus the per-basis report. Every result is bit for bit what a per-table loop of Python scalars
-gives, and a row of a stack does not depend on the stack: the frequency dot
-products use `np.vecdot`, which like the 1-D `f @ g` makes one BLAS dot per
-row (a `sum` or `einsum` adds in another order), and squares use
-`np.float_power(x, 2.0)`, which like Python's `x**2` calls libm `pow`
-(numpy's `x**2` is `x*x`, and the two differ in the last bit now and then).
+traces of a state in one contraction and keeps the read-only (3, 4) result
+while the state lives (a `DensityMatrix` is read-only too, so it cannot go
+stale). Each count table is one multinomial draw from one of its rows
+(`lurwit.cli.simulate_counts`). The estimator works on a (..., B, 4) stack
+of int64 counts (replicates, bases, outcomes): `estimate_witnesses_many`
+returns the witness arrays of R replicates, and `estimate_witnesses` is its
+R = 1 case with the bound and the verdicts. Every result is bit for bit
+what a per-table loop of Python scalars gives, and a row of a stack does
+not depend on the stack: the frequency dot products use `np.vecdot`, which
+like the 1-D `f @ g` makes one BLAS dot per row (a `sum` or `einsum` adds
+in another order), and squares use `np.float_power(x, 2.0)`, which like
+Python's `x**2` calls libm `pow` (numpy's `x**2` is `x*x`, and the two
+differ in the last bit now and then).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +55,7 @@ SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
 _SIGNS = np.array([SIGN_A, SIGN_B, SIGN_AB])
 # the delta-method gradients' constant vectors (see `_table_moments`)
-_GRAD_VAR = np.array([-2.0 * SIGN_A, -2.0 * SIGN_B])
+_GRAD_VAR_A, _GRAD_VAR_B = -2.0 * SIGN_A, -2.0 * SIGN_B
 _GRAD_SUM_BASE = 2.0 * SIGN_AB
 _GRAD_SUM_SLOPE = 2.0 * (SIGN_A + SIGN_B)
 
@@ -68,22 +71,28 @@ def _is_distribution(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Joint outcome counts for one basis; counts sum to `shots`."""
+    """Joint outcome counts of one basis, summing to `shots`; `counts` is a read-only int64 copy."""
 
     basis: Basis
     counts: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.counts)
-        if c.shape != (4,) or c.dtype.kind not in "iuf" or not np.all(c >= 0):  # NaN fails
+        if c.shape != (4,) or c.dtype.kind not in "iuf":
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
         values = c.tolist()
-        if not all(math.isfinite(v) and v == int(v) for v in values):
-            raise ValueError(f"counts must be whole numbers, got {self.counts}")
-        total = sum(int(v) for v in values)
+        if c.dtype.kind == "f":
+            if not all(math.isfinite(v) and v == int(v) for v in values):
+                raise ValueError(f"counts must be whole numbers, got {self.counts}")
+            values = list(map(int, values))
+        if min(values) < 0:
+            raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
+        total = sum(values)
         if total > MAX_SHOTS:
             raise ValueError(f"counts total {total} exceeds the largest supported count {MAX_SHOTS}")
-        object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
+        counts = c.astype(np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def shots(self) -> int:
@@ -91,21 +100,8 @@ class CountTable:
 
 
 @dataclass(frozen=True)
-class BasisEstimate:
-    label: str
-    var_a: float
-    var_a_se: float
-    var_b: float
-    var_b_se: float
-    var_sum: float
-    var_sum_se: float
-    covariance: float
-    covariance_se: float
-
-
-@dataclass(frozen=True)
 class EstimatedReport:
-    """Point estimates and standard errors for one witness family."""
+    """Point estimates and standard errors for one witness family; `bases` in table order."""
 
     bases: tuple
     l_value: float
@@ -129,13 +125,19 @@ _PROJECTORS.flags.writeable = False
 _BOUNDS = {
     frozenset(label for _, _, label in s.pairs): s.separable_bound for s in standard_sets().values()
 }
+# outcome probabilities of every live state; a state hashes by identity
+_PROBABILITIES = weakref.WeakKeyDictionary()
 
 
 def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
-    """Joint probabilities Tr[rho (P_a x P_b)] of every basis, as a (3, 4) array.
+    """Joint probabilities Tr[rho (P_a x P_b)] of every basis, as a read-only (3, 4) array.
 
     Row i belongs to the i-th `Basis`, in the +/- eigenbasis of its Pauli.
+    Each state's array is computed once and kept while the state lives.
     """
+    probs = _PROBABILITIES.get(rho)
+    if probs is not None:
+        return probs
     # projector traces, not the closed form (1 + s<a> + t<b> + st<ab>)/4: that moves
     # p by an ulp, and an ulp off 0.5 changes what numpy's binomial sampler draws
     values = np.trace(rho.matrix @ _PROJECTORS, axis1=-2, axis2=-1)
@@ -147,6 +149,8 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     failed = first_failure(_is_distribution(probs))
     if failed is not None:
         raise ValueError(f"not a probability vector: {probs[failed]}")
+    probs.flags.writeable = False
+    _PROBABILITIES[rho] = probs
     return probs
 
 
@@ -164,7 +168,7 @@ def _table_moments(counts: np.ndarray):
     """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
 
     Returns var_a, var_b, var_sum and cov, each (..., B), and the SEs as
-    (..., B, 5): those of var_a, var_b, var_sum, cov and the table's ML term
+    (..., B, 2): those of var_sum and of the table's ML term
     var_a + var_b - 2|cov|. Every table needs at least one shot.
     """
     shots = np.add.reduce(counts, axis=-1)
@@ -179,21 +183,21 @@ def _table_moments(counts: np.ndarray):
     cov = m_ab - m_a * m_b
     var_sum = var_a + var_b + 2.0 * cov
 
-    # gradients of var_a, var_b, var_sum, cov and the ML term in the frequencies;
+    # gradients of var_sum and the ML term in the frequencies, then their squares;
     # the sign vectors are +/-1 and the factors 2, so folding them into constants
     # changes no rounding
     a, b = m_a[..., None], m_b[..., None]
-    grads = np.empty(f.shape[:-1] + (5, 4))
-    np.multiply(means[..., :2, None], _GRAD_VAR, out=grads[..., :2, :])  # -2<A>s_A, -2<B>s_B
-    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[..., 2, :])
-    grad_cov = np.subtract(SIGN_AB - b * SIGN_A, a * SIGN_B, out=grads[..., 3, :])
+    grads = np.empty(f.shape[:-1] + (4, 4))
+    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[..., 0, :])
+    grad_cov = SIGN_AB - b * SIGN_A - a * SIGN_B
     # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
     sign2 = (2.0 * np.sign(cov))[..., None]
-    np.subtract(grads[..., 0, :] + grads[..., 1, :], sign2 * grad_cov, out=grads[..., 4, :])
+    np.subtract(a * _GRAD_VAR_A + b * _GRAD_VAR_B, sign2 * grad_cov, out=grads[..., 1, :])
+    np.multiply(grads[..., :2, :], grads[..., :2, :], out=grads[..., 2:, :])
 
     # first-order propagation through the multinomial covariance of f
-    mean = np.vecdot(rows, grads)
-    spread = np.vecdot(rows, grads * grads) - mean * mean
+    moments = np.vecdot(rows, grads)  # E[g] of both gradients, then E[g^2]
+    spread = moments[..., 2:] - np.square(moments[..., :2])
     se = np.sqrt(np.maximum(0.0, spread) / shots[..., None])
     return var_a, var_b, var_sum, cov, se
 
@@ -209,7 +213,7 @@ def _separable_bound(bases: tuple) -> float:
 
 
 def _estimate(counts: np.ndarray, bases: tuple, name):
-    """Witness values, their SEs and the per-table moments of an (R, B, 4) count stack.
+    """Witness values and their SEs, four length-R arrays, from an (R, B, 4) count stack.
 
     The witness values are summed in basis order, as the exact path sums its
     pairs. Counts in different bases are independent, so the witness SEs add
@@ -220,11 +224,11 @@ def _estimate(counts: np.ndarray, bases: tuple, name):
     if failed is not None:
         r, b = failed
         raise ValueError(f"{name(r)}basis {bases[b].value}: need at least 2 shots to estimate a variance")
-    var_a, var_b, var_sum, cov, se = moments = _table_moments(counts)
+    var_a, var_b, var_sum, cov, se = _table_moments(counts)
     l_values, ml_values = _witness_values(var_a, var_b, var_sum, cov)
     # squared SEs of var_sum and the ML term, added up one basis after another
-    l_var, ml_var = np.add.accumulate(np.float_power(se[..., 2::2], 2.0), axis=-2)[..., -1, :].T
-    return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var), moments
+    l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T
+    return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var)
 
 
 def _checked_counts(counts, bases: tuple) -> np.ndarray:
@@ -261,10 +265,7 @@ def estimate_witnesses_many(counts, bases):
     """
     bases = tuple(bases)
     _separable_bound(bases)
-    l_values, l_se, ml_values, ml_se, _ = _estimate(
-        _checked_counts(counts, bases), bases, lambda r: f"replicate {r}, "
-    )
-    return l_values, l_se, ml_values, ml_se
+    return _estimate(_checked_counts(counts, bases), bases, lambda r: f"replicate {r}, ")
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -272,26 +273,12 @@ def estimate_witnesses(tables) -> EstimatedReport:
 
     The tables' bases pick the standard set (0/90 and 45/135 for L2, all
     three for L3) and its separable bound. This is `estimate_witnesses_many`
-    on one replicate, plus the per-basis estimates.
+    on one replicate, with the bound and the verdicts.
     """
     tables = list(tables)
     bases = tuple(t.basis for t in tables)
     bound = _separable_bound(bases)
     counts = np.array([[t.counts for t in tables]])
-    l_values, l_se, ml_values, ml_se, moments = _estimate(counts, bases, lambda r: "")
-    var_a, var_b, var_sum, cov, se = (m[0].tolist() for m in moments)
-    estimates = tuple(
-        BasisEstimate(b.value, var_a[i], se[i][0], var_b[i], se[i][1], var_sum[i], se[i][2], cov[i], se[i][3])
-        for i, b in enumerate(bases)
-    )
-    l_value, ml_value = float(l_values[0]), float(ml_values[0])
-    return EstimatedReport(
-        bases=estimates,
-        l_value=l_value,
-        l_se=float(l_se[0]),
-        ml_value=ml_value,
-        ml_se=float(ml_se[0]),
-        separable_bound=bound,
-        verdict_l=verdict_for(l_value, bound),
-        verdict_ml=verdict_for(ml_value, bound),
-    )
+    l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(counts, bases, lambda r: ""))
+    verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
+    return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

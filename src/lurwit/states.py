@@ -79,12 +79,13 @@ def bell_state(kind: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A 4x4 two-qubit state: Hermitian, unit trace, positive semidefinite."""
+    """A two-qubit state, checked Hermitian, unit-trace and PSD; `matrix` is a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_operator(self.matrix, dim=4)
+        m = as_operator(np.array(self.matrix, dtype=complex), dim=4)
+        m.flags.writeable = False
         if not is_hermitian(m, HERMITIAN_TOL):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(m).real

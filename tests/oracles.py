@@ -217,8 +217,8 @@ def _delta_se(grad: np.ndarray, freqs: np.ndarray, shots: int) -> float:
 def basis_estimate_reference(counts: np.ndarray) -> tuple:
     """One table's plug-in moments and delta-method SEs, in Python scalars.
 
-    Returns (var_a, var_a_se, var_b, var_b_se, var_sum, var_sum_se, cov,
-    cov_se, ml_se), where ml_se is the SE of var_a + var_b - 2|cov|.
+    Returns (var_a, var_b, var_sum, cov, var_sum_se, ml_se), where ml_se is
+    the SE of var_a + var_b - 2|cov|.
     """
     shots = int(counts.sum())
     f = counts / shots
@@ -235,21 +235,12 @@ def basis_estimate_reference(counts: np.ndarray) -> tuple:
     grad_var_sum = 2.0 * SIGN_AB - 2.0 * (m_a + m_b) * (SIGN_A + SIGN_B)
     # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
     grad_ml = -2.0 * m_a * SIGN_A - 2.0 * m_b * SIGN_B - 2.0 * np.sign(cov) * grad_cov
-    return (
-        var_a,
-        _delta_se(-2.0 * m_a * SIGN_A, f, shots),
-        var_b,
-        _delta_se(-2.0 * m_b * SIGN_B, f, shots),
-        var_sum,
-        _delta_se(grad_var_sum, f, shots),
-        cov,
-        _delta_se(grad_cov, f, shots),
-        _delta_se(grad_ml, f, shots),
-    )
+    var_sum_se, ml_se = _delta_se(grad_var_sum, f, shots), _delta_se(grad_ml, f, shots)
+    return var_a, var_b, var_sum, cov, var_sum_se, ml_se
 
 
 def estimate_reference(tables) -> tuple:
-    """The per-table estimator loop: (per-table tuples without ml_se, l, l_se, ml, ml_se).
+    """The per-table estimator loop: (per-table tuples, l, l_se, ml, ml_se).
 
     Like `haar_study_reference` it uses the package's own witness sums
     (`witness._witness_values`, with its check that the two ML forms agree);
@@ -260,12 +251,12 @@ def estimate_reference(tables) -> tuple:
     per_table = [basis_estimate_reference(t.counts) for t in tables]
     l_var = ml_var = 0.0
     for est in per_table:
-        l_var += est[5] ** 2
-        ml_var += est[8] ** 2
-    moments = np.array([[(e[0], e[2], e[4], e[6]) for e in per_table]])
+        l_var += est[4] ** 2
+        ml_var += est[5] ** 2
+    moments = np.array([[e[:4] for e in per_table]])
     l_values, ml_values = witness._witness_values(*moments.transpose(2, 0, 1))
     return (
-        [e[:8] for e in per_table],
+        per_table,
         float(l_values[0]),
         math.sqrt(l_var),
         float(ml_values[0]),

@@ -8,6 +8,7 @@ import resource
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,14 +334,22 @@ def test_noise_sweep_script_output_does_not_depend_on_chunking(tmp_path, monkeyp
         # both bad: the per-point loop fails on the first point, so its fault is named
         (["--base", "xx", "--p-stop", "1.5"], "unknown Bell state 'xx'"),
         (["--base", "xx", "--p-start", "-0.1"], "mixing weight p=-0.1 outside [0, 1]"),
+        # no grid between non-finite endpoints or over a span past the float range:
+        # the bad endpoint is named, after the first p and the base as for any grid
+        (["--p-stop=inf"], "mixing weight p=inf outside [0, 1]"),
+        (["--p-start=-inf"], "mixing weight p=-inf outside [0, 1]"),
+        (["--p-start=1e308", "--p-stop=-1e308"], "mixing weight p=1e+308 outside [0, 1]"),
+        (["--p-stop=nan"], "mixing weight p=nan outside [0, 1]"),
+        (["--base", "xx", "--p-stop=inf"], "unknown Bell state 'xx'"),
     ],
 )
 def test_sweep_input_errors_exit_2(flags, message, tmp_path, capsys):
+    # a numpy RuntimeWarning would fail the test (see filterwarnings in pyproject.toml)
     out = tmp_path / "sweep.csv"
     code, stdout, err = _run(capsys, ["sweep", "--noise", "werner", "--out", str(out), *flags])
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -490,6 +499,22 @@ def test_haar_study_rows_do_not_depend_on_chunking():
         assert list(rows) == list(longer)
         for name in SAMPLE_COLUMNS:
             assert rows[name].tobytes() == longer[name][:n].tobytes()
+
+
+def test_summary_only_haar_study_memory_does_not_grow_with_samples(tmp_path, monkeypatch):
+    # the per-sample columns, if kept, add about 5% from 2 to 8 chunks; running totals add < 0.5%
+    monkeypatch.setattr(cli, "STACK_CHUNK", 256)
+    out = tmp_path / "summary.csv"
+    peaks = []
+    for chunks in (2, 8):
+        argv = ["haar-study", "--samples", str(chunks * 256), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0]
 
 
 def test_haar_study_non_unitary_rotation_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -29,6 +29,7 @@ from oracles import (
     SX,
     SY,
     SZ,
+    basis_estimate_reference,
     estimate_reference,
     outcome_probabilities_brute,
     random_mixed_matrix,
@@ -158,6 +159,41 @@ def test_outcome_probabilities_stack_the_bases():
             assert row.tobytes() == outcome_probabilities_brute(rho.matrix, basis.pauli).tobytes()
 
 
+def test_outcome_probabilities_are_computed_once_per_state():
+    rho = DensityMatrix(random_mixed_matrix(stream(31)))
+    probs = outcome_probabilities(rho)
+    assert outcome_probabilities(rho) is probs
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0, 0] = 0.5
+    # the kept array goes away with its state
+    kept = len(measurement._PROBABILITIES)
+    del rho, probs
+    gc.collect()
+    assert len(measurement._PROBABILITIES) == kept - 1
+
+
+def test_state_does_not_follow_the_callers_array():
+    m = random_mixed_matrix(stream(32))
+    rho = DensityMatrix(m)
+    matrix, probs = rho.matrix.copy(), outcome_probabilities(rho).copy()
+    m[:] = np.eye(4) / 4.0
+    assert rho.matrix.tobytes() == matrix.tobytes()
+    assert not rho.matrix.flags.writeable
+    assert outcome_probabilities(rho).tobytes() == probs.tobytes()
+    assert outcome_probabilities(DensityMatrix(m)).tobytes() != probs.tobytes()
+
+
+def test_count_table_counts_are_a_read_only_copy():
+    given = np.array([3, 1, 4, 1])
+    table = CountTable(Basis.LIN_0_90, given)
+    assert table.counts.dtype == np.int64 and not table.counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts[0] = 9
+    given[0] = 9  # the caller's array stays writeable and the table keeps its counts
+    assert table.counts.tolist() == [3, 1, 4, 1] and table.shots == 9
+
+
 def test_plugin_estimates_reproduce_exact_values():
     # counts exactly proportional to the outcome probabilities must reproduce
     # the density-matrix values
@@ -178,7 +214,7 @@ def test_plugin_estimates_reproduce_exact_values():
         # the bases, not their order, pick the set; sums follow the table order
         reordered = estimate_witnesses(tables[::-1])
         assert reordered.separable_bound == SETS["L3"].separable_bound
-        assert [b.label for b in reordered.bases] == ["R/L", "45/135", "0/90"]
+        assert reordered.bases == (Basis.CIRC_R_L, Basis.LIN_45_135, Basis.LIN_0_90)
         assert reordered.l_value == pytest.approx(report3.l_value, abs=1e-12)
 
 
@@ -188,10 +224,9 @@ def test_estimated_identity_is_exact_on_any_table():
         rho = DensityMatrix(random_mixed_matrix(g))
         tables = [CountTable(b, g.multinomial(500, p)) for b, p in zip(Basis, outcome_probabilities(rho))]
         report = estimate_witnesses(tables)
-        for basis_est in report.bases:
-            lhs = basis_est.var_sum
-            rhs = basis_est.var_a + basis_est.var_b + 2.0 * basis_est.covariance
-            assert lhs == rhs  # plug-in estimators make this an identity
+        var_a, var_b, var_sum, cov, _ = measurement._table_moments(np.array([[t.counts for t in tables]]))
+        # plug-in estimators make this an identity
+        assert var_sum.tolist() == (var_a + var_b + 2.0 * cov).tolist()
         assert report.ml_value <= report.l_value + 1e-12
 
 
@@ -260,9 +295,17 @@ def _bits(values) -> list:
     return [float(v).hex() for v in values]
 
 
+def _moment_rows(counts) -> list:
+    """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_moments`, as bits."""
+    var_a, var_b, var_sum, cov, se = measurement._table_moments(np.asarray(counts))
+    rows = np.stack([var_a, var_b, var_sum, cov, se[..., 0], se[..., 1]], axis=-1)
+    return [_bits(row) for row in rows.reshape(-1, 6)]
+
+
 def test_estimator_matches_scalar_reference_bitwise():
-    # every field of every report, bit for bit, against the per-table loop in
-    # Python scalars (BLAS dot products, libm pow for the squares)
+    # every field of every report and every table's moments and reported SEs,
+    # bit for bit, against the per-table loop in Python scalars (BLAS dot
+    # products, libm pow for the squares)
     g = stream(4242)
     named = {"singlet": SINGLET, "HH": HH, "H+": H_PLUS, "werner": noise_mixture(0.5, NoiseKind.WERNER)}
     named.update({f"mixed{k}": DensityMatrix(random_mixed_matrix(g)) for k in range(6)})
@@ -279,17 +322,17 @@ def test_estimator_matches_scalar_reference_bitwise():
                 for subset in (tables, tables[:2], tables[::-1]):
                     report = estimate_witnesses(subset)
                     per_table, l, l_se, ml, ml_se = estimate_reference(subset)
-                    assert [b.label for b in report.bases] == [t.basis.value for t in subset]
-                    got = [_bits(dataclasses.astuple(b)[1:]) for b in report.bases]
+                    assert report.bases == tuple(t.basis for t in subset)
+                    got = _moment_rows([[t.counts for t in subset]])
                     assert got == [_bits(e) for e in per_table]
                     assert _bits((report.l_value, report.l_se, report.ml_value, report.ml_se)) == _bits(
                         (l, l_se, ml, ml_se)
                     )
                     if name == "singlet":
                         assert report.l_value == report.l_se == 0.0
-                    for b in report.bases:
-                        if b.label in certain.get(name, ()):
-                            assert b.covariance == 0.0
+                    for t, (_, _, _, cov, _, _) in zip(subset, per_table):
+                        if t.basis.value in certain.get(name, ()):
+                            assert cov == 0.0
     assert checked >= 2000
 
 
@@ -301,11 +344,13 @@ def test_estimator_matches_scalar_reference_on_generic_tables():
     counts = np.diff(cuts, prepend=0, append=shots, axis=-1)
     bases = list(Basis)
     columns = estimate_witnesses_many(counts, bases)
+    rows = _moment_rows(counts)  # the whole stack at once: a row does not depend on it
+    assert rows == [_bits(basis_estimate_reference(c)) for replicate in counts for c in replicate]
     for r, replicate in enumerate(counts):
         tables = [CountTable(b, c) for b, c in zip(bases, replicate)]
         report = estimate_witnesses(tables)
         per_table, *want = estimate_reference(tables)
-        assert [_bits(dataclasses.astuple(b)[1:]) for b in report.bases] == [_bits(e) for e in per_table]
+        assert _moment_rows([replicate]) == rows[3 * r:3 * r + 3] == [_bits(e) for e in per_table]
         assert _bits((report.l_value, report.l_se, report.ml_value, report.ml_se)) == _bits(want)
         assert _bits(c[r] for c in columns) == _bits(want)
 
