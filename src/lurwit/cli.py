@@ -19,8 +19,9 @@ unless the path is not a regular file (such as /dev/stdout).
 is built on the first call and shared by every later one.
 
 Exit codes: 0 success, 2 usage or input error (also an input too large for
-memory), 3 internal numerical error, 141 (128 + SIGPIPE) when the reader of
-the output closes it early, as `| head` does; nothing is printed then.
+memory, or a seed outside [0, 2**64)), 3 internal numerical error, 141
+(128 + SIGPIPE) when the reader of the output closes it early, as `| head`
+does; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -232,6 +233,16 @@ def run_sweep(args: argparse.Namespace):
     return [(dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS, args.out)]
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError unless `seed` is in [0, 2**64).
+
+    Streams are keyed by the seed mod 2**64, so a seed outside that range
+    would draw the samples of another seed while the output names its own.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+
+
 def run_haar_study(kind: str, samples: int, seed: int):
     """Detection-rate study: random local rotations of a Bell state.
 
@@ -255,6 +266,7 @@ def _study_summary(kind: str, samples: int, seed: int, chunks: list | None = Non
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_seed(seed)
     l3_set = witness.standard_sets()["L3"]
     bound = l3_set.separable_bound
     sums = np.empty((2, 0))  # the l3 and ml3 sums so far
@@ -295,18 +307,21 @@ def run_study_command(args: argparse.Namespace):
 
 
 def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
-    """One count table per basis, in `Basis` order; basis i draws from stream (seed, i)."""
+    """One count table per basis, in `Basis` order; basis i draws from stream (seed, i).
+
+    The three draws come from `rng.keyed_draws`, bit for bit
+    `rng.stream(seed, i).multinomial(shots, p_i)`.
+    """
     measurement.check_shots(shots)
-    probs = measurement.outcome_probabilities(rho)
-    return [
-        measurement.CountTable(basis, rng.stream(seed, i).multinomial(shots, p))
-        for i, (basis, p) in enumerate(zip(states.Basis, probs))
-    ]
+    probs = iter(measurement.outcome_probabilities(rho))
+    counts = rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs)))
+    return [measurement.CountTable(basis, c) for basis, c in zip(states.Basis, counts)]
 
 
 def run_simulate(args: argparse.Namespace):
     if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
+    _check_seed(args.seed)
     rho = states.parse_state_spec(args.state)
     counts = np.array([[t.counts for t in simulate_counts(rho, args.shots, args.seed)]])
     bases = tuple(states.Basis)  # L2 is the first two
@@ -366,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haar-study", help="detection rates under Haar-random local rotations")
     p.add_argument("--state", default="psi-", help="Bell state to rotate")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="stream seed, in [0, 2**64)")
     p.add_argument("--per-sample", default=None, help="also write one row per sample here")
     add_common(p, run_study_command)
 
     p = sub.add_parser("simulate", help="finite-shot coincidence-count estimate")
     p.add_argument("--state", required=True)
     p.add_argument("--shots", type=int, required=True, help="shots per basis")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="stream seed, in [0, 2**64)")
     add_common(p, run_simulate)
 
     p = sub.add_parser("bound", help="minimized single-party variance bound")

@@ -164,14 +164,14 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
 
 
-def _table_moments(counts: np.ndarray):
+def _table_moments(counts: np.ndarray, shots: np.ndarray):
     """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
 
-    Returns var_a, var_b, var_sum and cov, each (..., B), and the SEs as
-    (..., B, 2): those of var_sum and of the table's ML term
-    var_a + var_b - 2|cov|. Every table needs at least one shot.
+    `shots` holds each table's total, (..., B). Returns var_a, var_b,
+    var_sum and cov, each (..., B), and the SEs as (..., B, 2): those of
+    var_sum and of the table's ML term var_a + var_b - 2|cov|. Every table
+    needs at least one shot.
     """
-    shots = np.add.reduce(counts, axis=-1)
     f = counts / shots[..., None]
     rows = f[..., None, :]  # (..., B, 1, 4): one dot product per row and vector
     means = np.vecdot(rows, _SIGNS)  # <A>, <B>, <AB>
@@ -220,11 +220,12 @@ def _estimate(counts: np.ndarray, bases: tuple, name):
     in quadrature, also in basis order. `name(r)` prefixes the message of a
     table with fewer than 2 shots.
     """
-    failed = first_failure(np.add.reduce(counts, axis=-1) >= 2)
+    shots = np.add.reduce(counts, axis=-1)
+    failed = first_failure(shots >= 2)
     if failed is not None:
         r, b = failed
         raise ValueError(f"{name(r)}basis {bases[b].value}: need at least 2 shots to estimate a variance")
-    var_a, var_b, var_sum, cov, se = _table_moments(counts)
+    var_a, var_b, var_sum, cov, se = _table_moments(counts, shots)
     l_values, ml_values = _witness_values(var_a, var_b, var_sum, cov)
     # squared SEs of var_sum and the ML term, added up one basis after another
     l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T

@@ -7,9 +7,12 @@ execution order.
 `stream` builds one Generator per key. `keyed_draws` gives the same draws for
 many keys from one Generator: it re-keys a single Philox bit generator by
 writing its `state` dict, which is far cheaper than constructing a new
-Philox. That relies on the layout of numpy's Philox state dict, so
-`keyed_draws` checks the layout on each call and raises RuntimeError if it
-has changed.
+Philox (and its SeedSequence, which draws OS entropy that the key then
+overrides). The dict it writes holds Python ints, not numpy arrays: the
+state setter reads the counter, key and buffer one entry at a time, and a
+Python int converts faster than a numpy scalar taken out of an array. That
+relies on the layout of numpy's Philox state dict, so `keyed_draws` checks
+the layout on each call and raises RuntimeError if it has changed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ def keyed_draws(seed: int, tasks: Iterable[int], draw: Callable[[np.random.Gener
     Before each task the Philox bit generator is reset to the state a fresh
     `stream(seed, t)` starts in: key (seed, t) mod 2**64, counter 0, an empty
     output buffer and no buffered half-word. So nothing drawn for one task
-    reaches the next. The Philox and Generator are local to the call.
+    reaches the next. The Philox and Generator are local to the call. A
+    `draw` that fills a preallocated array (`standard_normal(out=...)`)
+    writes each task's draws straight into it.
     """
     bit_gen = np.random.Philox(key=0)
     state = bit_gen.state
@@ -50,11 +55,15 @@ def keyed_draws(seed: int, tasks: Iterable[int], draw: Callable[[np.random.Gener
             "keyed_draws cannot re-key it, so its streams would no longer match rng.stream"
         )
     gen = np.random.Generator(bit_gen)
-    key = state["state"]["key"]
-    key[0] = seed % _WORD
-    state["state"]["counter"][:] = 0
-    state["buffer"][:] = 0
-    state.update(buffer_pos=len(state["buffer"]), has_uint32=0, uinteger=0)
+    key = [seed % _WORD, 0]
+    state = dict(
+        state,
+        state={"counter": [0] * len(state["state"]["counter"]), "key": key},
+        buffer=[0] * len(state["buffer"]),
+        buffer_pos=len(state["buffer"]),
+        has_uint32=0,
+        uinteger=0,
+    )
     out = []
     for t in tasks:
         key[1] = t % _WORD

@@ -11,8 +11,15 @@ stack constructors `noise_mixtures` and `haar_rotated_bell_states`, which
 return validated (n, 4, 4) arrays for the stacked witness kernel; the
 latter draws its own task-keyed streams, re-keying one Philox generator per
 sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
-layout) rather than building a Generator for each. Haar-random local
-rotations exist only in that stack; no constructor returns one rotation.
+layout) rather than building a Generator for each, and writes every
+sample's normals into one preallocated array. Haar-random local rotations
+exist only in that stack; no constructor returns one rotation.
+
+A stack is certified PSD by one batched Cholesky factorization of
+rho + PSD_TOL*I, which exists iff every eigenvalue is above -PSD_TOL;
+`eigvalsh` runs only when that fails, to name the first failing row.
+One `DensityMatrix` keeps `eigvalsh`, which is the faster of the two on a
+single 4x4 matrix.
 """
 
 from __future__ import annotations
@@ -122,6 +129,19 @@ _NOISE_STATES = {
 }
 
 
+_PSD_SHIFT = PSD_TOL * np.eye(4)
+
+
+def _negative_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """-lambda_min of each row of an (n, 4, 4) Hermitian stack, or 0 for every row
+    when one Cholesky factorization of rho + PSD_TOL*I certifies lambda_min >= -PSD_TOL."""
+    try:
+        np.linalg.cholesky(rho + _PSD_SHIFT)
+    except np.linalg.LinAlgError:  # some row is past the tolerance, or on it
+        return -np.linalg.eigvalsh(rho)[:, 0]
+    return np.zeros(len(rho))
+
+
 def _density_checks(rho: np.ndarray) -> list:
     """The `DensityMatrix` checks on an (n, 4, 4) stack: (what, deviation per row, tol)."""
     return [
@@ -129,7 +149,7 @@ def _density_checks(rho: np.ndarray) -> list:
          np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(1, 2)), HERMITIAN_TOL),
         ("density matrix trace is not 1", np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
          TRACE_TOL),
-        ("density matrix has a negative eigenvalue", -np.linalg.eigvalsh(rho)[:, 0], PSD_TOL),
+        ("density matrix has a negative eigenvalue", _negative_eigenvalue(rho), PSD_TOL),
     ]
 
 
@@ -218,10 +238,20 @@ def apply_local_unitary(pair: LocalUnitaryPair, rho: DensityMatrix) -> DensityMa
 
 
 def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    # unit quaternions (..., 4) = (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ),
-    # SU(2) elements of shape (..., 2, 2)
-    w, x, y, z = (c[..., None, None] for c in np.moveaxis(q, -1, 0))
-    return w * I2 + 1j * (x * SX + y * SY + z * SZ)
+    # unit quaternions (..., 4) = (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ)
+    # = [[w+iz, y+ix], [-y+ix, w-iz]], SU(2) elements of shape (..., 2, 2),
+    # written entry by entry (the Pauli sum's values; only a component that is
+    # exactly 0 can give a zero entry another sign)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    re[..., 0, 0] = re[..., 1, 1] = w
+    im[..., 0, 0] = z
+    np.negative(z, out=im[..., 1, 1])
+    re[..., 0, 1] = y
+    np.negative(y, out=re[..., 1, 0])
+    im[..., 0, 1] = im[..., 1, 0] = x
+    return u
 
 
 def _haar_su2(gaussians: np.ndarray) -> np.ndarray:
@@ -237,19 +267,21 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
     `rng.stream(seed, i)`, normalized to a Haar-uniform SU(2) rotation per
     party, applied to the Bell state, as a density matrix. The draws come
     from `rng.keyed_draws`, which re-keys one Philox generator per sample
-    (through numpy's Philox state layout) and gives the same bits as a new
-    stream for each. The stack passes the checks a state built one object
-    at a time would (`LocalUnitaryPair`, `density_from_pure`,
-    `DensityMatrix`), as maxima over the stack with the same tolerances.
-    The states are generated here, so a failed check is a NumericsError.
+    (through numpy's Philox state layout), gives the same bits as a new
+    stream for each, and writes them straight into row k of one (n, 2, 4)
+    array. The stack passes the checks a state built one object at a time
+    would (`LocalUnitaryPair`, `density_from_pure`, `DensityMatrix`), as
+    maxima over the stack with the same tolerances. The states are
+    generated here, so a failed check is a NumericsError.
     """
     psi0 = bell_state(kind)
-    draws = _rng.keyed_draws(seed, indices, lambda g: g.standard_normal((2, 4)))
-    u = _haar_su2(np.array(draws).reshape(-1, 2, 4))  # (n, party, 2, 2)
-    checks = [
-        ("local rotation is not unitary",
-         np.abs(u.conj().swapaxes(-1, -2) @ u - I2).max(axis=(1, 2, 3)), UNITARY_TOL),
-    ]
+    normals = np.empty((len(indices), 2, 4))
+    rows = iter(normals)
+    _rng.keyed_draws(seed, indices, lambda g: g.standard_normal(out=next(rows)))
+    u = _haar_su2(normals)  # (n, party, 2, 2)
+    # u^dagger u as one broadcast product and sum over the row index
+    gram = (u.conj()[..., :, :, None] * u[..., :, None, :]).sum(axis=-3)
+    checks = [("local rotation is not unitary", np.abs(gram - I2).max(axis=(1, 2, 3)), UNITARY_TOL)]
     # u_a x u_b as np.kron forms it (one broadcast product per entry), then a
     # matrix-vector product: the same arithmetic as `LocalUnitaryPair.joint() @ psi`
     joint = (u[:, 0, :, None, :, None] * u[:, 1, None, :, None, :]).reshape(-1, 4, 4)

@@ -8,8 +8,10 @@ index definition, and the entanglement test is the sign of a determinant
 per-state and per-table loops that the stacked Haar study, sweep and
 estimator replaced. The one-sample Haar rotation they need
 (`haar_random_local_unitary`, `apply_to_pure`) lives here too, since the
-package draws rotations only as a stack. `write_rows_reference` keeps the
-one-dict-per-row text writer that the CLI's columnar writer replaced.
+package draws rotations only as a stack; it builds SU(2) elements as the
+Pauli sum (`su2_pauli_sum`), which the package writes entry by entry.
+`write_rows_reference` keeps the one-dict-per-row text writer that the
+CLI's columnar writer replaced.
 """
 
 import json
@@ -109,11 +111,18 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def su2_pauli_sum(q: np.ndarray) -> np.ndarray:
+    """w*I + i*(x*SX + y*SY + z*SZ) for quaternions (..., 4) = (w, x, y, z), as (..., 2, 2)."""
+    w, x, y, z = (c[..., None, None] for c in np.moveaxis(q, -1, 0))
+    return w * I2 + 1j * (x * SX + y * SY + z * SZ)
+
+
 def haar_random_local_unitary(rng: np.random.Generator):
     """Independent Haar-uniform SU(2) rotation for each party, from one (2, 4) normal draw."""
     from lurwit import states
 
-    u_a, u_b = states._haar_su2(rng.standard_normal((2, 4)))
+    g = rng.standard_normal((2, 4))
+    u_a, u_b = su2_pauli_sum(g / np.linalg.norm(g, axis=-1, keepdims=True))
     return states.LocalUnitaryPair(u_a, u_b)
 
 

@@ -531,6 +531,26 @@ def test_haar_study_non_unitary_rotation_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not per_sample.exists()
 
 
+@pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1])
+@pytest.mark.parametrize("command", ["haar-study", "simulate"])
+def test_seed_outside_64_bits_exits_2(command, seed, tmp_path, capsys):
+    # streams are keyed mod 2**64: seed 2**64 + 5 would draw seed 5's samples
+    out = tmp_path / "out.csv"
+    argv = [command, "--seed", str(seed), "--out", str(out)]
+    argv += ["--samples", "3"] if command == "haar-study" else ["--state", "singlet", "--shots", "10"]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"seed {seed} is outside [0, 2**64)" in err
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(capsys):
+    for argv in (["haar-study", "--samples", "3"], ["simulate", "--state", "singlet", "--shots", "10"]):
+        code, stdout, _ = _run(capsys, argv + ["--seed", str(2**64 - 1)])
+        assert code == 0 and stdout
+
+
 def test_haar_study_rejects_non_bell_state(capsys):
     code, _, _ = _run(capsys, ["haar-study", "--state", "werner:p=0.5", "--samples", "5"])
     assert code == 2
@@ -572,8 +592,8 @@ def test_simulate_phi_plus_modified_witness(capsys):
 def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkeypatch):
     real = measurement._table_moments
 
-    def skewed(counts):
-        var_a, var_b, var_sum, cov, se = real(counts)
+    def skewed(counts, shots):
+        var_a, var_b, var_sum, cov, se = real(counts, shots)
         return var_a, var_b, var_sum, cov + 1e-6, se
 
     monkeypatch.setattr(measurement, "_table_moments", skewed)

@@ -224,7 +224,8 @@ def test_estimated_identity_is_exact_on_any_table():
         rho = DensityMatrix(random_mixed_matrix(g))
         tables = [CountTable(b, g.multinomial(500, p)) for b, p in zip(Basis, outcome_probabilities(rho))]
         report = estimate_witnesses(tables)
-        var_a, var_b, var_sum, cov, _ = measurement._table_moments(np.array([[t.counts for t in tables]]))
+        counts = np.array([[t.counts for t in tables]])
+        var_a, var_b, var_sum, cov, _ = measurement._table_moments(counts, counts.sum(axis=-1))
         # plug-in estimators make this an identity
         assert var_sum.tolist() == (var_a + var_b + 2.0 * cov).tolist()
         assert report.ml_value <= report.l_value + 1e-12
@@ -247,8 +248,8 @@ def test_estimator_input_validation():
 def test_estimated_path_checks_modified_witness_forms(monkeypatch):
     real = measurement._table_moments
 
-    def skewed(counts):
-        var_a, var_b, var_sum, cov, se = real(counts)
+    def skewed(counts, shots):
+        var_a, var_b, var_sum, cov, se = real(counts, shots)
         return var_a, var_b, var_sum, cov + 1e-6, se
 
     monkeypatch.setattr(measurement, "_table_moments", skewed)
@@ -297,7 +298,8 @@ def _bits(values) -> list:
 
 def _moment_rows(counts) -> list:
     """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_moments`, as bits."""
-    var_a, var_b, var_sum, cov, se = measurement._table_moments(np.asarray(counts))
+    counts = np.asarray(counts)
+    var_a, var_b, var_sum, cov, se = measurement._table_moments(counts, counts.sum(axis=-1))
     rows = np.stack([var_a, var_b, var_sum, cov, se[..., 0], se[..., 1]], axis=-1)
     return [_bits(row) for row in rows.reshape(-1, 6)]
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -24,7 +25,7 @@ from lurwit.states import (
     random_separable_state,
     special_unitary,
 )
-from oracles import SZ, I2, eig_oracle, haar_random_local_unitary
+from oracles import SZ, I2, apply_to_pure, eig_oracle, haar_random_local_unitary, su2_pauli_sum
 
 SQ2 = 1.0 / np.sqrt(2)
 
@@ -122,6 +123,62 @@ def test_noise_mixtures_failed_density_check_is_internal_error(noise, what, monk
     monkeypatch.setitem(states._NOISE_STATES, NoiseKind.WERNER, noise.astype(complex))
     with pytest.raises(NumericsError, match=f"{what} for p=0.25: deviation"):
         noise_mixtures([1.0, 0.25, 0.0], NoiseKind.WERNER)
+
+
+def _with_eigenvalues(values, seed: int) -> np.ndarray:
+    """A Hermitian 4x4 matrix with the given spectrum, in a seeded random eigenbasis."""
+    g = stream(seed).standard_normal((4, 4, 2))
+    v, _ = np.linalg.qr(g[..., 0] + 1j * g[..., 1])
+    m = (v * np.asarray(values)) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("lam, fails", [(-2e-9, True), (-0.5e-9, False)])
+def test_stacked_psd_check_names_the_row_past_its_tolerance(lam, fails):
+    # spectrum (0.6 - lam, 0.4, 0, lam): unit trace, lambda_min = lam; PSD_TOL is 1e-9
+    rows = [np.eye(4) / 4.0, _with_eigenvalues([0.6, 0.4, 0.0, 0.0], 1)]
+    rows += [_with_eigenvalues([0.6 - lam, 0.4, 0.0, lam], 2)] * 2
+    checks = states._density_checks(np.array(rows, dtype=complex))
+    if not fails:
+        states._check_stack(checks, lambda k: f"row {k}")
+        return
+    with pytest.raises(NumericsError) as failure:
+        states._check_stack(checks, lambda k: f"row {k}")
+    found = re.fullmatch(
+        r"density matrix has a negative eigenvalue for row 2: deviation (\S+) > 1e-09", str(failure.value)
+    )
+    assert found and float(found[1]) == pytest.approx(-lam, abs=1e-15)
+
+
+def test_su2_entries_equal_the_pauli_sum():
+    # seeded Haar quaternions: bit for bit
+    g = stream(41).standard_normal((4096, 4))
+    q = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    got = states._su2_from_quaternion(q)
+    assert got.tobytes() == su2_pauli_sum(q).tobytes()
+    # every pattern of exact zero (either sign) and nonzero components: equal
+    # as numbers (== reads -0.0 and 0.0 as one value), so bit for bit in every
+    # real and imaginary part that is not zero
+    q = np.array(list(itertools.product([0.0, -0.0, 0.5, -0.5], repeat=4)))
+    got, want = states._su2_from_quaternion(q).view(float), su2_pauli_sum(q).view(float)
+    assert got.shape == want.shape == (256, 2, 4)
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("kind", BELL_KINDS)
+def test_haar_stack_rows_equal_states_from_fresh_streams(kind):
+    # 2**64 + 7 keys the stream of 7, and -1 that of 2**64 - 1
+    indices = [0, 7, 2**64 + 7, -1]
+    stack = states.haar_rotated_bell_states(kind, 5, indices)
+    assert stack.shape == (4, 4, 4)
+    for row, i in zip(stack, indices):
+        pair = haar_random_local_unitary(stream(5, i))
+        want = density_from_pure(apply_to_pure(pair, bell_state(kind))).matrix
+        assert row.tobytes() == want.tobytes()
+    assert stack[1].tobytes() == stack[2].tobytes()
+    assert stack[0].tobytes() != stack[3].tobytes()
 
 
 def test_werner_boundary_is_ppt_critical():
