@@ -10,6 +10,7 @@ from .linalg import NumericsError, partial_transpose_second, tensor_product
 from .measurement import (
     CountTable,
     EstimatedReport,
+    estimate_standard,
     estimate_witnesses,
     estimate_witnesses_many,
     outcome_probabilities,
@@ -35,6 +36,7 @@ from .witness import (
     WitnessReport,
     evaluate,
     evaluate_many,
+    evaluate_standard,
     local_bound,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,

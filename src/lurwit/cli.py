@@ -179,18 +179,18 @@ def _write_outputs(outputs, fmt: str) -> None:
 
 def _full_report(rho: states.DensityMatrix) -> dict:
     sets = witness.standard_sets()
-    r2 = witness.evaluate(rho, sets["L2"])
-    r3 = witness.evaluate(rho, sets["L3"])
+    l2, ml2, l3, ml3 = (float(v[0]) for v in witness.evaluate_standard(rho.matrix[None]))
+    bound2, bound3 = sets["L2"].separable_bound, sets["L3"].separable_bound
     return {
-        "l2": r2.l_value,
-        "ml2": r2.ml_value,
-        "l3": r3.l_value,
-        "ml3": r3.ml_value,
+        "l2": l2,
+        "ml2": ml2,
+        "l3": l3,
+        "ml3": ml3,
         "ppt_min_eig": witness.ppt_min_eigenvalue(rho),
-        "verdict_l2": r2.verdict_l.value,
-        "verdict_ml2": r2.verdict_ml.value,
-        "verdict_l3": r3.verdict_l.value,
-        "verdict_ml3": r3.verdict_ml.value,
+        "verdict_l2": witness.verdict_for(l2, bound2).value,
+        "verdict_ml2": witness.verdict_for(ml2, bound2).value,
+        "verdict_l3": witness.verdict_for(l3, bound3).value,
+        "verdict_ml3": witness.verdict_for(ml3, bound3).value,
     }
 
 
@@ -222,13 +222,10 @@ def run_sweep(args: argparse.Namespace):
         grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
     else:  # a NaN or infinite endpoint or span has no grid; an endpoint is then
         grid = np.array([args.p_start, args.p_stop])  # outside [0, 1], and this names it
-    sets = witness.standard_sets()
     chunks = []
     for start in range(0, len(grid), STACK_CHUNK):
         stack = states.noise_mixtures(grid[start:start + STACK_CHUNK], kind, base=args.base)
-        l2, ml2 = witness.evaluate_many(stack, sets["L2"])
-        l3, ml3 = witness.evaluate_many(stack, sets["L3"])
-        chunks.append((l2, ml2, l3, ml3, witness.ppt_min_eigenvalues(stack)))
+        chunks.append((*witness.evaluate_standard(stack), witness.ppt_min_eigenvalues(stack)))
     values = (grid, *(np.concatenate(c) for c in zip(*chunks)))
     return [(dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS, args.out)]
 
@@ -295,12 +292,32 @@ def _study_summary(kind: str, samples: int, seed: int, chunks: list | None = Non
     }
 
 
+def _same_regular_file(a: str, b: str) -> bool:
+    """True if paths `a` and `b` name one regular file, or one path still to be created.
+
+    Two names of one device, such as /dev/stdout, are not one regular file.
+    """
+    try:
+        stat_a, stat_b = os.stat(a), os.stat(b)
+    except OSError:  # a path to be created is another only if it resolves to it
+        pass
+    else:
+        return os.path.samestat(stat_a, stat_b) and stat.S_ISREG(stat_a.st_mode)
+    # only a symbolic link can give a new file another name than its own
+    if os.path.basename(a) != os.path.basename(b) and not (os.path.islink(a) or os.path.islink(b)):
+        return False
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def run_study_command(args: argparse.Namespace):
     kind = "psi-" if args.state == "singlet" else args.state
     if kind not in states.BELL_KINDS:
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
     if args.per_sample is None:  # no per-sample column is kept, or its PPT value computed
         return [(_one_row(_study_summary(kind, args.samples, args.seed)), STUDY_COLUMNS, args.out)]
+    if args.out is not None and _same_regular_file(args.per_sample, args.out):
+        # the summary would overwrite the per-sample rows written just before it
+        raise ValueError(f"--per-sample and --out name the same file {args.out!r}")
     summary, columns = run_haar_study(kind, args.samples, args.seed)
     per_sample = (columns, SAMPLE_COLUMNS, args.per_sample)
     return [per_sample, (_one_row(summary), STUDY_COLUMNS, args.out)]
@@ -324,12 +341,7 @@ def run_simulate(args: argparse.Namespace):
     _check_seed(args.seed)
     rho = states.parse_state_spec(args.state)
     counts = np.array([[t.counts for t in simulate_counts(rho, args.shots, args.seed)]])
-    bases = tuple(states.Basis)  # L2 is the first two
-    estimates = (
-        *measurement.estimate_witnesses_many(counts[:, :2], bases[:2]),
-        *measurement.estimate_witnesses_many(counts, bases),
-    )
-    row = (args.state, args.shots, *(float(v[0]) for v in estimates))
+    row = (args.state, args.shots, *(float(v[0]) for v in measurement.estimate_standard(counts)))
     return [(_one_row(dict(zip(SIMULATE_COLUMNS, row))), SIMULATE_COLUMNS, args.out)]
 
 

@@ -27,13 +27,15 @@ stale). Each count table is one multinomial draw from one of its rows
 (`lurwit.cli.simulate_counts`). The estimator works on a (..., B, 4) stack
 of int64 counts (replicates, bases, outcomes): `estimate_witnesses_many`
 returns the witness arrays of R replicates, and `estimate_witnesses` is its
-R = 1 case with the bound and the verdicts. Every result is bit for bit
-what a per-table loop of Python scalars gives, and a row of a stack does
-not depend on the stack: the frequency dot products use `np.vecdot`, which
-like the 1-D `f @ g` makes one BLAS dot per row (a `sum` or `einsum` adds
-in another order), and squares use `np.float_power(x, 2.0)`, which like
-Python's `x**2` calls libm `pow` (numpy's `x**2` is `x*x`, and the two
-differ in the last bit now and then).
+R = 1 case with the bound and the verdicts. `estimate_standard` estimates
+L2 and L3 from one (R, 3, 4) stack, checking the counts and taking each
+table's moments once. Every result is bit for bit what a per-table loop of
+Python scalars gives, and a row of a stack does not depend on the stack:
+the frequency dot products use `np.vecdot`, which like the 1-D `f @ g`
+makes one BLAS dot per row (a `sum` or `einsum` adds in another order),
+and squares use `np.float_power(x, 2.0)`, which like Python's `x**2` calls
+libm `pow` (numpy's `x**2` is `x*x`, and the two differ in the last bit
+now and then).
 """
 
 from __future__ import annotations
@@ -212,24 +214,34 @@ def _separable_bound(bases: tuple) -> float:
     return _BOUNDS[labels]
 
 
-def _estimate(counts: np.ndarray, bases: tuple, name):
-    """Witness values and their SEs, four length-R arrays, from an (R, B, 4) count stack.
+def _moments(counts: np.ndarray, bases: tuple, name):
+    """`_table_moments` of an (R, B, 4) count stack whose every table has at least 2 shots.
 
-    The witness values are summed in basis order, as the exact path sums its
-    pairs. Counts in different bases are independent, so the witness SEs add
-    in quadrature, also in basis order. `name(r)` prefixes the message of a
-    table with fewer than 2 shots.
+    `name(r)` prefixes the message of a table with fewer than 2 shots.
     """
     shots = np.add.reduce(counts, axis=-1)
     failed = first_failure(shots >= 2)
     if failed is not None:
         r, b = failed
         raise ValueError(f"{name(r)}basis {bases[b].value}: need at least 2 shots to estimate a variance")
-    var_a, var_b, var_sum, cov, se = _table_moments(counts, shots)
+    return _table_moments(counts, shots)
+
+
+def _estimate(var_a, var_b, var_sum, cov, se):
+    """Witness values and their SEs, four length-R arrays, from the `_moments` of R replicates.
+
+    The witness values are summed in basis order, as the exact path sums its
+    pairs. Counts in different bases are independent, so the witness SEs add
+    in quadrature, also in basis order.
+    """
     l_values, ml_values = _witness_values(var_a, var_b, var_sum, cov)
     # squared SEs of var_sum and the ML term, added up one basis after another
     l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T
     return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var)
+
+
+def _replicate(r: int) -> str:
+    return f"replicate {r}, "
 
 
 def _checked_counts(counts, bases: tuple) -> np.ndarray:
@@ -266,7 +278,22 @@ def estimate_witnesses_many(counts, bases):
     """
     bases = tuple(bases)
     _separable_bound(bases)
-    return _estimate(_checked_counts(counts, bases), bases, lambda r: f"replicate {r}, ")
+    return _estimate(*_moments(_checked_counts(counts, bases), bases, _replicate))
+
+
+def estimate_standard(counts):
+    """L2 and L3 estimates of R replicates from one (R, 3, 4) count stack in `Basis` order.
+
+    Returns (l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se), eight length-R
+    arrays. The counts are checked, and every table's moments taken, once:
+    L2's bases are L3's first two, so its estimates sum the first two
+    tables' moments. Every value is bit for bit that of
+    `estimate_witnesses_many` on the first two bases and on all three, and
+    bad counts raise what the call on all three raises.
+    """
+    bases = tuple(Basis)
+    moments = _moments(_checked_counts(counts, bases), bases, _replicate)
+    return (*_estimate(*(m[:, :2] for m in moments)), *_estimate(*moments))
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -280,6 +307,7 @@ def estimate_witnesses(tables) -> EstimatedReport:
     bases = tuple(t.basis for t in tables)
     bound = _separable_bound(bases)
     counts = np.array([[t.counts for t in tables]])
-    l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(counts, bases, lambda r: ""))
+    moments = _moments(counts, bases, lambda r: "")
+    l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(*moments))
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

@@ -20,11 +20,18 @@ rho + PSD_TOL*I, which exists iff every eigenvalue is above -PSD_TOL;
 `eigvalsh` runs only when that fails, to name the first failing row.
 One `DensityMatrix` keeps `eigvalsh`, which is the faster of the two on a
 single 4x4 matrix.
+
+The parameter-free states of `parse_state_spec` (the Bell states, "singlet"
+and the rotated singlets "u1/u2/u3-singlet") are built and validated once
+per process, on first use, and the same read-only object is returned after
+that; `noise_mixture` and `noise_mixtures` read their Bell projector from
+the same kept states. Nothing is built at import.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -169,10 +176,20 @@ def _check_weights(ps: np.ndarray) -> None:
         raise ValueError(f"mixing weight p={ps[failed]} outside [0, 1]")
 
 
+@functools.cache
+def _bell_density(kind: str) -> DensityMatrix:
+    """`density_from_pure(bell_state(kind))`, built and validated on the first call for `kind`.
+
+    The states are read-only, so one per kind serves every caller; a kind
+    that `bell_state` rejects raises on every call and is not kept.
+    """
+    return density_from_pure(bell_state(kind))
+
+
 def noise_mixture(p: float, kind: NoiseKind, base: str = "psi-") -> DensityMatrix:
     """Convex mixture p * |Bell><Bell| + (1 - p) * noise, 0 <= p <= 1."""
     _check_weights(np.asarray(p))
-    proj = density_from_pure(bell_state(base)).matrix
+    proj = _bell_density(base).matrix
     return DensityMatrix(p * proj + (1.0 - p) * _NOISE_STATES[kind])
 
 
@@ -188,7 +205,7 @@ def noise_mixtures(ps, kind: NoiseKind, base: str = "psi-") -> np.ndarray:
     """
     ps = np.asarray(ps, dtype=float).reshape(-1)
     _check_weights(ps[:1])
-    proj = density_from_pure(bell_state(base)).matrix
+    proj = _bell_density(base).matrix
     _check_weights(ps)
     p = ps[:, None, None]
     rho = p * proj + (1.0 - p) * _NOISE_STATES[kind]
@@ -344,19 +361,26 @@ def load_density_file(path: str) -> DensityMatrix:
         raise ValueError(f"density file {path!r}: {exc}") from exc
 
 
+@functools.cache
+def _rotated_singlet(which: str) -> DensityMatrix:
+    """The singlet under `special_unitary(which)`, built and validated on the first call."""
+    return apply_local_unitary(special_unitary(which), _bell_density("psi-"))
+
+
 def parse_state_spec(spec: str) -> DensityMatrix:
     """Parse a CLI state spec into a density matrix.
 
     Accepted forms: "singlet", "psi+", "psi-", "phi+", "phi-",
     "werner:p=<float>", "polarized:p=<float>", "u1-singlet", "u2-singlet",
-    "u3-singlet", "file:<path>".
+    "u3-singlet", "file:<path>". The parameter-free states are built and
+    validated once per process, on first use, and then shared (they are
+    read-only).
     """
     s = spec.strip()
     if s == "singlet" or s in BELL_KINDS:
-        return density_from_pure(bell_state(s))
+        return _bell_density(s)
     if s in ("u1-singlet", "u2-singlet", "u3-singlet"):
-        pair = special_unitary(s.split("-")[0])
-        return apply_local_unitary(pair, density_from_pure(bell_state("psi-")))
+        return _rotated_singlet(s.split("-")[0])
     if s.startswith("werner:") or s.startswith("polarized:"):
         family, _, arg = s.partition(":")
         if not arg.startswith("p="):

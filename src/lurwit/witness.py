@@ -20,9 +20,12 @@ caller and there is no scalar path beside it: a single contraction of an
 of an `ObservableSet` gives all 7 * P expectations of all N states at once.
 `evaluate_many` returns the witness values of a stack; `evaluate` is the
 same kernel on a stack of one, plus the per-pair report (the variances and
-the covariance of each pair). The runtime invariant checks (real
-expectations, the variance decomposition, the agreement of the two
-modified-witness forms) run on every call, as maxima over the stack.
+the covariance of each pair). `evaluate_standard` gives L2 and L3 from one
+pass over L3's operators: L2's pairs are L3's first two, so the two
+families read the same per-basis statistics, as they would in the lab. The
+runtime invariant checks (real expectations, the variance decomposition,
+the agreement of the two modified-witness forms) run on every call, as
+maxima over the stack.
 """
 
 from __future__ import annotations
@@ -245,6 +248,18 @@ def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray
     runtime check of `evaluate` runs on each of them.
     """
     return _witness_values(*_pair_moments(_stack(matrices), oset))
+
+
+def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L2, ML2, L3 and ML3, four length-N arrays, for an (N, 4, 4) stack, from one kernel pass.
+
+    L2's pairs are the first two of L3's (`standard_sets`), so the per-pair
+    moments of L3 hold those of L2 in their first two columns; each family
+    is then summed, and its two modified forms checked, as `evaluate_many`
+    does. Every value is bit for bit `evaluate_many` with that family's set.
+    """
+    moments = _pair_moments(_stack(matrices), _STANDARD_SETS["L3"])
+    return (*_witness_values(*(m[:, :2] for m in moments)), *_witness_values(*moments))
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:

@@ -551,6 +551,69 @@ def test_largest_seed_is_accepted(capsys):
         assert code == 0 and stdout
 
 
+def _per_sample_and_out_names(tmp_path):
+    """(--per-sample, --out) pairs that name one regular file, and a file that exists."""
+    existing = tmp_path / "kept.csv"
+    existing.write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to(existing)
+    os.link(existing, tmp_path / "hard.csv")
+    (tmp_path / "dir-link").symlink_to(tmp_path)
+    (tmp_path / "dangling.csv").symlink_to(tmp_path / "target.csv")
+    new = tmp_path / "new.csv"
+    return existing, [
+        (str(new), str(new)),
+        (str(new), str(tmp_path / "." / "new.csv")),
+        (str(tmp_path / "dir-link" / "new.csv"), str(new)),
+        (str(tmp_path / "dangling.csv"), str(tmp_path / "target.csv")),
+        (str(existing), str(existing)),
+        (str(tmp_path / "link.csv"), str(existing)),
+        (str(existing), str(tmp_path / "hard.csv")),
+    ]
+
+
+def test_haar_study_per_sample_and_out_on_one_file_exits_2(tmp_path, capsys, monkeypatch):
+    # the summary would overwrite the per-sample rows; nothing is computed or written
+    existing, names = _per_sample_and_out_names(tmp_path)
+
+    def no_samples(*args):
+        raise AssertionError("samples were computed")
+
+    monkeypatch.setattr(states, "haar_rotated_bell_states", no_samples)
+    for per_sample, out in names:
+        code, stdout, err = _run(
+            capsys, ["haar-study", "--samples", "3", "--per-sample", per_sample, "--out", out]
+        )
+        assert code == 2, (per_sample, out)
+        assert stdout == ""
+        assert err == f"error: --per-sample and --out name the same file {out!r}\n"
+    assert not (tmp_path / "new.csv").exists() and not (tmp_path / "target.csv").exists()
+    assert existing.read_text() == "kept\n"
+
+
+def test_haar_study_per_sample_and_out_on_one_device_are_written():
+    for path in ("/dev/stdout", "/dev/null"):
+        argv = ["haar-study", "--samples", "3", "--per-sample", path, "--out", path]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lurwit", *argv], env=_subprocess_env(), capture_output=True
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        lines = proc.stdout.decode().splitlines()
+        if path == "/dev/stdout":  # the per-sample rows, then the summary
+            assert lines[0] == ",".join(SAMPLE_COLUMNS) and len(lines) == 6
+            assert lines[4].startswith("samples,")
+        else:
+            assert lines == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; importing the package must not use it
+    code = "import sys, lurwit, lurwit.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_haar_study_rejects_non_bell_state(capsys):
     code, _, _ = _run(capsys, ["haar-study", "--state", "werner:p=0.5", "--samples", "5"])
     assert code == 2

@@ -10,6 +10,7 @@ from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
     MAX_SHOTS,
+    estimate_standard,
     estimate_witnesses,
     estimate_witnesses_many,
     outcome_probabilities,
@@ -413,3 +414,67 @@ def test_many_input_errors_name_the_first_bad_replicate():
         estimate_witnesses_many(counts.astype(float), bases)
     with pytest.raises(ValueError, match="shape"):
         estimate_witnesses_many(counts[0], bases)
+
+
+# -------------------------------------------- L2 and L3 from one count stack
+
+
+def _one_call_per_family(counts):
+    bases = list(Basis)
+    return (*estimate_witnesses_many(counts[:, :2], bases[:2]), *estimate_witnesses_many(counts, bases))
+
+
+def test_standard_estimate_equals_one_call_per_family():
+    g = stream(717)
+    rhos = [SINGLET, HH, H_PLUS] + [DensityMatrix(random_mixed_matrix(g)) for _ in range(4)]
+    replicates = [
+        [t.counts for t in simulate_counts(rho, shots, seed)]
+        for rho in rhos for shots in (2, 3, 50, 10**6) for seed in range(5)
+    ]
+    # tables with zero-count outcomes, and 2-shot tables, set by hand
+    replicates += [
+        [[2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 2]],
+        [[0, 1, 1, 0], [0, 0, 2, 0], [1, 0, 0, 1]],
+        [[0, 7, 0, 0], [3, 0, 0, 4], [5, 0, 6, 0]],
+    ]
+    counts = np.array(replicates)
+    assert (counts == 0).any(axis=-1).any() and (counts.sum(axis=-1) == 2).any()
+    got = estimate_standard(counts)
+    assert [c.shape for c in got] == [(len(counts),)] * 8
+    assert [_bits(c) for c in got] == [_bits(c) for c in _one_call_per_family(counts)]
+    for r in (0, len(counts) - 1):  # R = 1 gives the bits of its row in the stack
+        assert [_bits(c) for c in estimate_standard(counts[r:r + 1])] == [_bits(c[r:r + 1]) for c in got]
+
+
+def _bad_stacks():
+    good = np.array([[t.counts for t in _tables_from_probabilities(SINGLET, 64)]] * 4)
+    starved_l3 = good.copy()
+    starved_l3[2, 2] = [1, 0, 0, 0]  # only the R/L table, which L2 does not read
+    starved_l2 = good.copy()
+    starved_l2[3, 1] = [0, 0, 0, 0]
+    negative = good.copy()
+    negative[1, 0, 2] = -1
+    past = good.copy()
+    past[0, 2] = [2**62, 2**62, 0, 0]
+    return {
+        "starved-l3": starved_l3,
+        "starved-l2": starved_l2,
+        "negative": negative,
+        "past-max": past,
+        "float": good.astype(float),
+        "two-bases": good[:, :2],
+        "one-replicate-2d": good[0],
+    }
+
+
+BAD_STACKS = _bad_stacks()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STACKS))
+def test_standard_estimate_raises_what_the_l3_call_raises(name):
+    counts = BAD_STACKS[name]
+    with pytest.raises(ValueError) as want:
+        estimate_witnesses_many(counts, list(Basis))
+    with pytest.raises(ValueError) as got:
+        estimate_standard(counts)
+    assert str(got.value) == str(want.value)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,42 @@ def test_keyed_draws_reject_a_changed_state_layout(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", RenamedCounter)
     with pytest.raises(RuntimeError, match="Philox state layout has changed"):
         keyed_draws(0, [0], _normal_pair)
+
+
+def test_keyed_draws_reuse_one_generator_across_calls():
+    # returning the Generator breaks the rule for `draw`; here it shows which one ran
+    first = keyed_draws(1, [0], lambda g: g)
+    again = keyed_draws(2, [0, 1], lambda g: g)
+    assert first[0] is again[0] is again[1]
+
+
+def test_nested_keyed_draws_use_their_own_generator():
+    # the inner call re-keys a Philox while the outer task still draws after it
+    def outer(g):
+        inner = keyed_draws(5, [1, 2], _normal_pair)
+        return g.standard_normal(3), inner, g
+
+    got = keyed_draws(4, [0, 7], outer)
+    for t, (normals, inner, g) in zip([0, 7], got):
+        assert np.array_equal(normals, stream(4, t).standard_normal(3))
+        assert all(np.array_equal(a, _normal_pair(stream(5, u))) for u, a in zip([1, 2], inner))
+    assert got[0][2] is got[1][2]
+
+
+def test_keyed_draws_in_threads_equal_fresh_streams():
+    # more threads than cores and a short switch interval: two calls that shared
+    # one Philox would re-key it under each other's draws
+    def draw(g):
+        return g.standard_normal(2), g.integers(0, 2**32, size=3, dtype=np.uint32), g.standard_normal(2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(keyed_draws, seed, range(30), draw) for seed in range(60)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, got in enumerate(results):
+        for t, parts in enumerate(got):
+            assert all(np.array_equal(a, b) for a, b in zip(parts, draw(stream(seed, t))))

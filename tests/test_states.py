@@ -325,6 +325,32 @@ def test_parse_state_spec_named_states():
     assert np.allclose(u2.matrix, expected.matrix, atol=1e-14)
 
 
+NAMED_SPECS = ["singlet", *BELL_KINDS, "u1-singlet", "u2-singlet", "u3-singlet"]
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS)
+def test_named_states_are_built_once_with_the_fresh_bits(spec):
+    # one validated, read-only state per spec serves every later call
+    rho = parse_state_spec(spec)
+    assert parse_state_spec(f" {spec} ") is rho
+    assert not rho.matrix.flags.writeable
+    if spec.startswith("u"):
+        fresh = apply_local_unitary(special_unitary(spec[:2]), density_from_pure(bell_state("psi-")))
+    else:
+        fresh = density_from_pure(bell_state(spec))
+    assert rho.matrix.tobytes() == fresh.matrix.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_noise_mixtures_on_the_kept_projector_equal_fresh_ones(kind):
+    ps = np.linspace(0.0, 1.0, 7)
+    for base in ("singlet", *BELL_KINDS):
+        proj = density_from_pure(bell_state(base)).matrix
+        fresh = np.array([p * proj + (1.0 - p) * states._NOISE_STATES[kind] for p in ps])
+        assert noise_mixtures(ps, kind, base=base).tobytes() == fresh.tobytes()
+        assert noise_mixture(ps[2], kind, base=base).matrix.tobytes() == fresh[2].tobytes()
+
+
 def test_parse_state_spec_noise_families():
     rho = parse_state_spec("werner:p=0.25")
     assert np.allclose(rho.matrix, noise_mixture(0.25, NoiseKind.WERNER).matrix)

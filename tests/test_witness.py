@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lurwit import witness
+from lurwit import states, witness
 from lurwit.linalg import NumericsError
 from lurwit.rng import stream
 from lurwit.states import (
@@ -23,6 +23,7 @@ from lurwit.witness import (
     Verdict,
     evaluate,
     evaluate_many,
+    evaluate_standard,
     local_bound,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,
@@ -505,3 +506,62 @@ def test_random_pure_states_obey_cross_implication():
             seen_high += 1
             assert report.ml_value < 2.0
     assert seen_high > 0
+
+
+# ------------------------------------------------- L2 and L3 from one pass
+
+
+def test_l2_pairs_are_the_first_two_of_l3():
+    # `evaluate_standard` and `estimate_standard` read L2 from L3's first two columns
+    l2, l3 = SETS["L2"], SETS["L3"]
+    assert [label for _, _, label in l2.pairs] == [label for _, _, label in l3.pairs[:2]]
+    assert l2._ops.tobytes() == l3._ops[:2].tobytes()
+    assert [b.value for b in Basis][:2] == [label for _, _, label in l2.pairs]
+
+
+def _standard_stacks():
+    g = stream(4040)
+    stacks = {}
+    for n in (1, 37):
+        for kind in ("psi-", "phi+"):
+            stacks[f"haar-{kind}-{n}"] = states.haar_rotated_bell_states(kind, 11, range(n))
+        for kind in NoiseKind:
+            grid = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.3])
+            stacks[f"{kind.value}-{n}"] = states.noise_mixtures(grid, kind, base="phi-")
+        stacks[f"mixed-{n}"] = np.array([random_mixed_matrix(g) for _ in range(n)])
+    return stacks
+
+
+STANDARD_STACKS = _standard_stacks()
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_STACKS))
+def test_standard_pass_equals_one_pass_per_family(name):
+    stack = STANDARD_STACKS[name]
+    got = evaluate_standard(stack)
+    want = (*evaluate_many(stack, SETS["L2"]), *evaluate_many(stack, SETS["L3"]))
+    assert [v.shape for v in got] == [(len(stack),)] * 4
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    for k in (0, len(stack) - 1):  # a row alone gives the bits it gives in the stack
+        assert [v.tobytes() for v in evaluate_standard(stack[k:k + 1])] == [v[k:k + 1].tobytes() for v in got]
+
+
+@pytest.mark.parametrize("skew", [[1e-6, 0.0, -1e-6], [0.0, 0.0, 1e-6]], ids=["L2-only", "L3-only"])
+def test_standard_pass_checks_both_families(skew, monkeypatch):
+    # the first skew cancels in L3's sum over three pairs, the second is outside L2's two
+    real = witness._pair_moments
+
+    def skewed(matrices, oset):
+        var_a, var_b, var_sum, cov = real(matrices, oset)
+        return var_a, var_b, var_sum + skew, cov
+
+    monkeypatch.setattr(witness, "_pair_moments", skewed)
+    with pytest.raises(NumericsError, match="modified-witness forms disagree at stack index 0"):
+        evaluate_standard(np.array([SINGLET.matrix]))
+
+
+def test_standard_pass_flags_a_complex_expectation():
+    stack = np.array([SINGLET.matrix] * 4)
+    stack[3] = stack[3] + 1e-3j * np.kron(SY, SY)
+    with pytest.raises(NumericsError, match="complex at stack index 3, pair 'R/L'"):
+        evaluate_standard(stack)
