@@ -12,7 +12,8 @@ from pathlib import Path
 from lurwit.cli import main as lurwit_main
 
 
-def run(outdir: Path, steps: int) -> None:
+def run(outdir: Path, steps: int) -> int:
+    """Write one CSV per family; the `lurwit` exit code of the first that fails, else 0."""
     outdir.mkdir(parents=True, exist_ok=True)
     for family in ("werner", "polarized"):
         out = outdir / f"{family}_sweep.csv"
@@ -23,8 +24,10 @@ def run(outdir: Path, steps: int) -> None:
                 "--out", str(out),
             ]
         )
-        assert code == 0
+        if code != 0:
+            return code
         print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
@@ -32,4 +35,4 @@ if __name__ == "__main__":
     parser.add_argument("--outdir", type=Path, default=Path("out"))
     parser.add_argument("--steps", type=int, default=101)
     args = parser.parse_args()
-    run(args.outdir, args.steps)
+    raise SystemExit(run(args.outdir, args.steps))

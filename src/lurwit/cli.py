@@ -9,14 +9,20 @@ are bit-identical for identical arguments and seed.
 Every command computes its whole result first and returns its outputs:
 one (columns, names, path) each, the columns one array per column (a list
 of one value for one-row outputs). `main` then writes them in order, and
-`_write_outputs` formats each in blocks of STACK_CHUNK rows: one conversion
-to strings per column and block, and one `%` template fill per row. A CSV
-string cell holding a comma, quote, CR or LF is quoted. If a write fails,
-the partial file and every file the command wrote before it are removed,
-unless the path is not a regular file (such as /dev/stdout).
+`_write_outputs` formats each in blocks of STACK_CHUNK rows, every row in
+one typed `%` template fill: a block of exact floats or ints is formatted
+by the fill itself (`%.12g` or, in finite JSON blocks, `%r`; `%d`), and
+only the cells of other blocks are made strings first. A CSV string cell
+holding a comma, quote, CR or LF is quoted. If a write fails, the partial
+file and every file the command wrote before it are removed, unless the
+path is not a regular file (such as /dev/stdout).
 
 `main(argv)` may be called many times in one process: the argument parser
-is built on the first call and shared by every later one.
+is built on the first call and shared by every later one. A command's
+arguments go straight to its own parser, in one argparse pass; any argv
+that does not parse there cleanly (no or an unknown command, a `--`, an
+argument left over) is parsed again by the full parser, whose usage, help
+and error text are the ones printed.
 
 Exit codes: 0 success, 2 usage or input error (also an input too large for
 memory, or a seed outside [0, 2**64)), 3 internal numerical error, 141
@@ -101,49 +107,61 @@ def _csv_cell(v) -> str:
     return _csv_string(v) if isinstance(v, str) else str(v)
 
 
-# the text of a cell, by format and by the Python type of every cell in its block
-_TYPED_RULES = {
-    "csv": {float: "{:.12g}".format, int: int.__repr__, str: _csv_string},
-    "json": {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii},
-}
-# the rule for each cell of a block of any other type, or of mixed types
+# the text of a string cell, by format
+_STRING_RULES = {"csv": _csv_string, "json": encode_basestring_ascii}
+# the text of each cell of a block of any other type, or of mixed types
 _CELL_RULES = {"csv": _csv_cell, "json": json.dumps}
+# the `%` conversion of a block of exact floats (JSON: a finite block only)
+_FLOAT_SLOTS = {"csv": "%.12g", "json": "%r"}
 _ARRAY_TYPES = {"f": float, "i": int, "u": int, "U": str}  # by dtype kind, after tolist()
 
 
-def _cells(block, fmt: str) -> list:
-    """The text of one block of one column, from one C-level map over its values."""
-    if isinstance(block, np.ndarray):
+def _slot(block, fmt: str):
+    """The `%` conversion of one block of one column, and the values it converts.
+
+    A block whose every cell is an exact float or int is converted by the
+    row's `%` fill itself, a float with `%.12g` (CSV) or `%r` (JSON, if no
+    cell is NaN or infinite); the cells of any other block are made text
+    first, by one C-level map over its values, and filled in with `%s`.
+    """
+    array = isinstance(block, np.ndarray)
+    if array:
         kind, values = _ARRAY_TYPES.get(block.dtype.kind), block.tolist()
-        finite = kind is float and np.isfinite(block).all()
     else:
         types = set(map(type, block))
-        kind, values, finite = (types.pop() if len(types) == 1 else None), block, False
-    rule = _TYPED_RULES[fmt].get(kind, _CELL_RULES[fmt])
-    text = list(map(rule, values))
-    if rule is float.__repr__ and not finite:
-        text = list(map(_JSON_NONFINITE.get, text, text))  # the json module's names
-    return text
+        kind, values = (types.pop() if len(types) == 1 else None), block
+    if kind is int:
+        return "%d", values
+    if kind is float:
+        if fmt == "csv" or (np.isfinite(block).all() if array else all(map(math.isfinite, block))):
+            return _FLOAT_SLOTS[fmt], values
+        text = list(map(float.__repr__, values))  # with the json module's names for NaN and infinities
+        return "%s", list(map(_JSON_NONFINITE.get, text, text))
+    rule = _STRING_RULES[fmt] if kind is str else _CELL_RULES[fmt]
+    return "%s", list(map(rule, values))
 
 
 def _blocks(columns: dict, names, fmt: str):
     """The document text, one block of STACK_CHUNK rows at a time.
 
-    Each row is one `%` fill of a template with one slot per column. The JSON
-    text is that of `json.dumps(rows, indent=2) + "\n"` for the row objects
-    keyed by `names`; the CSV text is a header line and one line per row.
+    Each row is one `%` fill of a template with one typed slot per column
+    (`_slot`). The JSON text is that of `json.dumps(rows, indent=2) + "\n"`
+    for the row objects keyed by `names`; the CSV text is a header line and
+    one line per row.
     """
     n = len(columns[names[0]])
     if fmt == "json":
-        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
-        template = "{\n    " + ",\n    ".join(f"{key}: %s" for key in keys) + "\n  }"
+        keys = [encode_basestring_ascii(name).replace("%", "%%") for name in names]
         lead, sep, end, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
     else:
-        template = ",".join(["%s"] * len(names)) + "\n"
         header = ",".join(names) + "\n"
         lead, sep, end, empty = header, "", "", header
     for start in range(0, n, STACK_CHUNK):
-        cells = (_cells(columns[name][start:start + STACK_CHUNK], fmt) for name in names)
+        slots, cells = zip(*(_slot(columns[name][start:start + STACK_CHUNK], fmt) for name in names))
+        if fmt == "json":
+            template = "{\n    " + ",\n    ".join(map("%s: %s".__mod__, zip(keys, slots))) + "\n  }"
+        else:
+            template = ",".join(slots) + "\n"
         yield lead + sep.join(map(template.__mod__, zip(*cells)))
         lead = sep
     yield end if n else empty
@@ -226,8 +244,12 @@ def run_sweep(args: argparse.Namespace):
     for start in range(0, len(grid), STACK_CHUNK):
         stack = states.noise_mixtures(grid[start:start + STACK_CHUNK], kind, base=args.base)
         chunks.append((*witness.evaluate_standard(stack), witness.ppt_min_eigenvalues(stack)))
-    values = (grid, *(np.concatenate(c) for c in zip(*chunks)))
-    return [(dict(zip(SWEEP_COLUMNS, values)), SWEEP_COLUMNS, args.out)]
+    return [(dict(zip(SWEEP_COLUMNS, (grid, *_joined(chunks)))), SWEEP_COLUMNS, args.out)]
+
+
+def _joined(chunks: list) -> tuple:
+    """Each column of a list of per-chunk column tuples, whole; one chunk's columns are not copied."""
+    return chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _check_seed(seed: int) -> None:
@@ -252,8 +274,7 @@ def run_haar_study(kind: str, samples: int, seed: int):
     """
     chunks = []
     summary = _study_summary(kind, samples, seed, chunks)
-    values = (np.arange(samples), *(np.concatenate(c) for c in zip(*chunks)))
-    return summary, dict(zip(SAMPLE_COLUMNS, values))
+    return summary, dict(zip(SAMPLE_COLUMNS, (np.arange(samples), *_joined(chunks))))
 
 
 def _study_summary(kind: str, samples: int, seed: int, chunks: list | None = None) -> dict:
@@ -372,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uncertainty-sum entanglement witnesses for two-qubit states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name (see `_parse_args`)
 
     def add_common(p, run):
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -410,8 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, in one argparse pass where it can be.
+
+    The arguments after a command name go straight to that command's parser,
+    which is what the full parser hands them to. Without a command, with an
+    unknown one, with a `--` anywhere, or with arguments left over, the full
+    parser parses `argv` again, so its usage, help and error text are what
+    the user sees.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv and "--" not in argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _write_outputs(args.run(args), args.fmt)
     except BrokenPipeError:

@@ -29,13 +29,14 @@ of int64 counts (replicates, bases, outcomes): `estimate_witnesses_many`
 returns the witness arrays of R replicates, and `estimate_witnesses` is its
 R = 1 case with the bound and the verdicts. `estimate_standard` estimates
 L2 and L3 from one (R, 3, 4) stack, checking the counts and taking each
-table's moments once. Every result is bit for bit what a per-table loop of
-Python scalars gives, and a row of a stack does not depend on the stack:
-the frequency dot products use `np.vecdot`, which like the 1-D `f @ g`
-makes one BLAS dot per row (a `sum` or `einsum` adds in another order),
-and squares use `np.float_power(x, 2.0)`, which like Python's `x**2` calls
-libm `pow` (numpy's `x**2` is `x*x`, and the two differ in the last bit
-now and then).
+table's moments once; L2 and L3, and their squared SEs, are then the
+running sums after two and three bases. Every result is bit for bit what a
+per-table loop of Python scalars gives, and a row of a stack does not
+depend on the stack: the frequency dot products use `np.vecdot`, which
+like the 1-D `f @ g` makes one BLAS dot per row (a `sum` or `einsum` adds
+in another order), and squares use `np.float_power(x, 2.0)`, which like
+Python's `x**2` calls libm `pow` (numpy's `x**2` is `x*x`, and the two
+differ in the last bit now and then).
 """
 
 from __future__ import annotations
@@ -49,7 +50,14 @@ import numpy as np
 
 from .linalg import NumericsError, first_failure
 from .states import Basis, DensityMatrix, I2
-from .witness import EXPECTATION_IMAG_TOL, Verdict, _witness_values, standard_sets, verdict_for
+from .witness import (
+    EXPECTATION_IMAG_TOL,
+    Verdict,
+    _standard_values,
+    _witness_values,
+    standard_sets,
+    verdict_for,
+)
 
 # joint outcomes in the fixed order (+,+), (+,-), (-,+), (-,-)
 SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
@@ -286,14 +294,19 @@ def estimate_standard(counts):
 
     Returns (l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se), eight length-R
     arrays. The counts are checked, and every table's moments taken, once:
-    L2's bases are L3's first two, so its estimates sum the first two
-    tables' moments. Every value is bit for bit that of
-    `estimate_witnesses_many` on the first two bases and on all three, and
-    bad counts raise what the call on all three raises.
+    L2's bases are L3's first two, so L2 and L3 are the running sums of the
+    tables' terms after two and three bases (`witness._standard_values`),
+    and their squared SEs the running sums of one accumulate. Every value is
+    bit for bit that of `estimate_witnesses_many` on the first two bases and
+    on all three, and bad counts raise what the call on all three raises.
     """
     bases = tuple(Basis)
-    moments = _moments(_checked_counts(counts, bases), bases, _replicate)
-    return (*_estimate(*(m[:, :2] for m in moments)), *_estimate(*moments))
+    *moments, se = _moments(_checked_counts(counts, bases), bases, _replicate)
+    l2, ml2, l3, ml3 = _standard_values(*moments)
+    # squared SEs of var_sum and the ML term, added up one basis after another
+    se_sums = np.add.accumulate(np.float_power(se, 2.0), axis=-2)
+    (l2_se, ml2_se), (l3_se, ml3_se) = np.sqrt(se_sums[:, 1:]).transpose(1, 2, 0)
+    return l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se
 
 
 def estimate_witnesses(tables) -> EstimatedReport:

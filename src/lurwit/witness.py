@@ -22,10 +22,11 @@ of an `ObservableSet` gives all 7 * P expectations of all N states at once.
 same kernel on a stack of one, plus the per-pair report (the variances and
 the covariance of each pair). `evaluate_standard` gives L2 and L3 from one
 pass over L3's operators: L2's pairs are L3's first two, so the two
-families read the same per-basis statistics, as they would in the lab. The
-runtime invariant checks (real expectations, the variance decomposition,
-the agreement of the two modified-witness forms) run on every call, as
-maxima over the stack.
+families read the same per-basis statistics, as they would in the lab, and
+each pair's terms are formed once: L2 and L3 are the running sums after
+two and three pairs. The runtime invariant checks (real expectations, the
+variance decomposition, the agreement of the two modified-witness forms,
+for L2 and for L3) run on every call, as maxima over the stack.
 """
 
 from __future__ import annotations
@@ -167,11 +168,14 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     return var_a, var_b, var_sum, cov
 
 
-def _witness_values(var_a, var_b, var_sum, cov):
-    """Plain and modified witness values per state; checks the two modified forms agree."""
-    l_values = var_sum.sum(axis=1)
-    ml_values = (var_a + var_b - 2.0 * np.abs(cov)).sum(axis=1)
-    ml_alternative = (var_sum - 4.0 * np.maximum(0.0, cov)).sum(axis=1)
+def _witness_terms(var_a, var_b, var_sum, cov):
+    """Each pair's plain term and its two modified forms, three (N, P) arrays."""
+    return var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov)
+
+
+def _checked(sums):
+    """Plain and modified witness values from the three terms' sums; checks the modified forms agree."""
+    l_values, ml_values, ml_alternative = sums
     failed = first_failure(np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL)
     if failed is not None:
         (n,) = failed
@@ -180,6 +184,27 @@ def _witness_values(var_a, var_b, var_sum, cov):
             f"{ml_values[n]} vs {ml_alternative[n]}"
         )
     return l_values, ml_values
+
+
+def _witness_values(var_a, var_b, var_sum, cov):
+    """Plain and modified witness values per state; checks the two modified forms agree."""
+    return _checked([t.sum(axis=1) for t in _witness_terms(var_a, var_b, var_sum, cov)])
+
+
+def _standard_values(var_a, var_b, var_sum, cov):
+    """L2, ML2, L3 and ML3 per state from L3's (N, 3) per-pair moments, in one pass.
+
+    Every pair's terms are formed once; L2 and L3 are the running sums after
+    two and three pairs, and both families' modified forms are checked, L2's
+    first. The sums start from +0.0 and add pair by pair, as a row `sum`
+    does (a `cumsum` starts from the first term, and so keeps a -0.0 that the
+    row sum turns into +0.0): every value is bit for bit `_witness_values`
+    on the first two pairs and on all three.
+    """
+    terms = np.array(_witness_terms(var_a, var_b, var_sum, cov))
+    l2 = 0.0 + terms[..., 0] + terms[..., 1]
+    l3 = l2 + terms[..., 2]
+    return (*_checked(l2), *_checked(l3))
 
 
 def _basis_set(bases) -> ObservableSet:
@@ -254,12 +279,12 @@ def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """L2, ML2, L3 and ML3, four length-N arrays, for an (N, 4, 4) stack, from one kernel pass.
 
     L2's pairs are the first two of L3's (`standard_sets`), so the per-pair
-    moments of L3 hold those of L2 in their first two columns; each family
-    is then summed, and its two modified forms checked, as `evaluate_many`
-    does. Every value is bit for bit `evaluate_many` with that family's set.
+    moments of L3 hold those of L2 in their first two columns, and one pass
+    of running sums over them gives both families (`_standard_values`), with
+    each family's two modified forms checked as `evaluate_many` checks them.
+    Every value is bit for bit `evaluate_many` with that family's set.
     """
-    moments = _pair_moments(_stack(matrices), _STANDARD_SETS["L3"])
-    return (*_witness_values(*(m[:, :2] for m in moments)), *_witness_values(*moments))
+    return _standard_values(*_pair_moments(_stack(matrices), _STANDARD_SETS["L3"]))
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:

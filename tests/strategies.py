@@ -58,3 +58,27 @@ def hermitian_4x4(draw):
     im = np.array(draw(st.tuples(*[component] * 16))).reshape(4, 4)
     m = re + 1j * im
     return (m + m.conj().T) / 2.0
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+moment = st.one_of(signed_zero, st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def moment_stacks(draw, sizes):
+    """Per-pair moments of a three-pair stack of N rows, N drawn from `sizes`.
+
+    Returns var_a, var_b, var_sum and cov, each (N, 3), and the SEs, (N, 3, 2).
+    The rows are drawn ones and three set ones, in a drawn order and repeated
+    up to N: every value -0.0, every value +0.0, and cov = +/-0.0 beside
+    drawn variances. var_sum is var_a + var_b + 2 cov, so the two forms of
+    the modified witness agree.
+    """
+    n = draw(st.sampled_from(sizes))
+    pair = st.tuples(moment, moment, moment, moment, moment)  # var_a, var_b, cov and two SEs
+    rows = draw(st.lists(st.tuples(pair, pair, pair), min_size=1, max_size=4))
+    rows += [[(-0.0,) * 5] * 3, [(0.0,) * 5] * 3]
+    rows.append([(draw(moment), draw(moment), draw(signed_zero), draw(moment), draw(moment))] * 3)
+    values = np.resize(np.array(draw(st.permutations(rows))), (n, 3, 5))
+    var_a, var_b, cov = (np.ascontiguousarray(values[..., k]) for k in range(3))
+    return var_a, var_b, var_a + var_b + 2.0 * cov, cov, np.ascontiguousarray(values[..., 3:])

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
+import enum
 import errno
 import importlib.util
 import json
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -323,6 +326,20 @@ def test_noise_sweep_script_output_does_not_depend_on_chunking(tmp_path, monkeyp
         assert full == (tmp_path / "small" / f"{family}_sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_noise_sweep_script_exits_with_the_failing_code(flags, tmp_path):
+    # `python -O` strips asserts, so the script must not rest on one to see a failure
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_noise_sweeps.py"
+    proc = subprocess.run(
+        [sys.executable, *flags, str(script), "--steps", "1", "--outdir", str(tmp_path)],
+        env=_subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "wrote" not in proc.stdout
+    assert proc.stderr == "error: need at least 2 grid points\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -373,8 +390,16 @@ def _rows(columns, names):
 
 
 def _assert_writes_reference(columns, names, fmt, path, capsys):
-    """`_write_outputs` gives the row writer's text, to a file and to stdout."""
-    want = write_rows_reference(_rows(columns, names), names, fmt)
+    """`_write_outputs` gives the row writer's text, to a file and to stdout, or raises its TypeError."""
+    try:
+        want = write_rows_reference(_rows(columns, names), names, fmt)
+    except TypeError as exc:
+        for target in (str(path), None):
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                cli._write_outputs([(columns, names, target)], fmt)
+        assert not path.exists()
+        capsys.readouterr()
+        return
     cli._write_outputs([(columns, names, str(path))], fmt)
     assert path.read_bytes() == want.encode()
     cli._write_outputs([(columns, names, None)], fmt)
@@ -394,6 +419,11 @@ def test_streamed_rows_equal_whole_document_text(fmt, tmp_path, capsys):
         _assert_writes_reference(columns, names, fmt, tmp_path / f"rows.{fmt}", capsys)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 _ADVERSARIAL = {
     "float": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3]),
     "float list": [0.1, -0.0, np.inf, 1e16, -np.inf, np.nan, 5e-324, 1 / 3],
@@ -404,6 +434,14 @@ _ADVERSARIAL = {
     "text": ["back\\slash", "ünïcødé ∑", "ctl \x00\x01\x1f\t\x7f end", ""],
     "text array": np.array(["a\\b", "é", "\x1b[0m"]),
     "50% ä": np.array([1.5, -2.25]),  # a key with a `%` and a non-ASCII letter
+    # cells that are not an exact float or int take the per-cell rules, not a typed `%` slot
+    "np.float64 list": [np.float64(v) for v in (0.5, np.nan, -0.0, np.inf, -np.inf, 1 / 3)],
+    "bool list": [True, False, True],
+    "IntEnum list": [_Level.LOW, _Level.HIGH],
+    # finite in the first block of 5 rows, infinite in the second
+    "inf in block 2": np.array([0.5, -0.0, 1e16, 5e-324, 1 / 3, np.inf]),
+    # the json module cannot encode a numpy int, so a JSON write raises its TypeError
+    "np.int64 list": [np.int64(v) for v in (0, -3, 2**62)],
 }
 
 
@@ -423,6 +461,8 @@ def test_writer_matches_row_reference(fmt, chunk, tmp_path, capsys, monkeypatch)
             for name, v in _ADVERSARIAL.items()
         }
         _assert_writes_reference(columns, names, fmt, tmp_path / f"cells.{fmt}", capsys)
+        encodable = names[:-1]  # all but the np.int64 list, which JSON cannot encode
+        _assert_writes_reference(columns, encodable, fmt, tmp_path / f"cells.{fmt}", capsys)
         for name in names:  # each column alone, so no other cell hides a difference
             _assert_writes_reference(columns, (name,), fmt, tmp_path / f"cell.{fmt}", capsys)
 
@@ -823,6 +863,57 @@ def test_help_text_matches_fresh_parser(columns, capsys, monkeypatch):
         assert all(len(line) <= int(columns) for line in out.splitlines())
         with _fresh_parser(monkeypatch):
             assert _exit(capsys, [command, "--help"]) == shared
+
+
+_COMMANDS = ("evaluate", "sweep", "haar-study", "simulate", "bound")
+_DISPATCH_ARGV = [
+    ["evaluate", "--state", "singlet"],
+    ["sweep", "--noise", "werner", "--p-steps", "3"],
+    ["haar-study", "--samples", "4", "--seed", "2"],
+    ["simulate", "--state", "psi+", "--shots", "10", "--seed", "1"],
+    ["bound", "--observables", "sx,sz"],
+    ["sweep", "--noise", "polarized", "--p-steps", "3", "--format=json"],
+    ["sweep", "--noise", "werner", "--p-st", "0.2", "--p-steps", "3"],  # an abbreviated option
+    ["sweep", "--noise", "werner", "--p-start", "-0.5", "--p-steps", "3"],
+    ["simulate", "--state", "psi+"],  # a required option missing
+    ["sweep", "--noise", "werner", "--p-steps", "3.5"],
+    ["sweep", "--noise", "werner", "--p-stop", "one"],
+    ["bound", "--observables", "sx", "--format", "xml"],
+    ["evaluate", "--state", "singlet", "--verbose"],
+    ["evaluate", "--state", "singlet", "extra"],
+    *([command, "--help"] for command in _COMMANDS),
+    [],
+    ["-h"],
+    ["plot", "--state", "singlet"],
+    ["--", "evaluate", "--state", "singlet"],
+    ["evaluate", "--", "--state", "singlet"],
+]
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, also when argparse ends it with SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    # a command's arguments go straight to its own parser; the outcome is the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _main_outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert _main_outcome(capsys, argv) == got
+    if got[0] == 0 and not got[1].startswith("usage:"):  # a command ran: one namespace
+        want = cli.build_parser().parse_args(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli.build_parser(), "parse_args", None)  # the command's parser alone
+            args = cli._parse_args(argv)
+        assert isinstance(args, argparse.Namespace) and vars(args) == vars(want)
 
 
 # (argv, files it writes); paths are relative to the working directory

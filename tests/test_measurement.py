@@ -1,11 +1,13 @@
 import gc
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lurwit import measurement
-from lurwit.cli import simulate_counts
+from lurwit.cli import STACK_CHUNK, simulate_counts
 from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
@@ -35,6 +37,7 @@ from oracles import (
     outcome_probabilities_brute,
     random_mixed_matrix,
 )
+from strategies import moment_stacks
 
 SETS = standard_sets()
 SINGLET = density_from_pure(bell_state("psi-"))
@@ -444,6 +447,17 @@ def test_standard_estimate_equals_one_call_per_family():
     assert [_bits(c) for c in got] == [_bits(c) for c in _one_call_per_family(counts)]
     for r in (0, len(counts) - 1):  # R = 1 gives the bits of its row in the stack
         assert [_bits(c) for c in estimate_standard(counts[r:r + 1])] == [_bits(c[r:r + 1]) for c in got]
+
+
+@given(moment_stacks((1, STACK_CHUNK + 3)))
+@settings(max_examples=40, deadline=None)  # N > STACK_CHUNK rows per example
+def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
+    # the values and SEs of the one pass against `_estimate` on each family's tables
+    want = (*measurement._estimate(*(m[:, :2] for m in moments)), *measurement._estimate(*moments))
+    counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
+    with mock.patch.object(measurement, "_moments", lambda counts, bases, name: moments):
+        got = estimate_standard(counts)
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 def _bad_stacks():

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lurwit import states, witness
+from lurwit.cli import STACK_CHUNK
 from lurwit.linalg import NumericsError
 from lurwit.rng import stream
 from lurwit.states import (
@@ -41,7 +44,7 @@ from oracles import (
     var_sum_brute,
     variance_brute,
 )
-from strategies import density_matrices, hermitian_2x2, product_pure_states
+from strategies import density_matrices, hermitian_2x2, moment_stacks, product_pure_states
 
 SETS = standard_sets()
 SINGLET = density_from_pure(bell_state("psi-"))
@@ -544,6 +547,18 @@ def test_standard_pass_equals_one_pass_per_family(name):
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     for k in (0, len(stack) - 1):  # a row alone gives the bits it gives in the stack
         assert [v.tobytes() for v in evaluate_standard(stack[k:k + 1])] == [v[k:k + 1].tobytes() for v in got]
+
+
+@given(moment_stacks((1, STACK_CHUNK + 3)))
+@settings(max_examples=40, deadline=None)  # N > STACK_CHUNK rows per example
+def test_standard_running_sums_equal_one_sum_per_family(moments):
+    # signed zeros included: a row sum starts from +0.0, so all -0.0 terms sum to +0.0
+    var_a, var_b, var_sum, cov, _ = moments
+    family = (var_a, var_b, var_sum, cov)
+    want = (*witness._witness_values(*(m[:, :2] for m in family)), *witness._witness_values(*family))
+    with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: family):
+        got = evaluate_standard(np.zeros((len(var_a), 4, 4)))
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 @pytest.mark.parametrize("skew", [[1e-6, 0.0, -1e-6], [0.0, 0.0, 1e-6]], ids=["L2-only", "L3-only"])
