@@ -348,12 +348,13 @@ def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
     """One count table per basis, in `Basis` order; basis i draws from stream (seed, i).
 
     The three draws come from `rng.keyed_draws`, bit for bit
-    `rng.stream(seed, i).multinomial(shots, p_i)`.
+    `rng.stream(seed, i).multinomial(shots, p_i)`, and the tables are kept
+    as one replicate (`measurement.drawn_tables`).
     """
     measurement.check_shots(shots)
     probs = iter(measurement.outcome_probabilities(rho))
     counts = rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs)))
-    return [measurement.CountTable(basis, c) for basis, c in zip(states.Basis, counts)]
+    return measurement.drawn_tables(counts)
 
 
 def run_simulate(args: argparse.Namespace):
@@ -361,7 +362,7 @@ def run_simulate(args: argparse.Namespace):
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     _check_seed(args.seed)
     rho = states.parse_state_spec(args.state)
-    counts = np.array([[t.counts for t in simulate_counts(rho, args.shots, args.seed)]])
+    counts = measurement.stacked_counts(simulate_counts(rho, args.shots, args.seed))
     row = (args.state, args.shots, *(float(v[0]) for v in measurement.estimate_standard(counts)))
     return [(_one_row(dict(zip(SIMULATE_COLUMNS, row))), SIMULATE_COLUMNS, args.out)]
 

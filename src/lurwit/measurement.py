@@ -30,7 +30,11 @@ returns the witness arrays of R replicates, and `estimate_witnesses` is its
 R = 1 case with the bound and the verdicts. `estimate_standard` estimates
 L2 and L3 from one (R, 3, 4) stack, checking the counts and taking each
 table's moments once; L2 and L3, and their squared SEs, are then the
-running sums after two and three bases. Every result is bit for bit what a
+running sums after two and three bases. The three tables of one drawn
+replicate (`drawn_tables`) keep their (1, 3, 4) stack while they live, so
+an L2 and an L3 `estimate_witnesses` call on them share that one pass, as
+one experiment's tables supply both families; the bases and shot checks
+still run on every call. Every result is bit for bit what a
 per-table loop of Python scalars gives, and a row of a stack does not
 depend on the stack: the frequency dot products use `np.vecdot`, which
 like the 1-D `f @ g` makes one BLAS dot per row (a `sum` or `einsum` adds
@@ -73,6 +77,11 @@ PROB_SUM_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # counts are int64
 
 
+def _as_basis(basis) -> Basis:
+    """`basis` if it is a `Basis`, else the `Basis` it labels; ValueError for anything else."""
+    return basis if isinstance(basis, Basis) else Basis(basis)
+
+
 def _is_distribution(p: np.ndarray) -> np.ndarray:
     """Per row of a (..., 4) array: entries in [0, 1] summing to 1 (NaN fails)."""
     in_range = ((0.0 <= p) & (p <= 1.0)).all(axis=-1)
@@ -81,12 +90,18 @@ def _is_distribution(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Joint outcome counts of one basis, summing to `shots`; `counts` is a read-only int64 copy."""
+    """Joint outcome counts of one basis, summing to `shots`; `counts` is a read-only int64 copy.
+
+    `basis` is a `Basis` or its label; anything else raises ValueError.
+    """
 
     basis: Basis
     counts: np.ndarray
+    # (replicate, row) of a table `drawn_tables` built; not a dataclass field
+    _drawn = (None, -1)
 
     def __post_init__(self):
+        object.__setattr__(self, "basis", _as_basis(self.basis))
         c = np.asarray(self.counts)
         if c.shape != (4,) or c.dtype.kind not in "iuf":
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
@@ -103,10 +118,11 @@ class CountTable:
         counts = c.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_shots", total)
 
     @property
     def shots(self) -> int:
-        return int(self.counts.sum())
+        return self._shots
 
 
 @dataclass(frozen=True)
@@ -212,14 +228,23 @@ def _table_moments(counts: np.ndarray, shots: np.ndarray):
     return var_a, var_b, var_sum, cov, se
 
 
-def _separable_bound(bases: tuple) -> float:
-    """The bound of the standard set the bases pick; ValueError if they pick none."""
-    if len(set(bases)) != len(bases):
+def _checked_bases(bases) -> tuple:
+    """The bases as a tuple of `Basis` members, and the bound of the standard set they pick.
+
+    A basis may be given by its label; ValueError for anything else, and if
+    the bases pick no standard set.
+    """
+    bases = tuple(map(_as_basis, bases))
+    labels = frozenset(b.value for b in bases)  # one label per basis
+    if len(labels) != len(bases):
         raise ValueError("duplicate basis in count tables")
-    labels = frozenset(b.value for b in bases)
     if labels not in _BOUNDS:
         raise ValueError(f"count tables cover bases {sorted(labels)}, not those of L2 or L3")
-    return _BOUNDS[labels]
+    return bases, _BOUNDS[labels]
+
+
+def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
+    return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
 def _moments(counts: np.ndarray, bases: tuple, name):
@@ -231,7 +256,7 @@ def _moments(counts: np.ndarray, bases: tuple, name):
     failed = first_failure(shots >= 2)
     if failed is not None:
         r, b = failed
-        raise ValueError(f"{name(r)}basis {bases[b].value}: need at least 2 shots to estimate a variance")
+        raise _too_few_shots(name(r), bases[b])
     return _table_moments(counts, shots)
 
 
@@ -275,6 +300,84 @@ def _checked_counts(counts, bases: tuple) -> np.ndarray:
     return c.astype(np.int64, copy=False)
 
 
+def _standard(var_a, var_b, var_sum, cov, se):
+    """L2's and L3's values and SEs, eight length-R arrays, from the `_moments` of R (3, 4) replicates.
+
+    L2's bases are L3's first two, so L2 and L3 are the running sums of the
+    tables' terms after two and three bases (`witness._standard_values`,
+    which checks both families' ML forms), and their squared SEs the
+    running sums of one accumulate.
+    """
+    l2, ml2, l3, ml3 = _standard_values(var_a, var_b, var_sum, cov)
+    # squared SEs of var_sum and the ML term, added up one basis after another
+    se_sums = np.add.accumulate(np.float_power(se, 2.0), axis=-2)
+    (l2_se, ml2_se), (l3_se, ml3_se) = np.sqrt(se_sums[:, 1:]).transpose(1, 2, 0)
+    return l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se
+
+
+class _Drawn:
+    """One replicate's tables as `drawn_tables` built them: their stack, shots and estimate."""
+
+    __slots__ = ("counts", "shots", "estimate", "__weakref__")
+
+    def __init__(self, counts: np.ndarray, shots: int):
+        self.counts = counts  # read-only (1, 3, 4) int64, rows in `Basis` order
+        self.shots = shots  # every table's total
+        self.estimate = None  # `_standard` of the stack as eight floats, once taken
+
+    def standard(self) -> tuple:
+        """L2's and L3's (value, SE, ML value, ML SE), eight floats, computed on the first call.
+
+        The caller has checked that the tables have at least 2 shots.
+        """
+        if self.estimate is None:
+            estimate = _standard(*_table_moments(self.counts, np.add.reduce(self.counts, axis=-1)))
+            self.estimate = tuple(float(v[0]) for v in estimate)
+        return self.estimate
+
+
+def drawn_tables(counts) -> list:
+    """One replicate's `CountTable`s, in `Basis` order, from its three draws of one total each.
+
+    Each table is validated as any `CountTable` is. The tables also keep
+    their read-only (1, 3, 4) stack and their shots while they live: the
+    stack is what `stacked_counts` gives for all three, and
+    `estimate_witnesses` on the first two or all three, in order, estimates
+    both families from it once (see there).
+    """
+    tables = [CountTable(basis, c) for basis, c in zip(Basis, counts, strict=True)]
+    totals = [t.shots for t in tables]
+    if len(set(totals)) != 1:
+        raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
+    stack = np.array([[t.counts for t in tables]])
+    stack.flags.writeable = False
+    drawn = _Drawn(stack, totals[0])
+    for row, table in enumerate(tables):
+        object.__setattr__(table, "_drawn", (drawn, row))
+    return tables
+
+
+def _drawn_of(tables: list):
+    """The `_Drawn` whose first len(tables) tables these are, in order; None if there is none."""
+    drawn = getattr(tables[0], "_drawn", (None,))[0] if tables else None
+    if drawn is None or any(getattr(t, "_drawn", None) != (drawn, row) for row, t in enumerate(tables)):
+        return None
+    return drawn
+
+
+def stacked_counts(tables) -> np.ndarray:
+    """The (1, B, 4) int64 count stack of one replicate's tables, in table order.
+
+    For all three tables of one `drawn_tables` call, in order, this is their
+    kept read-only stack; for any other tables a new array.
+    """
+    tables = list(tables)
+    drawn = _drawn_of(tables)
+    if drawn is not None and len(tables) == 3:
+        return drawn.counts
+    return np.array([[t.counts for t in tables]])
+
+
 def estimate_witnesses_many(counts, bases):
     """Both witness estimates of R replicates, from an (R, B, 4) integer count stack.
 
@@ -284,8 +387,7 @@ def estimate_witnesses_many(counts, bases):
     `estimate_witnesses`' own (bases, then counts, then at least 2 shots per
     table), and a failed count check names the first failing replicate.
     """
-    bases = tuple(bases)
-    _separable_bound(bases)
+    bases, _ = _checked_bases(bases)
     return _estimate(*_moments(_checked_counts(counts, bases), bases, _replicate))
 
 
@@ -293,20 +395,13 @@ def estimate_standard(counts):
     """L2 and L3 estimates of R replicates from one (R, 3, 4) count stack in `Basis` order.
 
     Returns (l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se), eight length-R
-    arrays. The counts are checked, and every table's moments taken, once:
-    L2's bases are L3's first two, so L2 and L3 are the running sums of the
-    tables' terms after two and three bases (`witness._standard_values`),
-    and their squared SEs the running sums of one accumulate. Every value is
-    bit for bit that of `estimate_witnesses_many` on the first two bases and
-    on all three, and bad counts raise what the call on all three raises.
+    arrays. The counts are checked, and every table's moments taken, once
+    (`_standard`). Every value is bit for bit that of
+    `estimate_witnesses_many` on the first two bases and on all three, and
+    bad counts raise what the call on all three raises.
     """
     bases = tuple(Basis)
-    *moments, se = _moments(_checked_counts(counts, bases), bases, _replicate)
-    l2, ml2, l3, ml3 = _standard_values(*moments)
-    # squared SEs of var_sum and the ML term, added up one basis after another
-    se_sums = np.add.accumulate(np.float_power(se, 2.0), axis=-2)
-    (l2_se, ml2_se), (l3_se, ml3_se) = np.sqrt(se_sums[:, 1:]).transpose(1, 2, 0)
-    return l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se
+    return _standard(*_moments(_checked_counts(counts, bases), bases, _replicate))
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -315,12 +410,26 @@ def estimate_witnesses(tables) -> EstimatedReport:
     The tables' bases pick the standard set (0/90 and 45/135 for L2, all
     three for L3) and its separable bound. This is `estimate_witnesses_many`
     on one replicate, with the bound and the verdicts.
+
+    On the first two or all three tables of one `drawn_tables` call, in
+    order, the bases and the tables' shots are checked as on any tables,
+    and the values are read from the replicate's L2 and L3 estimate
+    (`estimate_standard` of its kept stack), which its first such call
+    takes: an L2 and an L3 call share one moments pass, and a failed ML
+    check in either family fails both. The values are bit for bit those of
+    any tables with the same counts.
     """
     tables = list(tables)
-    bases = tuple(t.basis for t in tables)
-    bound = _separable_bound(bases)
-    counts = np.array([[t.counts for t in tables]])
-    moments = _moments(counts, bases, lambda r: "")
-    l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(*moments))
+    bases, bound = _checked_bases(t.basis for t in tables)
+    drawn = _drawn_of(tables)
+    if drawn is None:
+        counts = np.array([[t.counts for t in tables]])
+        moments = _moments(counts, bases, lambda r: "")
+        l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(*moments))
+    else:
+        if drawn.shots < 2:  # the first table's check, as every table has this total
+            raise _too_few_shots("", bases[0])
+        family = 4 * (len(bases) - 2)  # L2's four values, then L3's
+        l_value, l_se, ml_value, ml_se = drawn.standard()[family:family + 4]
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

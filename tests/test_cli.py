@@ -710,6 +710,23 @@ def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_simulate_estimates_the_drawn_replicates_kept_stack(capsys, monkeypatch):
+    seen = []
+    real = measurement.estimate_standard
+
+    def recorded(counts):
+        seen.append(counts)
+        return real(counts)
+
+    monkeypatch.setattr(measurement, "estimate_standard", recorded)
+    code, stdout, _ = _run(capsys, ["simulate", "--state", "werner:p=0.9", "--shots", "1000", "--seed", "3"])
+    assert code == 0 and len(seen) == 1
+    (counts,) = seen
+    tables = cli.simulate_counts(states.parse_state_spec("werner:p=0.9"), 1000, 3)
+    assert counts.shape == (1, 3, 4) and not counts.flags.writeable
+    assert counts.tolist() == measurement.stacked_counts(tables).tolist()
+
+
 def test_simulate_counts_matches_per_basis_sampling():
     for spec, shots, seed in (("werner:p=0.3", 2, 0), ("u2-singlet", 1000, 5), ("phi+", 10**6, 9)):
         rho = states.parse_state_spec(spec)

@@ -1,9 +1,11 @@
-"""Pinned digests of seeded CLI output.
+"""Pinned digests of seeded CLI output and seeded finite-shot reports.
 
 Every command here is deterministic for fixed arguments and seed, so the
 sha256 of its output must not move when the code under it is reworked. A
 digest covers the concatenated stdout of every listed (shots, seed) or
-argument set, so one change anywhere in it shows.
+argument set, so one change anywhere in it shows. The same holds for the
+`estimate_witnesses` reports of drawn count tables, pinned field by field
+with `float.hex`.
 """
 
 import hashlib
@@ -11,7 +13,9 @@ import json
 
 import pytest
 
-from lurwit.cli import main
+from lurwit.cli import main, simulate_counts
+from lurwit.measurement import estimate_witnesses
+from lurwit.states import parse_state_spec
 
 SIMULATE_SPECS = (
     "singlet", "phi+", "u2-singlet", "werner:p=0.9", "werner:p=0.2", "polarized:p=0.37", "file:rho.json",
@@ -52,6 +56,9 @@ SIMULATE_DIGESTS = {
     ("file:rho.json", "csv"): "4aa602ffa60b216dca2e8a1f0246d58341bc50eb7d663ff5db6742d15d1447d2",
     ("file:rho.json", "json"): "4ea952030395e581a7510bc1195947cb54dc493428763609a2a6bab7bdfd0a8d",
 }
+
+# L2 then L3 reports of every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS
+ESTIMATE_DIGEST = "0fc25faed196c668fd063aa3b66e8177203de2de5692a4844707262ac6e0dd90"
 
 OTHER_RUNS = {
     "evaluate": [["evaluate", "--state", s] for s in SIMULATE_SPECS],
@@ -119,3 +126,22 @@ def test_exact_and_study_output_is_pinned(command, fmt, in_tmp, capsys):
     # "haar-study" also writes its per-sample file; "haar-study summary" writes none
     per_sample = in_tmp / "samples.out" if command == "haar-study" else None
     assert _digest(OTHER_RUNS[command], fmt, capsys, per_sample) == OTHER_DIGESTS[command, fmt]
+
+
+def _report_fields(report) -> str:
+    """Every field of an `EstimatedReport`: floats as `float.hex`, bases and verdicts by value."""
+    floats = (report.l_value, report.l_se, report.ml_value, report.ml_se, report.separable_bound)
+    labels = (*(b.value for b in report.bases), report.verdict_l.value, report.verdict_ml.value)
+    return " ".join((*map(float.hex, floats), *labels)) + "\n"
+
+
+def test_estimated_reports_are_pinned(in_tmp):
+    h = hashlib.sha256()
+    for spec in SIMULATE_SPECS:
+        rho = parse_state_spec(spec)
+        for shots in SIMULATE_SHOTS:
+            for seed in SIMULATE_SEEDS:
+                tables = simulate_counts(rho, shots, seed)
+                for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
+                    h.update(_report_fields(report).encode())
+    assert h.hexdigest() == ESTIMATE_DIGEST

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -12,10 +13,12 @@ from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
     MAX_SHOTS,
+    drawn_tables,
     estimate_standard,
     estimate_witnesses,
     estimate_witnesses_many,
     outcome_probabilities,
+    stacked_counts,
 )
 from lurwit.rng import stream
 from lurwit.states import (
@@ -149,6 +152,28 @@ def test_count_table_rejects_fractional_and_overflowing_counts():
     whole = CountTable(Basis.LIN_0_90, [1.0, 2.0, 3.0, 4.0])
     assert whole.counts.dtype == np.int64 and whole.shots == 10
     assert CountTable(Basis.LIN_0_90, [2**62, 2**62 - 1, 0, 0]).shots == MAX_SHOTS
+
+
+def test_count_table_takes_a_basis_label():
+    for basis in Basis:
+        assert CountTable(basis.value, [1, 2, 3, 4]).basis is basis
+    for bad in ("0/91", "LIN_0_90", 0, None, ("0/90",)):
+        with pytest.raises(ValueError, match="not a valid Basis"):
+            CountTable(bad, [1, 2, 3, 4])
+    counts = np.array([[[3, 1, 4, 1], [5, 9, 2, 6]]])
+    labelled = estimate_witnesses(CountTable(b, c) for b, c in zip(["0/90", "45/135"], counts[0]))
+    assert labelled.bases == (Basis.LIN_0_90, Basis.LIN_45_135)
+    assert labelled == estimate_witnesses(CountTable(b, c) for b, c in zip(Basis, counts[0]))
+    many = estimate_witnesses_many(counts, ["0/90", Basis.LIN_45_135])
+    assert _bits(c[0] for c in many) == _bits(
+        (labelled.l_value, labelled.l_se, labelled.ml_value, labelled.ml_se)
+    )
+    with pytest.raises(ValueError, match="not a valid Basis"):
+        estimate_witnesses_many(counts, ["0/90", "45/136"])
+    with pytest.raises(ValueError, match="duplicate basis"):  # a label and its member are one basis
+        estimate_witnesses_many(counts, ["0/90", Basis.LIN_0_90])
+    with pytest.raises(ValueError, match="replicate 0, basis 45/135: need at least 2 shots"):
+        estimate_witnesses_many(np.ones((1, 2, 4), int) * [[[1], [0]]], ["0/90", "45/135"])
 
 
 def test_outcome_distribution_rejects_nan():
@@ -492,3 +517,143 @@ def test_standard_estimate_raises_what_the_l3_call_raises(name):
     with pytest.raises(ValueError) as got:
         estimate_standard(counts)
     assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------- tables drawn as one replicate
+
+
+def _report_bits(report) -> list:
+    floats = (report.l_value, report.l_se, report.ml_value, report.ml_se, report.separable_bound)
+    return [*_bits(floats), report.bases, report.verdict_l, report.verdict_ml]
+
+
+def _rebuilt(tables) -> list:
+    return [CountTable(t.basis, t.counts) for t in tables]
+
+
+@pytest.fixture
+def moments_calls(monkeypatch):
+    """A list that gains one entry per `_table_moments` call: the shape of its count stack."""
+    calls = []
+    real = measurement._table_moments
+
+    def counted(counts, shots):
+        calls.append(counts.shape)
+        return real(counts, shots)
+
+    monkeypatch.setattr(measurement, "_table_moments", counted)
+    return calls
+
+
+def test_drawn_replicate_estimates_equal_rebuilt_tables_bitwise(moments_calls):
+    g = stream(1515)
+    rhos = [SINGLET, HH, H_PLUS, noise_mixture(0.9, NoiseKind.WERNER)]
+    rhos += [DensityMatrix(random_mixed_matrix(g)) for _ in range(3)]
+    rhos += [density_from_pure(random_pure_state(g)) for _ in range(3)]
+    checked = 0
+    for rho in rhos:
+        for shots in (2, 3, 100, 10**6):
+            for seed in range(6):
+                for order in ((2, 3), (3, 2)):  # L2 then L3, and L3 then L2
+                    tables = simulate_counts(rho, shots, seed)
+                    before = len(moments_calls)
+                    for n in order:
+                        got = estimate_witnesses(tables[:n])
+                        want = estimate_witnesses(_rebuilt(tables[:n]))
+                        assert _report_bits(got) == _report_bits(want)
+                        checked += 1
+                    # the drawn replicate's one pass, and one per call on the rebuilt tables
+                    assert moments_calls[before:] == [(1, 3, 4), (1, order[0], 4), (1, order[1], 4)]
+    assert checked >= 800
+
+
+def test_other_tables_take_the_per_call_path(moments_calls):
+    a = simulate_counts(noise_mixture(0.7, NoiseKind.POLARIZED), 500, 1)
+    b = simulate_counts(noise_mixture(0.7, NoiseKind.POLARIZED), 500, 2)
+    first = a[0]
+    moved = CountTable(first.basis, [0, 0, 0, first.shots])  # hand-built, all counts on (-,-)
+    cases = {
+        "reversed": a[::-1],
+        "L2 reversed": a[1::-1],
+        "mixed replicates": [a[0], b[1], a[2]],
+        "mixed L2": [b[0], a[1]],
+        "hand-built first": [moved, *a[1:]],
+        "hand-built last": [*a[:2], CountTable(a[2].basis, a[2].counts)],
+    }
+    for name, tables in cases.items():
+        before = len(moments_calls)
+        got = estimate_witnesses(tables)
+        assert moments_calls[before:] == [(1, len(tables), 4)], name
+        assert _report_bits(got) == _report_bits(estimate_witnesses(_rebuilt(tables))), name
+    assert a[0]._drawn[0].estimate is None and b[0]._drawn[0].estimate is None
+
+
+def test_drawn_replicate_checks_every_call():
+    single = simulate_counts(SINGLET, 1, 0)
+    for n in (2, 3, 2):
+        with pytest.raises(ValueError) as got:
+            estimate_witnesses(single[:n])
+        with pytest.raises(ValueError) as want:
+            estimate_witnesses(_rebuilt(single[:n]))
+        assert str(got.value) == str(want.value) == "basis 0/90: need at least 2 shots to estimate a variance"
+    tables = simulate_counts(SINGLET, 100, 0)
+    estimate_witnesses(tables)
+    for subset in (tables[:1], tables[1:], [tables[0], tables[0]]):  # the bases still pick the set
+        with pytest.raises(ValueError):
+            estimate_witnesses(subset)
+
+
+def test_drawn_replicate_fails_both_families_on_a_failed_ml_check(monkeypatch, moments_calls):
+    real = measurement._table_moments
+
+    def skewed(counts, shots):
+        var_a, var_b, var_sum, cov, se = real(counts, shots)
+        return var_a, var_b, var_sum, cov + 1e-6, se
+
+    monkeypatch.setattr(measurement, "_table_moments", skewed)
+    tables = simulate_counts(noise_mixture(0.5, NoiseKind.WERNER), 4096, 3)
+    for n in (2, 3, 2):  # nothing is kept from a failed pass, so every call takes it again
+        with pytest.raises(NumericsError, match="modified-witness forms disagree"):
+            estimate_witnesses(tables[:n])
+    assert tables[0]._drawn[0].estimate is None
+
+
+def test_one_moments_pass_per_drawn_replicate(moments_calls):
+    rho = noise_mixture(0.9, NoiseKind.WERNER)
+    replicates = [simulate_counts(rho, shots, seed) for shots in (100, 10**6) for seed in range(5)]
+    for tables in replicates:
+        for n in (2, 3, 3, 2):
+            estimate_witnesses(tables[:n])
+        estimate_witnesses(iter(tables))  # any iterable of the tables
+    assert moments_calls == [(1, 3, 4)] * len(replicates)
+
+
+def test_drawn_replicate_keeps_one_read_only_stack():
+    tables = simulate_counts(noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8)
+    stack = stacked_counts(tables)
+    assert stacked_counts(tables) is stack and stacked_counts(iter(tables)) is stack
+    assert stack.shape == (1, 3, 4) and stack.dtype == np.int64 and not stack.flags.writeable
+    assert stack.tolist() == [[t.counts.tolist() for t in tables]]
+    for other in (tables[:2], tables[::-1], _rebuilt(tables)):
+        copy = stacked_counts(other)
+        assert copy is not stack and copy.flags.writeable
+        assert copy.tolist() == [[t.counts.tolist() for t in other]]
+    with pytest.raises(ValueError, match="same number of shots per basis"):
+        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3]])
+    with pytest.raises(ValueError):
+        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0]])  # one table per basis
+    with pytest.raises(ValueError, match="nonnegative"):  # each table is validated as ever
+        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0], [3, -1, 0, 0]])
+
+
+def test_drawn_record_goes_away_with_its_tables():
+    tables = simulate_counts(SINGLET, 100, 4)
+    estimate_witnesses(tables)
+    kept = weakref.ref(tables[0]._drawn[0])
+    assert kept().estimate is not None
+    del tables[1:]
+    gc.collect()
+    assert kept() is not None  # one table still holds it
+    del tables
+    gc.collect()
+    assert kept() is None
