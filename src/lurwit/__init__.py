@@ -26,8 +26,6 @@ from .states import (
     density_from_pure,
     noise_mixture,
     parse_state_spec,
-    random_pure_state,
-    random_separable_state,
     special_unitary,
 )
 from .witness import (

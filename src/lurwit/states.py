@@ -5,9 +5,8 @@ Conventions used throughout the package:
   * measurement bases map to Paulis as 0/90 -> sigma_z, 45/135 -> sigma_x,
     R/L -> sigma_y (so H/V is the computational basis).
 
-All constructors return immutable values; random constructors take an
-explicit numpy Generator (see `lurwit.rng.stream`). The exceptions are the
-stack constructors `noise_mixtures` and `haar_rotated_bell_states`, which
+All constructors return immutable values. The exceptions are the stack
+constructors `noise_mixtures` and `haar_rotated_bell_states`, which
 return validated (n, 4, 4) arrays for the stacked witness kernel; the
 latter draws its own task-keyed streams, re-keying one Philox generator per
 sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
@@ -308,33 +307,6 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     _check_stack(checks + _density_checks(rho), lambda k: f"sample {indices[k]} (seed {seed})")
     return rho
-
-
-def random_bloch_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform pure qubit: uniform azimuth, uniform cos(polar)."""
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    cos_theta = rng.uniform(-1.0, 1.0)
-    half = np.arccos(cos_theta) / 2.0
-    return np.array([np.cos(half), np.exp(1j * phi) * np.sin(half)])
-
-
-def random_separable_state(rng: np.random.Generator, k: int) -> DensityMatrix:
-    """Mixture of k pure product states with simplex-uniform weights."""
-    if k < 1:
-        raise ValueError("need at least one product term")
-    weights = rng.exponential(size=k)
-    weights /= weights.sum()
-    total = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        v = np.kron(random_bloch_state(rng), random_bloch_state(rng))
-        total += w * np.outer(v, v.conj())
-    return DensityMatrix(total)
-
-
-def random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform pure two-qubit state (normalized complex Gaussian vector)."""
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return v / np.linalg.norm(v)
 
 
 def density_from_json(obj) -> DensityMatrix:

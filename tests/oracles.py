@@ -1,4 +1,4 @@
-"""Brute-force reference computations for tests.
+"""Brute-force reference computations and seeded test ensembles for tests.
 
 Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
@@ -12,6 +12,16 @@ package draws rotations only as a stack; it builds SU(2) elements as the
 Pauli sum (`su2_pauli_sum`), which the package writes entry by entry.
 `write_rows_reference` keeps the one-dict-per-row text writer that the
 CLI's columnar writer replaced.
+
+The random test states live here as well, since the package has no use for
+them: the one-state constructors `random_bloch_state`,
+`random_separable_state` and `random_pure_state`, and their stacked forms.
+A stacked form takes the same draws, builds the whole ensemble with
+broadcast products in place of `np.kron` and `np.outer`, and validates it
+once with the package's stack checks (`checked_states`), which are the
+`DensityMatrix` checks as maxima with the same tolerances. Every stacked
+state is bit for bit the state its one-state constructor builds from the
+same draws.
 """
 
 import json
@@ -25,12 +35,22 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`np.kron` of 2x2 matrices, bit for bit, for one pair or for each pair of two
+    broadcast (..., 2, 2) stacks; without `np.kron`'s per-call axis bookkeeping."""
+    p = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return p.reshape(p.shape[:-4] + (4, 4))
+
+
 def expect_brute(rho: np.ndarray, obs: np.ndarray) -> float:
+    # the entries as Python numbers: the same products and sums as numpy scalars
+    # would give, without numpy's per-scalar overhead
+    rho, obs = np.asarray(rho).tolist(), np.asarray(obs).tolist()
     total = 0.0 + 0.0j
-    n = rho.shape[0]
+    n = len(rho)
     for i in range(n):
         for j in range(n):
-            total += rho[i, j] * obs[j, i]
+            total += rho[i][j] * obs[j][i]
     return total.real
 
 
@@ -39,31 +59,32 @@ def variance_brute(rho: np.ndarray, obs: np.ndarray) -> float:
 
 
 def covariance_brute(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return expect_brute(rho, np.kron(a, b)) - expect_brute(rho, np.kron(a, I2)) * expect_brute(
-        rho, np.kron(I2, b)
+    return expect_brute(rho, kron(a, b)) - expect_brute(rho, kron(a, I2)) * expect_brute(
+        rho, kron(I2, b)
     )
 
 
 def var_sum_brute(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return variance_brute(rho, np.kron(a, I2) + np.kron(I2, b))
+    return variance_brute(rho, kron(a, I2) + kron(I2, b))
 
 
 def outcome_probabilities_brute(rho: np.ndarray, pauli: np.ndarray) -> np.ndarray:
     """Joint +/- probabilities Tr[rho (P_a x P_b)] of measuring `pauli` on both qubits,
     clipped to [0, 1] and normalised, in the order (+,+), (+,-), (-,+), (-,-)."""
     plus, minus = (I2 + pauli) / 2.0, (I2 - pauli) / 2.0
-    projectors = [np.kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus)]
+    projectors = [kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus)]
     probs = np.clip(np.array([np.trace(rho @ p).real for p in projectors]), 0.0, 1.0)
     return probs / probs.sum()
 
 
 def partial_transpose_brute(m: np.ndarray) -> np.ndarray:
+    """The partial transpose of one 4x4 matrix, or of each matrix of a (..., 4, 4) stack."""
     out = np.zeros_like(m)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for ell in range(2):
-                    out[2 * i + j, 2 * k + ell] = m[2 * i + ell, 2 * k + j]
+                    out[..., 2 * i + j, 2 * k + ell] = m[..., 2 * i + ell, 2 * k + j]
     return out
 
 
@@ -71,10 +92,10 @@ def eig_oracle(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def partial_transpose_det(rho: np.ndarray) -> float:
-    """det(rho^T_B): negative iff a two-qubit rho is entangled (Augusiak,
-    Demianowicz & Horodecki, PRA 77, 030301(R) (2008))."""
-    return float(np.linalg.det(partial_transpose_brute(rho)).real)
+def partial_transpose_det(rho: np.ndarray) -> np.ndarray:
+    """det(rho^T_B) of one state or of each state of a stack: negative iff a two-qubit
+    rho is entangled (Augusiak, Demianowicz & Horodecki, PRA 77, 030301(R) (2008))."""
+    return np.linalg.det(partial_transpose_brute(rho)).real
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -109,6 +130,146 @@ def random_mixed_matrix(rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def random_bloch_state(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform pure qubit: uniform azimuth, uniform cos(polar)."""
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    cos_theta = rng.uniform(-1.0, 1.0)
+    half = np.arccos(cos_theta) / 2.0
+    return np.array([np.cos(half), np.exp(1j * phi) * np.sin(half)])
+
+
+def random_separable_state(rng: np.random.Generator, k: int):
+    """Mixture of k pure product states with simplex-uniform weights."""
+    from lurwit.states import DensityMatrix
+
+    if k < 1:
+        raise ValueError("need at least one product term")
+    weights = rng.exponential(size=k)
+    weights /= weights.sum()
+    total = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        v = np.kron(random_bloch_state(rng), random_bloch_state(rng))
+        total += w * np.outer(v, v.conj())
+    return DensityMatrix(total)
+
+
+def random_pure_state(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform pure two-qubit state (normalized complex Gaussian vector)."""
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return v / np.linalg.norm(v)
+
+
+# the ranges of `random_bloch_state`'s two uniform draws, (phi, cos theta)
+_BLOCH_LOW = np.array([0.0, -1.0])
+_BLOCH_HIGH = np.array([2.0 * np.pi, 1.0])
+
+
+def bloch_angles(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """The draws of `random_bloch_state`, one (phi, cos theta) pair per entry of `shape`."""
+    return rng.uniform(_BLOCH_LOW, _BLOCH_HIGH, size=(*shape, 2))
+
+
+def checked_states(rho: np.ndarray, name=lambda k: f"state {k}") -> np.ndarray:
+    """`rho`, an (n, 4, 4) stack, after the package's `DensityMatrix` checks on all of it."""
+    from lurwit import states
+
+    states._check_stack(states._density_checks(rho), name)
+    return rho
+
+
+def bloch_vectors(angles: np.ndarray) -> np.ndarray:
+    """`random_bloch_state`'s vector for each (phi, cos theta) pair of `angles` (..., 2)."""
+    half = np.arccos(angles[..., 1]) / 2.0
+    return np.stack([np.cos(half), np.exp(1j * angles[..., 0]) * np.sin(half)], axis=-1)
+
+
+def separable_draw(rng: np.random.Generator, k: int) -> tuple:
+    """The draws of `random_separable_state(rng, k)`, in its order: the k normalized
+    weights and a (k, 2, 2) array of angles (term, party, (phi, cos theta))."""
+    if k < 1:
+        raise ValueError("need at least one product term")
+    weights = rng.exponential(size=k)
+    weights /= weights.sum()
+    return weights, bloch_angles(rng, (k, 2))
+
+
+def separable_matrices(draws) -> np.ndarray:
+    """Unchecked (n, 4, 4) stack of `random_separable_state` matrices, one per `separable_draw`.
+
+    Every state is padded to the most terms with weight-0 terms, whose
+    zero products leave the running sum exactly as it was.
+    """
+    terms = max((len(w) for w, _ in draws), default=1)
+    weights = np.zeros((len(draws), terms))
+    angles = np.zeros((len(draws), terms, 2, 2))
+    for row, (w, a) in enumerate(draws):
+        weights[row, : len(w)] = w
+        angles[row, : len(w)] = a
+    a, b = np.moveaxis(bloch_vectors(angles), -2, 0)  # (n, terms, 2) per party
+    v = (a[..., :, None] * b[..., None, :]).reshape(len(draws), terms, 4)  # np.kron(a, b)
+    products = weights[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
+    total = np.zeros((len(draws), 4, 4), dtype=complex)
+    for j in range(terms):
+        total += products[:, j]
+    return total
+
+
+def random_separable_states(seed: int, indices, ks) -> np.ndarray:
+    """Checked (n, 4, 4) stack; row r is `random_separable_state(stream(seed, indices[r]), ks[r])`."""
+    from lurwit import rng
+
+    k_iter = iter(ks)
+    draws = rng.keyed_draws(seed, indices, lambda g: separable_draw(g, next(k_iter)))
+    return checked_states(separable_matrices(draws), lambda r: f"state {indices[r]} (seed {seed})")
+
+
+def pure_states(normals: np.ndarray) -> np.ndarray:
+    """`random_pure_state` of each (2, 4) draw of an (n, 2, 4) stack of normals, as (n, 4).
+
+    The norm is a dot product per row, as `np.linalg.norm` forms it for one
+    vector; a norm over an axis sums in another order.
+    """
+    v = normals[:, 0] + 1j * normals[:, 1]
+    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norm[:, None]
+
+
+def random_pure_states(seed: int, indices) -> np.ndarray:
+    """(n, 4) stack; row r is `random_pure_state(stream(seed, indices[r]))`."""
+    from lurwit import rng
+
+    normals = np.empty((len(indices), 2, 4))
+    rows = iter(normals)
+    rng.keyed_draws(seed, indices, lambda g: g.standard_normal(out=next(rows)))
+    return pure_states(normals)
+
+
+def mixed_ensemble(rng: np.random.Generator, n: int, high: int) -> np.ndarray:
+    """Checked (n, 4, 4) stack drawn in turn from one stream: row i is
+    `density_from_pure(random_pure_state(rng))` (i % 3 == 0), a
+    `random_mixed_matrix` (i % 3 == 1) or a `random_separable_state` of
+    `rng.integers(1, high)` terms; each row bit for bit the one-state matrix."""
+    from lurwit import states
+
+    normals, mixed, separable = [], [], []
+    for i in range(n):
+        if i % 3 == 0:
+            normals.append(rng.standard_normal((2, 4)))  # `random_pure_state`'s draws
+        elif i % 3 == 1:
+            mixed.append(random_mixed_matrix(rng))
+        else:
+            separable.append(separable_draw(rng, int(rng.integers(1, high))))
+    psi = pure_states(np.array(normals).reshape(-1, 2, 4))
+    norm = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)  # `density_from_pure`'s check
+    states._check_stack([("state is not normalized", norm, states.NORM_TOL)],
+                        lambda k: f"state {3 * k}")
+    rho = np.empty((n, 4, 4), dtype=complex)
+    rho[0::3] = psi[:, :, None] * psi.conj()[:, None, :]
+    rho[1::3] = mixed
+    rho[2::3] = separable_matrices(separable)
+    return checked_states(rho)
 
 
 def su2_pauli_sum(q: np.ndarray) -> np.ndarray:

@@ -12,15 +12,12 @@ from lurwit.measurement import estimate_witnesses
 from lurwit.rng import stream
 from lurwit.states import (
     NORM_TOL,
-    DensityMatrix,
     NoiseKind,
     apply_local_unitary,
     bell_state,
     density_from_pure,
     noise_mixture,
     noise_mixtures,
-    random_pure_state,
-    random_separable_state,
     special_unitary,
 )
 from lurwit.witness import (
@@ -31,7 +28,21 @@ from lurwit.witness import (
     ppt_min_eigenvalues,
     standard_sets,
 )
-from oracles import I2, SX, SY, SZ, random_hermitian, var_sum_brute
+from oracles import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    checked_states,
+    kron,
+    pure_states,
+    random_hermitian,
+    random_pure_states,
+    random_separable_states,
+    separable_draw,
+    separable_matrices,
+    var_sum_brute,
+)
 
 SETS = standard_sets()
 L2, L3 = SETS["L2"], SETS["L3"]
@@ -134,7 +145,7 @@ def test_criterion_5_polarized_thresholds():
 
 def test_criterion_6_separable_soundness():
     n = 10_000
-    stack = np.array([random_separable_state(stream(600, i), (i % 6) + 1).matrix for i in range(n)])
+    stack = random_separable_states(600, range(n), [(i % 6) + 1 for i in range(n)])
     l2, ml2 = evaluate_many(stack, L2)
     l3, ml3 = evaluate_many(stack, L3)
     bad = (
@@ -155,7 +166,7 @@ def test_criterion_6_separable_soundness():
 
 def test_criterion_7_cross_implication():
     n = 100_000
-    psi = np.array([random_pure_state(stream(700, i)) for i in range(n)])
+    psi = random_pure_states(700, range(n))
     assert np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)) <= NORM_TOL
     l2, ml2 = evaluate_many(psi[:, :, None] * psi.conj()[:, None, :], L2)  # |psi><psi| stack
     assert np.all(ml2 <= l2 + 1e-12), f"max ML2 - L2 = {np.max(ml2 - l2)}"
@@ -190,12 +201,6 @@ def _variance(rho, ops):
     return _expect(rho, ops @ ops) - _expect(rho, ops) ** 2
 
 
-def _kron(x, y):
-    """np.kron of each pair of 2x2 matrices; a 2x2 factor is shared by the stack."""
-    x, y = np.broadcast_arrays(x, y)
-    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(*x.shape[:-2], 4, 4)
-
-
 def test_criterion_9_identity_suite():
     n = 10_000
     # `random_hermitian` draws what this test drew with its own helper
@@ -203,41 +208,50 @@ def test_criterion_9_identity_suite():
     m = h.standard_normal((2, 2)) + 1j * h.standard_normal((2, 2))
     assert np.array_equal(random_hermitian(g, 2), (m + m.conj().T) / 2.0)
 
-    # the draws interleave on one stream, so they are taken in a loop and
-    # the identities are checked on the stacks afterwards
-    rho, a, b = [], [], []
+    # the draws interleave on one stream, so they are taken in a loop (two
+    # `random_pure_state` draws, a weight and two observables per state) and
+    # the states are built, checked and tested as stacks afterwards
+    normals, lam, a, b = [], [], [], []
     g = stream(900)
     for _ in range(n):
-        v = random_pure_state(g)
-        w = random_pure_state(g)
-        lam = g.uniform()
-        rho.append(DensityMatrix(lam * np.outer(v, v.conj()) + (1 - lam) * np.outer(w, w.conj())).matrix)
+        normals.append(g.standard_normal((2, 2, 4)))
+        lam.append(g.uniform())
         a.append(random_hermitian(g, 2))
         b.append(random_hermitian(g, 2))
-    rho, a, b = np.array(rho), np.array(a), np.array(b)
-    a4, b4 = _kron(a, I2), _kron(I2, b)
+    v, w = pure_states(np.array(normals).reshape(-1, 2, 4)).reshape(n, 2, 4).swapaxes(0, 1)
+    pv, pw = (x[:, :, None] * x.conj()[:, None, :] for x in (v, w))  # np.outer of each
+    lam = np.array(lam)[:, None, None]
+    rho = checked_states(lam * pv + (1 - lam) * pw)
+    a, b = np.array(a), np.array(b)
+    a4, b4 = kron(a, I2), kron(I2, b)
     va = _variance(rho, a4)
     vb = _variance(rho, b4)
-    cov = _expect(rho, _kron(a, b)) - _expect(rho, a4) * _expect(rho, b4)
+    cov = _expect(rho, kron(a, b)) - _expect(rho, a4) * _expect(rho, b4)
     vs = _variance(rho, a4 + b4)
     eq2_ok = bool(np.all(np.abs(vs - (va + vb + 2.0 * cov)) <= 1e-10))
     eq5_ok = bool(np.all((-(va + vb) - 1e-10 <= 2.0 * cov) & (2.0 * cov <= va + vb + 1e-10)))
 
-    mixes, comps, weights, owner, obs = [], [], [], [], []
+    # each component is a one-term `random_separable_state`, drawn in the
+    # loop and built as one stack afterwards
+    draws, weights, owner, obs = [], [], [], []
     g = stream(901)
     for i in range(n):
         k = int(g.integers(1, 5))
         w = g.exponential(size=k)
         w /= w.sum()
-        parts = [random_separable_state(g, 1).matrix for _ in range(k)]
-        mixes.append(DensityMatrix(sum(wj * c for wj, c in zip(w, parts))).matrix)
-        comps += parts
+        draws += [separable_draw(g, 1) for _ in range(k)]
         weights += w.tolist()
         owner += [i] * k
         obs.append(random_hermitian(g, 4))
-    obs = np.array(obs)
-    mixture_var = _variance(np.array(mixes), obs)
-    avg = np.bincount(owner, np.array(weights) * _variance(np.array(comps), obs[owner]), minlength=n)
+    comps = checked_states(separable_matrices(draws))
+    weights, owner, obs = np.array(weights), np.array(owner), np.array(obs)
+    # each mixture is the running sum of its w_j * c_j; term j of all of them at once
+    term = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    mixes = np.zeros((n, 4, 4), dtype=complex)
+    for j in range(term.max() + 1):
+        mixes[owner[term == j]] += weights[term == j, None, None] * comps[term == j]
+    mixture_var = _variance(checked_states(mixes), obs)
+    avg = np.bincount(owner, weights * _variance(comps, obs[owner]), minlength=n)
     eq3_ok = bool(np.all(mixture_var >= avg - 1e-10))
 
     ok = eq2_ok and eq5_ok and eq3_ok

@@ -4,18 +4,29 @@ from hypothesis import given
 
 from lurwit.linalg import as_operator, partial_transpose_second, tensor_product
 from lurwit.rng import stream
-from lurwit.states import DensityMatrix, density_from_pure, random_pure_state, random_separable_state
-from lurwit.witness import ppt_min_eigenvalue
+from lurwit.witness import ppt_min_eigenvalue, ppt_min_eigenvalues
 from oracles import (
     SX,
     SZ,
     I2,
     eig_oracle,
+    kron,
+    mixed_ensemble,
     partial_transpose_brute,
     partial_transpose_det,
-    random_mixed_matrix,
 )
 from strategies import density_matrices, hermitian_4x4, pure_states
+
+
+def test_oracle_kron_equals_np_kron_bitwise():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+    y = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+    want = np.array([np.kron(a, b) for a, b in zip(x, y)])
+    assert kron(x, y).tobytes() == want.tobytes()
+    assert all(kron(a, b).tobytes() == np.kron(a, b).tobytes() for a, b in zip(x[:50], y[:50]))
+    for a, b in ((x[0], I2), (I2, y[0]), (SX, SZ)):
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 def test_tensor_identity():
@@ -131,20 +142,13 @@ def test_min_eigenvalue_lower_bounds_quadratic_form(rho, v):
 def test_ppt_sign_matches_determinant_oracle():
     # Two-qubit rho is entangled iff det(rho^T_B) < 0; the determinant comes
     # from an LU factorisation, so this checks the sign without an eigensolver.
-    g = stream(2024)
-    checked = {True: 0, False: 0}
-    for i in range(25_000):
-        if i % 3 == 0:
-            rho = density_from_pure(random_pure_state(g))
-        elif i % 3 == 1:
-            rho = DensityMatrix(random_mixed_matrix(g))
-        else:
-            rho = random_separable_state(g, int(g.integers(1, 7)))
-        lam = ppt_min_eigenvalue(rho)
-        if abs(lam) < 1e-9:
-            continue  # on the PPT boundary the sign of either quantity is roundoff
-        negative = lam < 0
-        assert negative == (partial_transpose_det(rho.matrix) < 0), (i, lam)
-        checked[negative] += 1
+    rho = mixed_ensemble(stream(2024), 25_000, 7)
+    lam = ppt_min_eigenvalues(rho)
+    # on the PPT boundary the sign of either quantity is roundoff
+    off_boundary = ~(np.abs(lam) < 1e-9)
+    negative = lam < 0
+    (wrong,) = np.nonzero(off_boundary & (negative != (partial_transpose_det(rho) < 0)))
+    assert wrong.size == 0, (wrong[0], lam[wrong[0]])
+    checked = {sign: int(np.count_nonzero(off_boundary & (negative == sign))) for sign in (True, False)}
     assert sum(checked.values()) >= 20_000
     assert min(checked.values()) >= 2_000

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from unittest import mock
 
@@ -28,7 +29,6 @@ from lurwit.states import (
     bell_state,
     density_from_pure,
     noise_mixture,
-    random_pure_state,
 )
 from lurwit.witness import evaluate, standard_sets
 from oracles import (
@@ -39,6 +39,7 @@ from oracles import (
     estimate_reference,
     outcome_probabilities_brute,
     random_mixed_matrix,
+    random_pure_state,
 )
 from strategies import moment_stacks
 
@@ -517,6 +518,13 @@ def test_standard_estimate_raises_what_the_l3_call_raises(name):
     with pytest.raises(ValueError) as got:
         estimate_standard(counts)
     assert str(got.value) == str(want.value)
+
+
+def test_standard_estimate_of_no_replicates_is_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate_standard(np.zeros((0, 3, 4), np.int64))
+    assert [c.shape for c in got] == [(0,)] * 8
 
 
 # ------------------------------------------- tables drawn as one replicate

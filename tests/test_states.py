@@ -1,13 +1,14 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from lurwit import states
-from lurwit.linalg import NumericsError, partial_transpose_second
-from lurwit.rng import stream
+from lurwit.linalg import NumericsError, partial_transpose_second, transpose_second_qubit
+from lurwit.rng import keyed_draws, stream
 from lurwit.states import (
     BELL_KINDS,
     DensityMatrix,
@@ -20,12 +21,25 @@ from lurwit.states import (
     noise_mixture,
     noise_mixtures,
     parse_state_spec,
-    random_bloch_state,
-    random_pure_state,
-    random_separable_state,
     special_unitary,
 )
-from oracles import SZ, I2, apply_to_pure, eig_oracle, haar_random_local_unitary, su2_pauli_sum
+from oracles import (
+    SZ,
+    I2,
+    apply_to_pure,
+    bloch_angles,
+    bloch_vectors,
+    eig_oracle,
+    haar_random_local_unitary,
+    mixed_ensemble,
+    random_bloch_state,
+    random_mixed_matrix,
+    random_pure_state,
+    random_pure_states,
+    random_separable_state,
+    random_separable_states,
+    su2_pauli_sum,
+)
 
 SQ2 = 1.0 / np.sqrt(2)
 
@@ -301,11 +315,9 @@ def test_random_separable_state_is_deterministic():
 
 def test_separable_ensemble_satisfies_peres_criterion():
     # module-level soundness sweep: product mixtures never go NPT
-    worst = 0.0
-    for i in range(10_000):
-        g = stream(2001, i)
-        rho = random_separable_state(g, (i % 6) + 1)
-        worst = min(worst, eig_oracle(partial_transpose_second(rho.matrix))[0])
+    n = 10_000
+    rho = random_separable_states(2001, range(n), [(i % 6) + 1 for i in range(n)])
+    worst = min(0.0, eig_oracle(transpose_second_qubit(rho))[:, 0].min())
     assert worst >= -1e-9
 
 
@@ -313,6 +325,54 @@ def test_random_pure_state_normalized():
     g = stream(8)
     for _ in range(100):
         assert abs(np.linalg.norm(random_pure_state(g)) - 1.0) <= 1e-12
+
+
+# The stacked test ensembles against their one-state constructors, on the
+# first 200 keys of the ensembles the suite draws.
+
+
+def test_bloch_vectors_equal_random_bloch_state_bitwise():
+    stacked = bloch_vectors(np.array(keyed_draws(5, range(200), bloch_angles)))
+    scalar = np.array([random_bloch_state(stream(5, i)) for i in range(200)])
+    assert stacked.tobytes() == scalar.tobytes()
+
+
+def test_random_separable_states_equal_random_separable_state_bitwise():
+    ks = [(i % 6) + 1 for i in range(200)]
+    stacked = random_separable_states(600, range(200), ks)
+    scalar = np.array([random_separable_state(stream(600, i), k).matrix for i, k in enumerate(ks)])
+    assert stacked.tobytes() == scalar.tobytes()
+    with pytest.raises(ValueError):
+        random_separable_states(600, range(2), [1, 0])
+
+
+def test_random_pure_states_equal_random_pure_state_bitwise():
+    stacked = random_pure_states(700, range(200))
+    scalar = np.array([random_pure_state(stream(700, i)) for i in range(200)])
+    assert stacked.tobytes() == scalar.tobytes()
+
+
+def test_mixed_ensemble_equals_the_one_state_loop_bitwise():
+    g, matrices = stream(2024), []
+    for i in range(200):
+        if i % 3 == 0:
+            matrices.append(density_from_pure(random_pure_state(g)).matrix)
+        elif i % 3 == 1:
+            matrices.append(DensityMatrix(random_mixed_matrix(g)).matrix)
+        else:
+            matrices.append(random_separable_state(g, int(g.integers(1, 7))).matrix)
+    assert mixed_ensemble(stream(2024), 200, 7).tobytes() == np.array(matrices).tobytes()
+
+
+def test_stack_constructors_and_checks_take_empty_stacks():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacks = [noise_mixtures([], kind) for kind in NoiseKind]
+        stacks += [states.haar_rotated_bell_states(kind, 1, range(0)) for kind in BELL_KINDS]
+        stacks.append(random_separable_states(600, range(0), []))
+        for rho in stacks:
+            assert rho.shape == (0, 4, 4)
+            states._check_stack(states._density_checks(rho), str)
 
 
 def test_parse_state_spec_named_states():

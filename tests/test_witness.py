@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,7 @@ from lurwit.states import (
     bell_state,
     density_from_pure,
     noise_mixture,
-    random_pure_state,
-    random_separable_state,
+    noise_mixtures,
     special_unitary,
 )
 from lurwit.witness import (
@@ -39,8 +39,11 @@ from oracles import (
     I2,
     covariance_brute,
     local_bound_brute,
+    mixed_ensemble,
     random_hermitian,
     random_mixed_matrix,
+    random_pure_state,
+    random_separable_state,
     var_sum_brute,
     variance_brute,
 )
@@ -427,15 +430,24 @@ def test_evaluate_many_rejects_a_bad_shape():
         evaluate_many(SINGLET.matrix, SETS["L3"])
 
 
+def test_empty_stack_gives_empty_results():
+    empty = noise_mixtures([], NoiseKind.WERNER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [*evaluate_standard(empty), *evaluate_many(empty, SETS["L3"])]
+        results.append(ppt_min_eigenvalues(empty))
+    assert [r.shape for r in results] == [(0,)] * 7
+
+
 def _check_kernel_against_reference(matrices, osets):
     """Kernel moments vs the brute-force oracles; evaluate and PPT rows bit for bit."""
     ppt = ppt_min_eigenvalues(matrices)
+    rhos = [DensityMatrix(m) for m in matrices]
     for oset in osets:
         moments = witness._pair_moments(matrices, oset)
         l_values, ml_values = evaluate_many(matrices, oset)
         lifted = [(np.kron(a, I2), np.kron(I2, b)) for a, b, _ in oset.pairs]
-        for k, m in enumerate(matrices):
-            rho = DensityMatrix(m)
+        for k, (m, rho) in enumerate(zip(matrices, rhos)):
             for p, ((a, b, _), (a4, b4)) in enumerate(zip(oset.pairs, lifted)):
                 var_a, var_b, var_sum, cov = (x[k, p] for x in moments)
                 assert abs(var_a - variance_brute(m, a4)) <= 1e-12
@@ -447,8 +459,8 @@ def _check_kernel_against_reference(matrices, osets):
             assert [(s.var_a, s.var_b, s.var_sum, s.covariance) for s in report.pairs] == [
                 tuple(x[k, p] for x in moments) for p in range(len(oset.pairs))
             ]
-    for k, m in enumerate(matrices):
-        assert ppt_min_eigenvalue(DensityMatrix(m)) == ppt[k]
+    for k, rho in enumerate(rhos):
+        assert ppt_min_eigenvalue(rho) == ppt[k]
 
 
 @given(st.lists(density_matrices(), min_size=1, max_size=6), hermitian_2x2(), hermitian_2x2())
@@ -460,16 +472,7 @@ def test_kernel_matches_scalar_reference_on_hypothesis_states(rhos, a, b):
 
 
 def test_kernel_matches_scalar_reference_on_seeded_states():
-    g = stream(2024)
-    matrices = []
-    for i in range(2000):
-        if i % 3 == 0:
-            matrices.append(density_from_pure(random_pure_state(g)).matrix)
-        elif i % 3 == 1:
-            matrices.append(random_mixed_matrix(g))
-        else:
-            matrices.append(random_separable_state(g, int(g.integers(1, 5))).matrix)
-    _check_kernel_against_reference(np.array(matrices), tuple(SETS.values()))
+    _check_kernel_against_reference(mixed_ensemble(stream(2024), 2000, 5), tuple(SETS.values()))
 
 
 @given(density_matrices())
