@@ -3,17 +3,17 @@
 
 Runs repeated finite-shot simulations of a Werner state and reports how the
 propagated standard error of the three-basis witness shrinks with shots
-(expected slope -1/2 on a log-log scale). Each shot count's tables are
-drawn seed by seed, each seed's (1, 3, 4) count stack as `simulate_counts`
-keeps it, and estimated in one stacked `estimate_witnesses_many` call.
+(expected slope -1/2 on a log-log scale). Each shot count's replicates are
+drawn seed by seed with `draw_counts`, stacked into one (seeds, 3, 4)
+array and estimated in one `estimate_witnesses_many` call.
 """
 
 import argparse
 
 import numpy as np
 
-from lurwit.cli import simulate_counts
-from lurwit.measurement import estimate_witnesses_many, stacked_counts
+from lurwit.cli import draw_counts
+from lurwit.measurement import estimate_witnesses_many
 from lurwit.states import Basis, NoiseKind, noise_mixture
 
 
@@ -22,9 +22,7 @@ def run(p: float, shot_grid, seeds: int, seed0: int) -> None:
     print("shots,mean_l3,mean_l3_se,empirical_sd")
     mean_ses = []
     for shots in shot_grid:
-        counts = np.concatenate(
-            [stacked_counts(simulate_counts(rho, shots, seed0 + 101 * shots + s)) for s in range(seeds)]
-        )
+        counts = np.array([draw_counts(rho, shots, seed0 + 101 * shots + s) for s in range(seeds)])
         values, ses, _, _ = estimate_witnesses_many(counts, Basis)
         mean_ses.append(np.mean(ses))
         print(f"{shots},{np.mean(values):.6g},{np.mean(ses):.6g},{np.std(values):.6g}")

@@ -344,26 +344,29 @@ def run_study_command(args: argparse.Namespace):
     return [per_sample, (_one_row(summary), STUDY_COLUMNS, args.out)]
 
 
-def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
-    """One count table per basis, in `Basis` order; basis i draws from stream (seed, i).
+def draw_counts(rho: states.DensityMatrix, shots: int, seed: int) -> np.ndarray:
+    """One replicate's counts as a read-only (3, 4) int64 stack, rows in `Basis` order.
 
-    The three draws come from `rng.keyed_draws`, bit for bit
-    `rng.stream(seed, i).multinomial(shots, p_i)`, and the tables are kept
-    as one replicate (`measurement.drawn_tables`).
+    Row i is `rng.stream(seed, i).multinomial(shots, p_i)`, bit for bit, drawn by `rng.keyed_draws`.
     """
     measurement.check_shots(shots)
     probs = iter(measurement.outcome_probabilities(rho))
-    counts = rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs)))
-    return measurement.drawn_tables(counts)
+    counts = np.array(rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs))))
+    counts.flags.writeable = False
+    return counts
+
+
+def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
+    """`draw_counts` as one `CountTable` per basis, in `Basis` order (`measurement.drawn_tables`)."""
+    return measurement.drawn_tables(draw_counts(rho, shots, seed))
 
 
 def run_simulate(args: argparse.Namespace):
     if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     _check_seed(args.seed)
-    rho = states.parse_state_spec(args.state)
-    counts = measurement.stacked_counts(simulate_counts(rho, args.shots, args.seed))
-    row = (args.state, args.shots, *(float(v[0]) for v in measurement.estimate_standard(counts)))
+    counts = draw_counts(states.parse_state_spec(args.state), args.shots, args.seed)
+    row = (args.state, args.shots, *(float(v[0]) for v in measurement.estimate_standard(counts[None])))
     return [(_one_row(dict(zip(SIMULATE_COLUMNS, row))), SIMULATE_COLUMNS, args.out)]
 
 

@@ -23,24 +23,23 @@ exact path's own.
 The layer is array code. `outcome_probabilities` takes all 12 projector
 traces of a state in one contraction and keeps the read-only (3, 4) result
 while the state lives (a `DensityMatrix` is read-only too, so it cannot go
-stale). Each count table is one multinomial draw from one of its rows
-(`lurwit.cli.simulate_counts`). The estimator works on a (..., B, 4) stack
-of int64 counts (replicates, bases, outcomes): `estimate_witnesses_many`
-returns the witness arrays of R replicates, and `estimate_witnesses` is its
-R = 1 case with the bound and the verdicts. `estimate_standard` estimates
-L2 and L3 from one (R, 3, 4) stack, checking the counts and taking each
-table's moments once; L2 and L3, and their squared SEs, are then the
-running sums after two and three bases. The three tables of one drawn
-replicate (`drawn_tables`) keep their (1, 3, 4) stack while they live, so
-an L2 and an L3 `estimate_witnesses` call on them share that one pass, as
-one experiment's tables supply both families; the bases and shot checks
-still run on every call. Every result is bit for bit what a
-per-table loop of Python scalars gives, and a row of a stack does not
-depend on the stack: the frequency dot products use `np.vecdot`, which
-like the 1-D `f @ g` makes one BLAS dot per row (a `sum` or `einsum` adds
-in another order), and squares use `np.float_power(x, 2.0)`, which like
-Python's `x**2` calls libm `pow` (numpy's `x**2` is `x*x`, and the two
-differ in the last bit now and then).
+stale). A replicate's counts are one read-only (3, 4) int64 stack, one
+multinomial draw per row (`lurwit.cli.draw_counts`). The estimator works on
+(..., B, 4) int64 count stacks (replicates, bases, outcomes):
+`estimate_witnesses_many` gives the witness arrays of R replicates, and
+`estimate_witnesses` its R = 1 case with the bound and the verdicts.
+`estimate_standard`, which `simulate` hands its drawn stack, checks an
+(R, 3, 4) stack and takes each table's moments once; L2 and L3, and their
+squared SEs, are the running sums after two and three bases. The
+`CountTable`s of one drawn replicate (`drawn_tables`) keep a view of its
+stack, so an L2 and an L3 `estimate_witnesses` call on them share one
+pass; the bases and shot checks still run on every call. Every result is
+bit for bit what a per-table loop of Python scalars gives, and a row of a
+stack does not depend on the stack: the frequency dot products use
+`np.vecdot`, which like the 1-D `f @ g` makes one BLAS dot per row (a `sum`
+or `einsum` adds in another order), and squares use `np.float_power(x,
+2.0)`, which like Python's `x**2` calls libm `pow` (numpy's `x**2` is
+`x*x`, and the two differ in the last bit now and then).
 """
 
 from __future__ import annotations
@@ -316,13 +315,12 @@ def _standard(var_a, var_b, var_sum, cov, se):
 
 
 class _Drawn:
-    """One replicate's tables as `drawn_tables` built them: their stack, shots and estimate."""
+    """One replicate's tables as `drawn_tables` built them: their stack and its estimate."""
 
-    __slots__ = ("counts", "shots", "estimate", "__weakref__")
+    __slots__ = ("counts", "estimate", "__weakref__")
 
-    def __init__(self, counts: np.ndarray, shots: int):
+    def __init__(self, counts: np.ndarray):
         self.counts = counts  # read-only (1, 3, 4) int64, rows in `Basis` order
-        self.shots = shots  # every table's total
         self.estimate = None  # `_standard` of the stack as eight floats, once taken
 
     def standard(self) -> tuple:
@@ -339,9 +337,9 @@ class _Drawn:
 def drawn_tables(counts) -> list:
     """One replicate's `CountTable`s, in `Basis` order, from its three draws of one total each.
 
-    Each table is validated as any `CountTable` is. The tables also keep
-    their read-only (1, 3, 4) stack and their shots while they live: the
-    stack is what `stacked_counts` gives for all three, and
+    Each table is validated as any `CountTable` is. While they live, the
+    tables keep one read-only (1, 3, 4) stack, a view of `counts` if that
+    is read-only int64 (as `lurwit.cli.draw_counts` gives), so
     `estimate_witnesses` on the first two or all three, in order, estimates
     both families from it once (see there).
     """
@@ -349,9 +347,11 @@ def drawn_tables(counts) -> list:
     totals = [t.shots for t in tables]
     if len(set(totals)) != 1:
         raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
-    stack = np.array([[t.counts for t in tables]])
-    stack.flags.writeable = False
-    drawn = _Drawn(stack, totals[0])
+    stack = np.asarray(counts)
+    if stack.dtype != np.int64 or stack.flags.writeable:  # not the sampler's stack: stack the tables
+        stack = np.array([t.counts for t in tables])
+        stack.flags.writeable = False
+    drawn = _Drawn(stack[None])
     for row, table in enumerate(tables):
         object.__setattr__(table, "_drawn", (drawn, row))
     return tables
@@ -363,19 +363,6 @@ def _drawn_of(tables: list):
     if drawn is None or any(getattr(t, "_drawn", None) != (drawn, row) for row, t in enumerate(tables)):
         return None
     return drawn
-
-
-def stacked_counts(tables) -> np.ndarray:
-    """The (1, B, 4) int64 count stack of one replicate's tables, in table order.
-
-    For all three tables of one `drawn_tables` call, in order, this is their
-    kept read-only stack; for any other tables a new array.
-    """
-    tables = list(tables)
-    drawn = _drawn_of(tables)
-    if drawn is not None and len(tables) == 3:
-        return drawn.counts
-    return np.array([[t.counts for t in tables]])
 
 
 def estimate_witnesses_many(counts, bases):
@@ -427,7 +414,7 @@ def estimate_witnesses(tables) -> EstimatedReport:
         moments = _moments(counts, bases, lambda r: "")
         l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(*moments))
     else:
-        if drawn.shots < 2:  # the first table's check, as every table has this total
+        if tables[0].shots < 2:  # the first table's check, as every table has this total
             raise _too_few_shots("", bases[0])
         family = 4 * (len(bases) - 2)  # L2's four values, then L3's
         l_value, l_se, ml_value, ml_se = drawn.standard()[family:family + 4]

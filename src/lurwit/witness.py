@@ -215,6 +215,7 @@ def _basis_set(bases) -> ObservableSet:
 
 
 _STANDARD_SETS = {"L2": _basis_set(tuple(Basis)[:2]), "L3": _basis_set(tuple(Basis))}
+_PAULIS = _read_only(np.array([SX, SY, SZ]))  # one (3, 2, 2) stack, for `local_bound`
 
 
 def standard_sets() -> dict[str, ObservableSet]:
@@ -235,14 +236,21 @@ def local_bound(observables) -> float:
     real. On a state with Bloch vector r (|r| <= 1), var(o_i) = |v_i|^2 -
     (v_i . r)^2, so the sum is sum_i |v_i|^2 - r^T M r with M = sum_i v_i v_i^T.
     Its minimum over the Bloch ball is sum_i |v_i|^2 - lambda_max(M), exactly.
+    The observables are validated as one (k, 2, 2) stack, and v is one
+    contraction of it with the Pauli stack (each trace adds two exact products).
     """
-    obs = [as_operator(o, dim=2) for o in observables]
-    if not obs:
+    try:
+        obs = np.asarray(observables, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        obs = None
+    if obs is None or obs.ndim != 3 or obs.shape[1:] != (2, 2) or not np.isfinite(obs).all():
+        # one at a time, so the first bad observable raises `as_operator`'s error
+        obs = np.array([as_operator(o, dim=2) for o in observables])
+    if not len(obs):
         raise ValueError("need at least one observable")
-    for o in obs:
-        if not is_hermitian(o, HERMITIAN_TOL):
-            raise ValueError("observables must be Hermitian")
-    v = np.array([[0.5 * np.trace(o @ s).real for s in (SX, SY, SZ)] for o in obs])
+    if np.abs(obs - obs.conj().swapaxes(1, 2)).max() > HERMITIAN_TOL:
+        raise ValueError("observables must be Hermitian")
+    v = 0.5 * np.einsum("kij,pji->kp", obs, _PAULIS).real
     return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 

@@ -4,12 +4,13 @@ Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
 index definition, and the entanglement test is the sign of a determinant
 (an LU factorisation), not an eigenvalue. `haar_study_reference`,
-`sweep_reference` and `estimate_reference` are the exceptions: they keep the
-per-state and per-table loops that the stacked Haar study, sweep and
-estimator replaced. The one-sample Haar rotation they need
-(`haar_random_local_unitary`, `apply_to_pure`) lives here too, since the
-package draws rotations only as a stack; it builds SU(2) elements as the
-Pauli sum (`su2_pauli_sum`), which the package writes entry by entry.
+`sweep_reference`, `estimate_reference` and `local_bound_reference` are the
+exceptions: they keep the per-state, per-table and per-observable loops
+that the stacked Haar study, sweep, estimator and local bound replaced. The
+one-sample Haar rotation they need (`haar_random_local_unitary`,
+`apply_to_pure`) lives here too, since the package draws rotations only as
+a stack; it builds SU(2) elements as the Pauli sum (`su2_pauli_sum`), which
+the package writes entry by entry.
 `write_rows_reference` keeps the one-dict-per-row text writer that the
 CLI's columnar writer replaced.
 
@@ -118,6 +119,20 @@ def local_bound_brute(observables, n: int) -> float:
         mean_sq = np.einsum("ni,ij,nj->n", psi.conj(), o @ o, psi).real
         total += mean_sq - mean**2
     return float(total.min())
+
+
+def local_bound_reference(observables) -> float:
+    """`witness.local_bound` as one validation and one Tr(o sigma) per observable and Pauli."""
+    from lurwit.linalg import HERMITIAN_TOL, as_operator, is_hermitian
+
+    obs = [as_operator(o, dim=2) for o in observables]
+    if not obs:
+        raise ValueError("need at least one observable")
+    for o in obs:
+        if not is_hermitian(o, HERMITIAN_TOL):
+            raise ValueError("observables must be Hermitian")
+    v = np.array([[0.5 * np.trace(o @ s).real for s in (SX, SY, SZ)] for o in obs])
+    return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 
 def random_mixed_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -710,21 +710,30 @@ def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_simulate_estimates_the_drawn_replicates_kept_stack(capsys, monkeypatch):
-    seen = []
-    real = measurement.estimate_standard
+SIMULATE_SPECS = ("singlet", "phi+", "psi+", "u2-singlet", "werner:p=0.9", "werner:p=0.2", "polarized:p=0.37")
 
-    def recorded(counts):
-        seen.append(counts)
-        return real(counts)
 
-    monkeypatch.setattr(measurement, "estimate_standard", recorded)
-    code, stdout, _ = _run(capsys, ["simulate", "--state", "werner:p=0.9", "--shots", "1000", "--seed", "3"])
-    assert code == 0 and len(seen) == 1
-    (counts,) = seen
-    tables = cli.simulate_counts(states.parse_state_spec("werner:p=0.9"), 1000, 3)
-    assert counts.shape == (1, 3, 4) and not counts.flags.writeable
-    assert counts.tolist() == measurement.stacked_counts(tables).tolist()
+def test_simulate_estimates_the_drawn_count_stack(capsys):
+    checked = 0
+    for spec in SIMULATE_SPECS:
+        rho = states.parse_state_spec(spec)
+        probs = measurement.outcome_probabilities(rho)
+        for shots in (2, 1000, 10**6):
+            for seed in (0, 20261018):
+                counts = cli.draw_counts(rho, shots, seed)
+                assert counts.shape == (3, 4) and counts.dtype == np.int64 and not counts.flags.writeable
+                for i, row in enumerate(counts):  # basis i draws from stream (seed, i)
+                    assert np.array_equal(row, rng.stream(seed, i).multinomial(shots, probs[i]))
+                assert [t.counts.tolist() for t in cli.simulate_counts(rho, shots, seed)] == counts.tolist()
+                argv = ["simulate", "--state", spec, "--shots", str(shots), "--seed", str(seed), "--format", "json"]
+                code, stdout, _ = _run(capsys, argv)
+                assert code == 0
+                (row,) = json.loads(stdout)
+                want = [spec, shots, *(float(v[0]) for v in measurement.estimate_standard(counts[None]))]
+                assert list(row) == list(cli.SIMULATE_COLUMNS)
+                assert list(map(repr, row.values())) == list(map(repr, want))  # floats bit for bit
+                checked += 1
+    assert checked == 42
 
 
 def test_simulate_counts_matches_per_basis_sampling():

@@ -5,12 +5,16 @@ sha256 of its output must not move when the code under it is reworked. A
 digest covers the concatenated stdout of every listed (shots, seed) or
 argument set, so one change anywhere in it shows. The same holds for the
 `estimate_witnesses` reports of drawn count tables, pinned field by field
-with `float.hex`.
+with `float.hex`. The last test checks the floating-point behaviour that
+the `simulate` and estimate digests rest on.
 """
 
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lurwit.cli import main, simulate_counts
@@ -60,7 +64,12 @@ SIMULATE_DIGESTS = {
 # L2 then L3 reports of every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS
 ESTIMATE_DIGEST = "0fc25faed196c668fd063aa3b66e8177203de2de5692a4844707262ac6e0dd90"
 
+# every ordered list of distinct Pauli tokens, and one repeated token
+BOUND_TOKENS = [",".join(p) for k in (1, 2, 3) for p in itertools.permutations(("sx", "sy", "sz"), k)]
+BOUND_TOKENS.append("sx,sx")
+
 OTHER_RUNS = {
+    "bound": [["bound", "--observables", tokens] for tokens in BOUND_TOKENS],
     "evaluate": [["evaluate", "--state", s] for s in SIMULATE_SPECS],
     "sweep": [
         ["sweep", "--noise", "werner", "--p-steps", "257"],
@@ -78,6 +87,8 @@ OTHER_RUNS = {
 }
 
 OTHER_DIGESTS = {
+    ("bound", "csv"): "65bd53d2ae93b37d58ff2926fdb89b64193dc694045a623fd7c7e85e3744ece0",
+    ("bound", "json"): "df65a4e15caa7b05ff98a955f67efcbb8a250bbed5b14b826775061d978e0965",
     ("evaluate", "csv"): "143089a30b7fae1179e7c0a376665ea3ab4f67a751db3810293835f3462b0998",
     ("evaluate", "json"): "017e6546d559dcad8d45a309dfdfdb06cfefd3617bba642a11a47324f6088f3e",
     ("sweep", "csv"): "df46b730dacfb2e4f938f1f0c28147adfc5dffa2e9306b9f362e0fff3cf754ad",
@@ -145,3 +156,30 @@ def test_estimated_reports_are_pinned(in_tmp):
                 for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
                     h.update(_report_fields(report).encode())
     assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def _fma_chain(x, y) -> float:
+    """x . y as a chain of fused multiply-adds, each rounded once to the nearest float, in index order."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total = float(Fraction(a) * Fraction(b) + Fraction(total))
+    return total
+
+
+def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
+    # the estimator's frequency dot products (`measurement._table_moments`) are
+    # `np.vecdot` of 4-vectors, and the pinned `simulate` and estimate digests
+    # hold only where that is the FMA chain (as OpenBLAS's ddot computes it)
+    g = np.random.default_rng(20261019)
+    x = g.standard_normal((2000, 1, 4))
+    y = g.standard_normal((2000, 3, 4))
+    x[:1000] = g.integers(0, 10**6, (1000, 1, 4)) / 999_983.0  # frequency-like rows
+    y[:1000] = g.choice([-2.0, -1.0, 1.0, 2.0], (1000, 3, 4)) * g.random((1000, 3, 4))
+    got = np.vecdot(x, y).ravel().tolist()
+    want = [_fma_chain(a, b) for a, b in zip(np.broadcast_to(x, y.shape).reshape(-1, 4).tolist(),
+                                               y.reshape(-1, 4).tolist())]
+    differ = sum(map(float.__ne__, got, want))
+    assert differ == 0, (
+        f"np.vecdot of float64 4-vectors is not the fused multiply-add chain on {differ} of "
+        f"{len(want)} pairs; the simulate and estimate digests above assume it is"
+    )

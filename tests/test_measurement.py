@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from lurwit import measurement
-from lurwit.cli import STACK_CHUNK, simulate_counts
+from lurwit.cli import STACK_CHUNK, draw_counts, simulate_counts
 from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
@@ -19,7 +19,6 @@ from lurwit.measurement import (
     estimate_witnesses,
     estimate_witnesses_many,
     outcome_probabilities,
-    stacked_counts,
 )
 from lurwit.rng import stream
 from lurwit.states import (
@@ -637,15 +636,17 @@ def test_one_moments_pass_per_drawn_replicate(moments_calls):
 
 
 def test_drawn_replicate_keeps_one_read_only_stack():
-    tables = simulate_counts(noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8)
-    stack = stacked_counts(tables)
-    assert stacked_counts(tables) is stack and stacked_counts(iter(tables)) is stack
+    counts = draw_counts(noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8)
+    tables = drawn_tables(counts)
+    stack = tables[0]._drawn[0].counts
+    assert all(t._drawn[0].counts is stack for t in tables)
     assert stack.shape == (1, 3, 4) and stack.dtype == np.int64 and not stack.flags.writeable
+    assert stack.base is counts  # a view of the sampler's stack, not a new one
     assert stack.tolist() == [[t.counts.tolist() for t in tables]]
-    for other in (tables[:2], tables[::-1], _rebuilt(tables)):
-        copy = stacked_counts(other)
-        assert copy is not stack and copy.flags.writeable
-        assert copy.tolist() == [[t.counts.tolist() for t in other]]
+    for other in (counts.tolist(), counts.copy(), counts.astype(np.int32)):  # stacked from the tables
+        kept = drawn_tables(other)[0]._drawn[0].counts
+        assert not np.shares_memory(kept, other) and not kept.flags.writeable
+        assert kept.dtype == np.int64 and kept.tolist() == stack.tolist()
     with pytest.raises(ValueError, match="same number of shots per basis"):
         drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3]])
     with pytest.raises(ValueError):

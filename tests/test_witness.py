@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from unittest import mock
 
@@ -39,6 +40,7 @@ from oracles import (
     I2,
     covariance_brute,
     local_bound_brute,
+    local_bound_reference,
     mixed_ensemble,
     random_hermitian,
     random_mixed_matrix,
@@ -322,11 +324,43 @@ def test_local_bound_consistent_with_standard_bounds():
     assert 2.0 * local_bound([SZ, SX, SY]) == pytest.approx(SETS["L3"].separable_bound, abs=1e-12)
 
 
+def test_local_bound_equals_the_per_observable_reference_bitwise():
+    checked = 0
+    for k in (1, 2, 3):  # every Pauli subset in every order
+        for obs in itertools.permutations((SX, SY, SZ), k):
+            assert local_bound(obs).hex() == local_bound_reference(obs).hex()
+            assert local_bound(np.array(obs)).hex() == local_bound_reference(obs).hex()
+            checked += 1
+    assert checked == 15
+    g = stream(1717)
+    for _ in range(1200):
+        obs = [random_hermitian(g, 2) for _ in range(int(g.integers(1, 5)))]
+        assert local_bound(obs).hex() == local_bound_reference(obs).hex()
+    obs = [random_hermitian(g, 2) for _ in range(3)]
+    assert local_bound(iter(obs)).hex() == local_bound_reference(obs).hex()  # any iterable
+
+
+NOT_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
+# bad inputs, each with the error the per-observable reference raises for it
+BAD_OBSERVABLES = {
+    "empty": ([], "need at least one observable"),
+    "4x4": ([np.eye(4), np.eye(4)], "expected a 2x2 matrix, got 4x4"),
+    "non-square": ([np.zeros((2, 3))], r"expected a square matrix, got shape \(2, 3\)"),
+    "nan": ([SX, np.array([[np.nan, 0], [0, 1]])], "must be finite"),
+    "non-hermitian": ([SX, NOT_HERMITIAN], "observables must be Hermitian"),
+    "ragged": ([SZ, np.eye(4)], "expected a 2x2 matrix, got 4x4"),
+    "infinite after non-hermitian": ([NOT_HERMITIAN, np.full((2, 2), np.inf)], "must be finite"),
+    "one matrix, not a list": (SX, r"expected a square matrix, got shape \(2,\)"),
+}
+
+
 def test_local_bound_rejects_bad_input():
-    with pytest.raises(ValueError):
-        local_bound([])
-    with pytest.raises(ValueError):
-        local_bound([np.array([[0, 1], [0, 0]], dtype=complex)])
+    for name, (observables, message) in BAD_OBSERVABLES.items():
+        with pytest.raises(ValueError, match=message) as want:
+            local_bound_reference(observables)
+        with pytest.raises(ValueError) as got:
+            local_bound(observables)
+        assert str(got.value) == str(want.value), name
 
 
 # ----------------------------------------------------------------- PPT oracle
