@@ -31,8 +31,8 @@ multinomial draw per row (`lurwit.cli.draw_counts`). The estimator works on
 `estimate_standard`, which `simulate` hands its drawn stack, checks an
 (R, 3, 4) stack and takes each table's moments once; L2 and L3, and their
 squared SEs, are the running sums after two and three bases. The
-`CountTable`s of one drawn replicate (`drawn_tables`) keep a view of its
-stack, so an L2 and an L3 `estimate_witnesses` call on them share one
+`CountTable`s of one drawn replicate (`drawn_tables`) keep one stack of
+their counts, so an L2 and an L3 `estimate_witnesses` call on them share one
 pass; the bases and shot checks still run on every call. Every result is
 bit for bit what a per-table loop of Python scalars gives, and a row of a
 stack does not depend on the stack: the frequency dot products use
@@ -338,8 +338,7 @@ def drawn_tables(counts) -> list:
     """One replicate's `CountTable`s, in `Basis` order, from its three draws of one total each.
 
     Each table is validated as any `CountTable` is. While they live, the
-    tables keep one read-only (1, 3, 4) stack, a view of `counts` if that
-    is read-only int64 (as `lurwit.cli.draw_counts` gives), so
+    tables keep one read-only (1, 3, 4) stack of their validated counts, so
     `estimate_witnesses` on the first two or all three, in order, estimates
     both families from it once (see there).
     """
@@ -347,11 +346,9 @@ def drawn_tables(counts) -> list:
     totals = [t.shots for t in tables]
     if len(set(totals)) != 1:
         raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
-    stack = np.asarray(counts)
-    if stack.dtype != np.int64 or stack.flags.writeable:  # not the sampler's stack: stack the tables
-        stack = np.array([t.counts for t in tables])
-        stack.flags.writeable = False
-    drawn = _Drawn(stack[None])
+    stack = np.array([[t.counts for t in tables]])
+    stack.flags.writeable = False
+    drawn = _Drawn(stack)
     for row, table in enumerate(tables):
         object.__setattr__(table, "_drawn", (drawn, row))
     return tables

@@ -236,16 +236,11 @@ def local_bound(observables) -> float:
     real. On a state with Bloch vector r (|r| <= 1), var(o_i) = |v_i|^2 -
     (v_i . r)^2, so the sum is sum_i |v_i|^2 - r^T M r with M = sum_i v_i v_i^T.
     Its minimum over the Bloch ball is sum_i |v_i|^2 - lambda_max(M), exactly.
-    The observables are validated as one (k, 2, 2) stack, and v is one
-    contraction of it with the Pauli stack (each trace adds two exact products).
+    The observables are checked one by one, then as one (k, 2, 2) stack for
+    Hermiticity, and v is one contraction of that stack with the Pauli stack
+    (each trace adds two exact products).
     """
-    try:
-        obs = np.asarray(observables, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        obs = None
-    if obs is None or obs.ndim != 3 or obs.shape[1:] != (2, 2) or not np.isfinite(obs).all():
-        # one at a time, so the first bad observable raises `as_operator`'s error
-        obs = np.array([as_operator(o, dim=2) for o in observables])
+    obs = np.array([as_operator(o, dim=2) for o in observables])
     if not len(obs):
         raise ValueError("need at least one observable")
     if np.abs(obs - obs.conj().swapaxes(1, 2)).max() > HERMITIAN_TOL:
