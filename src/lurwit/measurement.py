@@ -18,28 +18,31 @@ Estimator conventions, chosen to keep identities exact on finite samples:
 
 The tables' bases select the standard witness set that supplies the bound,
 and the witness sums (with their check that the two ML forms agree) are the
-exact path's own.
+exact path's own kernel, `witness._witness_values`.
 
 The layer is array code. `outcome_probabilities` takes all 12 projector
 traces of a state in one contraction and keeps the read-only (3, 4) result
 while the state lives (a `DensityMatrix` is read-only too, so it cannot go
 stale). A replicate's counts are one read-only (3, 4) int64 stack, one
 multinomial draw per row (`lurwit.cli.draw_counts`). The estimator works on
-(..., B, 4) int64 count stacks (replicates, bases, outcomes):
-`estimate_witnesses_many` gives the witness arrays of R replicates, and
-`estimate_witnesses` its R = 1 case with the bound and the verdicts.
-`estimate_standard`, which `simulate` hands its drawn stack, checks an
-(R, 3, 4) stack and takes each table's moments once; L2 and L3, and their
-squared SEs, are the running sums after two and three bases. The
-`CountTable`s of one drawn replicate (`drawn_tables`) keep one stack of
-their counts, so an L2 and an L3 `estimate_witnesses` call on them share one
-pass; the bases and shot checks still run on every call. Every result is
-bit for bit what a per-table loop of Python scalars gives, and a row of a
-stack does not depend on the stack: the frequency dot products use
-`np.vecdot`, which like the 1-D `f @ g` makes one BLAS dot per row (a `sum`
-or `einsum` adds in another order), and squares use `np.float_power(x,
-2.0)`, which like Python's `x**2` calls libm `pow` (numpy's `x**2` is
-`x*x`, and the two differ in the last bit now and then).
+(..., B, 4) int64 count stacks (replicates, bases, outcomes). Every caller
+takes each table's moments once and hands them to one estimate function,
+`_estimate`, which gives the values and SEs after the first k bases for
+each k asked for: `estimate_witnesses_many` asks for all B bases of R
+replicates, and `estimate_standard`, which `simulate` hands its drawn
+stack, for L2 and L3, the estimates after two and three bases of an
+(R, 3, 4) stack. `estimate_witnesses` is the R = 1 case with the bound and
+the verdicts, on one path through a record of the tables' counts: the
+`CountTable`s of one drawn replicate (`drawn_tables`) share one record and
+its L2 and L3 estimate, so an L2 and an L3 call on them share one pass, and
+any other tables get a new record of their own. The bases and shot checks
+run on every call. Every result is bit for bit what a per-table loop of
+Python scalars gives, and a row of a stack does not depend on the stack:
+the frequency dot products use `np.vecdot`, which like the 1-D `f @ g`
+makes one BLAS dot per row (a `sum` or `einsum` adds in another order), and
+squares use `np.float_power(x, 2.0)`, which like Python's `x**2` calls libm
+`pow` (numpy's `x**2` is `x*x`, and the two differ in the last bit now and
+then).
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .states import Basis, DensityMatrix, I2
 from .witness import (
     EXPECTATION_IMAG_TOL,
     Verdict,
-    _standard_values,
     _witness_values,
     standard_sets,
     verdict_for,
@@ -96,7 +98,7 @@ class CountTable:
 
     basis: Basis
     counts: np.ndarray
-    # (replicate, row) of a table `drawn_tables` built; not a dataclass field
+    # (record, row) of a table `drawn_tables` built; not a dataclass field
     _drawn = (None, -1)
 
     def __post_init__(self):
@@ -246,34 +248,34 @@ def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
     return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
-def _moments(counts: np.ndarray, bases: tuple, name):
-    """`_table_moments` of an (R, B, 4) count stack whose every table has at least 2 shots.
-
-    `name(r)` prefixes the message of a table with fewer than 2 shots.
-    """
+def _moments(counts: np.ndarray, bases: tuple):
+    """`_table_moments` of an (R, B, 4) stack; ValueError names the first table under 2 shots."""
     shots = np.add.reduce(counts, axis=-1)
     failed = first_failure(shots >= 2)
     if failed is not None:
         r, b = failed
-        raise _too_few_shots(name(r), bases[b])
+        raise _too_few_shots(f"replicate {r}, ", bases[b])
     return _table_moments(counts, shots)
 
 
-def _estimate(var_a, var_b, var_sum, cov, se):
-    """Witness values and their SEs, four length-R arrays, from the `_moments` of R replicates.
+def _estimate(moments, ends):
+    """Witness values and SEs after the first k bases, for each k in `ends`, from R replicates' moments.
 
-    The witness values are summed in basis order, as the exact path sums its
-    pairs. Counts in different bases are independent, so the witness SEs add
-    in quadrature, also in basis order.
+    Returns (l, l_se, ml, ml_se) for each k in turn, 4 * len(ends) length-R
+    arrays. The witness values are the exact path's sums
+    (`witness._witness_values`, with its ML check at every k). Counts in
+    different bases are independent, so the witness SEs add in quadrature:
+    the squared SEs of var_sum and of the ML term add up one basis after
+    another.
     """
-    l_values, ml_values = _witness_values(var_a, var_b, var_sum, cov)
-    # squared SEs of var_sum and the ML term, added up one basis after another
-    l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T
-    return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var)
-
-
-def _replicate(r: int) -> str:
-    return f"replicate {r}, "
+    var_a, var_b, var_sum, cov, se = moments
+    values = iter(_witness_values(var_a, var_b, var_sum, cov, ends))
+    se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-2)).transpose(1, 2, 0)
+    estimates = []
+    for k, l_values, ml_values in zip(ends, values, values):
+        l_se, ml_se = se_sums[k - 1]
+        estimates += (l_values, l_se, ml_values, ml_se)
+    return tuple(estimates)
 
 
 def _checked_counts(counts, bases: tuple) -> np.ndarray:
@@ -299,39 +301,27 @@ def _checked_counts(counts, bases: tuple) -> np.ndarray:
     return c.astype(np.int64, copy=False)
 
 
-def _standard(var_a, var_b, var_sum, cov, se):
-    """L2's and L3's values and SEs, eight length-R arrays, from the `_moments` of R (3, 4) replicates.
+class _Record:
+    """Count tables as one read-only (1, B, 4) int64 stack, and their estimates once taken.
 
-    L2's bases are L3's first two, so L2 and L3 are the running sums of the
-    tables' terms after two and three bases (`witness._standard_values`,
-    which checks both families' ML forms), and their squared SEs the
-    running sums of one accumulate.
+    `estimates` is None until the first `estimate` call, then maps each k in
+    `ends` to (l, l_se, ml, ml_se) over the first k tables, as floats.
     """
-    l2, ml2, l3, ml3 = _standard_values(var_a, var_b, var_sum, cov)
-    # squared SEs of var_sum and the ML term, added up one basis after another
-    se_sums = np.add.accumulate(np.float_power(se, 2.0), axis=-2)
-    (l2_se, ml2_se), (l3_se, ml3_se) = np.sqrt(se_sums[:, 1:]).transpose(1, 2, 0)
-    return l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se
 
+    __slots__ = ("counts", "ends", "estimates", "__weakref__")
 
-class _Drawn:
-    """One replicate's tables as `drawn_tables` built them: their stack and its estimate."""
+    def __init__(self, counts: np.ndarray, ends: tuple):
+        self.counts = counts
+        self.ends = ends
+        self.estimates = None
 
-    __slots__ = ("counts", "estimate", "__weakref__")
-
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts  # read-only (1, 3, 4) int64, rows in `Basis` order
-        self.estimate = None  # `_standard` of the stack as eight floats, once taken
-
-    def standard(self) -> tuple:
-        """L2's and L3's (value, SE, ML value, ML SE), eight floats, computed on the first call.
-
-        The caller has checked that the tables have at least 2 shots.
-        """
-        if self.estimate is None:
-            estimate = _standard(*_table_moments(self.counts, np.add.reduce(self.counts, axis=-1)))
-            self.estimate = tuple(float(v[0]) for v in estimate)
-        return self.estimate
+    def estimate(self, k: int) -> tuple:
+        """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
+        if self.estimates is None:
+            moments = _table_moments(self.counts, np.add.reduce(self.counts, axis=-1))
+            values = [float(v[0]) for v in _estimate(moments, self.ends)]
+            self.estimates = {end: tuple(values[4 * i:4 * i + 4]) for i, end in enumerate(self.ends)}
+        return self.estimates[k]
 
 
 def drawn_tables(counts) -> list:
@@ -348,14 +338,14 @@ def drawn_tables(counts) -> list:
         raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
     stack = np.array([[t.counts for t in tables]])
     stack.flags.writeable = False
-    drawn = _Drawn(stack)
+    record = _Record(stack, (2, 3))
     for row, table in enumerate(tables):
-        object.__setattr__(table, "_drawn", (drawn, row))
+        object.__setattr__(table, "_drawn", (record, row))
     return tables
 
 
 def _drawn_of(tables: list):
-    """The `_Drawn` whose first len(tables) tables these are, in order; None if there is none."""
+    """The record of the drawn replicate whose first len(tables) tables these are, in order, or None."""
     drawn = getattr(tables[0], "_drawn", (None,))[0] if tables else None
     if drawn is None or any(getattr(t, "_drawn", None) != (drawn, row) for row, t in enumerate(tables)):
         return None
@@ -372,20 +362,20 @@ def estimate_witnesses_many(counts, bases):
     table), and a failed count check names the first failing replicate.
     """
     bases, _ = _checked_bases(bases)
-    return _estimate(*_moments(_checked_counts(counts, bases), bases, _replicate))
+    return _estimate(_moments(_checked_counts(counts, bases), bases), (len(bases),))
 
 
 def estimate_standard(counts):
     """L2 and L3 estimates of R replicates from one (R, 3, 4) count stack in `Basis` order.
 
     Returns (l2, l2_se, ml2, ml2_se, l3, l3_se, ml3, ml3_se), eight length-R
-    arrays. The counts are checked, and every table's moments taken, once
-    (`_standard`). Every value is bit for bit that of
-    `estimate_witnesses_many` on the first two bases and on all three, and
-    bad counts raise what the call on all three raises.
+    arrays. The counts are checked, and every table's moments taken, once;
+    L2 and L3 are the estimates after two and three bases. Every value is
+    bit for bit that of `estimate_witnesses_many` on the first two bases and
+    on all three, and bad counts raise what the call on all three raises.
     """
     bases = tuple(Basis)
-    return _standard(*_moments(_checked_counts(counts, bases), bases, _replicate))
+    return _estimate(_moments(_checked_counts(counts, bases), bases), (2, 3))
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -395,25 +385,20 @@ def estimate_witnesses(tables) -> EstimatedReport:
     three for L3) and its separable bound. This is `estimate_witnesses_many`
     on one replicate, with the bound and the verdicts.
 
-    On the first two or all three tables of one `drawn_tables` call, in
-    order, the bases and the tables' shots are checked as on any tables,
-    and the values are read from the replicate's L2 and L3 estimate
-    (`estimate_standard` of its kept stack), which its first such call
-    takes: an L2 and an L3 call share one moments pass, and a failed ML
-    check in either family fails both. The values are bit for bit those of
-    any tables with the same counts.
+    The tables' counts are estimated through one record: on the first two
+    or all three tables of one `drawn_tables` call, in order, that is the
+    replicate's record, whose first such call estimates L2 and L3 from its
+    kept stack in one moments pass (so a failed ML check in either family
+    fails both); on any other tables it is a new record over their own
+    counts. The bases and the tables' shots are checked on every call, and
+    the values are bit for bit those of any tables with the same counts.
     """
     tables = list(tables)
     bases, bound = _checked_bases(t.basis for t in tables)
-    drawn = _drawn_of(tables)
-    if drawn is None:
-        counts = np.array([[t.counts for t in tables]])
-        moments = _moments(counts, bases, lambda r: "")
-        l_value, l_se, ml_value, ml_se = (float(v[0]) for v in _estimate(*moments))
-    else:
-        if tables[0].shots < 2:  # the first table's check, as every table has this total
-            raise _too_few_shots("", bases[0])
-        family = 4 * (len(bases) - 2)  # L2's four values, then L3's
-        l_value, l_se, ml_value, ml_se = drawn.standard()[family:family + 4]
+    for table in tables:
+        if table.shots < 2:
+            raise _too_few_shots("", table.basis)
+    record = _drawn_of(tables) or _Record(np.array([[t.counts for t in tables]]), (len(tables),))
+    l_value, l_se, ml_value, ml_se = record.estimate(len(tables))
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

@@ -18,15 +18,19 @@ Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
 (N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
 of an `ObservableSet` gives all 7 * P expectations of all N states at once.
-`evaluate_many` returns the witness values of a stack; `evaluate` is the
-same kernel on a stack of one, plus the per-pair report (the variances and
-the covariance of each pair). `evaluate_standard` gives L2 and L3 from one
-pass over L3's operators: L2's pairs are L3's first two, so the two
-families read the same per-basis statistics, as they would in the lab, and
-each pair's terms are formed once: L2 and L3 are the running sums after
-two and three pairs. The runtime invariant checks (real expectations, the
-variance decomposition, the agreement of the two modified-witness forms,
-for L2 and for L3) run on every call, as maxima over the stack.
+One summation kernel, `_witness_values`, turns the per-pair moments into
+witness values: it adds each pair's terms in pair order and returns the
+sums after the first k pairs for each k asked for. `evaluate_many` asks for
+all P pairs of a stack; `evaluate` is the same on a stack of one, plus the
+per-pair report (the variances and the covariance of each pair).
+`evaluate_standard` gives L2 and L3 from one pass over L3's operators:
+L2's pairs are L3's first two, so the two families read the same
+per-basis statistics, as they would in the lab, and are the sums after two
+and three pairs. The finite-shot estimator (`lurwit.measurement`) sums its
+per-table moments with the same kernel. The runtime invariant checks (real
+expectations, the variance decomposition, the agreement of the two
+modified-witness forms at every sum returned) run on every call, as maxima
+over the stack.
 """
 
 from __future__ import annotations
@@ -168,43 +172,32 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     return var_a, var_b, var_sum, cov
 
 
-def _witness_terms(var_a, var_b, var_sum, cov):
-    """Each pair's plain term and its two modified forms, three (N, P) arrays."""
-    return var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov)
+def _witness_values(var_a, var_b, var_sum, cov, ends):
+    """Plain and modified witness values over the first k pairs, for each k in `ends`.
 
-
-def _checked(sums):
-    """Plain and modified witness values from the three terms' sums; checks the modified forms agree."""
-    l_values, ml_values, ml_alternative = sums
-    failed = first_failure(np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL)
-    if failed is not None:
-        (n,) = failed
-        raise NumericsError(
-            f"modified-witness forms disagree at stack index {n}: "
-            f"{ml_values[n]} vs {ml_alternative[n]}"
-        )
-    return l_values, ml_values
-
-
-def _witness_values(var_a, var_b, var_sum, cov):
-    """Plain and modified witness values per state; checks the two modified forms agree."""
-    return _checked([t.sum(axis=1) for t in _witness_terms(var_a, var_b, var_sum, cov)])
-
-
-def _standard_values(var_a, var_b, var_sum, cov):
-    """L2, ML2, L3 and ML3 per state from L3's (N, 3) per-pair moments, in one pass.
-
-    Every pair's terms are formed once; L2 and L3 are the running sums after
-    two and three pairs, and both families' modified forms are checked, L2's
-    first. The sums start from +0.0 and add pair by pair, as a row `sum`
-    does (a `cumsum` starts from the first term, and so keeps a -0.0 that the
-    row sum turns into +0.0): every value is bit for bit `_witness_values`
-    on the first two pairs and on all three.
+    Takes (N, P) per-pair moments and returns (l, ml) for each k in turn,
+    2 * len(ends) length-N arrays. Each pair's plain term and its two
+    modified forms are formed once and added pair by pair from +0.0, and the
+    two modified forms must agree at every k returned, in order. Below 8
+    pairs this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0,
+    which a `cumsum` from the first term would not give); a set of 8 or
+    more pairs adds in pair order.
     """
-    terms = np.array(_witness_terms(var_a, var_b, var_sum, cov))
-    l2 = 0.0 + terms[..., 0] + terms[..., 1]
-    l3 = l2 + terms[..., 2]
-    return (*_checked(l2), *_checked(l3))
+    terms = np.array((var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov)))
+    total, values = 0.0, []
+    for p in range(ends[-1]):
+        total = total + terms[..., p]
+        if p + 1 in ends:
+            l_values, ml_values, ml_alternative = total
+            failed = first_failure(np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL)
+            if failed is not None:
+                (n,) = failed
+                raise NumericsError(
+                    f"modified-witness forms disagree at stack index {n}: "
+                    f"{ml_values[n]} vs {ml_alternative[n]}"
+                )
+            values += (l_values, ml_values)
+    return tuple(values)
 
 
 def _basis_set(bases) -> ObservableSet:
@@ -275,19 +268,19 @@ def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray
     The matrices are taken as given (no density-matrix validation); every
     runtime check of `evaluate` runs on each of them.
     """
-    return _witness_values(*_pair_moments(_stack(matrices), oset))
+    return _witness_values(*_pair_moments(_stack(matrices), oset), (len(oset.pairs),))
 
 
 def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """L2, ML2, L3 and ML3, four length-N arrays, for an (N, 4, 4) stack, from one kernel pass.
 
     L2's pairs are the first two of L3's (`standard_sets`), so the per-pair
-    moments of L3 hold those of L2 in their first two columns, and one pass
-    of running sums over them gives both families (`_standard_values`), with
-    each family's two modified forms checked as `evaluate_many` checks them.
-    Every value is bit for bit `evaluate_many` with that family's set.
+    moments of L3 hold those of L2 in their first two columns, and the
+    witness sums after two and three pairs give both families, each with its
+    two modified forms checked. Every value is bit for bit `evaluate_many`
+    with that family's set.
     """
-    return _standard_values(*_pair_moments(_stack(matrices), _STANDARD_SETS["L3"]))
+    return _witness_values(*_pair_moments(_stack(matrices), _STANDARD_SETS["L3"]), (2, 3))
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
@@ -297,7 +290,7 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     the two forms must agree to within roundoff or the statistics code is broken.
     """
     moments = _pair_moments(rho.matrix[None], oset)
-    l_values, ml_values = _witness_values(*moments)
+    l_values, ml_values = _witness_values(*moments, (len(oset.pairs),))
     var_a, var_b, var_sum, cov = (m[0].tolist() for m in moments)
     stats = tuple(
         PairStats(label, var_a[p], var_b[p], var_sum[p], cov[p])

@@ -4,9 +4,12 @@ Deliberately independent of the package's code paths: expectations are
 explicit double sums, the partial transpose is re-derived entrywise from its
 index definition, and the entanglement test is the sign of a determinant
 (an LU factorisation), not an eigenvalue. `haar_study_reference`,
-`sweep_reference`, `estimate_reference` and `local_bound_reference` are the
-exceptions: they keep the per-state, per-table and per-observable loops
-that the stacked Haar study, sweep, estimator and local bound replaced. The
+`sweep_reference` and `local_bound_reference` are the exceptions: they
+keep the per-state and per-observable loops that the stacked Haar study,
+sweep and local bound replaced. `estimate_reference` keeps the per-table
+estimator loop, and `witness_values_reference` and
+`estimate_values_reference` the per-family row sums that the one witness
+summation kernel and the one estimate function replaced. The
 one-sample Haar rotation they need (`haar_random_local_unitary`,
 `apply_to_pure`) lives here too, since the package draws rotations only as
 a stack; it builds SU(2) elements as the Pauli sum (`su2_pauli_sum`), which
@@ -424,22 +427,46 @@ def basis_estimate_reference(counts: np.ndarray) -> tuple:
     return var_a, var_b, var_sum, cov, var_sum_se, ml_se
 
 
+def witness_values_reference(var_a, var_b, var_sum, cov) -> tuple:
+    """Plain and modified witness values of (N, P) per-pair moments, as row sums.
+
+    The per-family kernel that `witness._witness_values` replaced: each
+    pair's plain term and two modified forms, each summed over its row, and
+    a check that the two modified forms agree to `DECOMPOSITION_TOL`.
+    """
+    from lurwit.witness import DECOMPOSITION_TOL
+
+    terms = (var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov))
+    l_values, ml_values, ml_alternative = (t.sum(axis=1) for t in terms)
+    assert (np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL).all(), "modified-witness forms disagree"
+    return l_values, ml_values
+
+
+def estimate_values_reference(var_a, var_b, var_sum, cov, se) -> tuple:
+    """One family's (l, l_se, ml, ml_se), four length-R arrays, from the moments of R (B, 4) replicates.
+
+    The per-family estimate that `measurement._estimate` replaced: the row
+    sums of `witness_values_reference`, and the squared SEs added up one
+    basis after another.
+    """
+    l_values, ml_values = witness_values_reference(var_a, var_b, var_sum, cov)
+    l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T
+    return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var)
+
+
 def estimate_reference(tables) -> tuple:
     """The per-table estimator loop: (per-table tuples, l, l_se, ml, ml_se).
 
-    Like `haar_study_reference` it uses the package's own witness sums
-    (`witness._witness_values`, with its check that the two ML forms agree);
-    the witness SEs add in quadrature, one table after another.
+    The witness values are the row sums of `witness_values_reference`; the
+    witness SEs add in quadrature, one table after another.
     """
-    from lurwit import witness
-
     per_table = [basis_estimate_reference(t.counts) for t in tables]
     l_var = ml_var = 0.0
     for est in per_table:
         l_var += est[4] ** 2
         ml_var += est[5] ** 2
     moments = np.array([[e[:4] for e in per_table]])
-    l_values, ml_values = witness._witness_values(*moments.transpose(2, 0, 1))
+    l_values, ml_values = witness_values_reference(*moments.transpose(2, 0, 1))
     return (
         per_table,
         float(l_values[0]),

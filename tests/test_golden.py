@@ -17,9 +17,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lurwit.cli import main, simulate_counts
-from lurwit.measurement import estimate_witnesses
-from lurwit.states import parse_state_spec
+from lurwit.cli import draw_counts, main, simulate_counts
+from lurwit.measurement import CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
+from lurwit.rng import stream
+from lurwit.states import Basis, DensityMatrix, parse_state_spec
+from lurwit.witness import ObservableSet, evaluate, evaluate_many, local_bound
+from oracles import mixed_ensemble, random_hermitian
 
 SIMULATE_SPECS = (
     "singlet", "phi+", "u2-singlet", "werner:p=0.9", "werner:p=0.2", "polarized:p=0.37", "file:rho.json",
@@ -63,6 +66,15 @@ SIMULATE_DIGESTS = {
 
 # L2 then L3 reports of every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS
 ESTIMATE_DIGEST = "0fc25faed196c668fd063aa3b66e8177203de2de5692a4844707262ac6e0dd90"
+
+# every basis order that picks L2 or L3, as indices into `Basis`
+BASIS_ORDERS = [*itertools.permutations(range(2)), *itertools.permutations(range(3))]
+# `estimate_witnesses_many` on one stack of every drawn replicate above, in every basis order
+MANY_DIGEST = "544f4f9039a5c67052f05953f44fc30d427d66c30ecb2e02c2ebd4ee10201a89"
+# `estimate_witnesses` reports of those replicates' tables in every basis order, drawn and hand-built
+ORDERED_DIGEST = "01ecbdd4ecb7948152fdd0c9b9cf7485d18d0a6f7d44f41d0bccd56828480d51"
+# `evaluate_many` values and `evaluate` reports of seeded custom sets of 1-4 pairs
+CUSTOM_DIGEST = "c487069ca6ed9cacd543c148db5f8bcea396638f7c4e7734207472c695e6ec99"
 
 # every ordered list of distinct Pauli tokens, and one repeated token
 BOUND_TOKENS = [",".join(p) for k in (1, 2, 3) for p in itertools.permutations(("sx", "sy", "sz"), k)]
@@ -156,6 +168,64 @@ def test_estimated_reports_are_pinned(in_tmp):
                 for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
                     h.update(_report_fields(report).encode())
     assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def _drawn_stack() -> np.ndarray:
+    """Every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS, as one (42, 3, 4) stack."""
+    return np.array([
+        draw_counts(parse_state_spec(spec), shots, seed)
+        for spec in SIMULATE_SPECS for shots in SIMULATE_SHOTS for seed in SIMULATE_SEEDS
+    ])
+
+
+def test_stacked_estimates_in_every_basis_order_are_pinned(in_tmp):
+    counts = _drawn_stack()
+    h = hashlib.sha256()
+    for order in BASIS_ORDERS:
+        bases = [tuple(Basis)[i] for i in order]
+        for column in estimate_witnesses_many(counts[:, order], bases):
+            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
+    assert h.hexdigest() == MANY_DIGEST
+
+
+def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
+    h = hashlib.sha256()
+    for replicate in _drawn_stack():
+        drawn = drawn_tables(replicate)
+        built = [CountTable(t.basis, t.counts) for t in drawn]
+        for order in BASIS_ORDERS:
+            for tables in (drawn, built):
+                h.update(_report_fields(estimate_witnesses([tables[i] for i in order])).encode())
+    assert h.hexdigest() == ORDERED_DIGEST
+
+
+def _custom_sets(g) -> list:
+    """Two sets of each size 1-4 of random Hermitian pairs, each with the bounds of its two sides."""
+    sets = []
+    for size in (1, 2, 3, 4):
+        for _ in range(2):
+            pairs = [(random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size)]
+            # one pair's bound is 0 up to roundoff of either sign
+            bound_a = max(0.0, local_bound([a for a, _, _ in pairs]))
+            bound_b = max(0.0, local_bound([b for _, b, _ in pairs]))
+            sets.append(ObservableSet(tuple(pairs), bound_a, bound_b))
+    return sets
+
+
+def test_custom_set_witnesses_are_pinned():
+    g = stream(20261019)
+    stack = mixed_ensemble(g, 30, 4)
+    h = hashlib.sha256()
+    for oset in _custom_sets(g):
+        for column in evaluate_many(stack, oset):
+            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
+        for matrix in stack:
+            report = evaluate(DensityMatrix(matrix), oset)
+            stats = [(p.label, *map(float.hex, (p.var_a, p.var_b, p.var_sum, p.covariance)))
+                     for p in report.pairs]
+            floats = map(float.hex, (report.l_value, report.ml_value, report.separable_bound))
+            h.update(repr((stats, *floats, report.verdict_l.value, report.verdict_ml.value)).encode())
+    assert h.hexdigest() == CUSTOM_DIGEST
 
 
 def _fma_chain(x, y) -> float:

@@ -36,6 +36,7 @@ from oracles import (
     SZ,
     basis_estimate_reference,
     estimate_reference,
+    estimate_values_reference,
     outcome_probabilities_brute,
     random_mixed_matrix,
     random_pure_state,
@@ -477,10 +478,10 @@ def test_standard_estimate_equals_one_call_per_family():
 @given(moment_stacks((1, STACK_CHUNK + 3)))
 @settings(max_examples=40, deadline=None)  # N > STACK_CHUNK rows per example
 def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
-    # the values and SEs of the one pass against `_estimate` on each family's tables
-    want = (*measurement._estimate(*(m[:, :2] for m in moments)), *measurement._estimate(*moments))
+    # the values and SEs of the one pass against one row-sum estimate per family
+    want = (*estimate_values_reference(*(m[:, :2] for m in moments)), *estimate_values_reference(*moments))
     counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
-    with mock.patch.object(measurement, "_moments", lambda counts, bases, name: moments):
+    with mock.patch.object(measurement, "_moments", lambda counts, bases: moments):
         got = estimate_standard(counts)
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
@@ -592,7 +593,7 @@ def test_other_tables_take_the_per_call_path(moments_calls):
         got = estimate_witnesses(tables)
         assert moments_calls[before:] == [(1, len(tables), 4)], name
         assert _report_bits(got) == _report_bits(estimate_witnesses(_rebuilt(tables))), name
-    assert a[0]._drawn[0].estimate is None and b[0]._drawn[0].estimate is None
+    assert a[0]._drawn[0].estimates is None and b[0]._drawn[0].estimates is None
 
 
 def test_drawn_replicate_checks_every_call():
@@ -622,7 +623,7 @@ def test_drawn_replicate_fails_both_families_on_a_failed_ml_check(monkeypatch, m
     for n in (2, 3, 2):  # nothing is kept from a failed pass, so every call takes it again
         with pytest.raises(NumericsError, match="modified-witness forms disagree"):
             estimate_witnesses(tables[:n])
-    assert tables[0]._drawn[0].estimate is None
+    assert tables[0]._drawn[0].estimates is None
 
 
 def test_one_moments_pass_per_drawn_replicate(moments_calls):
@@ -658,7 +659,7 @@ def test_drawn_record_goes_away_with_its_tables():
     tables = simulate_counts(SINGLET, 100, 4)
     estimate_witnesses(tables)
     kept = weakref.ref(tables[0]._drawn[0])
-    assert kept().estimate is not None
+    assert kept().estimates is not None
     del tables[1:]
     gc.collect()
     assert kept() is not None  # one table still holds it

@@ -48,6 +48,7 @@ from oracles import (
     random_separable_state,
     var_sum_brute,
     variance_brute,
+    witness_values_reference,
 )
 from strategies import density_matrices, hermitian_2x2, moment_stacks, product_pure_states
 
@@ -592,7 +593,7 @@ def test_standard_running_sums_equal_one_sum_per_family(moments):
     # signed zeros included: a row sum starts from +0.0, so all -0.0 terms sum to +0.0
     var_a, var_b, var_sum, cov, _ = moments
     family = (var_a, var_b, var_sum, cov)
-    want = (*witness._witness_values(*(m[:, :2] for m in family)), *witness._witness_values(*family))
+    want = (*witness_values_reference(*(m[:, :2] for m in family)), *witness_values_reference(*family))
     with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: family):
         got = evaluate_standard(np.zeros((len(var_a), 4, 4)))
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
