@@ -7,15 +7,15 @@ variance bound. Output is CSV (default) or JSON, to stdout or --out; runs
 are bit-identical for identical arguments and seed.
 
 Every command computes its whole result first and returns its outputs:
-one (columns, names, path) each, the columns one array per column (a list
-of one value for one-row outputs). `main` then writes them in order, and
-`_write_outputs` formats each in blocks of STACK_CHUNK rows, every row in
-one typed `%` template fill: a block of exact floats or ints is formatted
-by the fill itself (`%.12g` or, in finite JSON blocks, `%r`; `%d`), and
-only the cells of other blocks are made strings first. A CSV string cell
-holding a comma, quote, CR or LF is quoted. If a write fails, the partial
-file and every file the command wrote before it are removed, unless the
-path is not a regular file (such as /dev/stdout).
+one (columns, names, path) each, every column one float, int or str numpy
+array (of length 1 for one-row outputs). `main` then writes them in order,
+and `_write_outputs` formats each in blocks of STACK_CHUNK rows, every row
+in one typed `%` template fill: a float or int block is formatted by the
+fill itself (`%.12g` or `%r`; `%d`), and only string cells, and a JSON
+float block that holds NaN or an infinity, are made text first. A CSV
+string cell holding a comma, quote, CR or LF is quoted. If a write fails,
+the partial file and every file the command wrote before it are removed,
+unless the path is not a regular file (such as /dev/stdout).
 
 `main(argv)` may be called many times in one process: the argument parser
 is built on the first call and shared by every later one. A command's
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import re
@@ -101,44 +100,30 @@ def _csv_string(v: str) -> str:
     return '"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return _csv_string(v) if isinstance(v, str) else str(v)
-
-
 # the text of a string cell, by format
 _STRING_RULES = {"csv": _csv_string, "json": encode_basestring_ascii}
-# the text of each cell of a block of any other type, or of mixed types
-_CELL_RULES = {"csv": _csv_cell, "json": json.dumps}
-# the `%` conversion of a block of exact floats (JSON: a finite block only)
+# the `%` conversion of a float block (JSON: a finite block only)
 _FLOAT_SLOTS = {"csv": "%.12g", "json": "%r"}
-_ARRAY_TYPES = {"f": float, "i": int, "u": int, "U": str}  # by dtype kind, after tolist()
 
 
-def _slot(block, fmt: str):
+def _slot(block: np.ndarray, fmt: str):
     """The `%` conversion of one block of one column, and the values it converts.
 
-    A block whose every cell is an exact float or int is converted by the
-    row's `%` fill itself, a float with `%.12g` (CSV) or `%r` (JSON, if no
-    cell is NaN or infinite); the cells of any other block are made text
-    first, by one C-level map over its values, and filled in with `%s`.
+    An int block (dtype kind `i` or `u`) is converted by the row's `%` fill
+    itself with `%d`, a float block with `%.12g` (CSV) or `%r` (JSON, if no
+    cell is NaN or infinite); the cells of a string block (kind `U`), and of
+    a JSON float block that is not finite, are made text first, by one
+    C-level map over its values, and filled in with `%s`.
     """
-    array = isinstance(block, np.ndarray)
-    if array:
-        kind, values = _ARRAY_TYPES.get(block.dtype.kind), block.tolist()
-    else:
-        types = set(map(type, block))
-        kind, values = (types.pop() if len(types) == 1 else None), block
-    if kind is int:
+    kind, values = block.dtype.kind, block.tolist()
+    if kind in "iu":
         return "%d", values
-    if kind is float:
-        if fmt == "csv" or (np.isfinite(block).all() if array else all(map(math.isfinite, block))):
+    if kind == "f":
+        if fmt == "csv" or np.isfinite(block).all():
             return _FLOAT_SLOTS[fmt], values
         text = list(map(float.__repr__, values))  # with the json module's names for NaN and infinities
         return "%s", list(map(_JSON_NONFINITE.get, text, text))
-    rule = _STRING_RULES[fmt] if kind is str else _CELL_RULES[fmt]
-    return "%s", list(map(rule, values))
+    return "%s", list(map(_STRING_RULES[fmt], values))
 
 
 def _blocks(columns: dict, names, fmt: str):
@@ -213,8 +198,12 @@ def _full_report(rho: states.DensityMatrix) -> dict:
 
 
 def _one_row(row: dict) -> dict:
-    """The columns of a one-row output: each value in a list of one."""
-    return {name: [value] for name, value in row.items()}
+    """The columns of a one-row output, as float64, int64 or `U` arrays of one.
+
+    A seed from 2**63 on is uint64. A `U` array drops a string's trailing
+    NULs, but argv cannot carry a NUL.
+    """
+    return {name: np.array([value]) for name, value in row.items()}
 
 
 def run_evaluate(args: argparse.Namespace):

@@ -19,6 +19,7 @@ idle builds none.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable
 
 import numpy as np
@@ -37,8 +38,8 @@ _PHILOX_LAYOUT = (
 
 
 def stream(seed: int, task: int = 0) -> np.random.Generator:
-    """Generator for the (seed, task) pair; same pair, same bit stream."""
-    key = np.array([seed % _WORD, task % _WORD], dtype=np.uint64)
+    """Generator for the (seed, task) pair of integers (numpy's too), mod 2**64; same pair, same bits."""
+    key = np.array([index(seed) % _WORD, index(task) % _WORD], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -87,10 +88,10 @@ def keyed_draws(seed: int, tasks: Iterable[int], draw: Callable[[np.random.Gener
     generator = _keyable_generator()
     bit_gen, gen, state = generator
     key = state["state"]["key"]
-    key[0] = seed % _WORD
+    key[0] = index(seed) % _WORD
     out = []
     for t in tasks:
-        key[1] = t % _WORD
+        key[1] = index(t) % _WORD
         bit_gen.state = state
         out.append(draw(gen))
     _IDLE.setdefault("generator", generator)

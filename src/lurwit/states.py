@@ -17,8 +17,7 @@ exist only in that stack; no constructor returns one rotation.
 A stack is certified PSD by one batched Cholesky factorization of
 rho + PSD_TOL*I, which exists iff every eigenvalue is above -PSD_TOL;
 `eigvalsh` runs only when that fails, to name the first failing row.
-One `DensityMatrix` keeps `eigvalsh`, which is the faster of the two on a
-single 4x4 matrix.
+One `DensityMatrix` is checked the same way, as a stack of one.
 
 The parameter-free states of `parse_state_spec` (the Bell states, "singlet"
 and the rotated singlets "u1/u2/u3-singlet") are built and validated once
@@ -37,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import (
-    HERMITIAN_TOL, NumericsError, as_operator, dagger, first_failure, is_hermitian, tensor_product,
-)
+from .linalg import HERMITIAN_TOL, NumericsError, as_operator, dagger, first_failure, tensor_product
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -99,13 +96,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_operator(np.array(self.matrix, dtype=complex), dim=4)
         m.flags.writeable = False
-        if not is_hermitian(m, HERMITIAN_TOL):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
-        if float(np.linalg.eigvalsh(m)[0]) < -PSD_TOL:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        _check_stack(_density_checks(m[None]), lambda k: "the given matrix", ValueError)
         object.__setattr__(self, "matrix", m)
 
 
@@ -159,13 +150,14 @@ def _density_checks(rho: np.ndarray) -> list:
     ]
 
 
-def _check_stack(checks, name) -> None:
-    """Raise NumericsError at the first row past its tolerance; `name(k)` names row k."""
+def _check_stack(checks, name, error=NumericsError) -> None:
+    """Raise `error` at the first row past its tolerance (ValueError for a caller's own matrix,
+    NumericsError for a generated stack); `name(k)` names row k."""
     for what, deviation, tol in checks:
         failed = first_failure(deviation <= tol)
         if failed is not None:
             (k,) = failed
-            raise NumericsError(f"{what} for {name(k)}: deviation {deviation[k]} > {tol}")
+            raise error(f"{what} for {name(k)}: deviation {deviation[k]} > {tol}")
 
 
 def _check_weights(ps: np.ndarray) -> None:

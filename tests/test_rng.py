@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lurwit.rng import keyed_draws, stream
+from lurwit.states import haar_rotated_bell_states
 
 
 def test_same_key_gives_identical_bits():
@@ -41,6 +42,43 @@ def test_keyed_draws_equal_fresh_streams(seed):
     want = [_normal_pair(stream(seed, t)) for t in KEYS]
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _numpy_forms(key: int) -> list:
+    """The numpy ints of `key`'s value mod 2**64: uint64, and int64 where `key` fits."""
+    forms = [np.uint64(key % 2**64)]
+    if -(2**63) <= key < 2**63:
+        forms.append(np.int64(key))
+    return forms
+
+
+def test_numpy_int_keys_give_the_python_int_streams():
+    np_tasks = [form for t in KEYS for form in _numpy_forms(t)]
+    for seed in KEYS:
+        want = [_normal_pair(stream(seed, t)) for t in KEYS for _ in _numpy_forms(t)]
+        for np_seed in _numpy_forms(seed):
+            for got in (
+                [_normal_pair(stream(np_seed, t)) for t in np_tasks],
+                keyed_draws(np_seed, np_tasks, _normal_pair),
+            ):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_numpy_index_arrays_give_the_range_haar_stack():
+    want = haar_rotated_bell_states("psi-", 3, range(5))
+    for seed in (3, np.uint64(3), np.int64(3)):
+        got = haar_rotated_bell_states("psi-", seed, np.arange(5))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, task", [(3.7, 0), (3.0, 0), (3, 1.0), (np.float64(3.0), 0)], ids=["3.7", "3.0", "task", "numpy"]
+)
+def test_float_keys_raise_type_error(seed, task):
+    with pytest.raises(TypeError):
+        stream(seed, task)
+    with pytest.raises(TypeError):
+        keyed_draws(seed, [task], _normal_pair)
 
 
 @pytest.mark.parametrize(

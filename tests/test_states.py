@@ -76,14 +76,18 @@ def test_density_from_pure_rejects_unnormalized():
 
 
 def test_density_matrix_invariants_enforced():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.5, 0.5, 0.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.7, 0.5, 0.0, 0.0]))  # trace 1.2
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        DensityMatrix(bad)  # not Hermitian
+    cases = [
+        (np.diag([0.5, 0.5, 0.5, -0.5]), "has a negative eigenvalue", 0.5, "1e-09"),
+        (np.diag([0.7, 0.5, 0.0, 0.0]), "trace is not 1", 0.2, "1e-10"),
+        (bad, "is not Hermitian", 0.1, "1e-10"),
+    ]
+    for matrix, what, deviation, tol in cases:
+        with pytest.raises(ValueError) as failure:
+            DensityMatrix(matrix)
+        found = re.fullmatch(rf"density matrix {what} for .*: deviation (\S+) > {tol}", str(failure.value))
+        assert found and float(found[1]) == pytest.approx(deviation, abs=1e-15)
 
 
 def test_noise_mixture_degenerate_cases():
@@ -155,7 +159,10 @@ def test_stacked_psd_check_names_the_row_past_its_tolerance(lam, fails):
     checks = states._density_checks(np.array(rows, dtype=complex))
     if not fails:
         states._check_stack(checks, lambda k: f"row {k}")
+        DensityMatrix(rows[2])  # one state passes the same check
         return
+    with pytest.raises(ValueError, match=r"negative eigenvalue for .*: deviation \S+ > 1e-09$"):
+        DensityMatrix(rows[2])
     with pytest.raises(NumericsError) as failure:
         states._check_stack(checks, lambda k: f"row {k}")
     found = re.fullmatch(
