@@ -20,29 +20,29 @@ The tables' bases select the standard witness set that supplies the bound,
 and the witness sums (with their check that the two ML forms agree) are the
 exact path's own kernel, `witness._witness_values`.
 
-The layer is array code. `outcome_probabilities` takes all 12 projector
-traces of a state in one contraction and keeps the read-only (3, 4) result
-while the state lives (a `DensityMatrix` is read-only too, so it cannot go
-stale). A replicate's counts are one read-only (3, 4) int64 stack, one
-multinomial draw per row (`lurwit.cli.draw_counts`). The estimator works on
-(..., B, 4) int64 count stacks (replicates, bases, outcomes). Every caller
-takes each table's moments once and hands them to one estimate function,
-`_estimate`, which gives the values and SEs after the first k bases for
-each k asked for: `estimate_witnesses_many` asks for all B bases of R
-replicates, and `estimate_standard`, which `simulate` hands its drawn
-stack, for L2 and L3, the estimates after two and three bases of an
-(R, 3, 4) stack. `estimate_witnesses` is the R = 1 case with the bound and
-the verdicts, on one path through a record of the tables' counts: the
-`CountTable`s of one drawn replicate (`drawn_tables`) share one record and
-its L2 and L3 estimate, so an L2 and an L3 call on them share one pass, and
-any other tables get a new record of their own. The bases and shot checks
-run on every call. Every result is bit for bit what a per-table loop of
-Python scalars gives, and a row of a stack does not depend on the stack:
-the frequency dot products use `np.vecdot`, which like the 1-D `f @ g`
-makes one BLAS dot per row (a `sum` or `einsum` adds in another order), and
-squares use `np.float_power(x, 2.0)`, which like Python's `x**2` calls libm
-`pow` (numpy's `x**2` is `x*x`, and the two differ in the last bit now and
-then).
+The layer is array code. `outcome_probabilities` keeps each live state's
+12 projector traces as one read-only (3, 4) array (a `DensityMatrix` is
+read-only, so it cannot go stale). A replicate's counts are one read-only
+(3, 4) int64 stack, one multinomial draw per row (`lurwit.cli.draw_counts`).
+The estimator takes each table of a (..., B, 4) count stack (replicates,
+bases, outcomes) through its moments once, and `_estimate` gives the values
+and SEs after the first k bases for each k asked for: all B for
+`estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`,
+which `simulate` hands its drawn stack. `estimate_witnesses` adds the bound
+and verdicts on one replicate, through a record of its counts (checking
+bases and shots on every call): the `CountTable`s of one drawn replicate
+(`drawn_tables`) share one record and so one pass for L2 and L3.
+
+The moments are statistic-major: each per-table statistic is one
+contiguous (..., B) row and the gradients one (4, ..., B, 4) stack, so a
+replicate's few tables run numpy's contiguous loops, cheaper per call than
+strided columns. Results are bit for bit a per-table loop of Python
+scalars, and a row does not depend on its stack: the dot products are
+`np.vecdot` (a constant (3, 1, ..., 1, 4) sign stack against the
+frequencies, the frequencies against the gradients), one BLAS dot per row
+like the 1-D `f @ g` (`sum` or `einsum` add in another order); squares are
+`np.float_power(x, 2.0)`, libm `pow` like Python's `x**2` (numpy's `x*x`
+differs in the last bit now and then).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
 _SIGNS = np.array([SIGN_A, SIGN_B, SIGN_AB])
+_SIGNS.flags.writeable = False
 # the delta-method gradients' constant vectors (see `_table_moments`)
 _GRAD_VAR_A, _GRAD_VAR_B = -2.0 * SIGN_A, -2.0 * SIGN_B
 _GRAD_SUM_BASE = 2.0 * SIGN_AB
@@ -195,18 +196,18 @@ def _table_moments(counts: np.ndarray, shots: np.ndarray):
     """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
 
     `shots` holds each table's total, (..., B). Returns var_a, var_b,
-    var_sum and cov, each (..., B), and the SEs as (..., B, 2): those of
-    var_sum and of the table's ML term var_a + var_b - 2|cov|. Every table
-    needs at least one shot.
+    var_sum and cov, each (..., B), and the SEs as (2, ..., B): those of
+    var_sum and of the table's ML term var_a + var_b - 2|cov|. Every
+    statistic is one contiguous row. Every table needs at least one shot.
     """
     f = counts / shots[..., None]
-    rows = f[..., None, :]  # (..., B, 1, 4): one dot product per row and vector
-    means = np.vecdot(rows, _SIGNS)  # <A>, <B>, <AB>
-    m_a, m_b, m_ab = means[..., 0], means[..., 1], means[..., 2]
+    means = np.vecdot(_SIGNS.reshape((3,) + (1,) * (f.ndim - 1) + (4,)), f)  # <A>, <B>, <AB>
+    # rows by index: unpacking iterates over the array, which costs more per row
+    m_a, m_b, m_ab = means[0], means[1], means[2]
 
     # outcomes are +/-1 so <A^2> = <B^2> = 1 exactly
-    var_ab = 1.0 - np.float_power(means[..., :2], 2.0)
-    var_a, var_b = var_ab[..., 0], var_ab[..., 1]
+    var_ab = 1.0 - np.float_power(means[:2], 2.0)
+    var_a, var_b = var_ab[0], var_ab[1]
     cov = m_ab - m_a * m_b
     var_sum = var_a + var_b + 2.0 * cov
 
@@ -214,18 +215,18 @@ def _table_moments(counts: np.ndarray, shots: np.ndarray):
     # the sign vectors are +/-1 and the factors 2, so folding them into constants
     # changes no rounding
     a, b = m_a[..., None], m_b[..., None]
-    grads = np.empty(f.shape[:-1] + (4, 4))
-    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[..., 0, :])
+    grads = np.empty((4,) + f.shape)
+    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[0])
     grad_cov = SIGN_AB - b * SIGN_A - a * SIGN_B
     # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
     sign2 = (2.0 * np.sign(cov))[..., None]
-    np.subtract(a * _GRAD_VAR_A + b * _GRAD_VAR_B, sign2 * grad_cov, out=grads[..., 1, :])
-    np.multiply(grads[..., :2, :], grads[..., :2, :], out=grads[..., 2:, :])
+    np.subtract(a * _GRAD_VAR_A + b * _GRAD_VAR_B, sign2 * grad_cov, out=grads[1])
+    np.square(grads[:2], out=grads[2:])
 
     # first-order propagation through the multinomial covariance of f
-    moments = np.vecdot(rows, grads)  # E[g] of both gradients, then E[g^2]
-    spread = moments[..., 2:] - np.square(moments[..., :2])
-    se = np.sqrt(np.maximum(0.0, spread) / shots[..., None])
+    moments = np.vecdot(f, grads)  # E[g] of both gradients, then E[g^2]
+    spread = moments[2:] - np.square(moments[:2])
+    se = np.sqrt(np.maximum(0.0, spread) / shots)
     return var_a, var_b, var_sum, cov, se
 
 
@@ -270,11 +271,10 @@ def _estimate(moments, ends):
     """
     var_a, var_b, var_sum, cov, se = moments
     values = iter(_witness_values(var_a, var_b, var_sum, cov, ends))
-    se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-2)).transpose(1, 2, 0)
+    se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-1))
     estimates = []
     for k, l_values, ml_values in zip(ends, values, values):
-        l_se, ml_se = se_sums[k - 1]
-        estimates += (l_values, l_se, ml_values, ml_se)
+        estimates += (l_values, se_sums[0, ..., k - 1], ml_values, se_sums[1, ..., k - 1])
     return tuple(estimates)
 
 
@@ -319,7 +319,7 @@ class _Record:
         """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
         if self.estimates is None:
             moments = _table_moments(self.counts, np.add.reduce(self.counts, axis=-1))
-            values = [float(v[0]) for v in _estimate(moments, self.ends)]
+            values = [v.item() for v in _estimate(moments, self.ends)]
             self.estimates = {end: tuple(values[4 * i:4 * i + 4]) for i, end in enumerate(self.ends)}
         return self.estimates[k]
 

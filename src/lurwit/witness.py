@@ -102,8 +102,8 @@ class ObservableSet:
             b4 = np.kron(I2, b)
             s = a4 + b4
             lifted.append((a4, a4 @ a4, b4, b4 @ b4, np.kron(a, b), s, s @ s))
-        if self.bound_a < 0 or self.bound_b < 0:
-            raise ValueError("single-party bounds must be nonnegative")
+        if not (0.0 <= self.bound_a < np.inf and 0.0 <= self.bound_b < np.inf):  # NaN fails too
+            raise ValueError("single-party bounds must be finite and nonnegative")
         object.__setattr__(self, "pairs", tuple(checked))
         object.__setattr__(self, "_ops", _read_only(np.array(lifted).swapaxes(-1, -2)))
 

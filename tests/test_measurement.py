@@ -330,7 +330,7 @@ def _moment_rows(counts) -> list:
     """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_moments`, as bits."""
     counts = np.asarray(counts)
     var_a, var_b, var_sum, cov, se = measurement._table_moments(counts, counts.sum(axis=-1))
-    rows = np.stack([var_a, var_b, var_sum, cov, se[..., 0], se[..., 1]], axis=-1)
+    rows = np.stack([var_a, var_b, var_sum, cov, se[0], se[1]], axis=-1)
     return [_bits(row) for row in rows.reshape(-1, 6)]
 
 
@@ -366,6 +366,24 @@ def test_estimator_matches_scalar_reference_bitwise():
                         if t.basis.value in certain.get(name, ()):
                             assert cov == 0.0
     assert checked >= 2000
+
+
+@pytest.mark.parametrize("replicates", [0, 1, 5000])
+def test_table_moments_are_contiguous_statistic_rows(replicates):
+    # statistic-major: each per-table statistic is one C-contiguous (R, B)
+    # row and the SEs one (2, R, B) block (a structural check, no timing)
+    counts = stream(31).multinomial(100, [0.4, 0.1, 0.2, 0.3], (replicates, 3))
+    *statistics, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    for row in statistics:
+        assert row.shape == (replicates, 3) and row.flags.c_contiguous
+    assert se.shape == (2, replicates, 3) and se.flags.c_contiguous
+
+
+def test_table_moments_take_any_leading_shape():
+    counts = stream(32).multinomial(50, [0.1, 0.2, 0.3, 0.4], (6, 3))
+    want = _moment_rows(counts)
+    assert _moment_rows(counts.reshape(2, 3, 3, 4)) == want
+    assert _moment_rows(counts[1]) == want[3:6]  # one replicate's (B, 4) tables, no leading axis
 
 
 def test_estimator_matches_scalar_reference_on_generic_tables():
@@ -481,7 +499,9 @@ def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
     # the values and SEs of the one pass against one row-sum estimate per family
     want = (*estimate_values_reference(*(m[:, :2] for m in moments)), *estimate_values_reference(*moments))
     counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
-    with mock.patch.object(measurement, "_moments", lambda counts, bases: moments):
+    *statistics, se = moments  # the reference reads the SEs as (N, B, 2), the estimator as (2, N, B)
+    stacked = (*statistics, np.ascontiguousarray(np.moveaxis(se, -1, 0)))
+    with mock.patch.object(measurement, "_moments", lambda counts, bases: stacked):
         got = estimate_standard(counts)
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
 

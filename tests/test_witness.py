@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from unittest import mock
 
@@ -268,6 +269,11 @@ def test_observable_set_validation():
         ObservableSet(pairs=((np.array([[0, 1], [0, 0]]), SZ, "bad"),), bound_a=1.0, bound_b=1.0)
     with pytest.raises(ValueError):
         ObservableSet(pairs=((SZ, SZ, "z"),), bound_a=-1.0, bound_b=1.0)
+    # a bound that is not a finite number would fix every verdict in advance
+    for bad in (math.inf, -math.inf, math.nan):
+        for bounds in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ObservableSet(((SX, SX, "x"),), *bounds)
 
 
 def test_observable_set_holds_read_only_copies():
