@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Paired end-to-end benchmark runs of two checkouts of lurwit.
 
-    python3 scripts/bench_pairs.py BASE CHANGE --workload shots --seed 101 --pairs 10 --seconds 20
+    python3 scripts/bench_pairs.py BASE CHANGE --workload shots --seed 101 --pairs 10
 
 Runs `perfbench/run.py --workload W --seed N --seconds S --trace 0` in the
 BASE and CHANGE checkouts (for example a `git worktree` of the parent commit
 and the working tree), one pair after another, alternating which side runs
-first. Both trees' bytecode is compiled first, so that neither side
-recompiles its modules on import. Each run's result is read from the last
+first. S is the `run_seconds` of CHANGE's `BENCHMARK.json`, so every run is
+as long as the benchmark's own. Both trees' bytecode is compiled first, so
+that neither side recompiles its modules on import. Each run's result is read from the last
 line of its stdout, a JSON object; nothing under `perfbench/` is changed.
 
 Prints every pair, then for each end-to-end metric of CHANGE's
@@ -32,7 +33,6 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     return parser.parse_args(argv)
 
 
@@ -53,10 +53,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def metric_directions(root: Path) -> dict:
-    """{metric: True if higher is better} for the end-to-end metrics of `root`'s BENCHMARK.json."""
+def benchmark_spec(root: Path) -> tuple:
+    """The run length of `root`'s BENCHMARK.json, and {metric: True if higher is better} for its
+    end-to-end metrics."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
 
 
 def quartiles(values: list) -> tuple:
@@ -69,14 +70,14 @@ def quartiles(values: list) -> tuple:
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
-    directions = metric_directions(sides["change"])
+    seconds, directions = benchmark_spec(sides["change"])
     for root in sides.values():
         compile_tree(root)
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
         cells = "  ".join(
             f"{name} {runs['base'][-1]['metrics'][name]:.6g} -> {runs['change'][-1]['metrics'][name]:.6g}"
             for name in directions
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
                            for side in ("base", "change"))
         print(f"pair {i + 1} ({order[0]} first): {cells}  {failed}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
     for name, higher in directions.items():
         base = [r["metrics"][name] for r in runs["base"]]
         change = [r["metrics"][name] for r in runs["change"]]

@@ -18,14 +18,7 @@ import numpy as np
 import pytest
 
 from lurwit.cli import draw_counts, main, simulate_counts
-from lurwit.measurement import (
-    SIGN_A,
-    SIGN_B,
-    CountTable,
-    drawn_tables,
-    estimate_witnesses,
-    estimate_witnesses_many,
-)
+from lurwit.measurement import _SIGNS, CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
 from lurwit.rng import stream
 from lurwit.states import Basis, DensityMatrix, parse_state_spec
 from lurwit.witness import ObservableSet, evaluate, evaluate_many, local_bound
@@ -243,8 +236,13 @@ def _fma_chain(x, y) -> float:
     return total
 
 
-def _vecdot_call_forms(g) -> dict:
-    """The (x, y) operand forms of the estimator's `np.vecdot` calls, on random and frequency-like rows."""
+def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
+    # the estimator's frequency dot products (`measurement._table_moments`) are
+    # `np.vecdot` of 4-vectors: a constant (3, 1, 1, 4) sign stack broadcast
+    # over (R, B, 4) frequencies, and the frequencies against a (4, R, B, 4)
+    # gradient stack. The pinned `simulate` and estimate digests hold only
+    # where each is the FMA chain (as OpenBLAS's ddot computes it)
+    g = np.random.default_rng(20261019)
     x = g.standard_normal((2000, 1, 4))
     y = g.standard_normal((2000, 3, 4))
     x[:1000] = g.integers(0, 10**6, (1000, 1, 4)) / 999_983.0  # frequency-like rows
@@ -252,20 +250,11 @@ def _vecdot_call_forms(g) -> dict:
     counts = g.integers(0, 10**6, (400, 3, 4))
     freqs = counts / counts.sum(axis=-1, keepdims=True)
     grads = g.choice([-2.0, -1.0, 1.0, 2.0], (4, 400, 3, 4)) * g.random((4, 400, 3, 4))
-    return {
+    for form, (x, y) in {
         "rows against vectors": (x, y),
-        "sign stack against frequencies": (np.array([SIGN_A, SIGN_B, SIGN_A * SIGN_B])[:, None, None], freqs),
+        "sign stack against frequencies": (_SIGNS.reshape(3, 1, 1, 4), freqs),
         "frequencies against gradient stack": (freqs, grads),
-    }
-
-
-def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
-    # the estimator's frequency dot products (`measurement._table_moments`) are
-    # `np.vecdot` of 4-vectors: a constant (3, 1, 1, 4) sign stack broadcast
-    # over (R, B, 4) frequencies, and the frequencies against a (4, R, B, 4)
-    # gradient stack. The pinned `simulate` and estimate digests hold only
-    # where each is the FMA chain (as OpenBLAS's ddot computes it)
-    for form, (x, y) in _vecdot_call_forms(np.random.default_rng(20261019)).items():
+    }.items():
         got = np.vecdot(x, y)
         x, y = np.broadcast_arrays(x, y)
         want = [_fma_chain(a, b) for a, b in zip(x.reshape(-1, 4).tolist(), y.reshape(-1, 4).tolist())]
