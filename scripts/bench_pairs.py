@@ -13,13 +13,20 @@ line of its stdout, a JSON object; nothing under `perfbench/` is changed.
 
 Prints every pair, then for each end-to-end metric of CHANGE's
 `BENCHMARK.json` the median and quartiles of both sides, the median change,
-the base's interquartile range and the pairs the change won.
+the base's interquartile range and the pairs the change won. `--record PATH`
+also writes all of it as JSON: each side's commit (`git describe --dirty`)
+and `src/lurwit` hash, the Python and numpy versions, the usable CPU count,
+the workload, seed and run length, every pair, and the per-metric summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -33,6 +40,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--record", type=Path, help="also write the runs and summary here as JSON")
     return parser.parse_args(argv)
 
 
@@ -60,11 +68,49 @@ def benchmark_spec(root: Path) -> tuple:
     return spec["run_seconds"], {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
 
 
+def source_hash(root: Path) -> str:
+    """sha256 over the relative path and bytes of every `.py` file under `root`/src/lurwit."""
+    digest = hashlib.sha256()
+    package = root / "src" / "lurwit"
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def commit(root: Path) -> str | None:
+    """`git describe --always --dirty --abbrev=40` in `root`, or None unless `root` is the top of a
+    git checkout (a copy inside another checkout is not that checkout's commit)."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    return git("describe", "--always", "--dirty", "--abbrev=40") if top and Path(top).resolve() == root else None
+
+
 def quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def summary(pairs: list, directions: dict) -> dict:
+    """Per metric: both sides' median and quartiles, the median change, the base's IQR and the
+    pairs the change won."""
+    out = {}
+    for name, higher in directions.items():
+        base, change = ([p[side]["metrics"][name] for p in pairs] for side in ("base", "change"))
+        (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
+        out[name] = {
+            "better": "higher" if higher else "lower",
+            "base": {"median": b2, "q1": b1, "q3": b3},
+            "change": {"median": c2, "q1": c1, "q3": c3},
+            "median_change": (c2 - b2) / b2 if b2 else None,
+            "base_iqr": b3 - b1,
+            "change_wins": sum((c > b) if higher else (c < b) for b, c in zip(base, change)),
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -73,29 +119,42 @@ def main(argv=None) -> int:
     seconds, directions = benchmark_spec(sides["change"])
     for root in sides.values():
         compile_tree(root)
-    runs = {"base": [], "change": []}
+    pairs = []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"first": order[0]}
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
+            pair[side] = run_once(sides[side], args.workload, args.seed, seconds)
+        pairs.append(pair)
         cells = "  ".join(
-            f"{name} {runs['base'][-1]['metrics'][name]:.6g} -> {runs['change'][-1]['metrics'][name]:.6g}"
+            f"{name} {pair['base']['metrics'][name]:.6g} -> {pair['change']['metrics'][name]:.6g}"
             for name in directions
         )
-        failed = "  ".join(f"{side} failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}"
-                           for side in ("base", "change"))
+        failed = "  ".join(f"{side} failed {pair[side]['failed']}/{pair[side]['attempted']}" for side in sides)
         print(f"pair {i + 1} ({order[0]} first): {cells}  {failed}", flush=True)
 
+    metrics = summary(pairs, directions)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
-    for name, higher in directions.items():
-        base = [r["metrics"][name] for r in runs["base"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
-        gain = (c2 - b2) / b2 if b2 else float("nan")
-        print(f"  {name:<12} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
-              f"median {gain:+.1%}  base IQR {b3 - b1:.3g}  change wins {wins}/{len(base)} "
-              f"({'higher' if higher else 'lower'} is better)")
+    for name, m in metrics.items():
+        base, change = ("{median:.6g} [{q1:.6g}, {q3:.6g}]".format(**m[side]) for side in sides)
+        gain = float("nan") if m["median_change"] is None else m["median_change"]
+        print(f"  {name:<12} base {base}  change {change}  median {gain:+.1%}  "
+              f"base IQR {m['base_iqr']:.3g}  change wins {m['change_wins']}/{args.pairs} "
+              f"({m['better']} is better)")
+    if args.record is not None:
+        record = {
+            "sides": {side: {"commit": commit(root), "src_lurwit_sha256": source_hash(root)}
+                      for side, root in sides.items()},
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "workload": args.workload,
+            "seed": args.seed,
+            "run_seconds": seconds,
+            "pairs": pairs,
+            "metrics": metrics,
+        }
+        args.record.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

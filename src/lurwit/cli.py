@@ -13,9 +13,10 @@ and `_write_outputs` formats each in blocks of STACK_CHUNK rows, every row
 in one typed `%` template fill: a float or int block is formatted by the
 fill itself (`%.12g` or `%r`; `%d`), and only string cells, and a JSON
 float block that holds NaN or an infinity, are made text first. A CSV
-string cell holding a comma, quote, CR or LF is quoted. If a write fails,
-the partial file and every file the command wrote before it are removed,
-unless the path is not a regular file (such as /dev/stdout).
+string cell holding a comma, quote, CR or LF is quoted. A file gets each
+block unbuffered, as strict UTF-8 bytes, written until none is left. If a
+write fails, the partial file and every file the command wrote before it
+are removed, unless the path is not a regular file (such as /dev/stdout).
 
 `main(argv)` may be called many times in one process: the argument parser
 is built on the first call and shared by every later one. A command's
@@ -168,10 +169,16 @@ def _write_outputs(outputs, fmt: str) -> None:
                 sys.stdout.writelines(blocks)
                 sys.stdout.flush()  # a closed pipe shows here, inside `main`'s error handling
                 continue
-            fh = open(path, "w", encoding="utf-8", newline="")  # a path not opened is left alone
+            # unbuffered bytes; a path not opened is left alone
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             opened.append(path)
-            with fh:
-                fh.writelines(blocks)
+            try:
+                for block in blocks:
+                    data = memoryview(block.encode())  # strict UTF-8: a lone surrogate raises
+                    while data:  # until every byte is written: a short count never truncates
+                        data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
     except BaseException:
         for path in opened:
             with contextlib.suppress(OSError):

@@ -17,7 +17,9 @@ exist only in that stack; no constructor returns one rotation.
 A stack is certified PSD by one batched Cholesky factorization of
 rho + PSD_TOL*I, which exists iff every eigenvalue is above -PSD_TOL;
 `eigvalsh` runs only when that fails, to name the first failing row.
-One `DensityMatrix` is checked the same way, as a stack of one.
+All of a stack's deviations meet their tolerances in one block and one
+reduction; only a failed block runs the checks in order, to name the first
+failure. One `DensityMatrix` is checked the same way, as a stack of one.
 
 The parameter-free states of `parse_state_spec` (the Bell states, "singlet"
 and the rotated singlets "u1/u2/u3-singlet") are built and validated once
@@ -152,7 +154,11 @@ def _density_checks(rho: np.ndarray) -> list:
 
 def _check_stack(checks, name, error=NumericsError) -> None:
     """Raise `error` at the first row past its tolerance (ValueError for a caller's own matrix,
-    NumericsError for a generated stack); `name(k)` names row k."""
+    NumericsError for a generated stack); `name(k)` names row k. Every check passes or fails
+    as one (checks, n) block with one reduction; the ordered loop runs only on a failure."""
+    _, deviations, tols = zip(*checks)
+    if (np.array(deviations) <= np.array(tols)[:, None]).all():
+        return
     for what, deviation, tol in checks:
         failed = first_failure(deviation <= tol)
         if failed is not None:
@@ -247,24 +253,19 @@ def apply_local_unitary(pair: LocalUnitaryPair, rho: DensityMatrix) -> DensityMa
 
 def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     # unit quaternions (..., 4) = (w, x, y, z) -> w*I + i*(x*SX + y*SY + z*SZ)
-    # = [[w+iz, y+ix], [-y+ix, w-iz]], SU(2) elements of shape (..., 2, 2),
-    # written entry by entry (the Pauli sum's values; only a component that is
-    # exactly 0 can give a zero entry another sign)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    re, im = u.real, u.imag
-    re[..., 0, 0] = re[..., 1, 1] = w
-    im[..., 0, 0] = z
-    np.negative(z, out=im[..., 1, 1])
-    re[..., 0, 1] = y
-    np.negative(y, out=re[..., 1, 0])
-    im[..., 0, 1] = im[..., 1, 0] = x
-    return u
+    # = [[w+iz, y+ix], [-y+ix, w-iz]], SU(2) elements of shape (..., 2, 2); the
+    # real parts are (w, y, y, w) and the imaginary parts (z, x, x, z), each
+    # gathered once and signed by an exact ±1 (the Pauli sum's values; only a
+    # component that is exactly 0 can give a zero entry another sign)
+    u = np.empty(q.shape[:-1] + (4,), dtype=complex)
+    np.multiply(q[..., [0, 2, 2, 0]], (1.0, 1.0, -1.0, 1.0), out=u.real)
+    np.multiply(q[..., [3, 1, 1, 3]], (1.0, 1.0, 1.0, -1.0), out=u.imag)
+    return u.reshape(q.shape[:-1] + (2, 2))
 
 
-def _haar_su2(gaussians: np.ndarray) -> np.ndarray:
-    # normalized Gaussian 4-vectors are Haar-uniform unit quaternions
-    return _su2_from_quaternion(gaussians / np.linalg.norm(gaussians, axis=-1, keepdims=True))
+def _haar_su2(g: np.ndarray) -> np.ndarray:
+    # normalized Gaussian 4-vectors are Haar-uniform unit quaternions (norms as np.linalg.norm sums them)
+    return _su2_from_quaternion(g / np.sqrt(np.add.reduce(g * g, -1, keepdims=True)))
 
 
 def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:

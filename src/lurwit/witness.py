@@ -156,11 +156,12 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
             f"expectation of a Hermitian operator came out complex at stack index {n}, "
             f"pair {oset.pairs[p][2]!r}: imaginary part {imag[n, p]}"
         )
-    mean_a, sq_a, mean_b, sq_b, joint, mean_s, sq_s = values.real.transpose(2, 0, 1)
-    var_a = sq_a - mean_a**2
-    var_b = sq_b - mean_b**2
-    cov = joint - mean_a * mean_b
-    var_sum = sq_s - mean_s**2
+    # rows <a>, <a^2>, <b>, <b^2>, <ab>, <s>, <s^2>, taken by index (cheaper than an unpack)
+    m = values.real.transpose(2, 0, 1)
+    var_a = m[1] - m[0]**2
+    var_b = m[3] - m[2]**2
+    cov = m[4] - m[0] * m[2]
+    var_sum = m[6] - m[5]**2
     residual = np.abs(var_sum - (var_a + var_b + 2.0 * cov))
     failed = first_failure(residual <= DECOMPOSITION_TOL)
     if failed is not None:
@@ -187,16 +188,15 @@ def _witness_values(var_a, var_b, var_sum, cov, ends):
     total, values = 0.0, []
     for p in range(ends[-1]):
         total = total + terms[..., p]
-        if p + 1 in ends:
-            l_values, ml_values, ml_alternative = total
-            failed = first_failure(np.abs(ml_values - ml_alternative) <= DECOMPOSITION_TOL)
+        if p + 1 in ends:  # rows l, ml and ml's other form, taken by index
+            failed = first_failure(np.abs(total[1] - total[2]) <= DECOMPOSITION_TOL)
             if failed is not None:
                 (n,) = failed
                 raise NumericsError(
                     f"modified-witness forms disagree at stack index {n}: "
-                    f"{ml_values[n]} vs {ml_alternative[n]}"
+                    f"{total[1, n]} vs {total[2, n]}"
                 )
-            values += (l_values, ml_values)
+            values += (total[0], total[1])
     return tuple(values)
 
 

@@ -138,8 +138,8 @@ def test_failed_write_leaves_no_partial_file(argv, outputs, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evaluate", "--state", "singlet"],  # fails when the file is closed
-        ["sweep", "--noise", "werner", "--p-steps", "3000"],  # fails mid-write
+        ["evaluate", "--state", "singlet"],  # a one-row block
+        ["sweep", "--noise", "werner", "--p-steps", "3000"],  # a 3,000-row block
     ],
 )
 def test_failed_write_to_a_device_leaves_the_device(argv, capsys):
@@ -826,6 +826,75 @@ def test_outputs_are_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_holds_the_stdout_bytes(fmt, tmp_path, capsys):
+    # a path with a comma, a quote and a non-ASCII letter: a quoted CSV cell of multi-byte text
+    path = tmp_path / 'mixed, "ä".json'
+    rho = np.eye(4) / 4.0
+    path.write_text(json.dumps({"dim": 4, "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
+    spec = f"file:{path}"
+    out = tmp_path / "out"
+    for argv in (
+        ["evaluate", "--state", spec],
+        ["sweep", "--noise", "werner", "--base", "phi-", "--p-steps", "9"],
+        ["haar-study", "--state", "psi+", "--samples", "40", "--seed", "3"],
+        ["simulate", "--state", spec, "--shots", "50", "--seed", "3"],
+        ["bound", "--observables", "sx,sy,sz"],
+    ):
+        code, stdout, err = _run(capsys, [*argv, "--format", fmt])
+        assert (code, err) == (0, ""), argv
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode(), argv
+        if fmt == "csv" and spec in argv:
+            assert stdout.splitlines()[1].startswith('"' + spec.replace('"', '""') + '",')
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_per_sample_file_holds_the_stdout_bytes(fmt, tmp_path):
+    # 4,100 samples: the per-sample rows span two blocks
+    argv = [sys.executable, "-m", "lurwit", "haar-study", "--samples", "4100", "--seed", "9", "--format", fmt]
+    to_stdout = subprocess.run([*argv, "--per-sample", "/dev/stdout"], env=_subprocess_env(), capture_output=True)
+    to_files = subprocess.run([*argv, "--per-sample", "s", "--out", "o"], cwd=tmp_path, env=_subprocess_env())
+    assert to_stdout.returncode == to_files.returncode == 0 and to_stdout.stderr == b""
+    assert to_stdout.stdout == (tmp_path / "s").read_bytes() + (tmp_path / "o").read_bytes()
+
+
+def test_short_writes_are_continued(tmp_path, capsys, monkeypatch):
+    # a write may take fewer bytes than it is given; the writer goes on from there
+    argv = ["sweep", "--noise", "polarized", "--p-steps", "5000", "--format", "json"]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    real_write, counts = os.write, []
+
+    def short_write(fd, data):
+        counts.append(real_write(fd, data[:4093]))
+        return counts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == stdout.encode()
+    assert len(counts) > len(stdout) // 4093 > 1  # every write was cut short
+
+
+def test_undecodable_state_path_goes_to_stdout_but_not_to_a_file(tmp_path):
+    # in UTF-8 mode argv and stdout carry an undecodable byte as a lone surrogate
+    # (surrogateescape); a file is written as strict UTF-8, so its write fails
+    name = os.fsencode(tmp_path / "st") + b"\xff.json"
+    rho = np.eye(4) / 4.0
+    with open(name, "w") as fh:
+        json.dump({"dim": 4, "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}, fh)
+    argv = [sys.executable, "-m", "lurwit", "evaluate", "--state", b"file:" + name]
+    env = {**_subprocess_env(), "PYTHONUTF8": "1"}
+    proc = subprocess.run(argv, env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[1].startswith(b"file:" + name + b",")
+    proc = subprocess.run([*argv, "--out", "x.csv"], cwd=tmp_path, env=env, capture_output=True)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
+    assert os.listdir(os.fsencode(tmp_path)) == [os.path.basename(name)]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep"])  # missing required --noise
@@ -1007,14 +1076,14 @@ def test_command_sequence_matches_fresh_processes(tmp_path, capsys, monkeypatch)
     ],
 )
 def test_closed_output_pipe_exits_141_quietly(argv):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "lurwit", *argv],
         env=_subprocess_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline().startswith(b"p," if argv[0] == "sweep" else b"sample,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    ) as proc:  # closes the stderr pipe too
+        assert proc.stdout.readline().startswith(b"p," if argv[0] == "sweep" else b"sample,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
