@@ -17,6 +17,9 @@ the base's interquartile range and the pairs the change won. `--record PATH`
 also writes all of it as JSON: each side's commit (`git describe --dirty`)
 and `src/lurwit` hash, the Python and numpy versions, the usable CPU count,
 the workload, seed and run length, every pair, and the per-metric summary.
+If a `src/lurwit` file of either tree changes during the runs, it exits
+with an error instead of a summary: an edited module is recompiled on every
+import, so the runs measured neither tree.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ def main(argv=None) -> int:
     seconds, directions = benchmark_spec(sides["change"])
     for root in sides.values():
         compile_tree(root)
+    hashes = {side: source_hash(root) for side, root in sides.items()}
     pairs = []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -133,6 +137,9 @@ def main(argv=None) -> int:
         failed = "  ".join(f"{side} failed {pair[side]['failed']}/{pair[side]['attempted']}" for side in sides)
         print(f"pair {i + 1} ({order[0]} first): {cells}  {failed}", flush=True)
 
+    if hashes != {side: source_hash(root) for side, root in sides.items()}:
+        # an edited module is recompiled on every import, so these runs measured neither tree
+        sys.exit("error: a src/lurwit file changed during the runs; no summary or record is written")
     metrics = summary(pairs, directions)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
     for name, m in metrics.items():
@@ -143,7 +150,7 @@ def main(argv=None) -> int:
               f"({m['better']} is better)")
     if args.record is not None:
         record = {
-            "sides": {side: {"commit": commit(root), "src_lurwit_sha256": source_hash(root)}
+            "sides": {side: {"commit": commit(root), "src_lurwit_sha256": hashes[side]}
                       for side, root in sides.items()},
             "python": platform.python_version(),
             "numpy": importlib.metadata.version("numpy"),
