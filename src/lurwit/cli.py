@@ -287,10 +287,10 @@ def _study_summary(kind: str, samples: int, seed: int, chunks: list | None = Non
     l3_detect = ml3_detect = ml3_only = 0
     for start in range(0, samples, STACK_CHUNK):
         indices = range(start, min(start + STACK_CHUNK, samples))
-        stack = states.haar_rotated_bell_states(kind, seed, indices)
+        psi, stack = states.haar_rotated_bell_states(kind, seed, indices)
         l3, ml3 = witness.evaluate_many(stack, l3_set)
         if chunks is not None:
-            chunks.append((l3, ml3, witness.ppt_min_eigenvalues(stack)))
+            chunks.append((l3, ml3, witness.pure_ppt_min_eigenvalues(psi)))
         # add in sample order, one term at a time (cumsum, not pairwise np.sum)
         sums = np.cumsum(np.concatenate([sums, [l3, ml3]], axis=1), axis=1)[:, -1:]
         l_hit = witness.detected(l3, bound)

@@ -7,8 +7,11 @@ Conventions used throughout the package:
 
 All constructors return immutable values. The exceptions are the stack
 constructors `noise_mixtures` and `haar_rotated_bell_states`, which
-return validated (n, 4, 4) arrays for the stacked witness kernel; the
-latter draws its own task-keyed streams, re-keying one Philox generator per
+return validated (n, 4, 4) arrays for the stacked witness kernel. The
+latter returns its (n, 4) amplitude stack with them: its states are pure,
+so their PPT eigenvalue is the Schmidt determinant of the amplitudes
+(`witness.pure_ppt_min_eigenvalues`), with no eigensolve. It draws its own
+task-keyed streams, re-keying one Philox generator per
 sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
 layout) rather than building a Generator for each, and writes every
 sample's normals into one preallocated array. Haar-random local rotations
@@ -268,13 +271,15 @@ def _haar_su2(g: np.ndarray) -> np.ndarray:
     return _su2_from_quaternion(g / np.sqrt(np.add.reduce(g * g, -1, keepdims=True)))
 
 
-def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
-    """Validated (n, 4, 4) stack of a Bell state under Haar-random local rotations.
+def haar_rotated_bell_states(kind: str, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (n, 4) amplitudes and (n, 4, 4) density matrices of a Bell state under
+    Haar-random local rotations, as the pair (psi, rho).
 
     `indices` is a range (or sequence) of sample indices, and row k is
     sample indices[k]: one `standard_normal((2, 4))` draw from
     `rng.stream(seed, i)`, normalized to a Haar-uniform SU(2) rotation per
-    party, applied to the Bell state, as a density matrix. The draws come
+    party, applied to the Bell state: psi[k] its amplitudes and rho[k] its
+    density matrix |psi[k]><psi[k]|. The draws come
     from `rng.keyed_draws`, which re-keys one Philox generator per sample
     (through numpy's Philox state layout), gives the same bits as a new
     stream for each, and writes them straight into row k of one (n, 2, 4)
@@ -299,7 +304,7 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> np.ndarray:
                    np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0), NORM_TOL))
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     _check_stack(checks + _density_checks(rho), lambda k: f"sample {indices[k]} (seed {seed})")
-    return rho
+    return psi, rho
 
 
 def density_from_json(obj) -> DensityMatrix:
@@ -322,7 +327,8 @@ def load_density_file(path: str) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return density_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; arrays nested past the recursion limit raise RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"density file {path!r}: {exc}") from exc
 
 

@@ -12,7 +12,10 @@ modified form is sensitive only to the covariance magnitude, so it also
 catches states whose covariances have unhelpful signs. The Peres
 partial-transpose test gives the exact ground truth for two qubits and is
 exposed as `ppt_min_eigenvalue` (one state) and `ppt_min_eigenvalues` (a
-stack).
+stack), one LAPACK eigensolve per state. A stack of pure states given by
+its amplitudes, such as the Haar stack of `haar-study`, needs none:
+`pure_ppt_min_eigenvalues` gives the same eigenvalue as the Schmidt
+determinant -|psi_00 psi_11 - psi_01 psi_10|.
 
 Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
@@ -245,6 +248,23 @@ def local_bound(observables) -> float:
 def ppt_min_eigenvalues(matrices) -> np.ndarray:
     """Minimum eigenvalue of the partial transpose of each state in an (N, 4, 4) stack."""
     return np.linalg.eigvalsh(transpose_second_qubit(_stack(matrices)))[:, 0]
+
+
+def pure_ppt_min_eigenvalues(amplitudes) -> np.ndarray:
+    """Minimum eigenvalue of the partial transpose of each pure state in an (N, 4) amplitude stack.
+
+    Holds only for pure states. With Psi the 2x2 matrix of a state's
+    amplitudes (psi_00, psi_01; psi_10, psi_11) and s_1, s_2 its Schmidt
+    coefficients (Psi's singular values), the partial transpose of
+    |psi><psi| has spectrum {s_1^2, s_2^2, s_1 s_2, -s_1 s_2}, so its
+    smallest eigenvalue is -s_1 s_2 = -|det Psi| (Peres, PRL 77, 1413
+    (1996); Vidal and Werner, PRA 65, 032314 (2002)). The amplitudes are
+    taken as given: normalized, which the caller checks.
+    """
+    psi = np.asarray(amplitudes, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) stack of amplitudes, got shape {psi.shape}")
+    return -np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:

@@ -195,7 +195,9 @@ def test_evaluate_invalid_density_file_exits_2(tmp_path, capsys):
     garbled.write_text("{not json")
     bad_im = tmp_path / "bad_im.json"
     bad_im.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 4.0).tolist(), "im": "x"}))
-    for path in (garbled, "/dev/null", bad_im):
+    deep = tmp_path / "deep.json"  # nested past the recursion limit of the JSON decoder
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for path in (garbled, "/dev/null", bad_im, deep):
         code, out, err = _run(capsys, ["evaluate", "--state", f"file:{path}"])
         assert code == 2
         assert out == ""

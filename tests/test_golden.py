@@ -106,7 +106,7 @@ OTHER_DIGESTS = {
     ("sweep", "csv"): "df46b730dacfb2e4f938f1f0c28147adfc5dffa2e9306b9f362e0fff3cf754ad",
     ("sweep", "json"): "07a83e615cd49fe165e900eb54c15f713cca0fedc2841db6c83e2af1fdfdaeca",
     ("haar-study", "csv"): "259b2c3bc619a2aa22f7d18a477d3a7b2585feb822abf96d4d25a59fe82fe1ad",
-    ("haar-study", "json"): "9a697c2ec9fdcc1d1c59c4127876b50cf7a3beb5d77dbb1aefc03f17892b6cb8",
+    ("haar-study", "json"): "4646da1452b651774784875b1a486b876a7b6e5578b3e1ef62c86014125073bf",
     ("haar-study summary", "csv"): "07ff465e0e4d53a99eb1b573de8df94fd4446cbb523d63bc877d631edf05de98",
     ("haar-study summary", "json"): "9aaa81145c0d6285dc91d70dc12a7a2cda4dc6f6491f5f75c9530012423c244e",
 }

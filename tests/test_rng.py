@@ -65,9 +65,9 @@ def test_numpy_int_keys_give_the_python_int_streams():
 
 
 def test_numpy_index_arrays_give_the_range_haar_stack():
-    want = haar_rotated_bell_states("psi-", 3, range(5))
+    _, want = haar_rotated_bell_states("psi-", 3, range(5))
     for seed in (3, np.uint64(3), np.int64(3)):
-        got = haar_rotated_bell_states("psi-", seed, np.arange(5))
+        _, got = haar_rotated_bell_states("psi-", seed, np.arange(5))
         assert got.tobytes() == want.tobytes()
 
 

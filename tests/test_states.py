@@ -192,7 +192,7 @@ def test_su2_entries_equal_the_pauli_sum():
 def test_haar_stack_rows_equal_states_from_fresh_streams(kind):
     # 2**64 + 7 keys the stream of 7, and -1 that of 2**64 - 1
     indices = [0, 7, 2**64 + 7, -1]
-    stack = states.haar_rotated_bell_states(kind, 5, indices)
+    _, stack = states.haar_rotated_bell_states(kind, 5, indices)
     assert stack.shape == (4, 4, 4)
     for row, i in zip(stack, indices):
         pair = haar_random_local_unitary(stream(5, i))
@@ -375,7 +375,7 @@ def test_stack_constructors_and_checks_take_empty_stacks():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stacks = [noise_mixtures([], kind) for kind in NoiseKind]
-        stacks += [states.haar_rotated_bell_states(kind, 1, range(0)) for kind in BELL_KINDS]
+        stacks += [states.haar_rotated_bell_states(kind, 1, range(0))[1] for kind in BELL_KINDS]
         stacks.append(random_separable_states(600, range(0), []))
         for rho in stacks:
             assert rho.shape == (0, 4, 4)

@@ -13,6 +13,7 @@ from lurwit.cli import STACK_CHUNK
 from lurwit.linalg import NumericsError
 from lurwit.rng import stream
 from lurwit.states import (
+    BELL_KINDS,
     Basis,
     DensityMatrix,
     NoiseKind,
@@ -32,6 +33,7 @@ from lurwit.witness import (
     local_bound,
     ppt_min_eigenvalue,
     ppt_min_eigenvalues,
+    pure_ppt_min_eigenvalues,
     standard_sets,
 )
 from oracles import (
@@ -46,6 +48,7 @@ from oracles import (
     random_hermitian,
     random_mixed_matrix,
     random_pure_state,
+    random_pure_states,
     random_separable_state,
     var_sum_brute,
     variance_brute,
@@ -480,6 +483,29 @@ def test_empty_stack_gives_empty_results():
     assert [r.shape for r in results] == [(0,)] * 7
 
 
+def test_pure_ppt_determinant_matches_the_eigensolver():
+    # -|psi_00 psi_11 - psi_01 psi_10| is the partial transpose's smallest eigenvalue on pure states
+    for kind in BELL_KINDS:
+        psi, rho = states.haar_rotated_bell_states(kind, 23, range(5000))
+        assert np.abs(pure_ppt_min_eigenvalues(psi) - ppt_min_eigenvalues(rho)).max() <= 1e-14
+    g = stream(2323)
+    theta = np.linspace(0.0, np.pi / 4, 9)  # theta = 0 is the product state |HH>
+    partial = np.zeros((len(theta), 4), dtype=complex)
+    partial[:, 0], partial[:, 3] = np.cos(theta), np.sin(theta)
+    qubits = g.standard_normal((20, 2, 2)) + 1j * g.standard_normal((20, 2, 2))  # two per row
+    products = (qubits[:, 0, :, None] * qubits[:, 1, None, :]).reshape(-1, 4)
+    products /= np.linalg.norm(products, axis=1)[:, None]
+    psi = np.concatenate([random_pure_states(2323, range(2000)), partial, products])
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    got = pure_ppt_min_eigenvalues(psi)
+    assert np.abs(got - ppt_min_eigenvalues(rho)).max() <= 1e-14
+    assert np.abs(got[2000:2009] + np.cos(theta) * np.sin(theta)).max() <= 1e-15
+    assert np.abs(got[2009:]).max() <= 1e-15
+    assert pure_ppt_min_eigenvalues(np.empty((0, 4))).shape == (0,)
+    with pytest.raises(ValueError, match="amplitudes"):
+        pure_ppt_min_eigenvalues(psi[0])
+
+
 def _check_kernel_against_reference(matrices, osets):
     """Kernel moments vs the brute-force oracles; evaluate and PPT rows bit for bit."""
     ppt = ppt_min_eigenvalues(matrices)
@@ -571,7 +597,7 @@ def _standard_stacks():
     stacks = {}
     for n in (1, 37):
         for kind in ("psi-", "phi+"):
-            stacks[f"haar-{kind}-{n}"] = states.haar_rotated_bell_states(kind, 11, range(n))
+            _, stacks[f"haar-{kind}-{n}"] = states.haar_rotated_bell_states(kind, 11, range(n))
         for kind in NoiseKind:
             grid = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.3])
             stacks[f"{kind.value}-{n}"] = states.noise_mixtures(grid, kind, base="phi-")
