@@ -192,12 +192,13 @@ def test_su2_entries_equal_the_pauli_sum():
 def test_haar_stack_rows_equal_states_from_fresh_streams(kind):
     # 2**64 + 7 keys the stream of 7, and -1 that of 2**64 - 1
     indices = [0, 7, 2**64 + 7, -1]
-    _, stack = states.haar_rotated_bell_states(kind, 5, indices)
-    assert stack.shape == (4, 4, 4)
-    for row, i in zip(stack, indices):
+    psi, stack = states.haar_rotated_bell_states(kind, 5, indices)
+    assert psi.shape == (4, 4) and stack.shape == (4, 4, 4)
+    for amplitudes, row, i in zip(psi, stack, indices):
         pair = haar_random_local_unitary(stream(5, i))
-        want = density_from_pure(apply_to_pure(pair, bell_state(kind))).matrix
-        assert row.tobytes() == want.tobytes()
+        rotated = apply_to_pure(pair, bell_state(kind))
+        assert amplitudes.tobytes() == rotated.tobytes()
+        assert row.tobytes() == density_from_pure(rotated).matrix.tobytes()
     assert stack[1].tobytes() == stack[2].tobytes()
     assert stack[0].tobytes() != stack[3].tobytes()
 
