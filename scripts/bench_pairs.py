@@ -12,8 +12,10 @@ that neither side recompiles its modules on import. Each run's result is read fr
 line of its stdout, a JSON object; nothing under `perfbench/` is changed.
 
 Prints every pair, then for each end-to-end metric of CHANGE's
-`BENCHMARK.json` the median and quartiles of both sides, the median change,
-the base's interquartile range and the pairs the change won. `--record PATH`
+`BENCHMARK.json`, and for `raw_setup_s` (the run's setup time before
+calibration, read from the record `perfbench/run.py` writes to
+`.perfbench-out/`), the median and quartiles of both sides, the median
+change, the base's interquartile range and the pairs the change won. `--record PATH`
 also writes all of it as JSON: each side's commit (`git describe --dirty`)
 and `src/lurwit` hash, the Python and numpy versions, the usable CPU count,
 the workload, seed and run length, every pair, and the per-metric summary.
@@ -53,7 +55,8 @@ def compile_tree(root: Path) -> None:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run in `root`: the JSON object on the last line of its stdout, with each
-    metric's {"value", "unit"} replaced by its value."""
+    metric's {"value", "unit"} replaced by its value. The metric `raw_setup_s` is added from the
+    `notes` of the record the run writes to `.perfbench-out/`: its setup time before calibration."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -61,6 +64,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    record = root / ".perfbench-out" / f"result-{workload}-seed{seed}-trace0.json"
+    result["metrics"]["raw_setup_s"] = json.loads(record.read_text(encoding="utf-8"))["notes"]["raw_setup_s"]
     return result
 
 
@@ -120,6 +125,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     seconds, directions = benchmark_spec(sides["change"])
+    directions["raw_setup_s"] = False  # a cross-check on setup_s, whose calibration moves between runs
     for root in sides.values():
         compile_tree(root)
     hashes = {side: source_hash(root) for side, root in sides.items()}

@@ -19,11 +19,13 @@ write fails, the partial file and every file the command wrote before it
 are removed, unless the path is not a regular file (such as /dev/stdout).
 
 `main(argv)` may be called many times in one process: the argument parser
-is built on the first call and shared by every later one. A command's
-arguments go straight to its own parser, in one argparse pass; any argv
-that does not parse there cleanly (no or an unknown command, a `--`, an
-argument left over) is parsed again by the full parser, whose usage, help
-and error text are the ones printed.
+is built on the first call and shared by every later one, with one table
+per command built from it (each flag's `Action` and the command's
+defaults). An argv of the form `COMMAND (--flag value)*`, with exact flags,
+no dash-leading value and every required flag, is read from that table
+with dict lookups; any other argv (help, `--flag=value`, an abbreviation,
+an unknown command or flag, a bad or missing value) goes to the full
+parser, whose usage, help and error text are the ones printed.
 
 Exit codes: 0 success, 2 usage or input error (also an input too large for
 memory, or a seed outside [0, 2**64)), 3 internal numerical error, 141
@@ -232,6 +234,8 @@ def run_sweep(args: argparse.Namespace):
         raise ValueError(f"unknown noise family {args.noise!r}; expected werner or polarized")
     if args.p_steps < 2:
         raise ValueError("need at least 2 grid points")
+    if args.p_steps > sys.maxsize // 8:  # past numpy's array size; np.linspace raises IndexError near 2**63
+        raise ValueError(f"a grid of {args.p_steps} points is too large for memory")
     if math.isfinite(args.p_stop - args.p_start):
         grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
     else:  # a NaN or infinite endpoint or span has no grid; an endpoint is then
@@ -386,68 +390,83 @@ def build_parser() -> argparse.ArgumentParser:
     Sharing it is safe: `parse_args` leaves the parser as it was and makes
     a fresh namespace each time, and usage, error and help text are
     formatted when they are printed. `build_parser.__wrapped__()` builds a
-    fresh parser.
+    fresh parser. Its `commands` attribute holds, by command name, the table
+    `_parse_args` reads: the `Action` each `add_argument` call returned, by
+    flag; the command's namespace defaults (`get_default`, `run` included);
+    and its required flags.
     """
     parser = argparse.ArgumentParser(
         prog="lurwit",
         description="Uncertainty-sum entanglement witnesses for two-qubit states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, by name (see `_parse_args`)
+    parser.commands = {}
 
-    def add_common(p, run):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    def command(name, run, help, *options):
+        """Add a command with its options, each (flag, `add_argument` keywords), then the common ones."""
+        p = sub.add_parser(name, help=help)
+        options += (("--out", dict(default=None, help="output path (default stdout)")),
+                    ("--format", dict(choices=("csv", "json"), default="csv", dest="fmt")))
+        actions = {flag: p.add_argument(flag, **kw) for flag, kw in options}
         p.set_defaults(run=run)
+        defaults = {a.dest: p.get_default(a.dest) for a in actions.values()}
+        required = {flag for flag, a in actions.items() if a.required}
+        parser.commands[name] = actions, {"command": name, **defaults, "run": run}, required
 
-    p = sub.add_parser("evaluate", help="exact witness values for one state")
-    p.add_argument("--state", required=True, help='state spec, e.g. "singlet" or "werner:p=0.5"')
-    add_common(p, run_evaluate)
-
-    p = sub.add_parser("sweep", help="witness values over a noise-mixture grid")
-    p.add_argument("--noise", required=True, help="noise family: werner or polarized")
-    p.add_argument("--base", default="psi-", help="Bell state mixed with the noise")
-    p.add_argument("--p-start", type=float, default=0.0)
-    p.add_argument("--p-stop", type=float, default=1.0)
-    p.add_argument("--p-steps", type=int, default=101)
-    add_common(p, run_sweep)
-
-    p = sub.add_parser("haar-study", help="detection rates under Haar-random local rotations")
-    p.add_argument("--state", default="psi-", help="Bell state to rotate")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0, help="stream seed, in [0, 2**64)")
-    p.add_argument("--per-sample", default=None, help="also write one row per sample here")
-    add_common(p, run_study_command)
-
-    p = sub.add_parser("simulate", help="finite-shot coincidence-count estimate")
-    p.add_argument("--state", required=True)
-    p.add_argument("--shots", type=int, required=True, help="shots per basis")
-    p.add_argument("--seed", type=int, default=0, help="stream seed, in [0, 2**64)")
-    add_common(p, run_simulate)
-
-    p = sub.add_parser("bound", help="minimized single-party variance bound")
-    p.add_argument("--observables", required=True, help="comma-separated from sx, sy, sz")
-    add_common(p, run_bound)
-
+    command("evaluate", run_evaluate, "exact witness values for one state",
+            ("--state", dict(required=True, help='state spec, e.g. "singlet" or "werner:p=0.5"')))
+    command("sweep", run_sweep, "witness values over a noise-mixture grid",
+            ("--noise", dict(required=True, help="noise family: werner or polarized")),
+            ("--base", dict(default="psi-", help="Bell state mixed with the noise")),
+            ("--p-start", dict(type=float, default=0.0)),
+            ("--p-stop", dict(type=float, default=1.0)),
+            ("--p-steps", dict(type=int, default=101)))
+    command("haar-study", run_study_command, "detection rates under Haar-random local rotations",
+            ("--state", dict(default="psi-", help="Bell state to rotate")),
+            ("--samples", dict(type=int, default=10000)),
+            ("--seed", dict(type=int, default=0, help="stream seed, in [0, 2**64)")),
+            ("--per-sample", dict(default=None, help="also write one row per sample here")))
+    command("simulate", run_simulate, "finite-shot coincidence-count estimate",
+            ("--state", dict(required=True)),
+            ("--shots", dict(type=int, required=True, help="shots per basis")),
+            ("--seed", dict(type=int, default=0, help="stream seed, in [0, 2**64)")))
+    command("bound", run_bound, "minimized single-party variance bound",
+            ("--observables", dict(required=True, help="comma-separated from sx, sy, sz")))
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, in one argparse pass where it can be.
+    """`build_parser().parse_args(argv)`, read from the command's table where it can be.
 
-    The arguments after a command name go straight to that command's parser,
-    which is what the full parser hands them to. Without a command, with an
-    unknown one, with a `--` anywhere, or with arguments left over, the full
-    parser parses `argv` again, so its usage, help and error text are what
-    the user sees.
+    An argv of the form `COMMAND (--flag value)*` with every flag exact, no
+    value that starts with `-` (so no `--` anywhere) and every required flag
+    given is read with dict lookups: each value is converted by its flag's
+    `type` and checked against its `choices`, as argparse does, onto a new
+    namespace of the command's defaults. Every other argv (help,
+    `--flag=value`, an abbreviation, a dash-leading value, an unknown command
+    or flag, a bad, missing or odd-count value) goes to the full parser, so
+    its usage, help and error text and exit code are what the user sees.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv and "--" not in argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
+    table = parser.commands.get(argv[0]) if len(argv) % 2 else None
+    if table is not None:
+        actions, defaults, required = table
+        args = argparse.Namespace(**defaults)
+        for flag, text in zip(argv[1::2], argv[2::2]):  # a break leaves the argv to the full parser
+            action = actions.get(flag)
+            if action is None or text.startswith("-"):
+                break
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            setattr(args, action.dest, value)
+        else:
+            if required.issubset(argv[1::2]):
+                return args
     return parser.parse_args(argv)
 
 

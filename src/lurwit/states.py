@@ -315,8 +315,13 @@ def density_from_json(obj) -> DensityMatrix:
         im = np.asarray(obj["im"], dtype=float)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"density JSON must carry dim/re/im fields: {exc}") from exc
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise ValueError("matrix entries must be finite (no NaN/Inf)") from exc
     if dim != 4 or re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError("density JSON must describe a 4x4 matrix")
+    entries = (v for part in (obj["re"], obj["im"]) for row in part for v in row)
+    if any(isinstance(v, (str, bool, np.bool_)) for v in entries):  # which numpy converts, as "0.25" to 0.25
+        raise ValueError("matrix entries must be numbers, not strings or booleans")
     # checked before combining: 1j * inf is inf*0 in its real part, which warns
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import errno
 import importlib.util
+import io
 import json
 import os
 import re
@@ -12,9 +13,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lurwit import cli, measurement, rng, states
 from lurwit.cli import SAMPLE_COLUMNS, STACK_CHUNK, SWEEP_COLUMNS, main, run_haar_study
@@ -219,6 +223,21 @@ def test_evaluate_invalid_density_file_exits_2(tmp_path, capsys):
     assert proc.stderr.startswith("error: ") and "must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("0.25", "not strings or booleans"), (True, "not strings or booleans"), (10**400, "must be finite")],
+    ids=["string", "boolean", "integer past the float range"],
+)
+def test_evaluate_rejects_a_density_file_entry_that_is_no_float(entry, message, tmp_path, capsys):
+    re_part = (np.eye(4) / 4.0).tolist()
+    re_part[0][0] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"dim": 4, "re": re_part, "im": np.zeros((4, 4)).tolist()}))
+    code, out, err = _run(capsys, ["evaluate", "--state", f"file:{path}"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: density file {str(path)!r}: ") and message in err and err.count("\n") == 1
+
+
 # a matrix past each `DensityMatrix` invariant, the invariant's text and its tolerance
 INVALID_DENSITIES = [
     (np.eye(4) / 4.0 + 0.1 * np.eye(4, k=1), "is not Hermitian", "1e-10"),
@@ -380,6 +399,16 @@ def test_noise_sweep_script_exits_with_the_failing_code(flags, tmp_path):
     assert "wrote" not in proc.stdout
     assert proc.stderr == "error: need at least 2 grid points\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# 2**63 - 2 to 2**63 + 1 once made np.linspace raise IndexError, a traceback with exit 1
+@pytest.mark.parametrize("steps", [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1])
+def test_grid_past_the_array_size_limit_exits_2(steps, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = _run(capsys, ["sweep", "--noise", "werner", "--p-steps", str(steps), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: a grid of {steps} points is too large for memory\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -974,12 +1003,16 @@ def test_help_text_matches_fresh_parser(columns, capsys, monkeypatch):
 
 
 _COMMANDS = ("evaluate", "sweep", "haar-study", "simulate", "bound")
-_DISPATCH_ARGV = [
+# `COMMAND (--flag value)*`: exact flags, no dash-leading value, every required flag
+_PLAIN_ARGV = [
     ["evaluate", "--state", "singlet"],
     ["sweep", "--noise", "werner", "--p-steps", "3"],
     ["haar-study", "--samples", "4", "--seed", "2"],
     ["simulate", "--state", "psi+", "--shots", "10", "--seed", "1"],
     ["bound", "--observables", "sx,sz"],
+]
+_DISPATCH_ARGV = [
+    *_PLAIN_ARGV,
     ["sweep", "--noise", "polarized", "--p-steps", "3", "--format=json"],
     ["sweep", "--noise", "werner", "--p-st", "0.2", "--p-steps", "3"],  # an abbreviated option
     ["sweep", "--noise", "werner", "--p-start", "-0.5", "--p-steps", "3"],
@@ -1008,20 +1041,139 @@ def _main_outcome(capsys, argv):
     return code, out.out, out.err
 
 
+@contextlib.contextmanager
+def _argparse_blocked():
+    """Any argparse parse inside this block fails the test."""
+    def reached(*args, **kwargs):
+        raise AssertionError("argparse was reached")
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", reached):
+        yield
+
+
 @pytest.mark.parametrize("argv", _DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
 def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
-    # a command's arguments go straight to its own parser; the outcome is the full parser's
+    # the outcome is the full parser's, and a plain argv never reaches argparse
     monkeypatch.setenv("COLUMNS", "80")
     got = _main_outcome(capsys, argv)
     with monkeypatch.context() as m:
         m.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         assert _main_outcome(capsys, argv) == got
-    if got[0] == 0 and not got[1].startswith("usage:"):  # a command ran: one namespace
+    if argv in _PLAIN_ARGV:
         want = cli.build_parser().parse_args(argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli.build_parser(), "parse_args", None)  # the command's parser alone
+        with _argparse_blocked():
             args = cli._parse_args(argv)
         assert isinstance(args, argparse.Namespace) and vars(args) == vars(want)
+
+
+# each command's flags, and the ones it requires
+_FLAGS = {
+    "evaluate": ("--state",),
+    "sweep": ("--noise", "--base", "--p-start", "--p-stop", "--p-steps"),
+    "haar-study": ("--state", "--samples", "--seed", "--per-sample"),
+    "simulate": ("--state", "--shots", "--seed"),
+    "bound": ("--observables",),
+}
+_REQUIRED = {"evaluate": ("--state",), "sweep": ("--noise",), "haar-study": (),
+             "simulate": ("--state", "--shots"), "bound": ("--observables",)}
+_ALL_FLAGS = sorted({flag for flags in _FLAGS.values() for flag in flags} | {"--out", "--format"})
+_INT_FLAGS = {"--p-steps", "--samples", "--seed", "--shots"}
+_FLOAT_FLAGS = {"--p-start", "--p-stop"}
+
+_floats = st.floats(min_value=0).map(repr) | st.sampled_from(["nan", "inf", "1_0.5", " 2 ", "\u0663.5"])
+_ints = st.integers(0, 2**70).map(str) | st.sampled_from(["\u0663", "\uff17", " 7", "1_000", "+4"])
+
+
+def _plain_value(flag):
+    """A value `flag` accepts that does not start with a dash."""
+    if flag in _INT_FLAGS:
+        return _ints
+    if flag in _FLOAT_FLAGS:
+        return _floats
+    if flag == "--format":
+        return st.sampled_from(["csv", "json"])
+    return st.text(max_size=6).filter(lambda v: not v.startswith("-"))
+
+
+@st.composite
+def _plain_argvs(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    flags = draw(st.lists(st.sampled_from((*_FLAGS[command], "--out", "--format")), max_size=8))
+    flags = draw(st.permutations([*_REQUIRED[command], *flags]))
+    return [command, *(token for flag in flags for token in (flag, draw(_plain_value(flag))))]
+
+
+_values = st.one_of(
+    _ints,
+    _floats,
+    st.sampled_from(["csv", "json", "xml", "singlet", "werner", "sx,sz", "", "3.5", "one", "1e999",
+                     "-1", "-0.5", "-x", "-", "--", "--state", "-h"]),
+    st.text(max_size=4),
+)
+_flag_tokens = st.one_of(
+    st.sampled_from(_ALL_FLAGS),
+    # abbreviations, unique or ambiguous (--p-st, --s)
+    st.sampled_from(_ALL_FLAGS).flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda n: f[:n])),
+    st.sampled_from(["-h", "--help", "--", "--verbose", "-x", "extra"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from((*_COMMANDS, "plot", "evaluat", "-h", "--", "")))
+    own = (*_FLAGS.get(command, ()), "--out", "--format")
+    flags = st.sampled_from(own) | _flag_tokens
+    items = st.one_of(
+        st.tuples(flags, _values),  # a flag and its value
+        st.tuples(flags),  # a flag with its value missing, or a stray token
+        st.tuples(st.sampled_from(own), _values).map(lambda t: (f"{t[0]}={t[1]}",)),
+        st.tuples(_values),
+    )
+    return [command, *(token for item in draw(st.lists(items, max_size=6)) for token in item)]
+
+
+@st.composite
+def _near_plain_argvs(draw):
+    """A plain argv with one flag or value replaced."""
+    argv = draw(_plain_argvs())
+    if len(argv) > 1:
+        i = draw(st.integers(1, len(argv) - 1))
+        argv[i] = draw(_flag_tokens if i % 2 else _values)
+    return argv
+
+
+def _fields(args):
+    """Each field of a namespace as its type and repr, so that NaN equals NaN and -0.0 differs from 0.0."""
+    return {name: (type(value), repr(value)) for name, value in vars(args).items()}
+
+
+def _parse_outcome(parse, argv):
+    """`_fields(parse(argv))`, or the code, stdout and stderr of the SystemExit it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return _fields(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000)
+@given(argv=st.one_of(_argvs(), _near_plain_argvs(), _plain_argvs()))
+@example(argv=["evaluate", "--state"])
+@example(argv=["evaluate", "--state", "-x"])
+@example(argv=["evaluate", "--state", "singlet", "--out"])
+def test_parse_args_matches_the_full_parser(argv):
+    # same namespace, or the same exit code, usage, help and error text
+    want = _parse_outcome(cli.build_parser.__wrapped__().parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == want
+
+
+@settings(max_examples=300)
+@given(argv=_plain_argvs())
+def test_plain_argv_never_reaches_argparse(argv):
+    want = _fields(cli.build_parser.__wrapped__().parse_args(argv))
+    with _argparse_blocked():
+        assert _fields(cli._parse_args(argv)) == want
 
 
 # (argv, files it writes); paths are relative to the working directory
