@@ -44,10 +44,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators.
 

@@ -7,9 +7,11 @@ states obey two families of bounds:
   * modified witness:  sum_i var(a_i) + var(b_i) - 2|cov_i| >= U_A + U_B
 
 where U_A (U_B) is the greatest lower bound of sum_i var(a_i) over
-single-party states. A value below the bound certifies entanglement; the
-modified form is sensitive only to the covariance magnitude, so it also
-catches states whose covariances have unhelpful signs. The Peres
+single-party states, which every `ObservableSet` derives exactly from its
+own observables with `local_bound`. A value below the bound certifies
+entanglement; the modified form is sensitive only to the covariance
+magnitude, so it also catches states whose covariances have unhelpful
+signs. The Peres
 partial-transpose test gives the exact ground truth for two qubits and is
 exposed as `ppt_min_eigenvalue` (one state) and `ppt_min_eigenvalues` (a
 stack), one LAPACK eigensolve per state. A stack of pure states given by
@@ -33,24 +35,17 @@ and three pairs. The finite-shot estimator (`lurwit.measurement`) sums its
 per-table moments with the same kernel. The runtime invariant checks (real
 expectations, the variance decomposition, the agreement of the two
 modified-witness forms at every sum returned) run on every call, as maxima
-over the stack.
+over the stack, with tolerances (and the verdict margin) scaled by the set.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    HERMITIAN_TOL,
-    NumericsError,
-    as_operator,
-    first_failure,
-    is_hermitian,
-    transpose_second_qubit,
-)
+from .linalg import HERMITIAN_TOL, NumericsError, as_operator, first_failure, transpose_second_qubit
 from .states import I2, SX, SY, SZ, Basis, DensityMatrix
 
 EXPECTATION_IMAG_TOL = 1e-10
@@ -69,46 +64,53 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return copy
 
 
+_PAULIS = _read_only(np.array([SX, SY, SZ]))  # one (3, 2, 2) stack, for `local_bound`
+
+
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Paired local observables plus the single-party bounds they must beat.
+    """Paired local observables and the single-party bounds they derive.
 
-    `pairs` holds (a_i, b_i, label) triples of Hermitian 2x2 operators;
-    `bound_a + bound_b` is the separable bound for both witness families.
-    The lifted two-qubit operators are precomputed once per set, stacked as
-    one (P, 7, 4, 4) array `_ops`: for pair i, with a = a_i x I, b = I x b_i
-    and s = a + b, the 7 operators are a, a^2, b, b^2, a_i x b_i, s, s^2.
-    Each is stored transposed, so that Tr(rho op) = sum_ij rho_ij (op^T)_ij
-    contracts matching, contiguous indices; in that layout every state's
-    result is the same whatever the size of the stack it is evaluated in.
-    The operators in `pairs` are read-only copies of the caller's, and
-    `_ops` is read-only, so a set can be shared and does not change with
-    the caller's arrays.
+    `pairs` holds (a_i, b_i, label) triples of Hermitian 2x2 operators,
+    checked as one stack; `bound_a = max(0.0, local_bound(a_1..a_P))` and
+    `bound_b` likewise, and `bound_a + bound_b` is the separable bound for
+    both witness families. Roundoff grows with the observables, so the
+    kernel's tolerances and the verdict margin are multiplied by `_scale` =
+    max(1, max_i ((|a_i| + |b_i|) / 2)^2), |o| o's largest entry modulus,
+    which is 1.0 for every set of Paulis. The lifted two-qubit operators
+    are precomputed once per set, stacked as one (P, 7, 4, 4) array `_ops`:
+    for pair i, with a = a_i x I, b = I x b_i and s = a + b, the 7 operators
+    are a, a^2, b, b^2, a_i x b_i, s, s^2. Each is stored transposed, so
+    that Tr(rho op) = sum_ij rho_ij (op^T)_ij contracts matching, contiguous
+    indices; in that layout every state's result is the same whatever the
+    size of the stack it is evaluated in. The operators in `pairs` are
+    read-only copies of the caller's, and `_ops` is read-only, so a set can
+    be shared and does not change with the caller's arrays.
     """
 
     pairs: tuple
-    bound_a: float
-    bound_b: float
+    bound_a: float = field(init=False)
+    bound_b: float = field(init=False)
 
     def __post_init__(self):
-        if not self.pairs:
+        pairs = tuple(self.pairs)
+        if not pairs:
             raise ValueError("observable set needs at least one pair")
-        checked = []
-        lifted = []
-        for a, b, label in self.pairs:
-            a = _read_only(as_operator(a, dim=2))
-            b = _read_only(as_operator(b, dim=2))
-            if not is_hermitian(a, HERMITIAN_TOL) or not is_hermitian(b, HERMITIAN_TOL):
-                raise ValueError(f"observables for {label!r} must be Hermitian")
-            checked.append((a, b, str(label)))
-            a4 = np.kron(a, I2)
-            b4 = np.kron(I2, b)
-            s = a4 + b4
-            lifted.append((a4, a4 @ a4, b4, b4 @ b4, np.kron(a, b), s, s @ s))
-        if not (0.0 <= self.bound_a < np.inf and 0.0 <= self.bound_b < np.inf):  # NaN fails too
-            raise ValueError("single-party bounds must be finite and nonnegative")
-        object.__setattr__(self, "pairs", tuple(checked))
-        object.__setattr__(self, "_ops", _read_only(np.array(lifted).swapaxes(-1, -2)))
+        obs = np.array([(as_operator(a, dim=2), as_operator(b, dim=2)) for a, b, _ in pairs])
+        failed = _first_non_hermitian(obs)
+        if failed is not None:
+            raise ValueError(f"observables for {pairs[failed[0]][2]!r} must be Hermitian")
+        a, b = _read_only(obs[:, 0]), _read_only(obs[:, 1])
+        a4, b4 = np.kron(a, I2), np.kron(I2, b)  # a_i x I and I x b_i, (P, 4, 4) each
+        ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(a4.shape)  # a_i x b_i
+        s = a4 + b4
+        ops = np.stack((a4, a4 @ a4, b4, b4 @ b4, ab, s, s @ s), axis=1)
+        norms = np.abs(obs).max(axis=(2, 3)).mean(axis=1)  # (|a_i| + |b_i|) / 2
+        object.__setattr__(self, "pairs", tuple(zip(a, b, (str(label) for _, _, label in pairs))))
+        object.__setattr__(self, "bound_a", max(0.0, _min_variance_sum(a)))
+        object.__setattr__(self, "bound_b", max(0.0, _min_variance_sum(b)))
+        object.__setattr__(self, "_scale", max(1.0, float(norms.max()) ** 2))
+        object.__setattr__(self, "_ops", _read_only(ops.swapaxes(-1, -2)))
 
     @property
     def separable_bound(self) -> float:
@@ -152,7 +154,7 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     """
     values = np.einsum("nij,pkij->npk", matrices, oset._ops)
     imag = np.abs(values.imag).max(axis=2)
-    failed = first_failure(imag < EXPECTATION_IMAG_TOL)
+    failed = first_failure(imag < EXPECTATION_IMAG_TOL * oset._scale)
     if failed is not None:
         n, p = failed
         raise NumericsError(
@@ -166,7 +168,7 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     cov = m[4] - m[0] * m[2]
     var_sum = m[6] - m[5]**2
     residual = np.abs(var_sum - (var_a + var_b + 2.0 * cov))
-    failed = first_failure(residual <= DECOMPOSITION_TOL)
+    failed = first_failure(residual <= DECOMPOSITION_TOL * oset._scale)
     if failed is not None:
         n, p = failed
         raise NumericsError(
@@ -176,13 +178,14 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     return var_a, var_b, var_sum, cov
 
 
-def _witness_values(var_a, var_b, var_sum, cov, ends):
+def _witness_values(var_a, var_b, var_sum, cov, ends, scale=1.0):
     """Plain and modified witness values over the first k pairs, for each k in `ends`.
 
     Takes (N, P) per-pair moments and returns (l, ml) for each k in turn,
     2 * len(ends) length-N arrays. Each pair's plain term and its two
     modified forms are formed once and added pair by pair from +0.0, and the
-    two modified forms must agree at every k returned, in order. Below 8
+    two modified forms must agree at every k returned, in order (to
+    DECOMPOSITION_TOL times the set's `scale`). Below 8
     pairs this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0,
     which a `cumsum` from the first term would not give); a set of 8 or
     more pairs adds in pair order.
@@ -192,7 +195,7 @@ def _witness_values(var_a, var_b, var_sum, cov, ends):
     for p in range(ends[-1]):
         total = total + terms[..., p]
         if p + 1 in ends:  # rows l, ml and ml's other form, taken by index
-            failed = first_failure(np.abs(total[1] - total[2]) <= DECOMPOSITION_TOL)
+            failed = first_failure(np.abs(total[1] - total[2]) <= DECOMPOSITION_TOL * scale)
             if failed is not None:
                 (n,) = failed
                 raise NumericsError(
@@ -203,15 +206,45 @@ def _witness_values(var_a, var_b, var_sum, cov, ends):
     return tuple(values)
 
 
-def _basis_set(bases) -> ObservableSet:
-    # each party measures the basis Pauli, labelled by the basis; k
-    # anticommuting Paulis have single-party bound k - 1 (see `local_bound`)
-    bound = len(bases) - 1.0
-    return ObservableSet(tuple((b.pauli, b.pauli, b.value) for b in bases), bound, bound)
+def _first_non_hermitian(obs: np.ndarray) -> tuple | None:
+    """Index of the first non-Hermitian matrix in a finite (..., 2, 2) stack, or None (see `local_bound`)."""
+    deviation = np.abs(obs - obs.conj().swapaxes(-1, -2))
+    if deviation.max() <= HERMITIAN_TOL:
+        return None
+    tol = HERMITIAN_TOL * np.maximum(1.0, np.abs(obs).max(axis=(-2, -1)))
+    return first_failure(deviation.max(axis=(-2, -1)) <= tol)
 
 
-_STANDARD_SETS = {"L2": _basis_set(tuple(Basis)[:2]), "L3": _basis_set(tuple(Basis))}
-_PAULIS = _read_only(np.array([SX, SY, SZ]))  # one (3, 2, 2) stack, for `local_bound`
+def _min_variance_sum(obs: np.ndarray) -> float:
+    """`local_bound` of a checked, nonempty (k, 2, 2) stack."""
+    v = 0.5 * np.einsum("kij,pji->kp", obs, _PAULIS).real
+    return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
+
+
+def local_bound(observables) -> float:
+    """Greatest lower bound of sum_i var(o_i) over single-qubit states.
+
+    Write each Hermitian o_i as c_i I + v_i . sigma with v_i = Tr(o_i sigma)/2
+    real. On a state with Bloch vector r (|r| <= 1), var(o_i) = |v_i|^2 -
+    (v_i . r)^2, so the sum is sum_i |v_i|^2 - r^T M r with M = sum_i v_i v_i^T.
+    Its minimum over the Bloch ball is sum_i |v_i|^2 - lambda_max(M), exactly.
+    The observables are checked one by one, then as one (k, 2, 2) stack for
+    Hermiticity: max|o - o^dagger| <= HERMITIAN_TOL * max(1, max|o|), scaled
+    only where the absolute comparison fails. v is one contraction of that
+    stack with the Pauli stack (each trace adds two exact products).
+    """
+    obs = np.array([as_operator(o, dim=2) for o in observables])
+    if not len(obs):
+        raise ValueError("need at least one observable")
+    if _first_non_hermitian(obs) is not None:
+        raise ValueError("observables must be Hermitian")
+    return _min_variance_sum(obs)
+
+
+_STANDARD_SETS = {  # each party measures the basis Pauli, labelled by the basis
+    name: ObservableSet(tuple((b.pauli, b.pauli, b.value) for b in bases))
+    for name, bases in (("L2", tuple(Basis)[:2]), ("L3", tuple(Basis)))
+}
 
 
 def standard_sets() -> dict[str, ObservableSet]:
@@ -223,26 +256,6 @@ def standard_sets() -> dict[str, ObservableSet]:
     the sets in it are shared and read-only.
     """
     return dict(_STANDARD_SETS)
-
-
-def local_bound(observables) -> float:
-    """Greatest lower bound of sum_i var(o_i) over single-qubit states.
-
-    Write each Hermitian o_i as c_i I + v_i . sigma with v_i = Tr(o_i sigma)/2
-    real. On a state with Bloch vector r (|r| <= 1), var(o_i) = |v_i|^2 -
-    (v_i . r)^2, so the sum is sum_i |v_i|^2 - r^T M r with M = sum_i v_i v_i^T.
-    Its minimum over the Bloch ball is sum_i |v_i|^2 - lambda_max(M), exactly.
-    The observables are checked one by one, then as one (k, 2, 2) stack for
-    Hermiticity, and v is one contraction of that stack with the Pauli stack
-    (each trace adds two exact products).
-    """
-    obs = np.array([as_operator(o, dim=2) for o in observables])
-    if not len(obs):
-        raise ValueError("need at least one observable")
-    if np.abs(obs - obs.conj().swapaxes(1, 2)).max() > HERMITIAN_TOL:
-        raise ValueError("observables must be Hermitian")
-    v = 0.5 * np.einsum("kij,pji->kp", obs, _PAULIS).real
-    return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 
 def ppt_min_eigenvalues(matrices) -> np.ndarray:
@@ -272,14 +285,14 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     return float(ppt_min_eigenvalues(rho.matrix[None])[0])
 
 
-def detected(values, bound: float):
-    """True where a witness value certifies entanglement; scalars or arrays."""
+def detected(values, bound: float, scale: float = 1.0):
+    """True where a witness value certifies entanglement; scalars or arrays; `scale` is the set's."""
     # margin keeps boundary separable states from being flagged by roundoff
-    return values < bound - VERDICT_MARGIN
+    return values < bound - VERDICT_MARGIN * scale
 
 
-def verdict_for(value: float, bound: float) -> Verdict:
-    return Verdict.ENTANGLEMENT_DETECTED if detected(value, bound) else Verdict.INCONCLUSIVE
+def verdict_for(value: float, bound: float, scale: float = 1.0) -> Verdict:
+    return Verdict.ENTANGLEMENT_DETECTED if detected(value, bound, scale) else Verdict.INCONCLUSIVE
 
 
 def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +301,7 @@ def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray
     The matrices are taken as given (no density-matrix validation); every
     runtime check of `evaluate` runs on each of them.
     """
-    return _witness_values(*_pair_moments(_stack(matrices), oset), (len(oset.pairs),))
+    return _witness_values(*_pair_moments(_stack(matrices), oset), (len(oset.pairs),), oset._scale)
 
 
 def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -310,20 +323,9 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     the two forms must agree to within roundoff or the statistics code is broken.
     """
     moments = _pair_moments(rho.matrix[None], oset)
-    l_values, ml_values = _witness_values(*moments, (len(oset.pairs),))
-    var_a, var_b, var_sum, cov = (m[0].tolist() for m in moments)
-    stats = tuple(
-        PairStats(label, var_a[p], var_b[p], var_sum[p], cov[p])
-        for p, (_, _, label) in enumerate(oset.pairs)
-    )
-    l_value = float(l_values[0])
-    ml_value = float(ml_values[0])
-    bound = oset.separable_bound
-    return WitnessReport(
-        pairs=stats,
-        l_value=l_value,
-        ml_value=ml_value,
-        separable_bound=bound,
-        verdict_l=verdict_for(l_value, bound),
-        verdict_ml=verdict_for(ml_value, bound),
-    )
+    l_values, ml_values = _witness_values(*moments, (len(oset.pairs),), oset._scale)
+    rows = zip(*(m[0].tolist() for m in moments))  # var_a, var_b, var_sum, cov of each pair
+    stats = tuple(PairStats(label, *row) for (_, _, label), row in zip(oset.pairs, rows))
+    l_value, ml_value, bound = float(l_values[0]), float(ml_values[0]), oset.separable_bound
+    verdicts = (verdict_for(value, bound, oset._scale) for value in (l_value, ml_value))
+    return WitnessReport(stats, l_value, ml_value, bound, *verdicts)

@@ -126,13 +126,13 @@ def local_bound_brute(observables, n: int) -> float:
 
 def local_bound_reference(observables) -> float:
     """`witness.local_bound` as one validation and one Tr(o sigma) per observable and Pauli."""
-    from lurwit.linalg import HERMITIAN_TOL, as_operator, is_hermitian
+    from lurwit.linalg import HERMITIAN_TOL, as_operator
 
     obs = [as_operator(o, dim=2) for o in observables]
     if not obs:
         raise ValueError("need at least one observable")
-    for o in obs:
-        if not is_hermitian(o, HERMITIAN_TOL):
+    for o in obs:  # Hermitian to within HERMITIAN_TOL at the scale of o's largest entry
+        if np.abs(o - o.conj().T).max() > HERMITIAN_TOL * max(1.0, np.abs(o).max()):
             raise ValueError("observables must be Hermitian")
     v = np.array([[0.5 * np.trace(o @ s).real for s in (SX, SY, SZ)] for o in obs])
     return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])

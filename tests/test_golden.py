@@ -21,7 +21,7 @@ from lurwit.cli import draw_counts, main, simulate_counts
 from lurwit.measurement import _SIGNS, CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
 from lurwit.rng import stream
 from lurwit.states import Basis, DensityMatrix, parse_state_spec
-from lurwit.witness import ObservableSet, evaluate, evaluate_many, local_bound
+from lurwit.witness import ObservableSet, evaluate, evaluate_many
 from oracles import mixed_ensemble, random_hermitian
 
 SIMULATE_SPECS = (
@@ -200,15 +200,12 @@ def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
 
 
 def _custom_sets(g) -> list:
-    """Two sets of each size 1-4 of random Hermitian pairs, each with the bounds of its two sides."""
+    """Two sets of each size 1-4 of random Hermitian pairs; each derives the bounds of its two sides."""
     sets = []
     for size in (1, 2, 3, 4):
         for _ in range(2):
             pairs = [(random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size)]
-            # one pair's bound is 0 up to roundoff of either sign
-            bound_a = max(0.0, local_bound([a for a, _, _ in pairs]))
-            bound_b = max(0.0, local_bound([b for _, b, _ in pairs]))
-            sets.append(ObservableSet(tuple(pairs), bound_a, bound_b))
+            sets.append(ObservableSet(tuple(pairs)))
     return sets
 
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import warnings
 from unittest import mock
 
@@ -50,6 +49,8 @@ from oracles import (
     random_pure_state,
     random_pure_states,
     random_separable_state,
+    random_separable_states,
+    su2_pauli_sum,
     var_sum_brute,
     variance_brute,
     witness_values_reference,
@@ -66,7 +67,7 @@ def _bell_rho(kind):
 
 def _pair(rho, a, b):
     """The kernel's statistics of the one pair (a, b) on rho."""
-    return evaluate(rho, ObservableSet(pairs=((a, b, "pair"),), bound_a=0.0, bound_b=0.0)).pairs[0]
+    return evaluate(rho, ObservableSet(pairs=((a, b, "pair"),))).pairs[0]
 
 
 # ------------------------------------------------------------- expectations
@@ -146,7 +147,7 @@ def test_covariance_bounds(rho, a, b):
 
 @given(density_matrices(), hermitian_2x2(), hermitian_2x2())
 def test_witness_values_match_brute_force(rho, a, b):
-    oset = ObservableSet(pairs=((a, b, "pair"),), bound_a=0.0, bound_b=0.0)
+    oset = ObservableSet(pairs=((a, b, "pair"),))
     report = evaluate(rho, oset)
     assert report.l_value == pytest.approx(var_sum_brute(rho.matrix, a, b), abs=1e-9)
     ml_brute = (
@@ -266,22 +267,19 @@ def test_dominance_is_equality_without_positive_covariance():
 
 
 def test_observable_set_validation():
-    with pytest.raises(ValueError):
-        ObservableSet(pairs=(), bound_a=1.0, bound_b=1.0)
-    with pytest.raises(ValueError):
-        ObservableSet(pairs=((np.array([[0, 1], [0, 0]]), SZ, "bad"),), bound_a=1.0, bound_b=1.0)
-    with pytest.raises(ValueError):
-        ObservableSet(pairs=((SZ, SZ, "z"),), bound_a=-1.0, bound_b=1.0)
-    # a bound that is not a finite number would fix every verdict in advance
-    for bad in (math.inf, -math.inf, math.nan):
-        for bounds in ((bad, 0.0), (0.0, bad)):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                ObservableSet(((SX, SX, "x"),), *bounds)
+    with pytest.raises(ValueError, match="at least one pair"):
+        ObservableSet(pairs=())
+    with pytest.raises(ValueError, match="'bad' must be Hermitian"):
+        ObservableSet(pairs=((SZ, SZ, "z"), (SX, np.array([[0, 1], [0, 0]]), "bad")))
+    with pytest.raises(ValueError, match="must be finite"):
+        ObservableSet(pairs=((SZ, np.array([[np.nan, 0], [0, 1]]), "nan"),))
+    with pytest.raises(TypeError):  # the bounds are derived, not given
+        ObservableSet(((SZ, SZ, "z"),), 5.0, 5.0)
 
 
 def test_observable_set_holds_read_only_copies():
     a, b = SX.copy(), SZ.copy()
-    oset = ObservableSet(((a, b, "x-z"),), 0.0, 0.0)
+    oset = ObservableSet(((a, b, "x-z"),))
     ops = oset._ops.copy()
     a[0, 1] = 5.0
     b[0, 0] = 5.0
@@ -373,6 +371,136 @@ def test_local_bound_rejects_bad_input():
         assert str(got.value) == str(want.value), name
 
 
+# ------------------------------------------------ derived bounds and scale
+
+
+def _seeded_sets(seed: int, count: int) -> list:
+    """(pairs, set) for `count` seeded sets of 1-4 random Hermitian pairs."""
+    g = stream(seed)
+    drawn = []
+    for _ in range(count):
+        size = int(g.integers(1, 5))
+        pairs = tuple((random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size))
+        drawn.append((pairs, ObservableSet(pairs)))
+    return drawn
+
+
+SEEDED_SETS = _seeded_sets(2525, 40)
+
+
+def _minimizer(observables) -> np.ndarray:
+    """The pure qubit attaining `local_bound`: Bloch vector the top eigenvector of sum_i v_i v_i^T."""
+    v = np.array([[0.5 * np.trace(o @ s).real for s in (SX, SY, SZ)] for o in observables])
+    r = np.linalg.eigh(v.T @ v)[1][:, -1]
+    return 0.5 * (I2 + r[0] * SX + r[1] * SY + r[2] * SZ)
+
+
+def test_observable_sets_derive_their_bounds_from_local_bound():
+    for pairs, oset in SEEDED_SETS:
+        assert oset.bound_a.hex() == max(0.0, local_bound([a for a, _, _ in pairs])).hex()
+        assert oset.bound_b.hex() == max(0.0, local_bound([b for _, b, _ in pairs])).hex()
+    # |HH> sits on the z/x set's bound 1 + 1, as it sits on L2's
+    hh = density_from_pure(np.array([1.0, 0.0, 0.0, 0.0]))
+    report = evaluate(hh, ObservableSet(((SZ, SZ, "z"), (SX, SX, "x"))))
+    assert report.separable_bound == 2.0 and report.l_value == report.ml_value == 2.0
+    assert report.verdict_l is report.verdict_ml is Verdict.INCONCLUSIVE
+
+
+def test_derived_bound_is_sound_on_separable_states():
+    stack = random_separable_states(2626, range(400), [1 + k % 4 for k in range(400)])
+    for _, oset in SEEDED_SETS:
+        floor = oset.separable_bound - witness.VERDICT_MARGIN * oset._scale
+        for values in evaluate_many(stack, oset):
+            assert values.min() >= floor
+
+
+def test_derived_bound_is_attained_by_the_product_of_minimizers():
+    for pairs, oset in SEEDED_SETS:
+        rho_a = _minimizer([a for a, _, _ in pairs])
+        rho_b = _minimizer([b for _, b, _ in pairs])
+        report = evaluate(DensityMatrix(np.kron(rho_a, rho_b)), oset)
+        tol = 1e-12 * max(1.0, oset.separable_bound)
+        assert abs(report.l_value - oset.separable_bound) <= tol
+        assert abs(report.ml_value - oset.separable_bound) <= tol
+        assert report.verdict_l is report.verdict_ml is Verdict.INCONCLUSIVE
+
+
+def _scaled(oset: ObservableSet, c: float) -> ObservableSet:
+    return ObservableSet(tuple((c * a, c * b, label) for a, b, label in oset.pairs))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3, 1e6])
+def test_values_and_bounds_scale_as_c_squared(c):
+    psi = random_pure_states(2727, range(150))
+    stack = np.concatenate([mixed_ensemble(stream(2727), 150, 4), psi[:, :, None] * psi.conj()[:, None, :]])
+    rhos = [DensityMatrix(m) for m in stack[::10]]
+    compared = flagged = 0
+    for _, oset in SEEDED_SETS:
+        big = _scaled(oset, c)
+        for got, want in ((big.bound_a, oset.bound_a), (big.bound_b, oset.bound_b)):
+            assert abs(got - c * c * want) <= 1e-12 * c * c * max(want, oset._scale)
+        for got, want in zip(evaluate_many(stack, big), evaluate_many(stack, oset)):
+            assert (np.abs(got - c * c * want) <= 1e-12 * c * c * np.maximum(np.abs(want), oset._scale)).all()
+        for rho in rhos:
+            small_report, big_report = evaluate(rho, oset), evaluate(rho, big)
+            for value, verdict, big_verdict in (
+                (small_report.l_value, small_report.verdict_l, big_report.verdict_l),
+                (small_report.ml_value, small_report.verdict_ml, big_report.verdict_ml),
+            ):
+                gap = abs(value - oset.separable_bound)
+                if gap > 2.0 * witness.VERDICT_MARGIN * max(oset._scale, big._scale / (c * c)):
+                    assert verdict is big_verdict
+                    compared += 1
+                    flagged += verdict is Verdict.ENTANGLEMENT_DETECTED
+    assert compared > 0.95 * 2 * len(rhos) * len(SEEDED_SETS) and flagged > 0
+
+
+def _rotation(g) -> np.ndarray:
+    q = g.standard_normal(4)
+    return su2_pauli_sum(q / np.linalg.norm(q))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6, 1e8])
+def test_scaled_sets_raise_nothing_and_flag_no_product_state(c):
+    # each rotated z/x set is attained by |u0 u0>, u0 = U|0>: on its bound, never detected
+    g = np.random.default_rng(7)
+    for _ in range(300):
+        u = _rotation(g)
+        z, x = u @ SZ @ u.conj().T, u @ SX @ u.conj().T
+        oset = ObservableSet(((c * z, c * z, "z"), (c * x, c * x, "x")))
+        psi = np.kron(u[:, 0], u[:, 0])
+        report = evaluate(density_from_pure(psi), oset)
+        assert report.verdict_l is report.verdict_ml is Verdict.INCONCLUSIVE
+        assert abs(report.l_value - oset.separable_bound) <= 1e-12 * max(1.0, oset.separable_bound)
+    g = np.random.default_rng(7)
+    oset = ObservableSet(((c * SX, c * SZ, "x-z"), (c * SY, c * SY, "y-y")))
+    unit = ObservableSet(((SX, SZ, "x-z"), (SY, SY, "y-y")))
+    stack = np.array([random_mixed_matrix(g) for _ in range(200)])
+    for got, want in zip(evaluate_many(stack, oset), evaluate_many(stack, unit)):
+        assert (np.abs(got - c * c * want) <= 1e-12 * c * c * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_scale_is_one_for_pauli_sets():
+    for oset in SETS.values():
+        assert oset._scale == 1.0
+    for k in (1, 2, 3):
+        for obs in itertools.permutations((SX, SY, SZ), k):
+            assert ObservableSet(tuple((o, o, "p") for o in obs))._scale == 1.0
+    assert ObservableSet(((3.0 * SX, SZ, "3x-z"),))._scale == 4.0  # ((3 + 1) / 2)^2
+
+
+def test_hermitian_check_is_relative_to_the_entries():
+    u = _rotation(np.random.default_rng(7))
+    for c in (1e6, 1e8, 1e12):
+        rotated = [c * u @ p @ u.conj().T for p in (SZ, SX)]
+        assert local_bound(rotated) == pytest.approx(c * c, rel=1e-9)
+        ObservableSet(((rotated[0], rotated[1], "zx"),))
+        with pytest.raises(ValueError, match="observables must be Hermitian"):
+            local_bound([rotated[0], c * NOT_HERMITIAN])
+        with pytest.raises(ValueError, match="observables for 'bad' must be Hermitian"):
+            ObservableSet(((rotated[0], rotated[1], "zx"), (rotated[0], c * NOT_HERMITIAN, "bad")))
+
+
 # ----------------------------------------------------------------- PPT oracle
 
 
@@ -459,7 +587,7 @@ def test_evaluate_many_names_the_non_hermitian_state():
 
 
 def test_kernel_checks_the_variance_decomposition():
-    oset = ObservableSet(SETS["L3"].pairs, 2.0, 2.0)  # its own copy: the standard sets are shared
+    oset = ObservableSet(SETS["L3"].pairs)  # its own copy: the standard sets are shared
     ops = oset._ops.copy()
     ops[1, 6] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair: var_sum moves, the parts do not
     object.__setattr__(oset, "_ops", ops)
@@ -534,7 +662,7 @@ def _check_kernel_against_reference(matrices, osets):
 @settings(max_examples=40)
 def test_kernel_matches_scalar_reference_on_hypothesis_states(rhos, a, b):
     pairs = SETS["L3"].pairs + ((a, b, "random"),)
-    extra = ObservableSet(pairs=pairs, bound_a=0.0, bound_b=0.0)
+    extra = ObservableSet(pairs=pairs)
     _check_kernel_against_reference(np.array([r.matrix for r in rhos]), (SETS["L2"], extra))
 
 
