@@ -23,6 +23,13 @@ Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
 (N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
 of an `ObservableSet` gives all 7 * P expectations of all N states at once.
+The contraction is `einsum`, which adds each expectation's 16 products in
+index order, or, on a stack of at least `GEMM_MIN_STATES` states and a set
+whose products are all exact (the standard sets among them), one BLAS gemm,
+cheaper on large stacks, which adds the same products in the same order.
+Exact products are what make the two agree bit for bit: with an inexact
+product, or an operator that mixes real and imaginary entries, gemm's
+separate real and imaginary accumulators add in another order.
 One summation kernel, `_witness_values`, turns the per-pair moments into
 witness values: it adds each pair's terms in pair order and returns the
 sums after the first k pairs for each k asked for. `evaluate_many` asks for
@@ -51,6 +58,13 @@ from .states import I2, SX, SY, SZ, Basis, DensityMatrix
 EXPECTATION_IMAG_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
 VERDICT_MARGIN = 1e-9
+# observables with an entry (for `local_bound`, a Pauli component) of this
+# modulus or more are refused: below it every square and product the kernel
+# and `local_bound` form, and their sums, stay finite
+ENTRY_LIMIT = 2.0**500
+# the smallest stack contracted by gemm: below it one `einsum` call is as
+# cheap or cheaper (`evaluate_standard` on Haar and Werner stacks; README)
+GEMM_MIN_STATES = 6
 
 
 class Verdict(enum.Enum):
@@ -77,15 +91,25 @@ class ObservableSet:
     both witness families. Roundoff grows with the observables, so the
     kernel's tolerances and the verdict margin are multiplied by `_scale` =
     max(1, max_i ((|a_i| + |b_i|) / 2)^2), |o| o's largest entry modulus,
-    which is 1.0 for every set of Paulis. The lifted two-qubit operators
-    are precomputed once per set, stacked as one (P, 7, 4, 4) array `_ops`:
-    for pair i, with a = a_i x I, b = I x b_i and s = a + b, the 7 operators
-    are a, a^2, b, b^2, a_i x b_i, s, s^2. Each is stored transposed, so
-    that Tr(rho op) = sum_ij rho_ij (op^T)_ij contracts matching, contiguous
-    indices; in that layout every state's result is the same whatever the
-    size of the stack it is evaluated in. The operators in `pairs` are
-    read-only copies of the caller's, and `_ops` is read-only, so a set can
-    be shared and does not change with the caller's arrays.
+    which is 1.0 for every set of Paulis; `verdict_margin` is the scaled
+    margin. The lifted two-qubit operators are precomputed once per set,
+    stacked as one C-contiguous (P, 7, 4, 4) array `_ops`: for pair i, with
+    a = a_i x I, b = I x b_i and s = a + b, the 7 operators are a, a^2, b,
+    b^2, a_i x b_i, s, s^2. Each is stored transposed, so that
+    Tr(rho op) = sum_ij rho_ij (op^T)_ij contracts matching, contiguous
+    indices; reshaped to (7P, 16), its transpose is the (16, 7P) right-hand
+    side of the gemm path, a view. `_exact` says whether the set may take
+    that path: every lifted operator is all real or all imaginary, and every
+    nonzero part is +-2^k with k >= 0, so each product with a state is
+    exact. It holds for the standard sets (entries 0, +-1, +-2, 4 and +-i)
+    and for pairs such as (sigma_x, sigma_z) or (2 sigma_y, 2 sigma_y), but
+    not for (sigma_x, sigma_y), whose s mixes real and imaginary entries, nor
+    for (sigma_x, 3 sigma_z). The operators in `pairs` are read-only copies
+    of the caller's, and `_ops` is read-only, so a set can be shared and
+    does not change with the caller's arrays. A pair with an entry of
+    modulus `ENTRY_LIMIT` (2^500, about 3.3e150) or more is refused with a
+    `ValueError` that names it; below that the lifted squares (entries at
+    most 16 |o|^2) and every sum the kernel forms of them are finite.
     """
 
     pairs: tuple
@@ -101,16 +125,26 @@ class ObservableSet:
         if failed is not None:
             raise ValueError(f"observables for {pairs[failed[0]][2]!r} must be Hermitian")
         a, b = _read_only(obs[:, 0]), _read_only(obs[:, 1])
+        peaks = np.abs(obs).max(axis=(2, 3))  # |a_i| and |b_i|, (P, 2)
+        failed = first_failure(peaks.max(axis=1) < ENTRY_LIMIT)
+        if failed is not None:
+            raise ValueError(f"observables for {pairs[failed[0]][2]!r} are too large: an entry reaches 2^500")
         a4, b4 = np.kron(a, I2), np.kron(I2, b)  # a_i x I and I x b_i, (P, 4, 4) each
         ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(a4.shape)  # a_i x b_i
         s = a4 + b4
         ops = np.stack((a4, a4 @ a4, b4, b4 @ b4, ab, s, s @ s), axis=1)
-        norms = np.abs(obs).max(axis=(2, 3)).mean(axis=1)  # (|a_i| + |b_i|) / 2
+        norms = peaks.mean(axis=1)  # (|a_i| + |b_i|) / 2
         object.__setattr__(self, "pairs", tuple(zip(a, b, (str(label) for _, _, label in pairs))))
         object.__setattr__(self, "bound_a", max(0.0, _min_variance_sum(a)))
         object.__setattr__(self, "bound_b", max(0.0, _min_variance_sum(b)))
         object.__setattr__(self, "_scale", max(1.0, float(norms.max()) ** 2))
         object.__setattr__(self, "_ops", _read_only(ops.swapaxes(-1, -2)))
+        object.__setattr__(self, "_exact", _exact_products(ops))
+
+    @property
+    def verdict_margin(self) -> float:
+        """`VERDICT_MARGIN` times the set's scale: how far below the bound a value must be to detect."""
+        return VERDICT_MARGIN * self._scale
 
     @property
     def separable_bound(self) -> float:
@@ -145,15 +179,50 @@ def _stack(matrices) -> np.ndarray:
     return m
 
 
+def _exact_products(ops: np.ndarray) -> bool:
+    """True when every lifted operator is all real or all imaginary, with parts 0 or +-2^k, k >= 0."""
+    parts = np.abs(np.stack((ops.real, ops.imag)))  # (2, P, 7, 4, 4)
+    powers = (parts == 0.0) | ((np.frexp(parts)[0] == 0.5) & (parts >= 1.0))
+    mixed = parts.any(axis=(3, 4)).all(axis=0)  # an operator with real and imaginary entries
+    return bool(powers.all() and not mixed.any())
+
+
+def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarray:
+    """Tr(rho op) for every state and lifted operator, as statistic-major (7, N, P) complex rows.
+
+    `einsum` adds each expectation's 16 products in index order. The gemm,
+    (N, 16) @ (16, 7P), adds them in the same order but keeps real and
+    imaginary sums apart, so it returns einsum's bits only when every
+    product is exact and every operator is all real or all imaginary
+    (`ObservableSet._exact`), and then up to the sign of an expectation
+    that is exactly zero. A one-row product would go to gemv, which adds in
+    another order, so one state is contracted as two copies of itself. The
+    gemm result is copied into contiguous rows, which makes the checks on a
+    large stack several times cheaper; einsum's rows are a view.
+    """
+    if not gemm:
+        return np.einsum("nij,pkij->npk", matrices, ops).transpose(2, 0, 1)
+    n, p = len(matrices), len(ops)
+    rows = matrices.reshape(n, 16)
+    if n == 1:
+        rows = np.concatenate((rows, rows))
+    values = (rows @ ops.reshape(7 * p, 16).T)[:n].reshape(n, p, 7)
+    return np.ascontiguousarray(values.transpose(2, 0, 1))
+
+
 def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
     """var_a, var_b, var_sum and cov of every pair on every state, as (N, P) arrays.
 
-    One contraction gives all expectations (`_ops` holds the transposes).
-    var_sum takes the direct route through <s> and <s^2>, not the
-    decomposition, so the decomposition check compares two computations.
+    One contraction gives all expectations (`_ops` holds the transposes):
+    one BLAS gemm for a stack of at least `GEMM_MIN_STATES` states and a set
+    whose products are exact, `einsum` otherwise. Both give the same bits
+    (see `_expectations`) and feed the same checks. var_sum takes the direct
+    route through <s> and <s^2>, not the decomposition, so the
+    decomposition check compares two computations.
     """
-    values = np.einsum("nij,pkij->npk", matrices, oset._ops)
-    imag = np.abs(values.imag).max(axis=2)
+    gemm = oset._exact and len(matrices) >= GEMM_MIN_STATES
+    values = _expectations(matrices, oset._ops, gemm)  # rows <a>, <a^2>, <b>, <b^2>, <ab>, <s>, <s^2>
+    imag = np.abs(values.imag).max(axis=0)
     failed = first_failure(imag < EXPECTATION_IMAG_TOL * oset._scale)
     if failed is not None:
         n, p = failed
@@ -161,8 +230,7 @@ def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
             f"expectation of a Hermitian operator came out complex at stack index {n}, "
             f"pair {oset.pairs[p][2]!r}: imaginary part {imag[n, p]}"
         )
-    # rows <a>, <a^2>, <b>, <b^2>, <ab>, <s>, <s^2>, taken by index (cheaper than an unpack)
-    m = values.real.transpose(2, 0, 1)
+    m = values.real  # rows taken by index (cheaper than an unpack)
     var_a = m[1] - m[0]**2
     var_b = m[3] - m[2]**2
     cov = m[4] - m[0] * m[2]
@@ -216,8 +284,10 @@ def _first_non_hermitian(obs: np.ndarray) -> tuple | None:
 
 
 def _min_variance_sum(obs: np.ndarray) -> float:
-    """`local_bound` of a checked, nonempty (k, 2, 2) stack."""
+    """`local_bound` of a checked, nonempty (k, 2, 2) stack; `ValueError` at `ENTRY_LIMIT`."""
     v = 0.5 * np.einsum("kij,pji->kp", obs, _PAULIS).real
+    if not np.abs(v).max() < ENTRY_LIMIT:  # then no sum below of fewer than 2^22 squares overflows
+        raise ValueError("observables are too large: a Pauli component reaches 2^500")
     return float(np.sum(v * v) - np.linalg.eigvalsh(v.T @ v)[-1])
 
 
@@ -285,14 +355,17 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     return float(ppt_min_eigenvalues(rho.matrix[None])[0])
 
 
-def detected(values, bound: float, scale: float = 1.0):
-    """True where a witness value certifies entanglement; scalars or arrays; `scale` is the set's."""
-    # margin keeps boundary separable states from being flagged by roundoff
-    return values < bound - VERDICT_MARGIN * scale
+def detected(values, bound: float, margin: float = VERDICT_MARGIN):
+    """True where a witness value certifies entanglement; scalars or arrays.
+
+    The margin keeps boundary separable states from being flagged by
+    roundoff; for a custom set pass its `verdict_margin`.
+    """
+    return values < bound - margin
 
 
-def verdict_for(value: float, bound: float, scale: float = 1.0) -> Verdict:
-    return Verdict.ENTANGLEMENT_DETECTED if detected(value, bound, scale) else Verdict.INCONCLUSIVE
+def verdict_for(value: float, bound: float, margin: float = VERDICT_MARGIN) -> Verdict:
+    return Verdict.ENTANGLEMENT_DETECTED if detected(value, bound, margin) else Verdict.INCONCLUSIVE
 
 
 def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray]:
@@ -327,5 +400,5 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     rows = zip(*(m[0].tolist() for m in moments))  # var_a, var_b, var_sum, cov of each pair
     stats = tuple(PairStats(label, *row) for (_, _, label), row in zip(oset.pairs, rows))
     l_value, ml_value, bound = float(l_values[0]), float(ml_values[0]), oset.separable_bound
-    verdicts = (verdict_for(value, bound, oset._scale) for value in (l_value, ml_value))
+    verdicts = (verdict_for(value, bound, oset.verdict_margin) for value in (l_value, ml_value))
     return WitnessReport(stats, l_value, ml_value, bound, *verdicts)

@@ -9,7 +9,9 @@ keep the per-state and per-observable loops that the stacked Haar study,
 sweep and local bound replaced. `estimate_reference` keeps the per-table
 estimator loop, and `witness_values_reference` and
 `estimate_values_reference` the per-family row sums that the one witness
-summation kernel and the one estimate function replaced. The
+summation kernel and the one estimate function replaced, and
+`expectations_in_index_order` the order in which both contractions of the
+witness kernel, `einsum` and gemm, must add their exact products. The
 one-sample Haar rotation they need (`haar_random_local_unitary`,
 `apply_to_pure`) lives here too, since the package draws rotations only as
 a stack; it builds SU(2) elements as the Pauli sum (`su2_pauli_sum`), which
@@ -425,6 +427,21 @@ def basis_estimate_reference(counts: np.ndarray) -> tuple:
     grad_ml = -2.0 * m_a * SIGN_A - 2.0 * m_b * SIGN_B - 2.0 * np.sign(cov) * grad_cov
     var_sum_se, ml_se = _delta_se(grad_var_sum, f, shots), _delta_se(grad_ml, f, shots)
     return var_a, var_b, var_sum, cov, var_sum_se, ml_se
+
+
+def expectations_in_index_order(matrices, ops) -> np.ndarray:
+    """Tr(rho op) of each (N, 4, 4) state and each (P, 7, 4, 4) operator, stored transposed, as (N, P, 7).
+
+    The sum `witness._expectations` must return by either path: each
+    expectation's 16 products rho_ij (op^T)_ij, each formed as one complex
+    product and added in row-major index order, starting from +0.
+    """
+    rho = np.asarray(matrices).reshape(len(matrices), 1, 1, 16)
+    op = np.asarray(ops).reshape(1, *np.shape(ops)[:2], 16)
+    total = np.zeros((len(matrices), *np.shape(ops)[:2]), dtype=complex)
+    for k in range(16):
+        total = total + rho[..., k] * op[..., k]
+    return total
 
 
 def witness_values_reference(var_a, var_b, var_sum, cov) -> tuple:

@@ -5,8 +5,9 @@ sha256 of its output must not move when the code under it is reworked. A
 digest covers the concatenated stdout of every listed (shots, seed) or
 argument set, so one change anywhere in it shows. The same holds for the
 `estimate_witnesses` reports of drawn count tables, pinned field by field
-with `float.hex`. The last test checks the floating-point behaviour that
-the `simulate` and estimate digests rest on.
+with `float.hex`. The last tests check the floating-point behaviour that
+the digests rest on: the BLAS dot of the estimator, and the two
+contractions of the witness kernel.
 """
 
 import hashlib
@@ -20,9 +21,18 @@ import pytest
 from lurwit.cli import draw_counts, main, simulate_counts
 from lurwit.measurement import _SIGNS, CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
 from lurwit.rng import stream
-from lurwit.states import Basis, DensityMatrix, parse_state_spec
-from lurwit.witness import ObservableSet, evaluate, evaluate_many
-from oracles import mixed_ensemble, random_hermitian
+from lurwit import witness
+from lurwit.states import SX, SY, SZ, Basis, DensityMatrix, NoiseKind, noise_mixtures, parse_state_spec
+from lurwit.witness import (
+    GEMM_MIN_STATES,
+    ObservableSet,
+    _expectations,
+    _pair_moments,
+    evaluate,
+    evaluate_many,
+    standard_sets,
+)
+from oracles import expectations_in_index_order, mixed_ensemble, random_hermitian
 
 SIMULATE_SPECS = (
     "singlet", "phi+", "u2-singlet", "werner:p=0.9", "werner:p=0.2", "polarized:p=0.37", "file:rho.json",
@@ -260,3 +270,92 @@ def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
             f"np.vecdot of float64 4-vectors ({form}) is not the fused multiply-add chain on {differ} "
             f"of {len(want)} pairs; the simulate and estimate digests above assume it is"
         )
+
+
+# every lifted operator all real or all imaginary, with parts 0 or +-2^k, k >= 0
+EXACT_SETS = {
+    **{f"standard {name}": oset for name, oset in standard_sets().items()},
+    "Pauli x-z, z-(-x), 2y-2y": ObservableSet(((SX, SZ, "x-z"), (SZ, -SX, "z-x"), (2 * SY, 2 * SY, "2y-2y"))),
+}
+# an operator mixing real and imaginary entries (s of x-y), an entry 10 in s^2,
+# an entry 1/2, and a random set
+INEXACT_SETS = {
+    "Pauli x-y": ObservableSet(((SX, SY, "x-y"),)),
+    "Pauli x-3z": ObservableSet(((SX, 3 * SZ, "x-3z"),)),
+    "Pauli x/2-z/2": ObservableSet(((SX / 2, SZ / 2, "x/2-z/2"),)),
+    "random": ObservableSet(tuple(
+        (random_hermitian(stream(2626), 2), random_hermitian(stream(2627), 2), f"pair{i}") for i in range(3)
+    )),
+}
+
+
+def _words(values: np.ndarray) -> np.ndarray:
+    """The 64-bit words of a complex array, in C order."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _wide_hermitian_stack(g, n: int) -> np.ndarray:
+    """n Hermitian 4x4 matrices, entry moduli log-uniform over 1e-8..1e8, phases uniform."""
+    m = 10.0 ** g.uniform(-8.0, 8.0, (n, 4, 4)) * np.exp(2j * np.pi * g.random((n, 4, 4)))
+    return (m + m.conj().swapaxes(1, 2)) / 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 101, 4096])
+def test_gemm_and_einsum_add_exact_products_in_index_order(n):
+    # `witness._pair_moments` contracts a stack of at least GEMM_MIN_STATES
+    # states with an exact set's lifted operators by one BLAS gemm, and
+    # smaller stacks by einsum. The sweep and haar-study digests hold only
+    # where both add each expectation's 16 exact products in index order;
+    # on these stacks a pairwise order changes about a fifth of the words
+    g = np.random.default_rng(20261026 + n)
+    stack = _wide_hermitian_stack(g, n)
+    pairwise = 0
+    for name, oset in EXACT_SETS.items():
+        assert oset._exact, name
+        want = _words(expectations_in_index_order(stack, oset._ops).transpose(2, 0, 1))  # statistic-major
+        for path in ("einsum", "gemm"):
+            differ = np.count_nonzero(_words(_expectations(stack, oset._ops, gemm=path == "gemm")) != want)
+            assert differ == 0, (
+                f"the {path} contraction of {n} states with the lifted operators of {name} is not the "
+                f"index-order sum of its exact products in {differ} of {want.size} words; the sweep "
+                "and haar-study digests above assume it is"
+            )
+        products = stack.reshape(n, 1, 1, 16) * oset._ops.reshape(1, *oset._ops.shape[:2], 16)
+        pairwise += np.count_nonzero(_words(products.sum(axis=-1).transpose(2, 0, 1)) != want)
+    assert pairwise > 0  # the stack tells the summation orders apart
+
+
+def test_kernel_rows_equal_one_state_rows_on_both_sides_of_the_cutoff():
+    # a state's per-pair moments are the same bits whichever contraction its stack takes
+    stacks = [mixed_ensemble(stream(2828), 101, 4)]
+    stacks += [noise_mixtures(np.linspace(0.0, 1.0, 101), kind, base)
+               for kind in NoiseKind for base in ("psi-", "phi+")]
+    for name, oset in {**EXACT_SETS, **INEXACT_SETS}.items():
+        for stack in stacks:
+            ones = [_pair_moments(stack[k:k + 1], oset) for k in range(len(stack))]
+            for n in (GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 101):
+                moments = _pair_moments(stack[:n], oset)
+                for k in range(n):
+                    assert [m[k].tobytes() for m in moments] == [m[0].tobytes() for m in ones[k]], (name, n, k)
+
+
+def test_only_exact_sets_take_gemm(monkeypatch):
+    paths = []
+    real = witness._expectations
+
+    def recorded(matrices, ops, gemm):
+        paths.append(gemm)
+        return real(matrices, ops, gemm)
+
+    monkeypatch.setattr(witness, "_expectations", recorded)
+    stack = mixed_ensemble(stream(2929), 4096, 4)
+    for name, oset in INEXACT_SETS.items():
+        assert not oset._exact, name
+        for n in (1, GEMM_MIN_STATES, 4096):
+            evaluate_many(stack[:n], oset)
+    assert paths == [False] * 3 * len(INEXACT_SETS), "a set with inexact products took gemm"
+    paths.clear()
+    for oset in EXACT_SETS.values():
+        for n in (1, GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 4096):
+            evaluate_many(stack[:n], oset)
+    assert paths == [False, False, True, True] * len(EXACT_SETS)

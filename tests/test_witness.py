@@ -409,7 +409,7 @@ def test_observable_sets_derive_their_bounds_from_local_bound():
 def test_derived_bound_is_sound_on_separable_states():
     stack = random_separable_states(2626, range(400), [1 + k % 4 for k in range(400)])
     for _, oset in SEEDED_SETS:
-        floor = oset.separable_bound - witness.VERDICT_MARGIN * oset._scale
+        floor = oset.separable_bound - oset.verdict_margin
         for values in evaluate_many(stack, oset):
             assert values.min() >= floor
 
@@ -478,6 +478,56 @@ def test_scaled_sets_raise_nothing_and_flag_no_product_state(c):
     stack = np.array([random_mixed_matrix(g) for _ in range(200)])
     for got, want in zip(evaluate_many(stack, oset), evaluate_many(stack, unit)):
         assert (np.abs(got - c * c * want) <= 1e-12 * c * c * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_public_margin_gives_the_verdict_of_evaluate():
+    # a Werner state just past L2's threshold: its value c^2 (2 - 4e-11) lies
+    # below the bound by more than the unscaled margin and less than the scaled one
+    c = 1e3
+    oset = ObservableSet(((c * SZ, c * SZ, "z"), (c * SX, c * SX, "x")))
+    assert oset.verdict_margin == witness.VERDICT_MARGIN * oset._scale == pytest.approx(1e-3)
+    rho = noise_mixture(0.5 + 1e-11, NoiseKind.WERNER)
+    report = evaluate(rho, oset)
+    reported = ((report.l_value, report.verdict_l), (report.ml_value, report.verdict_ml))
+    for n in (1, witness.GEMM_MIN_STATES):
+        for value, (one, verdict) in zip(evaluate_many(np.array([rho.matrix] * n), oset), reported):
+            assert (value == one).all()
+            gap = oset.separable_bound - value
+            assert (witness.VERDICT_MARGIN < gap).all() and (gap < oset.verdict_margin).all()
+            assert witness.detected(value, oset.separable_bound).all()  # the unscaled margin would detect
+            assert not witness.detected(value, oset.separable_bound, oset.verdict_margin).any()
+            assert verdict is Verdict.INCONCLUSIVE
+            assert witness.verdict_for(float(value[0]), oset.separable_bound, oset.verdict_margin) is verdict
+    for oset in SETS.values():
+        assert oset.verdict_margin == witness.VERDICT_MARGIN
+
+
+@pytest.mark.parametrize("c", [1.3e154, 1e155, 1e200, 1e300])
+def test_observables_whose_squares_overflow_raise_value_error(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ValueError, match="observables for 'x-z' are too large: an entry reaches 2\\^500"):
+            ObservableSet(((SZ, SZ, "z"), (c * SX, c * SZ, "x-z")))
+        with pytest.raises(ValueError, match="observables are too large: a Pauli component reaches 2\\^500"):
+            local_bound([c * SX, c * SZ])
+
+
+def test_entries_just_below_the_limit_are_accepted():
+    below, limit = witness.ENTRY_LIMIT / 2.0, witness.ENTRY_LIMIT
+    assert limit == 2.0**500  # the value the messages quote
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (below, np.nextafter(limit, 0.0)):
+            oset = ObservableSet(((c * SZ, c * SZ, "z"), (c * SX, c * SZ, "x-z"), (c * SY, c * SY, "y")))
+            report = evaluate(SINGLET, oset)
+            assert np.isfinite([report.l_value, report.ml_value, oset.separable_bound]).all()
+            assert np.isfinite(evaluate_many(np.array([SINGLET.matrix] * 8), oset)).all()
+            assert np.isfinite(local_bound([c * SX, c * SY, c * SZ]))
+        with pytest.raises(ValueError, match="'z' are too large"):
+            ObservableSet(((limit * SZ, SZ, "z"),))
+        with pytest.raises(ValueError, match="observables are too large"):
+            local_bound([SZ, limit * SX])
+        assert local_bound([limit * I2]) == 0.0  # the identity part has no Pauli component
 
 
 def test_scale_is_one_for_pauli_sets():
@@ -595,6 +645,31 @@ def test_kernel_checks_the_variance_decomposition():
     message = "decomposition failed at stack index 0, pair '45/135'"
     with pytest.raises(NumericsError, match=message):
         evaluate_many(stack, oset)
+
+
+@pytest.mark.parametrize("n", [witness.GEMM_MIN_STATES - 1, witness.GEMM_MIN_STATES, 101])
+def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
+    paths = []
+    real = witness._expectations
+
+    def recorded(matrices, ops, gemm):
+        paths.append(gemm)
+        return real(matrices, ops, gemm)
+
+    monkeypatch.setattr(witness, "_expectations", recorded)
+    k = n - 2
+    for pauli, call, label in ((SZ, lambda m: evaluate_many(m, SETS["L3"]), "0/90"), (SY, evaluate_standard, "R/L")):
+        stack = np.array([SINGLET.matrix] * n)
+        stack[k] = stack[k] + 1e-3j * np.kron(pauli, pauli)
+        with pytest.raises(NumericsError, match=f"complex at stack index {k}, pair '{label}'"):
+            call(stack)
+    oset = ObservableSet(SETS["L3"].pairs)
+    ops = oset._ops.copy()
+    ops[1, 6] += 1e-6 * np.eye(4)
+    object.__setattr__(oset, "_ops", ops)
+    with pytest.raises(NumericsError, match="decomposition failed at stack index 0, pair '45/135'"):
+        evaluate_many(np.array([SINGLET.matrix] * n), oset)
+    assert paths == [n >= witness.GEMM_MIN_STATES] * 3
 
 
 def test_evaluate_many_rejects_a_bad_shape():
