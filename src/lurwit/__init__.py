@@ -6,7 +6,7 @@ a partial-transpose ground-truth oracle, simulated coincidence counting
 with witness estimators, and a CLI for sweeps and Monte Carlo studies.
 """
 
-from .linalg import NumericsError, partial_transpose_second, tensor_product
+from .linalg import NumericsError
 from .measurement import (
     CountTable,
     EstimatedReport,
@@ -19,14 +19,11 @@ from .rng import stream
 from .states import (
     Basis,
     DensityMatrix,
-    LocalUnitaryPair,
     NoiseKind,
-    apply_local_unitary,
     bell_state,
     density_from_pure,
     noise_mixture,
     parse_state_spec,
-    special_unitary,
 )
 from .witness import (
     ObservableSet,

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything works on plain numpy arrays of dtype complex128 and shape (2, 2)
-or (4, 4). Spectra come from numpy's LAPACK wrapper; the package itself only
-validates, combines and re-indexes operators.
+or (4, 4). Spectra come from numpy's LAPACK wrapper; this module only
+validates and re-indexes operators.
 """
 
 from __future__ import annotations
@@ -40,31 +40,12 @@ def as_operator(m, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two single-qubit operators.
-
-    Block (i, j) of the result equals a[i, j] * b, which realizes the basis
-    ordering |HH>, |HV>, |VH>, |VV>.
-    """
-    a = as_operator(a, dim=2)
-    b = as_operator(b, dim=2)
-    return np.kron(a, b)
-
-
 def transpose_second_qubit(a: np.ndarray) -> np.ndarray:
     """Partial transpose on the second qubit of every 4x4 matrix in a (..., 4, 4) array.
 
     Entry <i,j|out|k,l> equals <i,l|m|k,j>. Applying the map twice returns
     the original array exactly (pure index shuffling, no arithmetic). The
-    shape is not validated; `partial_transpose_second` is the checked form.
+    shape is not validated.
     """
     return a.reshape(a.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(a.shape)
 
-
-def partial_transpose_second(m) -> np.ndarray:
-    """Transpose the second-qubit indices of one two-qubit operator."""
-    return transpose_second_qubit(as_operator(m, dim=4))

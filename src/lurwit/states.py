@@ -1,4 +1,4 @@
-"""Two-qubit polarization states and local unitaries.
+"""Two-qubit polarization states.
 
 Conventions used throughout the package:
   * basis order |HH>, |HV>, |VH>, |VV> with |H> = (1, 0), |V> = (0, 1);
@@ -14,8 +14,10 @@ so their PPT eigenvalue is the Schmidt determinant of the amplitudes
 task-keyed streams, re-keying one Philox generator per
 sample (`lurwit.rng.keyed_draws`, which relies on numpy's Philox state
 layout) rather than building a Generator for each, and writes every
-sample's normals into one preallocated array. Haar-random local rotations
-exist only in that stack; no constructor returns one rotation.
+sample's normals into one preallocated array. That stack is the
+package's only local-rotation code: the three rotations behind
+"u1/u2/u3-singlet" are constants (`_SPECIAL_UNITARIES`, on the first
+party), each applied once per process.
 
 A stack is certified PSD by one batched Cholesky factorization of
 rho + PSD_TOL*I, which exists iff every eigenvalue is above -PSD_TOL;
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .linalg import HERMITIAN_TOL, NumericsError, as_operator, dagger, first_failure, tensor_product
+from .linalg import HERMITIAN_TOL, NumericsError, as_operator, first_failure
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -213,45 +215,12 @@ def noise_mixtures(ps, kind: NoiseKind, base: str = "psi-") -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class LocalUnitaryPair:
-    """One unitary per party, applied as u_a (x) u_b."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def __post_init__(self):
-        for name, u in (("u_a", self.u_a), ("u_b", self.u_b)):
-            m = as_operator(u, dim=2)
-            if np.max(np.abs(dagger(m) @ m - I2)) > UNITARY_TOL:
-                raise ValueError(f"{name} is not unitary within tolerance")
-            object.__setattr__(self, name, m)
-
-    def joint(self) -> np.ndarray:
-        return tensor_product(self.u_a, self.u_b)
-
-
+# the rotations of the first party behind "u1/u2/u3-singlet" (the second party's is the identity)
 _SPECIAL_UNITARIES = {
     "u1": 0.5 * np.array([[1 + 1j, -1 + 1j], [1 + 1j, 1 - 1j]]),
     "u2": 0.5 * np.array([[1 - 1j * np.sqrt(3), 0], [0, 1 + 1j * np.sqrt(3)]]),
     "u3": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def special_unitary(which: str) -> LocalUnitaryPair:
-    """Reference single-party rotations u1/u2/u3 (second party gets the identity)."""
-    key = which.lower()
-    if key not in _SPECIAL_UNITARIES:
-        raise ValueError(f"unknown special unitary {which!r}; expected u1, u2 or u3")
-    return LocalUnitaryPair(_SPECIAL_UNITARIES[key].copy(), I2.copy())
-
-
-def apply_local_unitary(pair: LocalUnitaryPair, rho: DensityMatrix) -> DensityMatrix:
-    u = pair.joint()
-    try:
-        return DensityMatrix(u @ rho.matrix @ dagger(u))
-    except ValueError as exc:  # inputs were valid, so this is a numeric bug
-        raise NumericsError(f"local unitary broke a state invariant: {exc}") from exc
 
 
 def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
@@ -283,10 +252,11 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> tuple[np.ndarray,
     from `rng.keyed_draws`, which re-keys one Philox generator per sample
     (through numpy's Philox state layout), gives the same bits as a new
     stream for each, and writes them straight into row k of one (n, 2, 4)
-    array. The stack passes the checks a state built one object at a time
-    would (`LocalUnitaryPair`, `density_from_pure`, `DensityMatrix`), as
-    maxima over the stack with the same tolerances. The states are
-    generated here, so a failed check is a NumericsError.
+    array. Its checks are its own: every rotation unitary (UNITARY_TOL),
+    every rotated state normalized (NORM_TOL, as in `density_from_pure`)
+    and every density matrix through the `DensityMatrix` checks, as maxima
+    over the stack. The states are generated here, so a failed check is a
+    NumericsError.
     """
     psi0 = bell_state(kind)
     normals = np.empty((len(indices), 2, 4))
@@ -297,7 +267,7 @@ def haar_rotated_bell_states(kind: str, seed: int, indices) -> tuple[np.ndarray,
     gram = (u.conj()[..., :, :, None] * u[..., :, None, :]).sum(axis=-3)
     checks = [("local rotation is not unitary", np.abs(gram - I2).max(axis=(1, 2, 3)), UNITARY_TOL)]
     # u_a x u_b as np.kron forms it (one broadcast product per entry), then a
-    # matrix-vector product: the same arithmetic as `LocalUnitaryPair.joint() @ psi`
+    # matrix-vector product: the same arithmetic as `np.kron(u_a, u_b) @ psi`
     joint = (u[:, 0, :, None, :, None] * u[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     psi = joint @ psi0
     checks.append(("rotated state is not normalized",
@@ -339,8 +309,12 @@ def load_density_file(path: str) -> DensityMatrix:
 
 @functools.cache
 def _rotated_singlet(which: str) -> DensityMatrix:
-    """The singlet under `special_unitary(which)`, built and validated on the first call."""
-    return apply_local_unitary(special_unitary(which), _bell_density("psi-"))
+    """The singlet under `_SPECIAL_UNITARIES[which]` (x) I, built and validated on the first call."""
+    u = np.kron(_SPECIAL_UNITARIES[which], I2)
+    try:
+        return DensityMatrix(u @ _bell_density("psi-").matrix @ u.conj().T)
+    except ValueError as exc:  # the rotations are constants, so this is a numeric bug
+        raise NumericsError(f"local unitary broke a state invariant: {exc}") from exc
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:

@@ -13,9 +13,10 @@ summation kernel and the one estimate function replaced, and
 `expectations_in_index_order` the order in which both contractions of the
 witness kernel, `einsum` and gemm, must add their exact products. The
 one-sample Haar rotation they need (`haar_random_local_unitary`,
-`apply_to_pure`) lives here too, since the package draws rotations only as
-a stack; it builds SU(2) elements as the Pauli sum (`su2_pauli_sum`), which
-the package writes entry by entry.
+`joint_rotation`, `apply_to_pure`, `rotate_density`) lives here too, since the package's only
+local-rotation code is its Haar stack; it builds SU(2) elements as the Pauli
+sum (`su2_pauli_sum`), which the package writes entry by entry, and the
+joint rotation by `np.kron`, checked unitary.
 `write_rows_reference` keeps the one-dict-per-row text writer that the
 CLI's columnar writer replaced.
 
@@ -298,25 +299,38 @@ def su2_pauli_sum(q: np.ndarray) -> np.ndarray:
     return w * I2 + 1j * (x * SX + y * SY + z * SZ)
 
 
-def haar_random_local_unitary(rng: np.random.Generator):
-    """Independent Haar-uniform SU(2) rotation for each party, from one (2, 4) normal draw."""
-    from lurwit import states
-
+def haar_random_local_unitary(rng: np.random.Generator) -> tuple:
+    """Independent Haar-uniform SU(2) rotations (u_a, u_b), one per party, from one (2, 4) normal draw."""
     g = rng.standard_normal((2, 4))
     u_a, u_b = su2_pauli_sum(g / np.linalg.norm(g, axis=-1, keepdims=True))
-    return states.LocalUnitaryPair(u_a, u_b)
+    return u_a, u_b
+
+
+def joint_rotation(pair) -> np.ndarray:
+    """u_a (x) u_b of a pair of single-party rotations, by `np.kron`, checked unitary."""
+    u = np.kron(*pair)
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-10, "joint rotation is not unitary"
+    return u
 
 
 def apply_to_pure(pair, psi) -> np.ndarray:
-    return pair.joint() @ np.asarray(psi, dtype=complex).reshape(4)
+    """The amplitudes `psi` under the joint rotation of `pair`."""
+    return joint_rotation(pair) @ np.asarray(psi, dtype=complex).reshape(4)
+
+
+def rotate_density(pair, rho) -> np.ndarray:
+    """The 4x4 matrix `rho` under the joint rotation u of `pair`: u rho u^dagger, in that order."""
+    u = joint_rotation(pair)
+    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 
 
 def haar_study_reference(kind: str, samples: int, seed: int):
     """The per-sample Haar study loop: (per-sample rows, detection counts).
 
     Unlike the rest of this module it runs the package's own code, one state
-    at a time (this module's rotation, then `density_from_pure`, `evaluate`,
-    `ppt_min_eigenvalue`), as the reference for the stacked study.
+    at a time (this module's rotation, checked unitary, then
+    `density_from_pure`, `evaluate`, `ppt_min_eigenvalue`), as the reference
+    for the stacked study.
     """
     from lurwit import rng, states, witness
 

@@ -13,12 +13,11 @@ from lurwit.rng import stream
 from lurwit.states import (
     NORM_TOL,
     NoiseKind,
-    apply_local_unitary,
     bell_state,
     density_from_pure,
     noise_mixture,
     noise_mixtures,
-    special_unitary,
+    parse_state_spec,
 )
 from lurwit.witness import (
     evaluate,
@@ -109,20 +108,19 @@ def test_criterion_2_bell_state_asymmetry():
 
 
 def test_criterion_3_special_unitary_fixtures():
-    u1 = apply_local_unitary(special_unitary("u1"), SINGLET)
-    r1 = evaluate(u1, L3)
+    r1 = evaluate(parse_state_spec("u1-singlet"), L3)
     ok = abs(r1.l_value - 6.0) <= TOL and abs(r1.ml_value - 6.0) <= TOL
     ok &= all(abs(p.covariance) <= 1e-10 for p in r1.pairs)
 
-    r2 = evaluate(apply_local_unitary(special_unitary("u2"), SINGLET), L2)
+    r2 = evaluate(parse_state_spec("u2-singlet"), L2)
     zz, xx = r2.pairs  # sz on both sides, then sx
     ok &= abs(r2.l_value - 3.0) <= TOL
     ok &= abs(r2.ml_value - 1.0) <= TOL
     ok &= abs(2.0 * zz.covariance + 2.0) <= TOL
     ok &= abs(2.0 * xx.covariance - 1.0) <= TOL
 
-    out = special_unitary("u3").joint() @ bell_state("psi-")
-    fidelity = abs(np.vdot(bell_state("psi+"), out)) ** 2
+    psi_plus = bell_state("psi+")
+    fidelity = np.vdot(psi_plus, parse_state_spec("u3-singlet").matrix @ psi_plus).real
     ok &= abs(fidelity - 1.0) <= 1e-12
     _criterion(3, "u1: ML3 = L3 = 6 with vanishing covariances; u2: L2 = 3, ML2 = 1; "
                   "u3 maps the singlet to psi+", ok, f"u3 fidelity={fidelity:.15f}")

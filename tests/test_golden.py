@@ -5,9 +5,14 @@ sha256 of its output must not move when the code under it is reworked. A
 digest covers the concatenated stdout of every listed (shots, seed) or
 argument set, so one change anywhere in it shows. The same holds for the
 `estimate_witnesses` reports of drawn count tables, pinned field by field
-with `float.hex`. The last tests check the floating-point behaviour that
-the digests rest on: the BLAS dot of the estimator, and the two
-contractions of the witness kernel.
+with `float.hex`, and for the matrices of the rotated singlets.
+
+The digests also rest on floating-point behaviour that numpy does not
+promise and that can change with the BLAS or LAPACK kernels a CPU selects:
+the BLAS dot of the estimator, the summation order of the contractions,
+and LAPACK's `eigvalsh`. The first tests check those assumptions, so they
+run, and fail, ahead of the digests; each digest's message names the
+assumptions its bytes rest on.
 """
 
 import hashlib
@@ -18,8 +23,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lurwit.cli import draw_counts, main, simulate_counts
+from lurwit.cli import STACK_CHUNK, build_parser, draw_counts, main, simulate_counts
 from lurwit.measurement import _SIGNS, CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
+from lurwit.linalg import transpose_second_qubit
 from lurwit.rng import stream
 from lurwit import witness
 from lurwit.states import SX, SY, SZ, Basis, DensityMatrix, NoiseKind, noise_mixtures, parse_state_spec
@@ -121,6 +127,41 @@ OTHER_DIGESTS = {
     ("haar-study summary", "json"): "9aaa81145c0d6285dc91d70dc12a7a2cda4dc6f6491f5f75c9530012423c244e",
 }
 
+# the smallest eigenvalue of each partial transpose behind the `evaluate` and `sweep`
+# runs' ppt_min_eig cells, from LAPACK's `eigvalsh`
+PPT_EIGVALSH_DIGEST = "e48b71c2c280ff4c38e100baeca4f34fa4c0490bf5405bc3d063ae49367210e4"
+
+# the matrices of "u1-singlet", "u2-singlet" and "u3-singlet", in that order
+ROTATED_SINGLETS_DIGEST = "482924373cf7fcdc3c2b11c1904ba4093898ef0a3c0f68b039241e3634361705"
+
+# What a digest's bytes rest on beyond the code under it, and the test that checks each.
+FMA_CHAIN = (
+    "np.vecdot of 4-vectors being a fused multiply-add chain "
+    "(test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain)"
+)
+KERNEL_ORDER = (
+    "the witness kernel's einsum and gemm adding each expectation's products in index order "
+    "(test_gemm_and_einsum_add_exact_products_in_index_order, on exact sets)"
+)
+MATMUL_ORDER = "the summation order of np.matmul on 4x4 operators (no test)"
+PPT_EIGVALSH = (
+    "LAPACK eigvalsh's bits on the partial transposes (test_eigvalsh_bits_on_the_pinned_partial_transposes)"
+)
+BOUND_EIGVALSH = "LAPACK eigvalsh's bits on local_bound's 3x3 matrices (no test)"
+# the assumptions of each command's digests in `OTHER_DIGESTS`
+OTHER_ASSUMPTIONS = {
+    "bound": (BOUND_EIGVALSH,),
+    "evaluate": (KERNEL_ORDER, PPT_EIGVALSH, MATMUL_ORDER),
+    "sweep": (KERNEL_ORDER, PPT_EIGVALSH),
+    "haar-study": (KERNEL_ORDER, MATMUL_ORDER),
+    "haar-study summary": (KERNEL_ORDER, MATMUL_ORDER),
+}
+
+
+def _rests_on(what: str, *assumptions: str) -> str:
+    """The message of a moved digest: what it pins, and what its bytes rest on."""
+    return f"the {what} digest moved; its bytes rest on " + "; and on ".join(assumptions)
+
 
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
@@ -140,100 +181,6 @@ def _digest(runs, fmt, capsys, per_sample=None) -> str:
         if per_sample is not None:
             h.update(per_sample.read_bytes())
     return h.hexdigest()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("spec", SIMULATE_SPECS)
-def test_simulate_output_is_pinned(spec, fmt, in_tmp, capsys):
-    runs = [
-        ["simulate", "--state", spec, "--shots", str(shots), "--seed", str(seed)]
-        for shots in SIMULATE_SHOTS
-        for seed in SIMULATE_SEEDS
-    ]
-    assert _digest(runs, fmt, capsys) == SIMULATE_DIGESTS[spec, fmt]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", sorted(OTHER_RUNS))
-def test_exact_and_study_output_is_pinned(command, fmt, in_tmp, capsys):
-    # "haar-study" also writes its per-sample file; "haar-study summary" writes none
-    per_sample = in_tmp / "samples.out" if command == "haar-study" else None
-    assert _digest(OTHER_RUNS[command], fmt, capsys, per_sample) == OTHER_DIGESTS[command, fmt]
-
-
-def _report_fields(report) -> str:
-    """Every field of an `EstimatedReport`: floats as `float.hex`, bases and verdicts by value."""
-    floats = (report.l_value, report.l_se, report.ml_value, report.ml_se, report.separable_bound)
-    labels = (*(b.value for b in report.bases), report.verdict_l.value, report.verdict_ml.value)
-    return " ".join((*map(float.hex, floats), *labels)) + "\n"
-
-
-def test_estimated_reports_are_pinned(in_tmp):
-    h = hashlib.sha256()
-    for spec in SIMULATE_SPECS:
-        rho = parse_state_spec(spec)
-        for shots in SIMULATE_SHOTS:
-            for seed in SIMULATE_SEEDS:
-                tables = simulate_counts(rho, shots, seed)
-                for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
-                    h.update(_report_fields(report).encode())
-    assert h.hexdigest() == ESTIMATE_DIGEST
-
-
-def _drawn_stack() -> np.ndarray:
-    """Every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS, as one (42, 3, 4) stack."""
-    return np.array([
-        draw_counts(parse_state_spec(spec), shots, seed)
-        for spec in SIMULATE_SPECS for shots in SIMULATE_SHOTS for seed in SIMULATE_SEEDS
-    ])
-
-
-def test_stacked_estimates_in_every_basis_order_are_pinned(in_tmp):
-    counts = _drawn_stack()
-    h = hashlib.sha256()
-    for order in BASIS_ORDERS:
-        bases = [tuple(Basis)[i] for i in order]
-        for column in estimate_witnesses_many(counts[:, order], bases):
-            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
-    assert h.hexdigest() == MANY_DIGEST
-
-
-def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
-    h = hashlib.sha256()
-    for replicate in _drawn_stack():
-        drawn = drawn_tables(replicate)
-        built = [CountTable(t.basis, t.counts) for t in drawn]
-        for order in BASIS_ORDERS:
-            for tables in (drawn, built):
-                h.update(_report_fields(estimate_witnesses([tables[i] for i in order])).encode())
-    assert h.hexdigest() == ORDERED_DIGEST
-
-
-def _custom_sets(g) -> list:
-    """Two sets of each size 1-4 of random Hermitian pairs; each derives the bounds of its two sides."""
-    sets = []
-    for size in (1, 2, 3, 4):
-        for _ in range(2):
-            pairs = [(random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size)]
-            sets.append(ObservableSet(tuple(pairs)))
-    return sets
-
-
-def test_custom_set_witnesses_are_pinned():
-    g = stream(20261019)
-    stack = mixed_ensemble(g, 30, 4)
-    h = hashlib.sha256()
-    for oset in _custom_sets(g):
-        for column in evaluate_many(stack, oset):
-            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
-        for matrix in stack:
-            report = evaluate(DensityMatrix(matrix), oset)
-            stats = [(p.label, *map(float.hex, (p.var_a, p.var_b, p.var_sum, p.covariance)))
-                     for p in report.pairs]
-            floats = map(float.hex, (report.l_value, report.ml_value, report.separable_bound))
-            h.update(repr((stats, *floats, report.verdict_l.value, report.verdict_ml.value)).encode())
-    assert h.hexdigest() == CUSTOM_DIGEST
-
 
 def _fma_chain(x, y) -> float:
     """x . y as a chain of fused multiply-adds, each rounded once to the nearest float, in index order."""
@@ -268,7 +215,7 @@ def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
         differ = sum(map(float.__ne__, got.ravel().tolist(), want))
         assert differ == 0, (
             f"np.vecdot of float64 4-vectors ({form}) is not the fused multiply-add chain on {differ} "
-            f"of {len(want)} pairs; the simulate and estimate digests above assume it is"
+            f"of {len(want)} pairs; the simulate and estimate digests below assume it is"
         )
 
 
@@ -318,7 +265,7 @@ def test_gemm_and_einsum_add_exact_products_in_index_order(n):
             assert differ == 0, (
                 f"the {path} contraction of {n} states with the lifted operators of {name} is not the "
                 f"index-order sum of its exact products in {differ} of {want.size} words; the sweep "
-                "and haar-study digests above assume it is"
+                "and haar-study digests below assume it is"
             )
         products = stack.reshape(n, 1, 1, 16) * oset._ops.reshape(1, *oset._ops.shape[:2], 16)
         pairwise += np.count_nonzero(_words(products.sum(axis=-1).transpose(2, 0, 1)) != want)
@@ -359,3 +306,131 @@ def test_only_exact_sets_take_gemm(monkeypatch):
         for n in (1, GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 4096):
             evaluate_many(stack[:n], oset)
     assert paths == [False, False, True, True] * len(EXACT_SETS)
+
+
+def _ppt_stacks():
+    """The partial transposes behind the pinned `evaluate` and `sweep` ppt_min_eig cells,
+    one stack per run, as `witness.ppt_min_eigenvalues` forms them."""
+    for argv in OTHER_RUNS["evaluate"] + OTHER_RUNS["sweep"]:
+        args = build_parser().parse_args(argv)
+        if args.command == "evaluate":
+            stack = parse_state_spec(args.state).matrix[None]
+        else:
+            assert args.p_steps <= STACK_CHUNK  # the grid is one chunk
+            grid = np.linspace(args.p_start, args.p_stop, args.p_steps)
+            stack = noise_mixtures(grid, NoiseKind(args.noise), args.base)
+        yield transpose_second_qubit(stack)
+
+
+def test_eigvalsh_bits_on_the_pinned_partial_transposes(in_tmp):
+    # the JSON output of `evaluate` and `sweep` prints every bit of each
+    # ppt_min_eig cell, the smallest eigenvalue LAPACK's eigvalsh returns;
+    # OpenBLAS's LAPACK gives other bits under other kernels (Haswell's among them)
+    h = hashlib.sha256()
+    for stack in _ppt_stacks():
+        h.update(np.linalg.eigvalsh(stack)[:, 0].tobytes())
+    assert h.hexdigest() == PPT_EIGVALSH_DIGEST, (
+        "LAPACK eigvalsh does not give the pinned bits on the partial transposes of the evaluate "
+        "and sweep runs; the evaluate and sweep JSON digests below assume it does"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("spec", SIMULATE_SPECS)
+def test_simulate_output_is_pinned(spec, fmt, in_tmp, capsys):
+    runs = [
+        ["simulate", "--state", spec, "--shots", str(shots), "--seed", str(seed)]
+        for shots in SIMULATE_SHOTS
+        for seed in SIMULATE_SEEDS
+    ]
+    assert _digest(runs, fmt, capsys) == SIMULATE_DIGESTS[spec, fmt], _rests_on(
+        f"simulate {spec} {fmt}", FMA_CHAIN, MATMUL_ORDER)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(OTHER_RUNS))
+def test_exact_and_study_output_is_pinned(command, fmt, in_tmp, capsys):
+    # "haar-study" also writes its per-sample file; "haar-study summary" writes none
+    per_sample = in_tmp / "samples.out" if command == "haar-study" else None
+    assert _digest(OTHER_RUNS[command], fmt, capsys, per_sample) == OTHER_DIGESTS[command, fmt], _rests_on(
+        f"{command} {fmt}", *OTHER_ASSUMPTIONS[command])
+
+
+def _report_fields(report) -> str:
+    """Every field of an `EstimatedReport`: floats as `float.hex`, bases and verdicts by value."""
+    floats = (report.l_value, report.l_se, report.ml_value, report.ml_se, report.separable_bound)
+    labels = (*(b.value for b in report.bases), report.verdict_l.value, report.verdict_ml.value)
+    return " ".join((*map(float.hex, floats), *labels)) + "\n"
+
+
+def test_estimated_reports_are_pinned(in_tmp):
+    h = hashlib.sha256()
+    for spec in SIMULATE_SPECS:
+        rho = parse_state_spec(spec)
+        for shots in SIMULATE_SHOTS:
+            for seed in SIMULATE_SEEDS:
+                tables = simulate_counts(rho, shots, seed)
+                for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
+                    h.update(_report_fields(report).encode())
+    assert h.hexdigest() == ESTIMATE_DIGEST, _rests_on("estimated reports", FMA_CHAIN, MATMUL_ORDER)
+
+
+def _drawn_stack() -> np.ndarray:
+    """Every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS, as one (42, 3, 4) stack."""
+    return np.array([
+        draw_counts(parse_state_spec(spec), shots, seed)
+        for spec in SIMULATE_SPECS for shots in SIMULATE_SHOTS for seed in SIMULATE_SEEDS
+    ])
+
+
+def test_stacked_estimates_in_every_basis_order_are_pinned(in_tmp):
+    counts = _drawn_stack()
+    h = hashlib.sha256()
+    for order in BASIS_ORDERS:
+        bases = [tuple(Basis)[i] for i in order]
+        for column in estimate_witnesses_many(counts[:, order], bases):
+            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
+    assert h.hexdigest() == MANY_DIGEST, _rests_on("stacked estimates", FMA_CHAIN, MATMUL_ORDER)
+
+
+def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
+    h = hashlib.sha256()
+    for replicate in _drawn_stack():
+        drawn = drawn_tables(replicate)
+        built = [CountTable(t.basis, t.counts) for t in drawn]
+        for order in BASIS_ORDERS:
+            for tables in (drawn, built):
+                h.update(_report_fields(estimate_witnesses([tables[i] for i in order])).encode())
+    assert h.hexdigest() == ORDERED_DIGEST, _rests_on("table estimates", FMA_CHAIN, MATMUL_ORDER)
+
+
+def _custom_sets(g) -> list:
+    """Two sets of each size 1-4 of random Hermitian pairs; each derives the bounds of its two sides."""
+    sets = []
+    for size in (1, 2, 3, 4):
+        for _ in range(2):
+            pairs = [(random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size)]
+            sets.append(ObservableSet(tuple(pairs)))
+    return sets
+
+
+def test_custom_set_witnesses_are_pinned():
+    g = stream(20261019)
+    stack = mixed_ensemble(g, 30, 4)
+    h = hashlib.sha256()
+    for oset in _custom_sets(g):
+        for column in evaluate_many(stack, oset):
+            h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
+        for matrix in stack:
+            report = evaluate(DensityMatrix(matrix), oset)
+            stats = [(p.label, *map(float.hex, (p.var_a, p.var_b, p.var_sum, p.covariance)))
+                     for p in report.pairs]
+            floats = map(float.hex, (report.l_value, report.ml_value, report.separable_bound))
+            h.update(repr((stats, *floats, report.verdict_l.value, report.verdict_ml.value)).encode())
+    assert h.hexdigest() == CUSTOM_DIGEST, _rests_on("custom-set", KERNEL_ORDER, MATMUL_ORDER, BOUND_EIGVALSH)
+
+
+def test_rotated_singlets_are_pinned():
+    data = b"".join(parse_state_spec(f"u{k}-singlet").matrix.tobytes() for k in (1, 2, 3))
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == ROTATED_SINGLETS_DIGEST, _rests_on("rotated-singlet", MATMUL_ORDER)

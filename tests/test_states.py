@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 
 from lurwit import states
-from lurwit.linalg import NumericsError, partial_transpose_second, transpose_second_qubit
+from lurwit.linalg import NumericsError, transpose_second_qubit
 from lurwit.rng import keyed_draws, stream
 from lurwit.states import (
     BELL_KINDS,
     DensityMatrix,
-    LocalUnitaryPair,
     NoiseKind,
-    apply_local_unitary,
     bell_state,
     density_from_json,
     density_from_pure,
     noise_mixture,
     noise_mixtures,
     parse_state_spec,
-    special_unitary,
 )
 from oracles import (
     SZ,
@@ -38,6 +35,7 @@ from oracles import (
     random_pure_states,
     random_separable_state,
     random_separable_states,
+    rotate_density,
     su2_pauli_sum,
 )
 
@@ -205,7 +203,7 @@ def test_haar_stack_rows_equal_states_from_fresh_streams(kind):
 
 def test_werner_boundary_is_ppt_critical():
     rho = noise_mixture(1.0 / 3.0, NoiseKind.WERNER)
-    assert abs(eig_oracle(partial_transpose_second(rho.matrix))[0]) <= 1e-10
+    assert abs(eig_oracle(transpose_second_qubit(rho.matrix))[0]) <= 1e-10
 
 
 def test_noise_mixtures_stay_positive_on_grid():
@@ -216,52 +214,43 @@ def test_noise_mixtures_stay_positive_on_grid():
 
 
 def test_special_unitaries_are_unitary_with_trivial_second_factor():
-    for which in ("u1", "u2", "u3"):
-        pair = special_unitary(which)
-        assert np.max(np.abs(pair.u_a.conj().T @ pair.u_a - I2)) <= 1e-12
-        assert np.array_equal(pair.u_b, I2)
+    # "u<k>-singlet" rotates the first party by _SPECIAL_UNITARIES[u<k>] and the second by I
+    # (test_named_states_are_built_once_with_the_fresh_bits); no other rotation is named
+    assert sorted(states._SPECIAL_UNITARIES) == ["u1", "u2", "u3"]
+    for u in states._SPECIAL_UNITARIES.values():
+        assert np.max(np.abs(u.conj().T @ u - I2)) <= 1e-12
     with pytest.raises(ValueError):
-        special_unitary("u4")
+        parse_state_spec("u4-singlet")
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
+    return np.outer(psi, psi.conj())
 
 
 def test_u3_maps_singlet_to_psi_plus():
-    out = special_unitary("u3").joint() @ bell_state("psi-")
-    fidelity = abs(np.vdot(bell_state("psi+"), out)) ** 2
+    psi_plus = bell_state("psi+")
+    fidelity = np.vdot(psi_plus, parse_state_spec("u3-singlet").matrix @ psi_plus).real
     assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_u1_singlet_expansion():
-    out = special_unitary("u1").joint() @ bell_state("psi-")
     target = (
         1j * bell_state("psi+")
         + bell_state("psi-")
         + bell_state("phi+")
         - 1j * bell_state("phi-")
     ) / 2.0
-    assert np.max(np.abs(out - target)) <= 1e-12
+    assert np.max(np.abs(parse_state_spec("u1-singlet").matrix - _projector(target))) <= 1e-12
 
 
 def test_u2_singlet_expansion():
-    out = special_unitary("u2").joint() @ bell_state("psi-")
     target = (-1j * np.sqrt(3) * bell_state("psi+") + bell_state("psi-")) / 2.0
-    assert np.max(np.abs(out - target)) <= 1e-12
-
-
-def test_identity_pair_leaves_state_unchanged():
-    rho = noise_mixture(0.4, NoiseKind.WERNER)
-    out = apply_local_unitary(LocalUnitaryPair(I2, I2), rho)
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
+    assert np.max(np.abs(parse_state_spec("u2-singlet").matrix - _projector(target))) <= 1e-12
 
 
 def test_u3_transports_singlet_projector():
-    rho = density_from_pure(bell_state("psi-"))
-    out = apply_local_unitary(special_unitary("u3"), rho)
+    out = parse_state_spec("u3-singlet")
     assert np.allclose(out.matrix, density_from_pure(bell_state("psi+")).matrix, atol=1e-14)
-
-
-def test_local_unitary_pair_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        LocalUnitaryPair(np.array([[1, 1], [0, 1]], dtype=complex), I2)
 
 
 def test_ppt_spectrum_invariant_under_local_unitaries():
@@ -270,9 +259,9 @@ def test_ppt_spectrum_invariant_under_local_unitaries():
         rho = random_separable_state(g, 3) if g.uniform() < 0.5 else density_from_pure(
             random_pure_state(g)
         )
-        pair = haar_random_local_unitary(g)
-        before = eig_oracle(partial_transpose_second(rho.matrix))[0]
-        after = eig_oracle(partial_transpose_second(apply_local_unitary(pair, rho).matrix))[0]
+        rotated = DensityMatrix(rotate_density(haar_random_local_unitary(g), rho.matrix))
+        before = eig_oracle(transpose_second_qubit(rho.matrix))[0]
+        after = eig_oracle(transpose_second_qubit(rotated.matrix))[0]
         assert abs(before - after) <= 1e-10
 
 
@@ -291,8 +280,8 @@ def test_haar_mean_polarization_vanishes():
     u = states._haar_su2(stream(99).standard_normal((n, 2, 4)))  # (n, party, 2, 2)
     g = stream(99)
     for k in range(2000):
-        pair = haar_random_local_unitary(g)
-        assert np.array_equal(u[k, 0], pair.u_a) and np.array_equal(u[k, 1], pair.u_b)
+        u_a, u_b = haar_random_local_unitary(g)
+        assert np.array_equal(u[k, 0], u_a) and np.array_equal(u[k, 1], u_b)
     u_a = u[:, 0]
     sz = (u_a.conj().swapaxes(-1, -2) @ SZ @ u_a)[:, 0, 0].real
     assert abs(sz.mean()) <= 0.02
@@ -310,7 +299,7 @@ def test_random_separable_state_basics():
     for k in range(1, 7):
         rho = random_separable_state(g, k)
         assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
-        assert eig_oracle(partial_transpose_second(rho.matrix))[0] >= -1e-10
+        assert eig_oracle(transpose_second_qubit(rho.matrix))[0] >= -1e-10
     with pytest.raises(ValueError):
         random_separable_state(g, 0)
 
@@ -389,8 +378,9 @@ def test_parse_state_spec_named_states():
     for kind in BELL_KINDS:
         parse_state_spec(kind)
     u2 = parse_state_spec("u2-singlet")
-    expected = apply_local_unitary(special_unitary("u2"), density_from_pure(bell_state("psi-")))
-    assert np.allclose(u2.matrix, expected.matrix, atol=1e-14)
+    psi_minus = density_from_pure(bell_state("psi-")).matrix
+    expected = rotate_density((states._SPECIAL_UNITARIES["u2"], I2), psi_minus)
+    assert np.allclose(u2.matrix, expected, atol=1e-14)
 
 
 NAMED_SPECS = ["singlet", *BELL_KINDS, "u1-singlet", "u2-singlet", "u3-singlet"]
@@ -403,7 +393,8 @@ def test_named_states_are_built_once_with_the_fresh_bits(spec):
     assert parse_state_spec(f" {spec} ") is rho
     assert not rho.matrix.flags.writeable
     if spec.startswith("u"):
-        fresh = apply_local_unitary(special_unitary(spec[:2]), density_from_pure(bell_state("psi-")))
+        pair = (states._SPECIAL_UNITARIES[spec[:2]], I2)
+        fresh = DensityMatrix(rotate_density(pair, density_from_pure(bell_state("psi-")).matrix))
     else:
         fresh = density_from_pure(bell_state(spec))
     assert rho.matrix.tobytes() == fresh.matrix.tobytes()
@@ -457,9 +448,12 @@ def test_density_json_validation():
         density_from_json({"dim": 4, "re": good_re, "im": bad_im.tolist()})
 
 
-def test_bad_unitary_output_raises_internal_error():
-    # corrupt a pair after validation to show the output check trips
-    pair = LocalUnitaryPair(I2.copy(), I2.copy())
-    object.__setattr__(pair, "u_a", 1.2 * I2)
-    with pytest.raises(NumericsError):
-        apply_local_unitary(pair, noise_mixture(0.5, NoiseKind.WERNER))
+def test_bad_unitary_output_raises_internal_error(monkeypatch):
+    # a constant rotation that is not unitary scales the trace by 1.44; the output check trips
+    monkeypatch.setitem(states._SPECIAL_UNITARIES, "u1", 1.2 * I2)
+    states._rotated_singlet.cache_clear()
+    try:
+        with pytest.raises(NumericsError, match="local unitary broke a state invariant"):
+            parse_state_spec("u1-singlet")
+    finally:
+        states._rotated_singlet.cache_clear()  # drop nothing built from the patched rotation

@@ -16,12 +16,11 @@ from lurwit.states import (
     Basis,
     DensityMatrix,
     NoiseKind,
-    apply_local_unitary,
     bell_state,
     density_from_pure,
     noise_mixture,
     noise_mixtures,
-    special_unitary,
+    parse_state_spec,
 )
 from lurwit.witness import (
     ObservableSet,
@@ -117,7 +116,7 @@ def test_product_states_have_zero_covariance(psi, a, b):
 
 
 def test_u2_singlet_covariances():
-    rho = apply_local_unitary(special_unitary("u2"), SINGLET)
+    rho = parse_state_spec("u2-singlet")
     zz, xx = evaluate(rho, SETS["L2"]).pairs  # sz on both sides, then sx
     assert zz.covariance == pytest.approx(-1.0, abs=1e-12)
     assert xx.covariance == pytest.approx(0.5, abs=1e-12)
@@ -209,7 +208,7 @@ def test_werner_family_witness_line():
 
 
 def test_u1_fixture_all_covariances_vanish():
-    rho = apply_local_unitary(special_unitary("u1"), SINGLET)
+    rho = parse_state_spec("u1-singlet")
     report = evaluate(rho, SETS["L3"])
     for pair in report.pairs:
         assert abs(pair.covariance) <= 1e-10
@@ -218,7 +217,7 @@ def test_u1_fixture_all_covariances_vanish():
 
 
 def test_u2_fixture_witness_values():
-    rho = apply_local_unitary(special_unitary("u2"), SINGLET)
+    rho = parse_state_spec("u2-singlet")
     report = evaluate(rho, SETS["L2"])
     assert report.l_value == pytest.approx(3.0, abs=1e-12)
     assert report.ml_value == pytest.approx(1.0, abs=1e-12)
