@@ -12,11 +12,11 @@ estimator loop, and `witness_values_reference` and
 summation kernel and the one estimate function replaced, and
 `expectations_in_index_order` the order in which both contractions of the
 witness kernel, `einsum` and gemm, must add their exact products. The
-one-sample Haar rotation they need (`haar_random_local_unitary`,
-`joint_rotation`, `apply_to_pure`, `rotate_density`) lives here too, since the package's only
-local-rotation code is its Haar stack; it builds SU(2) elements as the Pauli
-sum (`su2_pauli_sum`), which the package writes entry by entry, and the
-joint rotation by `np.kron`, checked unitary.
+one-sample local rotations they need (`haar_random_local_unitary`,
+`joint_rotation`, `apply_to_pure`, `rotate_density`) live here too, since
+the package's only local-rotation code is its Haar stack. They build SU(2)
+elements as the Pauli sum (`su2_pauli_sum`), which the package writes entry
+by entry, and the joint rotation by `np.kron`, checked unitary.
 `write_rows_reference` keeps the one-dict-per-row text writer that the
 CLI's columnar writer replaced.
 

@@ -10,9 +10,11 @@ with `float.hex`, and for the matrices of the rotated singlets.
 The digests also rest on floating-point behaviour that numpy does not
 promise and that can change with the BLAS or LAPACK kernels a CPU selects:
 the BLAS dot of the estimator, the summation order of the contractions,
-and LAPACK's `eigvalsh`. The first tests check those assumptions, so they
-run, and fail, ahead of the digests; each digest's message names the
-assumptions its bytes rest on.
+and LAPACK's `eigvalsh`. The first tests check the BLAS dot, the witness
+kernel's contraction order and `eigvalsh` on the pinned partial
+transposes, so they run, and fail, ahead of the digests. Each digest's
+message names every assumption its bytes rest on, and the test that checks
+it, if one does.
 """
 
 import hashlib
@@ -134,7 +136,7 @@ PPT_EIGVALSH_DIGEST = "e48b71c2c280ff4c38e100baeca4f34fa4c0490bf5405bc3d063ae493
 # the matrices of "u1-singlet", "u2-singlet" and "u3-singlet", in that order
 ROTATED_SINGLETS_DIGEST = "482924373cf7fcdc3c2b11c1904ba4093898ef0a3c0f68b039241e3634361705"
 
-# What a digest's bytes rest on beyond the code under it, and the test that checks each.
+# what a digest's bytes rest on beyond the code under it, and the test that checks each
 FMA_CHAIN = (
     "np.vecdot of 4-vectors being a fused multiply-add chain "
     "(test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain)"
@@ -352,8 +354,8 @@ def test_simulate_output_is_pinned(spec, fmt, in_tmp, capsys):
 def test_exact_and_study_output_is_pinned(command, fmt, in_tmp, capsys):
     # "haar-study" also writes its per-sample file; "haar-study summary" writes none
     per_sample = in_tmp / "samples.out" if command == "haar-study" else None
-    assert _digest(OTHER_RUNS[command], fmt, capsys, per_sample) == OTHER_DIGESTS[command, fmt], _rests_on(
-        f"{command} {fmt}", *OTHER_ASSUMPTIONS[command])
+    moved = _rests_on(f"{command} {fmt}", *OTHER_ASSUMPTIONS[command])
+    assert _digest(OTHER_RUNS[command], fmt, capsys, per_sample) == OTHER_DIGESTS[command, fmt], moved
 
 
 def _report_fields(report) -> str:
