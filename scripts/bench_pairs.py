@@ -7,9 +7,14 @@ Runs `perfbench/run.py --workload W --seed N --seconds S --trace 0` in the
 BASE and CHANGE checkouts (for example a `git worktree` of the parent commit
 and the working tree), one pair after another, alternating which side runs
 first. S is the `run_seconds` of CHANGE's `BENCHMARK.json`, so every run is
-as long as the benchmark's own. Both trees' bytecode is compiled first, so
-that neither side recompiles its modules on import. Each run's result is read from the last
-line of its stdout, a JSON object; nothing under `perfbench/` is changed.
+as long as the benchmark's own. Every run compiles its tree's modules from
+source, as a run in a fresh checkout does: the `__pycache__` directories
+under the tree's `src/` and `perfbench/` are removed before it, and it runs
+under PYTHONDONTWRITEBYTECODE=1, so it writes none. numpy and the standard
+library keep their installed bytecode (an empty PYTHONPYCACHEPREFIX would
+hide theirs too, and the setup probes would then time numpy's compilation).
+Each run's result is read from the last line of its stdout, a JSON object;
+no file under `perfbench/` is changed.
 
 Prints every pair, then for each end-to-end metric of CHANGE's
 `BENCHMARK.json`, and for `raw_setup_s` (the run's setup time before
@@ -20,8 +25,7 @@ also writes all of it as JSON: each side's commit (`git describe --dirty`)
 and `src/lurwit` hash, the Python and numpy versions, the usable CPU count,
 the workload, seed and run length, every pair, and the per-metric summary.
 If a `src/lurwit` file of either tree changes during the runs, it exits
-with an error instead of a summary: an edited module is recompiled on every
-import, so the runs measured neither tree.
+with an error instead of a summary: the runs then measured neither tree.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,18 +54,26 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def compile_tree(root: Path) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root, check=True)
+def source_environment(root: Path) -> dict:
+    """The environment of a run in `root` that compiles the tree's modules from source: their
+    `__pycache__` directories removed, no bytecode written, no PYTHONPYCACHEPREFIX."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((root / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in `root`: the JSON object on the last line of its stdout, with each
-    metric's {"value", "unit"} replaced by its value. The metric `raw_setup_s` is added from the
-    `notes` of the record the run writes to `.perfbench-out/`: its setup time before calibration."""
+    """One untraced run in `root`, compiled from source: the JSON object on the last line of its
+    stdout, with each metric's {"value", "unit"} replaced by its value. The metric `raw_setup_s` is
+    added from the `notes` of the record the run writes to `.perfbench-out/`: its setup time before
+    calibration."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=root, env=source_environment(root), capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
@@ -126,8 +139,6 @@ def main(argv=None) -> int:
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     seconds, directions = benchmark_spec(sides["change"])
     directions["raw_setup_s"] = False  # a cross-check on setup_s, whose calibration moves between runs
-    for root in sides.values():
-        compile_tree(root)
     hashes = {side: source_hash(root) for side, root in sides.items()}
     pairs = []
     for i in range(args.pairs):
@@ -144,7 +155,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({order[0]} first): {cells}  {failed}", flush=True)
 
     if hashes != {side: source_hash(root) for side, root in sides.items()}:
-        # an edited module is recompiled on every import, so these runs measured neither tree
+        # the runs compile the sources they find, so these runs measured neither tree
         sys.exit("error: a src/lurwit file changed during the runs; no summary or record is written")
     metrics = summary(pairs, directions)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")

@@ -260,17 +260,17 @@ def _moments(counts: np.ndarray, bases: tuple):
 
 
 def _estimate(moments, ends):
-    """Witness values and SEs after the first k bases, for each k in `ends`, from R replicates' moments.
+    """Witness values and SEs after the first k bases, for each k in `ends` (consecutive, up to B).
 
     Returns (l, l_se, ml, ml_se) for each k in turn, 4 * len(ends) length-R
-    arrays. The witness values are the exact path's sums
-    (`witness._witness_values`, with its ML check at every k). Counts in
+    arrays. The witness values are the exact path's sums over pair-major
+    rows (`witness._witness_values`, with its ML check at every k). Counts in
     different bases are independent, so the witness SEs add in quadrature:
     the squared SEs of var_sum and of the ML term add up one basis after
     another.
     """
     var_a, var_b, var_sum, cov, se = moments
-    values = iter(_witness_values(var_a, var_b, var_sum, cov, ends))
+    values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), ends[0]))
     se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-1))
     estimates = []
     for k, l_values, ml_values in zip(ends, values, values):

@@ -22,27 +22,23 @@ determinant -|psi_00 psi_11 - psi_01 psi_10|.
 Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
 (N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
-of an `ObservableSet` gives all 7 * P expectations of all N states at once.
-The contraction is `einsum`, which adds each expectation's 16 products in
-index order, or, on a stack of at least `GEMM_MIN_STATES` states and a set
-whose products are all exact (the standard sets among them), one BLAS gemm,
-cheaper on large stacks, which adds the same products in the same order.
-Exact products are what make the two agree bit for bit: with an inexact
-product, or an operator that mixes real and imaginary entries, gemm's
-separate real and imaginary accumulators add in another order.
-One summation kernel, `_witness_values`, turns the per-pair moments into
-witness values: it adds each pair's terms in pair order and returns the
-sums after the first k pairs for each k asked for. `evaluate_many` asks for
-all P pairs of a stack; `evaluate` is the same on a stack of one, plus the
-per-pair report (the variances and the covariance of each pair).
-`evaluate_standard` gives L2 and L3 from one pass over L3's operators:
-L2's pairs are L3's first two, so the two families read the same
-per-basis statistics, as they would in the lab, and are the sums after two
-and three pairs. The finite-shot estimator (`lurwit.measurement`) sums its
-per-table moments with the same kernel. The runtime invariant checks (real
-expectations, the variance decomposition, the agreement of the two
-modified-witness forms at every sum returned) run on every call, as maxima
-over the stack, with tolerances (and the verdict margin) scaled by the set.
+of an `ObservableSet` gives all 7 * P expectations of all N states at once,
+as (7, P, N) rows, by `einsum` or, on a stack of at least `GEMM_MIN_STATES`
+states and a set whose products are all exact (the standard sets among
+them), by one BLAS gemm that adds the same products in the same order (see
+`_expectations`). One summation kernel, `_witness_values`, adds each pair's
+terms in pair order and returns the sums after k pairs for each k from the
+first asked for to P: `evaluate_many` asks for P, and `evaluate` is the
+same on a stack of one, plus the per-pair report. `evaluate_standard` asks
+for two and three, L2 and L3, from one pass over L3's operators: L2's
+pairs are L3's first two, so the two families read the same per-basis
+statistics, as they would in the lab. The finite-shot estimator
+(`lurwit.measurement`) sums its per-table moments with the same kernel.
+The runtime invariant checks (real expectations, the variance
+decomposition, the agreement of the two modified-witness forms at every sum
+returned) run on every call, each as one maximum over its whole block, with
+tolerances (and the verdict margin) scaled by the set; only a failed check
+looks for the first failing state.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ ENTRY_LIMIT = 2.0**500
 # the smallest stack contracted by gemm: below it one `einsum` call is as
 # cheap or cheaper (`evaluate_standard` on Haar and Werner stacks; README)
 GEMM_MIN_STATES = 6
+ACCUMULATE_MAX_STATES = 63  # the largest stack whose witness sums take one `accumulate` call
 
 
 class Verdict(enum.Enum):
@@ -94,22 +91,23 @@ class ObservableSet:
     which is 1.0 for every set of Paulis; `verdict_margin` is the scaled
     margin. The lifted two-qubit operators are precomputed once per set,
     stacked as one C-contiguous (P, 7, 4, 4) array `_ops`: for pair i, with
-    a = a_i x I, b = I x b_i and s = a + b, the 7 operators are a, a^2, b,
-    b^2, a_i x b_i, s, s^2. Each is stored transposed, so that
-    Tr(rho op) = sum_ij rho_ij (op^T)_ij contracts matching, contiguous
-    indices; reshaped to (7P, 16), its transpose is the (16, 7P) right-hand
-    side of the gemm path, a view. `_exact` says whether the set may take
-    that path: every lifted operator is all real or all imaginary, and every
-    nonzero part is +-2^k with k >= 0, so each product with a state is
-    exact. It holds for the standard sets (entries 0, +-1, +-2, 4 and +-i)
-    and for pairs such as (sigma_x, sigma_z) or (2 sigma_y, 2 sigma_y), but
-    not for (sigma_x, sigma_y), whose s mixes real and imaginary entries, nor
-    for (sigma_x, 3 sigma_z). The operators in `pairs` are read-only copies
-    of the caller's, and `_ops` is read-only, so a set can be shared and
-    does not change with the caller's arrays. A pair with an entry of
-    modulus `ENTRY_LIMIT` (2^500, about 3.3e150) or more is refused with a
-    `ValueError` that names it; below that the lifted squares (entries at
-    most 16 |o|^2) and every sum the kernel forms of them are finite.
+    a = a_i x I, b = I x b_i and s = a + b, the 7 operators are a, b, s,
+    a^2, b^2, s^2 and a_i x b_i, so that the variances are one square and
+    one subtraction of rows. Each is stored transposed: Tr(rho op) = sum_ij
+    rho_ij (op^T)_ij contracts matching, contiguous indices, and `_ops`
+    reshaped to (7P, 16) is the transposed right-hand side of gemm. `_exact`
+    says whether the set may take that path: every lifted operator is all
+    real or all imaginary, and every nonzero part is +-2^k with k >= 0, so
+    each product with a state is exact. It holds for the standard sets
+    (entries 0, +-1, +-2, 4 and +-i) and for pairs such as (sigma_x,
+    sigma_z) or (2 sigma_y, 2 sigma_y), but not for (sigma_x, sigma_y),
+    whose s mixes real and imaginary entries, nor for (sigma_x, 3 sigma_z).
+    The operators in `pairs` are read-only copies of the caller's, and
+    `_ops` is read-only, so a set can be shared and does not change with the
+    caller's arrays. A pair with an entry of modulus `ENTRY_LIMIT` (2^500,
+    about 3.3e150) or more is refused with a `ValueError` that names it;
+    below that the lifted squares (entries at most 16 |o|^2) and every sum
+    the kernel forms of them are finite.
     """
 
     pairs: tuple
@@ -132,7 +130,7 @@ class ObservableSet:
         a4, b4 = np.kron(a, I2), np.kron(I2, b)  # a_i x I and I x b_i, (P, 4, 4) each
         ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(a4.shape)  # a_i x b_i
         s = a4 + b4
-        ops = np.stack((a4, a4 @ a4, b4, b4 @ b4, ab, s, s @ s), axis=1)
+        ops = np.stack((a4, b4, s, a4 @ a4, b4 @ b4, s @ s, ab), axis=1)
         norms = peaks.mean(axis=1)  # (|a_i| + |b_i|) / 2
         object.__setattr__(self, "pairs", tuple(zip(a, b, (str(label) for _, _, label in pairs))))
         object.__setattr__(self, "bound_a", max(0.0, _min_variance_sum(a)))
@@ -188,7 +186,7 @@ def _exact_products(ops: np.ndarray) -> bool:
 
 
 def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarray:
-    """Tr(rho op) for every state and lifted operator, as statistic-major (7, N, P) complex rows.
+    """Tr(rho op) for every state and lifted operator, as (7, P, N) complex rows: pair-major statistics.
 
     `einsum` adds each expectation's 16 products in index order. The gemm,
     (N, 16) @ (16, 7P), adds them in the same order but keeps real and
@@ -198,80 +196,83 @@ def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarr
     that is exactly zero. A one-row product would go to gemv, which adds in
     another order, so one state is contracted as two copies of itself. The
     gemm result is copied into contiguous rows, which makes the checks on a
-    large stack several times cheaper; einsum's rows are a view.
+    large stack cheaper; einsum's rows are a view.
     """
     if not gemm:
-        return np.einsum("nij,pkij->npk", matrices, ops).transpose(2, 0, 1)
+        return np.einsum("nij,pkij->kpn", matrices, ops)
     n, p = len(matrices), len(ops)
     rows = matrices.reshape(n, 16)
     if n == 1:
         rows = np.concatenate((rows, rows))
     values = (rows @ ops.reshape(7 * p, 16).T)[:n].reshape(n, p, 7)
-    return np.ascontiguousarray(values.transpose(2, 0, 1))
+    return np.ascontiguousarray(values.transpose(2, 1, 0))
 
 
-def _pair_moments(matrices: np.ndarray, oset: ObservableSet):
-    """var_a, var_b, var_sum and cov of every pair on every state, as (N, P) arrays.
+def _pair_moments(matrices: np.ndarray, oset: ObservableSet) -> np.ndarray:
+    """var_a, var_b, var_sum, cov and var_a + var_b of every pair and state, as one (5, P, N) block.
 
     One contraction gives all expectations (`_ops` holds the transposes):
-    one BLAS gemm for a stack of at least `GEMM_MIN_STATES` states and a set
-    whose products are exact, `einsum` otherwise. Both give the same bits
-    (see `_expectations`) and feed the same checks. var_sum takes the direct
-    route through <s> and <s^2>, not the decomposition, so the
-    decomposition check compares two computations.
+    gemm for a stack of at least `GEMM_MIN_STATES` states and a set whose
+    products are exact, `einsum` otherwise (see `_expectations`). var_sum
+    takes the direct route through <s> and <s^2>, not the decomposition, so
+    the decomposition check compares two computations. Each check is one
+    block maximum, which NaN fails; only a failure looks for the first.
     """
     gemm = oset._exact and len(matrices) >= GEMM_MIN_STATES
-    values = _expectations(matrices, oset._ops, gemm)  # rows <a>, <a^2>, <b>, <b^2>, <ab>, <s>, <s^2>
-    imag = np.abs(values.imag).max(axis=0)
-    failed = first_failure(imag < EXPECTATION_IMAG_TOL * oset._scale)
-    if failed is not None:
-        n, p = failed
+    values = _expectations(matrices, oset._ops, gemm)  # <a>, <b>, <s>, <a^2>, <b^2>, <s^2>, <ab>
+    imag, tol = np.abs(values.imag), EXPECTATION_IMAG_TOL * oset._scale
+    if not imag.max(initial=0.0) < tol:
+        imag = imag.max(axis=0).T
+        n, p = first_failure(imag < tol)
         raise NumericsError(
             f"expectation of a Hermitian operator came out complex at stack index {n}, "
             f"pair {oset.pairs[p][2]!r}: imaginary part {imag[n, p]}"
         )
     m = values.real  # rows taken by index (cheaper than an unpack)
-    var_a = m[1] - m[0]**2
-    var_b = m[3] - m[2]**2
-    cov = m[4] - m[0] * m[2]
-    var_sum = m[6] - m[5]**2
-    residual = np.abs(var_sum - (var_a + var_b + 2.0 * cov))
-    failed = first_failure(residual <= DECOMPOSITION_TOL * oset._scale)
-    if failed is not None:
-        n, p = failed
+    moments = np.empty((5,) + m.shape[1:])
+    np.subtract(m[3:6], np.square(m[:3]), out=moments[:3])  # var_a, var_b, var_sum
+    cov = np.subtract(m[6], np.multiply(m[0], m[1], out=moments[3]), out=moments[3])
+    var_ab, var_sum = np.add(moments[0], moments[1], out=moments[4]), moments[2]
+    residual, tol = np.abs(var_sum - (var_ab + 2.0 * cov)), DECOMPOSITION_TOL * oset._scale
+    if not residual.max(initial=0.0) <= tol:
+        n, p = first_failure(residual.T <= tol)
         raise NumericsError(
             f"variance decomposition failed at stack index {n}, pair {oset.pairs[p][2]!r}: "
-            f"{var_sum[n, p]} vs {var_a[n, p] + var_b[n, p] + 2.0 * cov[n, p]}"
+            f"{var_sum[p, n]} vs {var_ab[p, n] + 2.0 * cov[p, n]}"
         )
-    return var_a, var_b, var_sum, cov
+    return moments
 
 
-def _witness_values(var_a, var_b, var_sum, cov, ends, scale=1.0):
-    """Plain and modified witness values over the first k pairs, for each k in `ends`.
+def _witness_values(moments, first, scale=1.0):
+    """Plain and modified witness values over the first k pairs, for every k from `first` to P.
 
-    Takes (N, P) per-pair moments and returns (l, ml) for each k in turn,
-    2 * len(ends) length-N arrays. Each pair's plain term and its two
-    modified forms are formed once and added pair by pair from +0.0, and the
-    two modified forms must agree at every k returned, in order (to
-    DECOMPOSITION_TOL times the set's `scale`). Below 8
-    pairs this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0,
-    which a `cumsum` from the first term would not give); a set of 8 or
-    more pairs adds in pair order.
+    `moments` holds var_sum, cov and var_a + var_b as (P, N) rows (the last
+    three of `_pair_moments`' block); returns (l, ml) for each k in turn.
+    Each pair's three terms go into one block after a +0.0 row and are
+    added in pair order: by one `accumulate` up to `ACCUMULATE_MAX_STATES`
+    states, by one add per pair above. The two modified forms must agree at
+    every k returned, to DECOMPOSITION_TOL times `scale`. Below 8 pairs this
+    is numpy's row sum bit for bit (all -0.0 terms sum to +0.0, which a
+    `cumsum` from the first term would not give).
     """
-    terms = np.array((var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov)))
-    total, values = 0.0, []
-    for p in range(ends[-1]):
-        total = total + terms[..., p]
-        if p + 1 in ends:  # rows l, ml and ml's other form, taken by index
-            failed = first_failure(np.abs(total[1] - total[2]) <= DECOMPOSITION_TOL * scale)
-            if failed is not None:
-                (n,) = failed
-                raise NumericsError(
-                    f"modified-witness forms disagree at stack index {n}: "
-                    f"{total[1, n]} vs {total[2, n]}"
-                )
-            values += (total[0], total[1])
-    return tuple(values)
+    var_sum, cov, var_ab = moments[0], moments[1], moments[2]
+    terms = np.zeros((3, len(var_sum) + 1, var_sum.shape[1]))
+    terms[0, 1:] = var_sum
+    np.subtract(var_ab, 2.0 * np.abs(cov), out=terms[1, 1:])
+    np.subtract(var_sum, 4.0 * np.maximum(0.0, cov), out=terms[2, 1:])
+    if terms.shape[2] <= ACCUMULATE_MAX_STATES:
+        terms = np.add.accumulate(terms, axis=1)
+    else:
+        for p in range(1, len(terms[0])):
+            np.add(terms[:, p - 1], terms[:, p], out=terms[:, p])
+    sums = terms[:, first:]  # l, ml and ml's other form after each k pairs
+    gap, tol = np.abs(sums[1] - sums[2]), DECOMPOSITION_TOL * scale
+    if not gap.max(initial=0.0) <= tol:
+        k, n = first_failure(gap <= tol)
+        raise NumericsError(
+            f"modified-witness forms disagree at stack index {n}: {sums[1, k, n]} vs {sums[2, k, n]}"
+        )
+    return tuple(sums[:2].swapaxes(0, 1).reshape(2 * sums.shape[1], sums.shape[2]))
 
 
 def _first_non_hermitian(obs: np.ndarray) -> tuple | None:
@@ -374,19 +375,18 @@ def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray
     The matrices are taken as given (no density-matrix validation); every
     runtime check of `evaluate` runs on each of them.
     """
-    return _witness_values(*_pair_moments(_stack(matrices), oset), (len(oset.pairs),), oset._scale)
+    return _witness_values(_pair_moments(_stack(matrices), oset)[2:], len(oset.pairs), oset._scale)
 
 
 def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """L2, ML2, L3 and ML3, four length-N arrays, for an (N, 4, 4) stack, from one kernel pass.
 
-    L2's pairs are the first two of L3's (`standard_sets`), so the per-pair
-    moments of L3 hold those of L2 in their first two columns, and the
-    witness sums after two and three pairs give both families, each with its
-    two modified forms checked. Every value is bit for bit `evaluate_many`
-    with that family's set.
+    L2's pairs are the first two of L3's (`standard_sets`), so the witness
+    sums of L3's moments after two and three pairs give both families, each
+    with its two modified forms checked, bit for bit `evaluate_many` with
+    that family's set.
     """
-    return _witness_values(*_pair_moments(_stack(matrices), _STANDARD_SETS["L3"]), (2, 3))
+    return _witness_values(_pair_moments(_stack(matrices), _STANDARD_SETS["L3"])[2:], 2)
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
@@ -396,8 +396,8 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     the two forms must agree to within roundoff or the statistics code is broken.
     """
     moments = _pair_moments(rho.matrix[None], oset)
-    l_values, ml_values = _witness_values(*moments, (len(oset.pairs),), oset._scale)
-    rows = zip(*(m[0].tolist() for m in moments))  # var_a, var_b, var_sum, cov of each pair
+    l_values, ml_values = _witness_values(moments[2:], len(oset.pairs), oset._scale)
+    rows = moments[:4, :, 0].T.tolist()  # var_a, var_b, var_sum, cov of each pair
     stats = tuple(PairStats(label, *row) for (_, _, label), row in zip(oset.pairs, rows))
     l_value, ml_value, bound = float(l_values[0]), float(ml_values[0]), oset.separable_bound
     verdicts = (verdict_for(value, bound, oset.verdict_margin) for value in (l_value, ml_value))

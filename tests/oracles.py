@@ -11,7 +11,10 @@ estimator loop, and `witness_values_reference` and
 `estimate_values_reference` the per-family row sums that the one witness
 summation kernel and the one estimate function replaced, and
 `expectations_in_index_order` the order in which both contractions of the
-witness kernel, `einsum` and gemm, must add their exact products. The
+witness kernel, `einsum` and gemm, must add their exact products.
+`pair_moments_reference` and `witness_sums_reference` keep the
+statistic-major kernel, checks and messages included, that the kernel's
+pair-major rows and one-block checks replaced. The
 one-sample local rotations they need (`haar_random_local_unitary`,
 `joint_rotation`, `apply_to_pure`, `rotate_density`) live here too, since
 the package's only local-rotation code is its Haar stack. They build SU(2)
@@ -456,6 +459,85 @@ def expectations_in_index_order(matrices, ops) -> np.ndarray:
     for k in range(16):
         total = total + rho[..., k] * op[..., k]
     return total
+
+
+def lifted_operators_reference(pairs) -> np.ndarray:
+    """The (P, 7, 4, 4) lifted operators of (a_i, b_i, label) pairs, each transposed, in the
+    statistic-major kernel's order a, a^2, b, b^2, a_i x b_i, s, s^2 (a = a_i x I, b = I x b_i,
+    s = a + b): `ObservableSet._ops` before its rows were reordered."""
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    a4, b4 = np.kron(a, I2), np.kron(I2, b)
+    ab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(a4.shape)
+    s = a4 + b4
+    return np.stack((a4, a4 @ a4, b4, b4 @ b4, ab, s, s @ s), axis=1).swapaxes(-1, -2).copy()
+
+
+def pair_moments_reference(matrices, oset, ops=None) -> tuple:
+    """var_a, var_b, var_sum and cov of every pair on every state, as (N, P) arrays.
+
+    The statistic-major kernel that `witness._pair_moments` replaced, with
+    its checks and messages: one contraction of the stack with
+    `lifted_operators_reference` (or `ops`, in that order), by gemm on a set
+    with exact products and at least `GEMM_MIN_STATES` states, by `einsum`
+    otherwise, read as (7, N, P) rows.
+    """
+    from lurwit.linalg import NumericsError, first_failure
+    from lurwit.witness import DECOMPOSITION_TOL, EXPECTATION_IMAG_TOL, GEMM_MIN_STATES
+
+    ops = lifted_operators_reference(oset.pairs) if ops is None else ops
+    n, p = len(matrices), len(ops)
+    if oset._exact and n >= GEMM_MIN_STATES:
+        values = (matrices.reshape(n, 16) @ ops.reshape(7 * p, 16).T).reshape(n, p, 7)
+        values = np.ascontiguousarray(values.transpose(2, 0, 1))
+    else:
+        values = np.einsum("nij,pkij->npk", matrices, ops).transpose(2, 0, 1)
+    imag = np.abs(values.imag).max(axis=0)
+    failed = first_failure(imag < EXPECTATION_IMAG_TOL * oset._scale)
+    if failed is not None:
+        n, p = failed
+        raise NumericsError(
+            f"expectation of a Hermitian operator came out complex at stack index {n}, "
+            f"pair {oset.pairs[p][2]!r}: imaginary part {imag[n, p]}"
+        )
+    m = values.real
+    var_a = m[1] - m[0]**2
+    var_b = m[3] - m[2]**2
+    cov = m[4] - m[0] * m[2]
+    var_sum = m[6] - m[5]**2
+    residual = np.abs(var_sum - (var_a + var_b + 2.0 * cov))
+    failed = first_failure(residual <= DECOMPOSITION_TOL * oset._scale)
+    if failed is not None:
+        n, p = failed
+        raise NumericsError(
+            f"variance decomposition failed at stack index {n}, pair {oset.pairs[p][2]!r}: "
+            f"{var_sum[n, p]} vs {var_a[n, p] + var_b[n, p] + 2.0 * cov[n, p]}"
+        )
+    return var_a, var_b, var_sum, cov
+
+
+def witness_sums_reference(var_a, var_b, var_sum, cov, ends, scale=1.0) -> tuple:
+    """(l, ml) over the first k pairs of (N, P) moments, for each k in `ends`, with the ML check.
+
+    The pair-by-pair loop that `witness._witness_values` replaced: the terms
+    stacked as (3, N, P) and added from +0.0, one pair at a time, the two
+    modified forms checked at each k in turn.
+    """
+    from lurwit.linalg import NumericsError, first_failure
+    from lurwit.witness import DECOMPOSITION_TOL
+
+    terms = np.array((var_sum, var_a + var_b - 2.0 * np.abs(cov), var_sum - 4.0 * np.maximum(0.0, cov)))
+    total, values = 0.0, []
+    for p in range(ends[-1]):
+        total = total + terms[..., p]
+        if p + 1 in ends:
+            failed = first_failure(np.abs(total[1] - total[2]) <= DECOMPOSITION_TOL * scale)
+            if failed is not None:
+                (n,) = failed
+                raise NumericsError(
+                    f"modified-witness forms disagree at stack index {n}: {total[1, n]} vs {total[2, n]}"
+                )
+            values += (total[0], total[1])
+    return tuple(values)
 
 
 def witness_values_reference(var_a, var_b, var_sum, cov) -> tuple:

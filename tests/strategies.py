@@ -82,3 +82,34 @@ def moment_stacks(draw, sizes):
     values = np.resize(np.array(draw(st.permutations(rows))), (n, 3, 5))
     var_a, var_b, cov = (np.ascontiguousarray(values[..., k]) for k in range(3))
     return var_a, var_b, var_a + var_b + 2.0 * cov, cov, np.ascontiguousarray(values[..., 3:])
+
+
+def _exact_states() -> np.ndarray:
+    """Bell states, |HH>, |H+> and the maximally mixed state: entries 0, +-1/4, +-1/2 and 1."""
+    h, plus = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    vectors = [np.array(v) / np.sqrt(2.0) for v in ([0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1])]
+    vectors += [np.kron(h, h), np.kron(h, plus)]
+    rho = [np.outer(v, v).astype(complex) for v in vectors]
+    return np.array(rho + [np.eye(4, dtype=complex) / 4.0])
+
+
+@st.composite
+def kernel_stacks(draw, sizes):
+    """An (N, 4, 4) stack of Hermitian matrices, N drawn from `sizes`, with signed zeros.
+
+    The rows are drawn from a pool of exact states (`_exact_states`, whose
+    witness sums are often exactly zero) and random mixed states; each exact
+    state comes twice, and every zero real or imaginary part of it is given
+    a drawn sign, the same at (i, j) and (j, i).
+    """
+    n = draw(st.sampled_from(sizes))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact = np.repeat(_exact_states(), 2, axis=0)
+    for part in (exact.real, exact.imag):
+        signs = np.where(g.random(part.shape) < 0.5, -1.0, 1.0)
+        signs = np.triu(signs) + np.triu(signs, 1).swapaxes(1, 2)  # symmetric
+        part[...] = np.where(part == 0.0, np.copysign(0.0, signs), part)
+    z = g.standard_normal((6, 4, 4)) + 1j * g.standard_normal((6, 4, 4))
+    mixed = z @ z.conj().swapaxes(1, 2)
+    pool = np.concatenate((exact, mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None]))
+    return pool[g.integers(0, len(pool), n)]

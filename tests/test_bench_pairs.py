@@ -17,10 +17,18 @@ def test_raw_setup_time_is_read_from_each_run_record(tmp_path, monkeypatch, caps
     for side in raw:
         (tmp_path / side).mkdir()
         shutil.copy(_ROOT / "BENCHMARK.json", tmp_path / side)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    caches = []  # per run: the bytecode directories of its tree when it starts
 
     def run(cmd, cwd, **kwargs):
-        if "perfbench/run.py" not in cmd:  # compileall and git
+        if "perfbench/run.py" not in cmd:  # git
             return subprocess.CompletedProcess(cmd, 1, stdout="")
+        # each run compiles its tree from source and writes no bytecode
+        env = kwargs["env"]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+        caches.append(sorted(Path(cwd).glob("*/**/__pycache__")))
+        for top in ("src/lurwit", "perfbench"):  # what a run without that variable would leave
+            (Path(cwd) / top / "__pycache__").mkdir(parents=True, exist_ok=True)
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
         out = Path(cwd) / ".perfbench-out"
         out.mkdir(exist_ok=True)
@@ -33,6 +41,7 @@ def test_raw_setup_time_is_read_from_each_run_record(tmp_path, monkeypatch, caps
     argv = [str(tmp_path / "base"), str(tmp_path / "change"), "--workload", "oneshot", "--seed", "7",
             "--pairs", "3", "--record", str(tmp_path / "record.json")]
     assert bench_pairs.main(argv) == 0
+    assert caches == [[]] * 6
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.lstrip().startswith("raw_setup_s")]
     assert "base 0.051 [0.0505, 0.0515]  change 0.049 [0.0485, 0.051]" in line and "change wins 2/3" in line
     record = json.loads((tmp_path / "record.json").read_text())

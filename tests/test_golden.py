@@ -11,8 +11,9 @@ The digests also rest on floating-point behaviour that numpy does not
 promise and that can change with the BLAS or LAPACK kernels a CPU selects:
 the BLAS dot of the estimator, the summation order of the contractions,
 and LAPACK's `eigvalsh`. The first tests check the BLAS dot, the witness
-kernel's contraction order and `eigvalsh` on the pinned partial
-transposes, so they run, and fail, ahead of the digests. Each digest's
+kernel's contraction order, and `eigvalsh` on the pinned partial
+transposes and in `local_bound`, so they run, and fail, ahead of the
+digests. Each digest's
 message names every assumption its bytes rest on, and the test that checks
 it, if one does.
 """
@@ -38,6 +39,7 @@ from lurwit.witness import (
     _pair_moments,
     evaluate,
     evaluate_many,
+    local_bound,
     standard_sets,
 )
 from oracles import expectations_in_index_order, mixed_ensemble, random_hermitian
@@ -133,6 +135,24 @@ OTHER_DIGESTS = {
 # runs' ppt_min_eig cells, from LAPACK's `eigvalsh`
 PPT_EIGVALSH_DIGEST = "e48b71c2c280ff4c38e100baeca4f34fa4c0490bf5405bc3d063ae49367210e4"
 
+# `float.hex` of (bound_a, bound_b) of each `_custom_sets` set behind CUSTOM_DIGEST, in order
+CUSTOM_BOUNDS = [
+    ("0x0.0p+0", "0x1.0000000000000p-54"),
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("0x1.6495e396a8bd4p-2", "0x1.eab79b5b07c08p-3"),
+    ("0x1.d5465b2da2ce4p-1", "0x1.2d6da06813ba0p-6"),
+    ("0x1.291ae7fd58cacp+1", "0x1.e59346e2c77d0p+0"),
+    ("0x1.55850be8a4884p+1", "0x1.a071defa3e89ep+1"),
+    ("0x1.8003525acfad0p+0", "0x1.27e6c29660220p-1"),
+    ("0x1.3a584d2ca2d4cp+1", "0x1.f1f0be4f6c761p+1"),
+]
+# `float.hex` of `local_bound` of each Pauli subset of the `bound` runs, and of the repeated token
+PAULI_BOUNDS = {
+    "sx": "0x0.0p+0", "sy": "0x0.0p+0", "sz": "0x0.0p+0",
+    "sx,sy": "0x1.0000000000000p+0", "sx,sz": "0x1.0000000000000p+0", "sy,sz": "0x1.0000000000000p+0",
+    "sx,sy,sz": "0x1.0000000000000p+1", "sx,sx": "0x0.0p+0",
+}
+
 # the matrices of "u1-singlet", "u2-singlet" and "u3-singlet", in that order
 ROTATED_SINGLETS_DIGEST = "482924373cf7fcdc3c2b11c1904ba4093898ef0a3c0f68b039241e3634361705"
 
@@ -149,7 +169,7 @@ MATMUL_ORDER = "the summation order of np.matmul on 4x4 operators (no test)"
 PPT_EIGVALSH = (
     "LAPACK eigvalsh's bits on the partial transposes (test_eigvalsh_bits_on_the_pinned_partial_transposes)"
 )
-BOUND_EIGVALSH = "LAPACK eigvalsh's bits on local_bound's 3x3 matrices (no test)"
+BOUND_EIGVALSH = "LAPACK eigvalsh's bits on local_bound's 3x3 matrices (test_local_bound_bits_are_pinned)"
 # the assumptions of each command's digests in `OTHER_DIGESTS`
 OTHER_ASSUMPTIONS = {
     "bound": (BOUND_EIGVALSH,),
@@ -261,7 +281,7 @@ def test_gemm_and_einsum_add_exact_products_in_index_order(n):
     pairwise = 0
     for name, oset in EXACT_SETS.items():
         assert oset._exact, name
-        want = _words(expectations_in_index_order(stack, oset._ops).transpose(2, 0, 1))  # statistic-major
+        want = _words(expectations_in_index_order(stack, oset._ops).transpose(2, 1, 0))  # (7, P, N) rows
         for path in ("einsum", "gemm"):
             differ = np.count_nonzero(_words(_expectations(stack, oset._ops, gemm=path == "gemm")) != want)
             assert differ == 0, (
@@ -270,7 +290,7 @@ def test_gemm_and_einsum_add_exact_products_in_index_order(n):
                 "and haar-study digests below assume it is"
             )
         products = stack.reshape(n, 1, 1, 16) * oset._ops.reshape(1, *oset._ops.shape[:2], 16)
-        pairwise += np.count_nonzero(_words(products.sum(axis=-1).transpose(2, 0, 1)) != want)
+        pairwise += np.count_nonzero(_words(products.sum(axis=-1).transpose(2, 1, 0)) != want)
     assert pairwise > 0  # the stack tells the summation orders apart
 
 
@@ -285,7 +305,7 @@ def test_kernel_rows_equal_one_state_rows_on_both_sides_of_the_cutoff():
             for n in (GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 101):
                 moments = _pair_moments(stack[:n], oset)
                 for k in range(n):
-                    assert [m[k].tobytes() for m in moments] == [m[0].tobytes() for m in ones[k]], (name, n, k)
+                    assert moments[..., k].tobytes() == ones[k][..., 0].tobytes(), (name, n, k)
 
 
 def test_only_exact_sets_take_gemm(monkeypatch):
@@ -334,6 +354,22 @@ def test_eigvalsh_bits_on_the_pinned_partial_transposes(in_tmp):
     assert h.hexdigest() == PPT_EIGVALSH_DIGEST, (
         "LAPACK eigvalsh does not give the pinned bits on the partial transposes of the evaluate "
         "and sweep runs; the evaluate and sweep JSON digests below assume it does"
+    )
+
+
+def test_local_bound_bits_are_pinned():
+    # `local_bound`, and so every set's bound_a and bound_b, is sum|v|^2 - eigvalsh(v^T v)[-1]:
+    # its last bits are those of LAPACK's largest eigenvalue of v^T v, which OpenBLAS's
+    # Haswell kernels move on some of these sets (the first set's bound_b to 2^-51)
+    _, sets = _custom_inputs()
+    paulis = {"sx": SX, "sy": SY, "sz": SZ}
+    got = {tokens: local_bound([paulis[t] for t in tokens.split(",")]).hex() for tokens in PAULI_BOUNDS}
+    bounds = [(oset.bound_a.hex(), oset.bound_b.hex()) for oset in sets]
+    moved = [k for k, (value, want) in enumerate(zip(bounds, CUSTOM_BOUNDS)) if value != want]
+    moved += [tokens for tokens, value in got.items() if value != PAULI_BOUNDS[tokens]]
+    assert not moved, (
+        f"LAPACK eigvalsh of v^T v does not give local_bound's pinned bits for {moved} (custom sets by "
+        "index, Pauli subsets by tokens); the bound and custom-set digests below assume it does"
     )
 
 
@@ -416,11 +452,17 @@ def _custom_sets(g) -> list:
     return sets
 
 
-def test_custom_set_witnesses_are_pinned():
+def _custom_inputs() -> tuple:
+    """The seeded stack of 30 mixed states and the `_custom_sets` drawn after it."""
     g = stream(20261019)
     stack = mixed_ensemble(g, 30, 4)
+    return stack, _custom_sets(g)
+
+
+def test_custom_set_witnesses_are_pinned():
+    stack, sets = _custom_inputs()
     h = hashlib.sha256()
-    for oset in _custom_sets(g):
+    for oset in sets:
         for column in evaluate_many(stack, oset):
             h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
         for matrix in stack:

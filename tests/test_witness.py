@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -42,7 +43,9 @@ from oracles import (
     covariance_brute,
     local_bound_brute,
     local_bound_reference,
+    lifted_operators_reference,
     mixed_ensemble,
+    pair_moments_reference,
     random_hermitian,
     random_mixed_matrix,
     random_pure_state,
@@ -52,9 +55,10 @@ from oracles import (
     su2_pauli_sum,
     var_sum_brute,
     variance_brute,
+    witness_sums_reference,
     witness_values_reference,
 )
-from strategies import density_matrices, hermitian_2x2, moment_stacks, product_pure_states
+from strategies import density_matrices, hermitian_2x2, kernel_stacks, moment_stacks, product_pure_states
 
 SETS = standard_sets()
 SINGLET = density_from_pure(bell_state("psi-"))
@@ -619,8 +623,9 @@ def test_evaluate_checks_modified_witness_forms(monkeypatch):
     real = witness._pair_moments
 
     def skewed(matrices, oset):
-        var_a, var_b, var_sum, cov = real(matrices, oset)
-        return var_a, var_b, var_sum + 1e-6, cov
+        moments = real(matrices, oset)  # var_a, var_b, var_sum, cov, var_a + var_b
+        moments[2] += 1e-6
+        return moments
 
     monkeypatch.setattr(witness, "_pair_moments", skewed)
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
@@ -638,7 +643,7 @@ def test_evaluate_many_names_the_non_hermitian_state():
 def test_kernel_checks_the_variance_decomposition():
     oset = ObservableSet(SETS["L3"].pairs)  # its own copy: the standard sets are shared
     ops = oset._ops.copy()
-    ops[1, 6] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair: var_sum moves, the parts do not
+    ops[1, 5] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair: var_sum moves, the parts do not
     object.__setattr__(oset, "_ops", ops)
     stack = np.array([SINGLET.matrix] * 3)
     message = "decomposition failed at stack index 0, pair '45/135'"
@@ -664,7 +669,7 @@ def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
             call(stack)
     oset = ObservableSet(SETS["L3"].pairs)
     ops = oset._ops.copy()
-    ops[1, 6] += 1e-6 * np.eye(4)
+    ops[1, 5] += 1e-6 * np.eye(4)  # s^2 of the 45/135 pair
     object.__setattr__(oset, "_ops", ops)
     with pytest.raises(NumericsError, match="decomposition failed at stack index 0, pair '45/135'"):
         evaluate_many(np.array([SINGLET.matrix] * n), oset)
@@ -718,7 +723,7 @@ def _check_kernel_against_reference(matrices, osets):
         lifted = [(np.kron(a, I2), np.kron(I2, b)) for a, b, _ in oset.pairs]
         for k, (m, rho) in enumerate(zip(matrices, rhos)):
             for p, ((a, b, _), (a4, b4)) in enumerate(zip(oset.pairs, lifted)):
-                var_a, var_b, var_sum, cov = (x[k, p] for x in moments)
+                var_a, var_b, var_sum, cov = moments[:4, p, k]
                 assert abs(var_a - variance_brute(m, a4)) <= 1e-12
                 assert abs(var_b - variance_brute(m, b4)) <= 1e-12
                 assert abs(var_sum - var_sum_brute(m, a, b)) <= 1e-12
@@ -726,7 +731,7 @@ def _check_kernel_against_reference(matrices, osets):
             report = evaluate(rho, oset)
             assert report.l_value == l_values[k] and report.ml_value == ml_values[k]
             assert [(s.var_a, s.var_b, s.var_sum, s.covariance) for s in report.pairs] == [
-                tuple(x[k, p] for x in moments) for p in range(len(oset.pairs))
+                tuple(moments[:4, p, k]) for p in range(len(oset.pairs))
             ]
     for k, rho in enumerate(rhos):
         assert ppt_min_eigenvalue(rho) == ppt[k]
@@ -742,6 +747,106 @@ def test_kernel_matches_scalar_reference_on_hypothesis_states(rhos, a, b):
 
 def test_kernel_matches_scalar_reference_on_seeded_states():
     _check_kernel_against_reference(mixed_ensemble(stream(2024), 2000, 5), tuple(SETS.values()))
+
+
+def _random_set(g, size: int) -> ObservableSet:
+    return ObservableSet(tuple((random_hermitian(g, 2), random_hermitian(g, 2), f"pair{i}") for i in range(size)))
+
+
+KERNEL_SETS = {
+    **SETS,
+    "exact custom": ObservableSet(((SX, SZ, "x-z"), (SZ, -SX, "z-x"), (2 * SY, 2 * SY, "2y-2y"))),
+    "inexact custom": ObservableSet(((SX, SY, "x-y"), (SX, 3 * SZ, "x-3z"))),
+    "random": _random_set(stream(2801), 4),
+}
+
+
+@given(
+    kernel_stacks((1, 2, 3, 4, 5, witness.GEMM_MIN_STATES, 101, STACK_CHUNK + 3)),
+    st.sampled_from(sorted(KERNEL_SETS)),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_equals_the_statistic_major_reference_bitwise(stack, name):
+    # bytes compare the sign of every zero sum as well. gemm gives an exactly zero
+    # expectation either sign, and which one depends on the operator's column, so on
+    # its path the moments are compared as values; every sum starts from +0.0
+    oset = KERNEL_SETS[name]
+    assert oset._exact == (name in ("L2", "L3", "exact custom"))
+    var_a, var_b, var_sum, cov = want = pair_moments_reference(stack, oset)
+    moments, before = witness._pair_moments(stack, oset), np.array((*want, var_a + var_b)).transpose(0, 2, 1)
+    if oset._exact and len(stack) >= witness.GEMM_MIN_STATES:
+        assert np.array_equal(moments, before)
+    else:
+        assert moments.tobytes() == before.tobytes()
+    got, want = evaluate_many(stack, oset), witness_sums_reference(*want, (len(oset.pairs),), oset._scale)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    if name == "L3":
+        want = witness_sums_reference(var_a, var_b, var_sum, cov, (2, 3))
+        assert [v.tobytes() for v in evaluate_standard(stack)] == [v.tobytes() for v in want]
+
+
+def _raises_as_the_reference(call, reference, index: int) -> None:
+    """`call` raises the `NumericsError` text that `reference` raises, and it names stack index `index`."""
+    with pytest.raises(NumericsError) as want:
+        reference()
+    with pytest.raises(NumericsError) as got:
+        call()
+    assert str(got.value) == str(want.value)
+    assert re.search(rf"stack index {index}\b", str(got.value)), str(got.value)
+
+
+def _positions(n: int) -> tuple:
+    return n // 2, n - 1
+
+
+@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+def test_complex_expectations_fail_as_before(n):
+    first, second = _positions(n)
+    stack = np.array([SINGLET.matrix] * n)
+    for k, c in ((first, 1e-3), (second, 2e-3)):
+        stack[k] = stack[k] + c * 1j * np.kron(SY, SY)
+    reference = lambda: witness_sums_reference(*pair_moments_reference(stack, SETS["L3"]), (2, 3))
+    _raises_as_the_reference(lambda: evaluate_standard(stack), reference, first)
+
+
+@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+def test_broken_decompositions_fail_as_before(n):
+    # s^2 of the 45/135 pair gains 2^-20 (|00><01| + |01><00|): every product stays exact, and
+    # var_sum moves by 2^-19 Re rho_01, which is 0 on the singlet and 2^-20 on |H+>
+    first, second = _positions(n)
+    skew = np.zeros((4, 4))
+    skew[0, 1] = skew[1, 0] = 2.0**-20
+    oset = ObservableSet(SETS["L3"].pairs)
+    ops, before = oset._ops.copy(), lifted_operators_reference(oset.pairs)
+    ops[1, 5] += skew
+    before[1, 6] += skew
+    object.__setattr__(oset, "_ops", ops)
+    stack = np.array([SINGLET.matrix] * n)
+    stack[[first, second]] = density_from_pure(np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0)).matrix
+    reference = lambda: witness_sums_reference(*pair_moments_reference(stack, oset, before), (3,))
+    _raises_as_the_reference(lambda: evaluate_many(stack, oset), reference, first)
+
+
+@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+@pytest.mark.parametrize("pairs", [(0, 0), (2, 0)], ids=["both-in-L2", "first-only-in-L3"])
+def test_disagreeing_modified_forms_fail_as_before(n, pairs, monkeypatch):
+    # var_sum skewed at two states; a skew on the R/L pair shows only at L3's sum,
+    # after L2's is checked, so then the second state is the one named
+    first, second = _positions(n)
+    skew = np.zeros((3, n))
+    skew[pairs[0], first] = skew[pairs[1], second] = 1e-6
+    stack = np.array([SINGLET.matrix] * n)
+    var_a, var_b, var_sum, cov = pair_moments_reference(stack, SETS["L3"])
+    real = witness._pair_moments
+
+    def skewed(matrices, oset):
+        moments = real(matrices, oset)
+        moments[2] += skew
+        return moments
+
+    monkeypatch.setattr(witness, "_pair_moments", skewed)
+    reference = lambda: witness_sums_reference(var_a, var_b, var_sum + skew.T, cov, (2, 3))
+    _raises_as_the_reference(lambda: evaluate_standard(stack), reference, first if pairs[0] < 2 else second)
 
 
 @given(density_matrices())
@@ -828,7 +933,8 @@ def test_standard_running_sums_equal_one_sum_per_family(moments):
     var_a, var_b, var_sum, cov, _ = moments
     family = (var_a, var_b, var_sum, cov)
     want = (*witness_values_reference(*(m[:, :2] for m in family)), *witness_values_reference(*family))
-    with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: family):
+    block = np.array([m.T for m in (*family, var_a + var_b)])  # the kernel's (5, P, N) layout
+    with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: block):
         got = evaluate_standard(np.zeros((len(var_a), 4, 4)))
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -839,8 +945,9 @@ def test_standard_pass_checks_both_families(skew, monkeypatch):
     real = witness._pair_moments
 
     def skewed(matrices, oset):
-        var_a, var_b, var_sum, cov = real(matrices, oset)
-        return var_a, var_b, var_sum + skew, cov
+        moments = real(matrices, oset)
+        moments[2] += np.array(skew)[:, None]  # var_sum of each pair
+        return moments
 
     monkeypatch.setattr(witness, "_pair_moments", skewed)
     with pytest.raises(NumericsError, match="modified-witness forms disagree at stack index 0"):
