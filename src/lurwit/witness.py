@@ -194,9 +194,9 @@ def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarr
     product is exact and every operator is all real or all imaginary
     (`ObservableSet._exact`), and then up to the sign of an expectation
     that is exactly zero. A one-row product would go to gemv, which adds in
-    another order, so one state is contracted as two copies of itself. The
-    gemm result is copied into contiguous rows, which makes the checks on a
-    large stack cheaper; einsum's rows are a view.
+    another order, so one state is contracted as two copies of itself. Both
+    results are views: a contiguous copy of gemm's rows would be one more
+    stack-sized allocation per call (README).
     """
     if not gemm:
         return np.einsum("nij,pkij->kpn", matrices, ops)
@@ -204,8 +204,7 @@ def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarr
     rows = matrices.reshape(n, 16)
     if n == 1:
         rows = np.concatenate((rows, rows))
-    values = (rows @ ops.reshape(7 * p, 16).T)[:n].reshape(n, p, 7)
-    return np.ascontiguousarray(values.transpose(2, 1, 0))
+    return (rows @ ops.reshape(7 * p, 16).T)[:n].reshape(n, p, 7).transpose(2, 1, 0)
 
 
 def _pair_moments(matrices: np.ndarray, oset: ObservableSet) -> np.ndarray:
