@@ -14,7 +14,7 @@ under PYTHONDONTWRITEBYTECODE=1, so it writes none. numpy and the standard
 library keep their installed bytecode (an empty PYTHONPYCACHEPREFIX would
 hide theirs too, and the setup probes would then time numpy's compilation).
 Each run's result is read from the last line of its stdout, a JSON object;
-no file under `perfbench/` is changed.
+no source file under `perfbench/` is changed.
 
 Prints every pair, then for each end-to-end metric of CHANGE's
 `BENCHMARK.json`, and for `raw_setup_s` (the run's setup time before
