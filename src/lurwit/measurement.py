@@ -26,7 +26,7 @@ read-only, so it cannot go stale). A replicate's counts are one read-only
 (3, 4) int64 stack, one multinomial draw per row (`lurwit.cli.draw_counts`).
 The estimator takes each table of a (..., B, 4) count stack (replicates,
 bases, outcomes) through its moments once, and `_estimate` gives the values
-and SEs after the first k bases for each k asked for: all B for
+and SEs after the first k bases for every k from its `first` to B: all B for
 `estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`,
 which `simulate` hands its drawn stack. `estimate_witnesses` adds the bound
 and verdicts on one replicate, through a record of its counts (checking
@@ -259,21 +259,21 @@ def _moments(counts: np.ndarray, bases: tuple):
     return _table_moments(counts, shots)
 
 
-def _estimate(moments, ends):
-    """Witness values and SEs after the first k bases, for each k in `ends` (consecutive, up to B).
+def _estimate(moments, first):
+    """Witness values and SEs after the first k bases, for each k from `first` to B.
 
-    Returns (l, l_se, ml, ml_se) for each k in turn, 4 * len(ends) length-R
-    arrays. The witness values are the exact path's sums over pair-major
-    rows (`witness._witness_values`, with its ML check at every k). Counts in
-    different bases are independent, so the witness SEs add in quadrature:
-    the squared SEs of var_sum and of the ML term add up one basis after
-    another.
+    Returns (l, l_se, ml, ml_se) for each k in turn, 4 * (B - first + 1)
+    length-R arrays. The witness values are the exact path's sums over
+    pair-major rows (`witness._witness_values`, with its ML check at every
+    k). Counts in different bases are independent, so the witness SEs add in
+    quadrature: the squared SEs of var_sum and of the ML term add up one
+    basis after another.
     """
     var_a, var_b, var_sum, cov, se = moments
-    values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), ends[0]))
+    values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
     se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-1))
     estimates = []
-    for k, l_values, ml_values in zip(ends, values, values):
+    for k, l_values, ml_values in zip(range(first, se.shape[-1] + 1), values, values, strict=True):
         estimates += (l_values, se_sums[0, ..., k - 1], ml_values, se_sums[1, ..., k - 1])
     return tuple(estimates)
 
@@ -304,23 +304,24 @@ def _checked_counts(counts, bases: tuple) -> np.ndarray:
 class _Record:
     """Count tables as one read-only (1, B, 4) int64 stack, and their estimates once taken.
 
-    `estimates` is None until the first `estimate` call, then maps each k in
-    `ends` to (l, l_se, ml, ml_se) over the first k tables, as floats.
+    `estimates` is None until the first `estimate` call, then maps every k
+    from `first` to B to (l, l_se, ml, ml_se) over the first k tables.
     """
 
-    __slots__ = ("counts", "ends", "estimates", "__weakref__")
+    __slots__ = ("counts", "first", "estimates", "__weakref__")
 
-    def __init__(self, counts: np.ndarray, ends: tuple):
+    def __init__(self, counts: np.ndarray, first: int):
         self.counts = counts
-        self.ends = ends
+        self.first = first
         self.estimates = None
 
     def estimate(self, k: int) -> tuple:
         """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
         if self.estimates is None:
             moments = _table_moments(self.counts, np.add.reduce(self.counts, axis=-1))
-            values = [v.item() for v in _estimate(moments, self.ends)]
-            self.estimates = {end: tuple(values[4 * i:4 * i + 4]) for i, end in enumerate(self.ends)}
+            values = [v.item() for v in _estimate(moments, self.first)]
+            ends = range(self.first, self.counts.shape[1] + 1)
+            self.estimates = {k: tuple(values[4 * i:4 * i + 4]) for i, k in enumerate(ends)}
         return self.estimates[k]
 
 
@@ -338,7 +339,7 @@ def drawn_tables(counts) -> list:
         raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
     stack = np.array([[t.counts for t in tables]])
     stack.flags.writeable = False
-    record = _Record(stack, (2, 3))
+    record = _Record(stack, 2)
     for row, table in enumerate(tables):
         object.__setattr__(table, "_drawn", (record, row))
     return tables
@@ -362,7 +363,7 @@ def estimate_witnesses_many(counts, bases):
     table), and a failed count check names the first failing replicate.
     """
     bases, _ = _checked_bases(bases)
-    return _estimate(_moments(_checked_counts(counts, bases), bases), (len(bases),))
+    return _estimate(_moments(_checked_counts(counts, bases), bases), len(bases))
 
 
 def estimate_standard(counts):
@@ -375,7 +376,7 @@ def estimate_standard(counts):
     on all three, and bad counts raise what the call on all three raises.
     """
     bases = tuple(Basis)
-    return _estimate(_moments(_checked_counts(counts, bases), bases), (2, 3))
+    return _estimate(_moments(_checked_counts(counts, bases), bases), 2)
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -398,7 +399,7 @@ def estimate_witnesses(tables) -> EstimatedReport:
     for table in tables:
         if table.shots < 2:
             raise _too_few_shots("", table.basis)
-    record = _drawn_of(tables) or _Record(np.array([[t.counts for t in tables]]), (len(tables),))
+    record = _drawn_of(tables) or _Record(np.array([[t.counts for t in tables]]), len(tables))
     l_value, l_se, ml_value, ml_se = record.estimate(len(tables))
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

@@ -11,13 +11,12 @@ single-party states, which every `ObservableSet` derives exactly from its
 own observables with `local_bound`. A value below the bound certifies
 entanglement; the modified form is sensitive only to the covariance
 magnitude, so it also catches states whose covariances have unhelpful
-signs. The Peres
-partial-transpose test gives the exact ground truth for two qubits and is
-exposed as `ppt_min_eigenvalue` (one state) and `ppt_min_eigenvalues` (a
-stack), one LAPACK eigensolve per state. A stack of pure states given by
-its amplitudes, such as the Haar stack of `haar-study`, needs none:
-`pure_ppt_min_eigenvalues` gives the same eigenvalue as the Schmidt
-determinant -|psi_00 psi_11 - psi_01 psi_10|.
+signs. The Peres partial-transpose test gives the exact ground truth for
+two qubits and is exposed as `ppt_min_eigenvalue` (one state) and
+`ppt_min_eigenvalues` (a stack), one LAPACK eigensolve per state. A stack
+of pure states given by its amplitudes, such as the Haar stack of
+`haar-study`, needs none: `pure_ppt_min_eigenvalues` gives the same
+eigenvalue as the Schmidt determinant -|psi_00 psi_11 - psi_01 psi_10|.
 
 Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
@@ -61,7 +60,9 @@ ENTRY_LIMIT = 2.0**500
 # the smallest stack contracted by gemm: below it one `einsum` call is as
 # cheap or cheaper (`evaluate_standard` on Haar and Werner stacks; README)
 GEMM_MIN_STATES = 6
-ACCUMULATE_MAX_STATES = 63  # the largest stack whose witness sums take one `accumulate` call
+# the largest stack whose witness sums take one `accumulate` call; above it one add
+# per pair is cheaper, as `accumulate` walks its rows state by state (README)
+ACCUMULATE_MAX_STATES = 63
 
 
 class Verdict(enum.Enum):
@@ -247,12 +248,11 @@ def _witness_values(moments, first, scale=1.0):
 
     `moments` holds var_sum, cov and var_a + var_b as (P, N) rows (the last
     three of `_pair_moments`' block); returns (l, ml) for each k in turn.
-    Each pair's three terms go into one block after a +0.0 row and are
-    added in pair order: by one `accumulate` up to `ACCUMULATE_MAX_STATES`
-    states, by one add per pair above. The two modified forms must agree at
-    every k returned, to DECOMPOSITION_TOL times `scale`. Below 8 pairs this
-    is numpy's row sum bit for bit (all -0.0 terms sum to +0.0, which a
-    `cumsum` from the first term would not give).
+    Each pair's three terms go into one block after a +0.0 row and are added
+    in pair order (see `ACCUMULATE_MAX_STATES`). The two modified forms must
+    agree at every k returned, to DECOMPOSITION_TOL times `scale`. Below 8
+    pairs this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0,
+    which a `cumsum` from the first term would not give).
     """
     var_sum, cov, var_ab = moments[0], moments[1], moments[2]
     terms = np.zeros((3, len(var_sum) + 1, var_sum.shape[1]))
