@@ -4,7 +4,9 @@ Subcommands: `evaluate` one state, `sweep` a noise family over a p grid,
 `haar-study` detection rates under random local rotations, `simulate` a
 finite-shot counting experiment, and `bound` for the minimized single-party
 variance bound. Output is CSV (default) or JSON, to stdout or --out; runs
-are bit-identical for identical arguments and seed.
+are bit-identical for identical arguments and seed. `evaluate` prints
+`sweep`'s value columns for its one state, from the same builder
+(`_exact_columns`), plus four verdicts.
 
 Every command computes its whole result first and returns its outputs:
 one (columns, names, path) each, every column one float, int or str numpy
@@ -51,18 +53,8 @@ from . import measurement, rng, states, witness
 from .linalg import NumericsError
 
 SWEEP_COLUMNS = ("p", "l2", "ml2", "l3", "ml3", "ppt_min_eig")
-EVALUATE_COLUMNS = (
-    "state",
-    "l2",
-    "ml2",
-    "l3",
-    "ml3",
-    "ppt_min_eig",
-    "verdict_l2",
-    "verdict_ml2",
-    "verdict_l3",
-    "verdict_ml3",
-)
+# `sweep`'s value columns for one state, then each witness's verdict
+EVALUATE_COLUMNS = ("state", *SWEEP_COLUMNS[1:], *("verdict_" + name for name in SWEEP_COLUMNS[1:5]))
 SIMULATE_COLUMNS = (
     "state",
     "shots",
@@ -189,23 +181,6 @@ def _write_outputs(outputs, fmt: str) -> None:
         raise
 
 
-def _full_report(rho: states.DensityMatrix) -> dict:
-    sets = witness.standard_sets()
-    l2, ml2, l3, ml3 = (float(v[0]) for v in witness.evaluate_standard(rho.matrix[None]))
-    bound2, bound3 = sets["L2"].separable_bound, sets["L3"].separable_bound
-    return {
-        "l2": l2,
-        "ml2": ml2,
-        "l3": l3,
-        "ml3": ml3,
-        "ppt_min_eig": witness.ppt_min_eigenvalue(rho),
-        "verdict_l2": witness.verdict_for(l2, bound2).value,
-        "verdict_ml2": witness.verdict_for(ml2, bound2).value,
-        "verdict_l3": witness.verdict_for(l3, bound3).value,
-        "verdict_ml3": witness.verdict_for(ml3, bound3).value,
-    }
-
-
 def _one_row(row: dict) -> dict:
     """The columns of a one-row output, as float64, int64 or `U` arrays of one.
 
@@ -215,9 +190,19 @@ def _one_row(row: dict) -> dict:
     return {name: np.array([value]) for name, value in row.items()}
 
 
+def _exact_columns(stack: np.ndarray) -> tuple:
+    """L2, ML2, L3, ML3 and the PPT minimum of an (N, 4, 4) stack: `sweep`'s value columns, N long each."""
+    return (*witness.evaluate_standard(stack), witness.ppt_min_eigenvalues(stack))
+
+
 def run_evaluate(args: argparse.Namespace):
-    rho = states.parse_state_spec(args.state)
-    return [(_one_row({"state": args.state, **_full_report(rho)}), EVALUATE_COLUMNS, args.out)]
+    """`sweep`'s value columns for one state, from `_exact_columns` on its stack of one, and the verdicts."""
+    values = _exact_columns(states.parse_state_spec(args.state).matrix[None])
+    sets = witness.standard_sets()
+    bounds = (sets["L2"].separable_bound,) * 2 + (sets["L3"].separable_bound,) * 2
+    verdicts = [np.array([witness.verdict_for(v[0], bound).value]) for v, bound in zip(values, bounds)]
+    columns = dict(zip(EVALUATE_COLUMNS, (np.array([args.state]), *values, *verdicts)))
+    return [(columns, EVALUATE_COLUMNS, args.out)]
 
 
 def run_sweep(args: argparse.Namespace):
@@ -243,7 +228,7 @@ def run_sweep(args: argparse.Namespace):
     chunks = []
     for start in range(0, len(grid), STACK_CHUNK):
         stack = states.noise_mixtures(grid[start:start + STACK_CHUNK], kind, base=args.base)
-        chunks.append((*witness.evaluate_standard(stack), witness.ppt_min_eigenvalues(stack)))
+        chunks.append(_exact_columns(stack))
     return [(dict(zip(SWEEP_COLUMNS, (grid, *_joined(chunks)))), SWEEP_COLUMNS, args.out)]
 
 
@@ -366,8 +351,9 @@ def run_simulate(args: argparse.Namespace):
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     _check_seed(args.seed)
     counts = draw_counts(states.parse_state_spec(args.state), args.shots, args.seed)
-    row = (args.state, args.shots, *(float(v[0]) for v in measurement.estimate_standard(counts[None])))
-    return [(_one_row(dict(zip(SIMULATE_COLUMNS, row))), SIMULATE_COLUMNS, args.out)]
+    columns = _one_row({"state": args.state, "shots": args.shots})
+    columns.update(zip(SIMULATE_COLUMNS[2:], measurement.estimate_standard(counts[None])))
+    return [(columns, SIMULATE_COLUMNS, args.out)]
 
 
 def run_bound(args: argparse.Namespace):

@@ -194,18 +194,15 @@ def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarr
     imaginary sums apart, so it returns einsum's bits only when every
     product is exact and every operator is all real or all imaginary
     (`ObservableSet._exact`), and then up to the sign of an expectation
-    that is exactly zero. A one-row product would go to gemv, which adds in
-    another order, so one state is contracted as two copies of itself. Both
-    results are views: a contiguous copy of gemm's rows would be one more
-    stack-sized allocation per call (README).
+    that is exactly zero. Only stacks of at least `GEMM_MIN_STATES` states
+    are sent here with `gemm` set: a one-row product would go to gemv, which
+    adds in another order. Both results are views: a contiguous copy of
+    gemm's rows would be one more stack-sized allocation per call (README).
     """
     if not gemm:
         return np.einsum("nij,pkij->kpn", matrices, ops)
     n, p = len(matrices), len(ops)
-    rows = matrices.reshape(n, 16)
-    if n == 1:
-        rows = np.concatenate((rows, rows))
-    return (rows @ ops.reshape(7 * p, 16).T)[:n].reshape(n, p, 7).transpose(2, 1, 0)
+    return (matrices.reshape(n, 16) @ ops.reshape(7 * p, 16).T).reshape(n, p, 7).transpose(2, 1, 0)
 
 
 def _pair_moments(matrices: np.ndarray, oset: ObservableSet) -> np.ndarray:

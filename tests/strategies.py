@@ -93,17 +93,14 @@ def _exact_states() -> np.ndarray:
     return np.array(rho + [np.eye(4, dtype=complex) / 4.0])
 
 
-@st.composite
-def kernel_stacks(draw, sizes):
-    """An (N, 4, 4) stack of Hermitian matrices, N drawn from `sizes`, with signed zeros.
+def signed_zero_stack(g: np.random.Generator, n: int) -> np.ndarray:
+    """An (n, 4, 4) stack of Hermitian matrices with signed zeros, drawn from `g`.
 
     The rows are drawn from a pool of exact states (`_exact_states`, whose
     witness sums are often exactly zero) and random mixed states; each exact
     state comes twice, and every zero real or imaginary part of it is given
     a drawn sign, the same at (i, j) and (j, i).
     """
-    n = draw(st.sampled_from(sizes))
-    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     exact = np.repeat(_exact_states(), 2, axis=0)
     for part in (exact.real, exact.imag):
         signs = np.where(g.random(part.shape) < 0.5, -1.0, 1.0)
@@ -113,3 +110,10 @@ def kernel_stacks(draw, sizes):
     mixed = z @ z.conj().swapaxes(1, 2)
     pool = np.concatenate((exact, mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None]))
     return pool[g.integers(0, len(pool), n)]
+
+
+@st.composite
+def kernel_stacks(draw, sizes):
+    """A `signed_zero_stack` of N rows, N drawn from `sizes`, from a drawn seed."""
+    n = draw(st.sampled_from(sizes))
+    return signed_zero_stack(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)

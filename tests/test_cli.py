@@ -370,6 +370,30 @@ def test_sweep_matches_per_point_loop_at_full_chunks():
     assert _column_bytes(columns, names) == _row_bytes(want, names)
 
 
+def _value_cells(text, fmt):
+    """The `l2` ... `ppt_min_eig` cells of each row of a CSV or JSON document, as printed."""
+    if fmt == "json":  # each number is printed as its repr, which json reads back exactly
+        return [[repr(row[name]) for name in SWEEP_COLUMNS[1:]] for row in json.loads(text)]
+    # in both commands' CSV the value cells follow the first cell (p or state)
+    return [line.split(",")[1:len(SWEEP_COLUMNS)] for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("noise", ["werner", "polarized"])
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.01, 0.99)], ids=["endpoints", "interior"])
+def test_evaluate_prints_the_sweep_row_of_its_p(span, noise, fmt, capsys):
+    # one point of a sweep and `evaluate` of that state print the same value cells
+    for p_steps in (7, 11, 101, 257):
+        code, out, _ = _run(capsys, ["sweep", "--noise", noise, "--p-start", repr(span[0]),
+                                     "--p-stop", repr(span[1]), "--p-steps", str(p_steps), "--format", fmt])
+        assert code == 0
+        rows = _value_cells(out, fmt)
+        for p, row in zip(np.linspace(*span, p_steps).tolist(), rows, strict=True):
+            code, out, _ = _run(capsys, ["evaluate", "--state", f"{noise}:p={p!r}", "--format", fmt])
+            assert code == 0
+            assert _value_cells(out, fmt) == [row], (noise, p_steps, p)
+
+
 def test_noise_sweep_script_output_does_not_depend_on_chunking(tmp_path, monkeypatch):
     # the study script end to end on a grid of three STACK_CHUNK-sized chunks,
     # against the same files written in chunks of 7

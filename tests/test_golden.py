@@ -39,10 +39,12 @@ from lurwit.witness import (
     _pair_moments,
     evaluate,
     evaluate_many,
+    evaluate_standard,
     local_bound,
     standard_sets,
 )
 from oracles import expectations_in_index_order, mixed_ensemble, random_hermitian
+from strategies import signed_zero_stack
 
 SIMULATE_SPECS = (
     "singlet", "phi+", "u2-singlet", "werner:p=0.9", "werner:p=0.2", "polarized:p=0.37", "file:rho.json",
@@ -275,14 +277,16 @@ def test_gemm_and_einsum_add_exact_products_in_index_order(n):
     # states with an exact set's lifted operators by one BLAS gemm, and
     # smaller stacks by einsum. The sweep and haar-study digests hold only
     # where both add each expectation's 16 exact products in index order;
-    # on these stacks a pairwise order changes about a fifth of the words
+    # on these stacks a pairwise order changes about a fifth of the words.
+    # One state never takes gemm: its one-row product goes to gemv, which
+    # adds in another order, so only einsum is checked there
     g = np.random.default_rng(20261026 + n)
     stack = _wide_hermitian_stack(g, n)
     pairwise = 0
     for name, oset in EXACT_SETS.items():
         assert oset._exact, name
         want = _words(expectations_in_index_order(stack, oset._ops).transpose(2, 1, 0))  # (7, P, N) rows
-        for path in ("einsum", "gemm"):
+        for path in ("einsum",) if n == 1 else ("einsum", "gemm"):
             differ = np.count_nonzero(_words(_expectations(stack, oset._ops, gemm=path == "gemm")) != want)
             assert differ == 0, (
                 f"the {path} contraction of {n} states with the lifted operators of {name} is not the "
@@ -306,6 +310,22 @@ def test_kernel_rows_equal_one_state_rows_on_both_sides_of_the_cutoff():
                 moments = _pair_moments(stack[:n], oset)
                 for k in range(n):
                     assert moments[..., k].tobytes() == ones[k][..., 0].tobytes(), (name, n, k)
+
+
+@pytest.mark.parametrize("n", [GEMM_MIN_STATES, GEMM_MIN_STATES + 1, 33, 101])
+def test_witness_values_equal_one_state_values_on_stacks_with_signed_zeros(n):
+    # under gemm an exactly zero expectation can take another sign than the
+    # same state's alone (einsum), so the moments may differ in the sign of
+    # a zero; every witness sum starts from +0.0, so each value, signbit
+    # included, must still be the lone state's bytes
+    g = np.random.default_rng(20261029 + n)
+    custom = EXACT_SETS["Pauli x-z, z-(-x), 2y-2y"]
+    for _ in range(100):
+        stack = signed_zero_stack(g, n)
+        values = np.array([*evaluate_standard(stack), *evaluate_many(stack, custom)])
+        for k in range(n):
+            one = np.array([*evaluate_standard(stack[k:k + 1]), *evaluate_many(stack[k:k + 1], custom)])
+            assert values[:, k].tobytes() == one[:, 0].tobytes(), (n, k, values[:, k], one[:, 0])
 
 
 def test_only_exact_sets_take_gemm(monkeypatch):
