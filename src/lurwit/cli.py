@@ -20,14 +20,18 @@ block unbuffered, as strict UTF-8 bytes, written until none is left. If a
 write fails, the partial file and every file the command wrote before it
 are removed, unless the path is not a regular file (such as /dev/stdout).
 
-`main(argv)` may be called many times in one process: the argument parser
-is built on the first call and shared by every later one, with one table
-per command built from it (each flag's `Action` and the command's
-defaults). An argv of the form `COMMAND (--flag value)*`, with exact flags,
-no dash-leading value and every required flag, is read from that table
-with dict lookups; any other argv (help, `--flag=value`, an abbreviation,
-an unknown command or flag, a bad or missing value) goes to the full
-parser, whose usage, help and error text are the ones printed.
+`main(argv)` may be called many times in one process. One plain-data
+table, `_COMMANDS`, holds each command's run function and help and each
+flag's dest, type, choices, default, required and help. An argv of the
+form `COMMAND (--flag value)*`, with exact flags, no dash-leading value and
+every required flag, is read from that table with dict lookups into a
+`types.SimpleNamespace`; any other argv (help, `--flag=value`, an
+abbreviation, an unknown command or flag, a bad or missing value) goes to
+the full argparse parser, built from the same table on its first use and
+shared after it, whose usage, help and error text are the ones printed.
+Only that parser imports `argparse`, and only a JSON output or a `file:`
+spec imports `json`: nothing a command does not use is imported or built
+at import.
 
 Exit codes: 0 success, 2 usage or input error (also an input too large for
 memory, or a seed outside [0, 2**64)), 3 internal numerical error, 141
@@ -37,7 +41,6 @@ does; nothing is printed then.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
@@ -45,7 +48,7 @@ import os
 import re
 import stat
 import sys
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,8 +98,18 @@ def _csv_string(v: str) -> str:
     return '"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v
 
 
-# the text of a string cell, by format
-_STRING_RULES = {"csv": _csv_string, "json": encode_basestring_ascii}
+def _string_rule(fmt: str):
+    """The text of a string cell: `_csv_string`, or for JSON the json module's ASCII string literal.
+
+    `json` is imported here, on the first JSON output, not with the module.
+    """
+    if fmt == "csv":
+        return _csv_string
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii
+
+
 # the `%` conversion of a float block (JSON: a finite block only)
 _FLOAT_SLOTS = {"csv": "%.12g", "json": "%r"}
 
@@ -118,7 +131,7 @@ def _slot(block: np.ndarray, fmt: str):
             return _FLOAT_SLOTS[fmt], values
         text = list(map(float.__repr__, values))  # with the json module's names for NaN and infinities
         return "%s", list(map(_JSON_NONFINITE.get, text, text))
-    return "%s", list(map(_STRING_RULES[fmt], values))
+    return "%s", list(map(_string_rule(fmt), values))
 
 
 def _blocks(columns: dict, names, fmt: str):
@@ -131,7 +144,7 @@ def _blocks(columns: dict, names, fmt: str):
     """
     n = len(columns[names[0]])
     if fmt == "json":
-        keys = [encode_basestring_ascii(name).replace("%", "%%") for name in names]
+        keys = [_string_rule(fmt)(name).replace("%", "%%") for name in names]
         lead, sep, end, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
     else:
         header = ",".join(names) + "\n"
@@ -195,7 +208,7 @@ def _exact_columns(stack: np.ndarray) -> tuple:
     return (*witness.evaluate_standard(stack), witness.ppt_min_eigenvalues(stack))
 
 
-def run_evaluate(args: argparse.Namespace):
+def run_evaluate(args):
     """`sweep`'s value columns for one state, from `_exact_columns` on its stack of one, and the verdicts."""
     values = _exact_columns(states.parse_state_spec(args.state).matrix[None])
     sets = witness.standard_sets()
@@ -205,7 +218,7 @@ def run_evaluate(args: argparse.Namespace):
     return [(columns, EVALUATE_COLUMNS, args.out)]
 
 
-def run_sweep(args: argparse.Namespace):
+def run_sweep(args):
     """Witness values and the PPT minimum over a noise-mixture grid.
 
     The grid is evaluated in stacked chunks of STACK_CHUNK points; each row
@@ -315,7 +328,7 @@ def _same_regular_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def run_study_command(args: argparse.Namespace):
+def run_study_command(args):
     kind = "psi-" if args.state == "singlet" else args.state
     if kind not in states.BELL_KINDS:
         raise ValueError(f"haar-study expects a Bell state, got {args.state!r}")
@@ -346,7 +359,7 @@ def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
     return measurement.drawn_tables(draw_counts(rho, shots, seed))
 
 
-def run_simulate(args: argparse.Namespace):
+def run_simulate(args):
     if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     _check_seed(args.seed)
@@ -356,7 +369,7 @@ def run_simulate(args: argparse.Namespace):
     return [(columns, SIMULATE_COLUMNS, args.out)]
 
 
-def run_bound(args: argparse.Namespace):
+def run_bound(args):
     tokens = [t.strip() for t in args.observables.split(",") if t.strip()]
     if not tokens:
         raise ValueError("need at least one observable (from sx, sy, sz)")
@@ -368,92 +381,109 @@ def run_bound(args: argparse.Namespace):
     return [(_one_row({"observables": "+".join(tokens), "bound": value}), BOUND_COLUMNS, args.out)]
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `lurwit` argument parser, built on the first call and shared after it.
+def _flag(flag: str, *, type=None, choices=None, default=None, required=False, help=None, dest=None):
+    """One flag's entry in `_COMMANDS`: its `add_argument` keywords, with the dest argparse derives."""
+    return flag, {"dest": dest or flag[2:].replace("-", "_"), "type": type, "choices": choices,
+                  "default": default, "required": required, "help": help}
 
-    Every call returns the same parser, so callers must not change it.
-    Sharing it is safe: `parse_args` leaves the parser as it was and makes
-    a fresh namespace each time, and usage, error and help text are
-    formatted when they are printed. `build_parser.__wrapped__()` builds a
-    fresh parser. Its `commands` attribute holds, by command name, the table
-    `_parse_args` reads: the `Action` each `add_argument` call returned, by
-    flag; the command's namespace defaults (`get_default`, `run` included);
-    and its required flags.
+
+# the flags every command takes, after its own
+_OUTPUT_FLAGS = (
+    _flag("--out", help="output path (default stdout)"),
+    _flag("--format", choices=("csv", "json"), default="csv", dest="fmt"),
+)
+_SEED = _flag("--seed", type=int, default=0, help="stream seed, in [0, 2**64)")
+# by name: each command's run function, its help, and its flags in help order
+_COMMANDS = {
+    name: (run, help, dict(flags + _OUTPUT_FLAGS))
+    for name, run, help, flags in (
+        ("evaluate", run_evaluate, "exact witness values for one state", (
+            _flag("--state", required=True, help='state spec, e.g. "singlet" or "werner:p=0.5"'),
+        )),
+        ("sweep", run_sweep, "witness values over a noise-mixture grid", (
+            _flag("--noise", required=True, help="noise family: werner or polarized"),
+            _flag("--base", default="psi-", help="Bell state mixed with the noise"),
+            _flag("--p-start", type=float, default=0.0),
+            _flag("--p-stop", type=float, default=1.0),
+            _flag("--p-steps", type=int, default=101),
+        )),
+        ("haar-study", run_study_command, "detection rates under Haar-random local rotations", (
+            _flag("--state", default="psi-", help="Bell state to rotate"),
+            _flag("--samples", type=int, default=10000),
+            _SEED,
+            _flag("--per-sample", help="also write one row per sample here"),
+        )),
+        ("simulate", run_simulate, "finite-shot coincidence-count estimate", (
+            _flag("--state", required=True),
+            _flag("--shots", type=int, required=True, help="shots per basis"),
+            _SEED,
+        )),
+        ("bound", run_bound, "minimized single-party variance bound", (
+            _flag("--observables", required=True, help="comma-separated from sx, sy, sz"),
+        )),
+    )
+}
+
+
+@functools.cache
+def build_parser():
+    """The `lurwit` argparse parser, built from `_COMMANDS` on the first call and shared after it.
+
+    Only help, usage errors and argvs that `_parse_args` cannot read from
+    the table reach it, and `argparse` is imported here. Every call returns
+    the same parser, so callers must not change it. Sharing it is safe:
+    `parse_args` leaves the parser as it was and makes a fresh namespace
+    each time, and usage, error and help text are formatted when they are
+    printed. `build_parser.__wrapped__()` builds a fresh parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lurwit",
         description="Uncertainty-sum entanglement witnesses for two-qubit states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-
-    def command(name, run, help, *options):
-        """Add a command with its options, each (flag, `add_argument` keywords), then the common ones."""
+    for name, (run, help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        options += (("--out", dict(default=None, help="output path (default stdout)")),
-                    ("--format", dict(choices=("csv", "json"), default="csv", dest="fmt")))
-        actions = {flag: p.add_argument(flag, **kw) for flag, kw in options}
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
         p.set_defaults(run=run)
-        defaults = {a.dest: p.get_default(a.dest) for a in actions.values()}
-        required = {flag for flag, a in actions.items() if a.required}
-        parser.commands[name] = actions, {"command": name, **defaults, "run": run}, required
-
-    command("evaluate", run_evaluate, "exact witness values for one state",
-            ("--state", dict(required=True, help='state spec, e.g. "singlet" or "werner:p=0.5"')))
-    command("sweep", run_sweep, "witness values over a noise-mixture grid",
-            ("--noise", dict(required=True, help="noise family: werner or polarized")),
-            ("--base", dict(default="psi-", help="Bell state mixed with the noise")),
-            ("--p-start", dict(type=float, default=0.0)),
-            ("--p-stop", dict(type=float, default=1.0)),
-            ("--p-steps", dict(type=int, default=101)))
-    command("haar-study", run_study_command, "detection rates under Haar-random local rotations",
-            ("--state", dict(default="psi-", help="Bell state to rotate")),
-            ("--samples", dict(type=int, default=10000)),
-            ("--seed", dict(type=int, default=0, help="stream seed, in [0, 2**64)")),
-            ("--per-sample", dict(default=None, help="also write one row per sample here")))
-    command("simulate", run_simulate, "finite-shot coincidence-count estimate",
-            ("--state", dict(required=True)),
-            ("--shots", dict(type=int, required=True, help="shots per basis")),
-            ("--seed", dict(type=int, default=0, help="stream seed, in [0, 2**64)")))
-    command("bound", run_bound, "minimized single-party variance bound",
-            ("--observables", dict(required=True, help="comma-separated from sx, sy, sz")))
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, read from the command's table where it can be.
+def _parse_args(argv):
+    """`build_parser().parse_args(argv)`, read from `_COMMANDS` where it can be.
 
     An argv of the form `COMMAND (--flag value)*` with every flag exact, no
     value that starts with `-` (so no `--` anywhere) and every required flag
     given is read with dict lookups: each value is converted by its flag's
     `type` and checked against its `choices`, as argparse does, onto a new
-    namespace of the command's defaults. Every other argv (help,
+    `SimpleNamespace` of the command's defaults, with the fields argparse
+    gives (`command` and `run` included). Every other argv (help,
     `--flag=value`, an abbreviation, a dash-leading value, an unknown command
     or flag, a bad, missing or odd-count value) goes to the full parser, so
     its usage, help and error text and exit code are what the user sees.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    table = parser.commands.get(argv[0]) if len(argv) % 2 else None
-    if table is not None:
-        actions, defaults, required = table
-        args = argparse.Namespace(**defaults)
+    command = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if command is not None:
+        run, _, flags = command
+        args = SimpleNamespace(command=argv[0], **{f["dest"]: f["default"] for f in flags.values()}, run=run)
         for flag, text in zip(argv[1::2], argv[2::2]):  # a break leaves the argv to the full parser
-            action = actions.get(flag)
-            if action is None or text.startswith("-"):
+            f = flags.get(flag)
+            if f is None or text.startswith("-"):
                 break
             try:
-                value = text if action.type is None else action.type(text)
+                value = text if f["type"] is None else f["type"](text)
             except (TypeError, ValueError):
                 break
-            if action.choices is not None and value not in action.choices:
+            if f["choices"] is not None and value not in f["choices"]:
                 break
-            setattr(args, action.dest, value)
+            setattr(args, f["dest"], value)
         else:
-            if required.issubset(argv[1::2]):
+            if all(flag in argv[1::2] for flag, f in flags.items() if f["required"]):
                 return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

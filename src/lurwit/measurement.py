@@ -43,14 +43,21 @@ frequencies, the frequencies against the gradients), one BLAS dot per row
 like the 1-D `f @ g` (`sum` or `einsum` add in another order); squares are
 `np.float_power(x, 2.0)`, libm `pow` like Python's `x**2` (numpy's `x*x`
 differs in the last bit now and then).
+
+Nothing is built at import: the outcome-projector stack is built on the
+first `outcome_probabilities` call, and the bound of each standard set (and
+so the sets) on the first estimate. `EstimatedReport` is a named tuple,
+read-only and equal field by field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +112,8 @@ class CountTable:
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_basis(self.basis))
         c = np.asarray(self.counts)
+        if c.dtype.kind == "b":  # refused as `_checked_counts` and `check_shots` refuse booleans
+            raise ValueError(f"counts must be integers, got dtype {c.dtype}")
         if c.shape != (4,) or c.dtype.kind not in "iuf":
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
         values = c.tolist()
@@ -127,8 +136,7 @@ class CountTable:
         return self._shots
 
 
-@dataclass(frozen=True)
-class EstimatedReport:
+class EstimatedReport(NamedTuple):
     """Point estimates and standard errors for one witness family; `bases` in table order."""
 
     bases: tuple
@@ -141,18 +149,22 @@ class EstimatedReport:
     verdict_ml: Verdict
 
 
-def _outcome_projectors(pauli: np.ndarray) -> tuple:
-    plus, minus = (I2 + pauli) / 2.0, (I2 - pauli) / 2.0
-    return tuple(np.kron(pa, pb) for pa in (plus, minus) for pb in (plus, minus))
+@functools.cache
+def _projectors() -> np.ndarray:
+    """P_a x P_b for every basis (rows in `Basis` order) and outcome, as one read-only
+    (3, 4, 4, 4) stack, built on the first call."""
+    halves = [((I2 + basis.pauli) / 2.0, (I2 - basis.pauli) / 2.0) for basis in Basis]  # P_+, P_-
+    projectors = np.array([[np.kron(pa, pb) for pa in h for pb in h] for h in halves])
+    projectors.flags.writeable = False
+    return projectors
 
 
-# P_a x P_b for every basis (rows in `Basis` order) and outcome
-_PROJECTORS = np.array([_outcome_projectors(basis.pauli) for basis in Basis])
-_PROJECTORS.flags.writeable = False
-# separable bound of each standard set, keyed by the labels of its bases
-_BOUNDS = {
-    frozenset(label for _, _, label in s.pairs): s.separable_bound for s in standard_sets().values()
-}
+@functools.cache
+def _bounds() -> dict:
+    """The separable bound of each standard set, keyed by the labels of its bases; built on the first call."""
+    return {frozenset(label for _, _, label in s.pairs): s.separable_bound for s in standard_sets().values()}
+
+
 # outcome probabilities of every live state; a state hashes by identity
 _PROBABILITIES = weakref.WeakKeyDictionary()
 
@@ -168,7 +180,7 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
         return probs
     # projector traces, not the closed form (1 + s<a> + t<b> + st<ab>)/4: that moves
     # p by an ulp, and an ulp off 0.5 changes what numpy's binomial sampler draws
-    values = np.trace(rho.matrix @ _PROJECTORS, axis1=-2, axis2=-1)
+    values = np.trace(rho.matrix @ _projectors(), axis1=-2, axis2=-1)
     failed = first_failure(np.abs(values.imag) < EXPECTATION_IMAG_TOL)
     if failed is not None:
         raise NumericsError(f"expectation of a Hermitian operator came out complex: {values[failed]}")
@@ -240,9 +252,10 @@ def _checked_bases(bases) -> tuple:
     labels = frozenset(b.value for b in bases)  # one label per basis
     if len(labels) != len(bases):
         raise ValueError("duplicate basis in count tables")
-    if labels not in _BOUNDS:
+    bound = _bounds().get(labels)
+    if bound is None:
         raise ValueError(f"count tables cover bases {sorted(labels)}, not those of L2 or L3")
-    return bases, _BOUNDS[labels]
+    return bases, bound
 
 
 def _too_few_shots(prefix: str, basis: Basis) -> ValueError:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +298,9 @@ def density_from_json(obj) -> DensityMatrix:
 
 
 def load_density_file(path: str) -> DensityMatrix:
+    """`density_from_json` of the JSON file at `path`; `json` is imported here, on the first file read."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return density_from_json(json.load(fh))

@@ -38,12 +38,19 @@ decomposition, the agreement of the two modified-witness forms at every sum
 returned) run on every call, each as one maximum over its whole block, with
 tolerances (and the verdict margin) scaled by the set; only a failed check
 looks for the first failing state.
+
+Nothing is built at import: the standard sets are built on the first
+`standard_sets` or `evaluate_standard` call, and the report records
+`PairStats` and `WitnessReport` are named tuples, read-only and equal field
+by field.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +157,7 @@ class ObservableSet:
         return self.bound_a + self.bound_b
 
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     label: str
     var_a: float
     var_b: float
@@ -159,8 +165,7 @@ class PairStats:
     covariance: float
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Per-pair statistics plus both witness values and their verdicts."""
 
     pairs: tuple
@@ -308,21 +313,24 @@ def local_bound(observables) -> float:
     return _min_variance_sum(obs)
 
 
-_STANDARD_SETS = {  # each party measures the basis Pauli, labelled by the basis
-    name: ObservableSet(tuple((b.pauli, b.pauli, b.value) for b in bases))
-    for name, bases in (("L2", tuple(Basis)[:2]), ("L3", tuple(Basis)))
-}
+@functools.cache
+def _standard_sets() -> dict[str, ObservableSet]:
+    """The standard sets by name, built on the first call; each party measures the basis Pauli."""
+    return {
+        name: ObservableSet(tuple((b.pauli, b.pauli, b.value) for b in bases))
+        for name, bases in (("L2", tuple(Basis)[:2]), ("L3", tuple(Basis)))
+    }
 
 
 def standard_sets() -> dict[str, ObservableSet]:
-    """The two polarization witness sets, built once from `Basis`.
+    """The two polarization witness sets, built from `Basis` on the first call.
 
     L2 pairs the first two bases, 0/90 and 45/135 (separable bound
     1 + 1 = 2); L3 adds the circular basis (bound 2 + 2 = 4). Both parties
     measure the same Pauli in every basis. The dict is new on every call;
     the sets in it are shared and read-only.
     """
-    return dict(_STANDARD_SETS)
+    return dict(_standard_sets())
 
 
 def ppt_min_eigenvalues(matrices) -> np.ndarray:
@@ -382,7 +390,7 @@ def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     with its two modified forms checked, bit for bit `evaluate_many` with
     that family's set.
     """
-    return _witness_values(_pair_moments(_stack(matrices), _STANDARD_SETS["L3"])[2:], 2)
+    return _witness_values(_pair_moments(_stack(matrices), _standard_sets()["L3"])[2:], 2)
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:

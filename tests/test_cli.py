@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -1087,7 +1088,7 @@ def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
         want = cli.build_parser().parse_args(argv)
         with _argparse_blocked():
             args = cli._parse_args(argv)
-        assert isinstance(args, argparse.Namespace) and vars(args) == vars(want)
+        assert isinstance(args, types.SimpleNamespace) and vars(args) == vars(want)
 
 
 # each command's flags, and the ones it requires

@@ -155,6 +155,27 @@ def test_count_table_rejects_fractional_and_overflowing_counts():
     assert CountTable(Basis.LIN_0_90, [2**62, 2**62 - 1, 0, 0]).shots == MAX_SHOTS
 
 
+def test_count_table_refuses_booleans_with_the_integer_message():
+    # the message of `estimate_witnesses_many` (its `_checked_counts`) on a boolean stack
+    with pytest.raises(ValueError) as stack:
+        estimate_witnesses_many(np.ones((1, 2, 4), dtype=bool), [Basis.LIN_0_90, Basis.LIN_45_135])
+    assert str(stack.value) == "counts must be integers, got dtype bool"
+    for bad in ([True, False, True, True], np.array([True, True, False, True]), np.ones(3, dtype=bool)):
+        with pytest.raises(ValueError) as table:
+            CountTable(Basis.LIN_0_90, bad)
+        assert str(table.value) == str(stack.value)
+    with pytest.raises(ValueError) as drawn:
+        drawn_tables(np.ones((3, 4), dtype=bool))
+    assert str(drawn.value) == str(stack.value)
+    # every other input keeps its message; a bool among ints makes an int array, as before
+    for text, bad in (("[1, 2, 3]", [1, 2, 3]), ("['a', 'b', 'c', 'd']", ["a", "b", "c", "d"]),
+                      ("[ 1 -2  3  4]", np.array([1, -2, 3, 4]))):
+        with pytest.raises(ValueError) as other:
+            CountTable(Basis.LIN_0_90, bad)
+        assert str(other.value) == f"expected 4 nonnegative counts, got {text}"
+    assert CountTable(Basis.LIN_0_90, [1, True, 2, 3]).shots == 7
+
+
 def test_count_table_takes_a_basis_label():
     for basis in Basis:
         assert CountTable(basis.value, [1, 2, 3, 4]).basis is basis
