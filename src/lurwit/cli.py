@@ -98,6 +98,7 @@ def _csv_string(v: str) -> str:
     return '"' + v.replace('"', '""') + '"' if _CSV_SPECIAL.search(v) else v
 
 
+@functools.cache
 def _string_rule(fmt: str):
     """The text of a string cell: `_csv_string`, or for JSON the json module's ASCII string literal.
 
@@ -423,6 +424,13 @@ _COMMANDS = {
         )),
     )
 }
+# what `_parse_args` reads of each command: its flags, its namespace defaults
+# (`command` and `run` included) and its required flags
+_PLAIN = {
+    name: (flags, {"command": name, **{f["dest"]: f["default"] for f in flags.values()}, "run": run},
+           {flag for flag, f in flags.items() if f["required"]})
+    for name, (run, _, flags) in _COMMANDS.items()
+}
 
 
 @functools.cache
@@ -465,10 +473,10 @@ def _parse_args(argv):
     its usage, help and error text and exit code are what the user sees.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
-    if command is not None:
-        run, _, flags = command
-        args = SimpleNamespace(command=argv[0], **{f["dest"]: f["default"] for f in flags.values()}, run=run)
+    plain = _PLAIN.get(argv[0]) if len(argv) % 2 else None
+    if plain is not None:
+        flags, defaults, required = plain
+        args = SimpleNamespace(**defaults)
         for flag, text in zip(argv[1::2], argv[2::2]):  # a break leaves the argv to the full parser
             f = flags.get(flag)
             if f is None or text.startswith("-"):
@@ -481,7 +489,7 @@ def _parse_args(argv):
                 break
             setattr(args, f["dest"], value)
         else:
-            if all(flag in argv[1::2] for flag, f in flags.items() if f["required"]):
+            if required.issubset(argv[1::2]):
                 return args
     return build_parser().parse_args(argv)
 
