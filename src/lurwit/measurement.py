@@ -44,10 +44,10 @@ like the 1-D `f @ g` (`sum` or `einsum` add in another order); squares are
 `np.float_power(x, 2.0)`, libm `pow` like Python's `x**2` (numpy's `x*x`
 differs in the last bit now and then).
 
-Nothing is built at import: the outcome-projector stack is built on the
-first `outcome_probabilities` call, and the bound of each standard set (and
-so the sets) on the first estimate. `EstimatedReport` is a named tuple,
-read-only and equal field by field.
+The outcome-projector stack is built on the first `outcome_probabilities`
+call, and the table of standard-set bounds (and so the sets) on the first
+`estimate_witnesses` or `estimate_witnesses_many` call, not at import.
+`EstimatedReport` is a named tuple, read-only and equal field by field.
 """
 
 from __future__ import annotations

@@ -39,10 +39,9 @@ returned) run on every call, each as one maximum over its whole block, with
 tolerances (and the verdict margin) scaled by the set; only a failed check
 looks for the first failing state.
 
-Nothing is built at import: the standard sets are built on the first
-`standard_sets` or `evaluate_standard` call, and the report records
-`PairStats` and `WitnessReport` are named tuples, read-only and equal field
-by field.
+The standard sets are built on the first `standard_sets` or
+`evaluate_standard` call, not at import. The report records `PairStats` and
+`WitnessReport` are named tuples, read-only and equal field by field.
 """
 
 from __future__ import annotations
