@@ -111,9 +111,7 @@ class CountTable:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_basis(self.basis))
-        c = np.asarray(self.counts)
-        if c.dtype.kind == "b":  # refused as `_checked_counts` and `check_shots` refuse booleans
-            raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+        c = _count_array(self.counts)
         if c.shape != (4,) or c.dtype.kind not in "iuf":
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
         values = c.tolist()
@@ -291,9 +289,19 @@ def _estimate(moments, first):
     return tuple(estimates)
 
 
+def _count_array(counts) -> np.ndarray:
+    """`counts` as an array; ValueError for a bool, which numpy counts as 0 or 1 (ndarrays: by dtype)."""
+    c = np.asarray(counts)
+    if c.dtype.kind == "b":
+        raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+    if c is not counts and {bool, np.bool_} & set(map(type, np.asarray(counts, dtype=object).flat)):
+        raise ValueError(f"counts must be integers, got {counts}")
+    return c
+
+
 def _checked_counts(counts, bases: tuple) -> np.ndarray:
     """`counts` as an (R, B, 4) int64 stack; ValueError naming the first bad table."""
-    c = np.asarray(counts)
+    c = _count_array(counts)
     if c.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
     if c.ndim != 3 or c.shape[1:] != (len(bases), 4):

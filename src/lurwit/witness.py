@@ -22,22 +22,19 @@ Every witness quantity is linear in the state, so one kernel serves every
 caller and there is no scalar path beside it: a single contraction of an
 (N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
 of an `ObservableSet` gives all 7 * P expectations of all N states at once,
-as (7, P, N) rows, by `einsum` or, on a stack of at least `GEMM_MIN_STATES`
-states and a set whose products are all exact (the standard sets among
-them), by one BLAS gemm that adds the same products in the same order (see
-`_expectations`). One summation kernel, `_witness_values`, adds each pair's
-terms in pair order and returns the sums after k pairs for each k from the
-first asked for to P: `evaluate_many` asks for P, and `evaluate` is the
-same on a stack of one, plus the per-pair report. `evaluate_standard` asks
-for two and three, L2 and L3, from one pass over L3's operators: L2's
-pairs are L3's first two, so the two families read the same per-basis
-statistics, as they would in the lab. The finite-shot estimator
-(`lurwit.measurement`) sums its per-table moments with the same kernel.
-The runtime invariant checks (real expectations, the variance
-decomposition, the agreement of the two modified-witness forms at every sum
-returned) run on every call, each as one maximum over its whole block, with
-tolerances (and the verdict margin) scaled by the set; only a failed check
-looks for the first failing state.
+as (7, P, N) rows, by `einsum` or gemm (`_expectations` states the rule).
+One summation kernel, `_witness_values`, adds each pair's terms in pair
+order and returns the sums after k pairs for each k from the first asked
+for to P: `evaluate_many` asks for P, and `evaluate` is the same on a stack
+of one, plus the per-pair report. `evaluate_standard` asks for two and
+three, L2 and L3, from one pass over L3's operators: L2's pairs are L3's
+first two, so the two families read the same per-basis statistics, as they
+would in the lab. The finite-shot estimator (`lurwit.measurement`) sums its
+per-table moments with the same kernel. The runtime invariant checks (real
+expectations, the variance decomposition, the agreement of the two
+modified-witness forms at every sum returned) run on every call, each as
+one maximum over its whole block, with tolerances (and the verdict margin)
+scaled by the set; only a failed check looks for the first failing state.
 
 The standard sets are built on the first `standard_sets` or
 `evaluate_standard` call, not at import. The report records `PairStats` and
@@ -63,9 +60,6 @@ VERDICT_MARGIN = 1e-9
 # modulus or more are refused: below it every square and product the kernel
 # and `local_bound` form, and their sums, stay finite
 ENTRY_LIMIT = 2.0**500
-# the smallest stack contracted by gemm: below it one `einsum` call is as
-# cheap or cheaper (`evaluate_standard` on Haar and Werner stacks; README)
-GEMM_MIN_STATES = 6
 # the largest stack whose witness sums take one `accumulate` call; above it one add
 # per pair is cheaper, as `accumulate` walks its rows state by state (README)
 ACCUMULATE_MAX_STATES = 63
@@ -103,18 +97,13 @@ class ObservableSet:
     one subtraction of rows. Each is stored transposed: Tr(rho op) = sum_ij
     rho_ij (op^T)_ij contracts matching, contiguous indices, and `_ops`
     reshaped to (7P, 16) is the transposed right-hand side of gemm. `_exact`
-    says whether the set may take that path: every lifted operator is all
-    real or all imaginary, and every nonzero part is +-2^k with k >= 0, so
-    each product with a state is exact. It holds for the standard sets
-    (entries 0, +-1, +-2, 4 and +-i) and for pairs such as (sigma_x,
-    sigma_z) or (2 sigma_y, 2 sigma_y), but not for (sigma_x, sigma_y),
-    whose s mixes real and imaginary entries, nor for (sigma_x, 3 sigma_z).
-    The operators in `pairs` are read-only copies of the caller's, and
-    `_ops` is read-only, so a set can be shared and does not change with the
-    caller's arrays. A pair with an entry of modulus `ENTRY_LIMIT` (2^500,
-    about 3.3e150) or more is refused with a `ValueError` that names it;
-    below that the lifted squares (entries at most 16 |o|^2) and every sum
-    the kernel forms of them are finite.
+    says whether the set may take that path (see `_expectations`). The
+    operators in `pairs` are read-only copies of the caller's, and `_ops` is
+    read-only, so a set can be shared and does not change with the caller's
+    arrays. A pair with an entry of modulus `ENTRY_LIMIT` (2^500, about
+    3.3e150) or more is refused with a `ValueError` that names it; below that
+    the lifted squares (entries at most 16 |o|^2) and every sum the kernel
+    forms of them are finite.
     """
 
     pairs: tuple
@@ -193,15 +182,17 @@ def _exact_products(ops: np.ndarray) -> bool:
 def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarray:
     """Tr(rho op) for every state and lifted operator, as (7, P, N) complex rows: pair-major statistics.
 
-    `einsum` adds each expectation's 16 products in index order. The gemm,
-    (N, 16) @ (16, 7P), adds them in the same order but keeps real and
-    imaginary sums apart, so it returns einsum's bits only when every
-    product is exact and every operator is all real or all imaginary
-    (`ObservableSet._exact`), and then up to the sign of an expectation
-    that is exactly zero. Only stacks of at least `GEMM_MIN_STATES` states
-    are sent here with `gemm` set: a one-row product would go to gemv, which
-    adds in another order. Both results are views: a contiguous copy of
-    gemm's rows would be one more stack-sized allocation per call (README).
+    The contraction rule (`_pair_moments` sets `gemm`): an exact set
+    (`ObservableSet._exact`; the standard sets are exact) on two or more
+    states takes gemm; one state or an inexact set takes `einsum`, which adds
+    each expectation's 16 products in index order. The gemm, (N, 16) @ (16,
+    7P), adds them in the same order but keeps real and imaginary sums apart,
+    so it gives einsum's bits, up to the sign of an expectation that is
+    exactly zero, only when every product is exact; and one state's one-row
+    product would go to gemv, which adds in another order. From two states up
+    gemm costs about what `einsum` does, and far less on large stacks. Both
+    results are views: a contiguous copy of gemm's rows would be one more
+    stack-sized allocation per call (README).
     """
     if not gemm:
         return np.einsum("nij,pkij->kpn", matrices, ops)
@@ -212,14 +203,13 @@ def _expectations(matrices: np.ndarray, ops: np.ndarray, gemm: bool) -> np.ndarr
 def _pair_moments(matrices: np.ndarray, oset: ObservableSet) -> np.ndarray:
     """var_a, var_b, var_sum, cov and var_a + var_b of every pair and state, as one (5, P, N) block.
 
-    One contraction gives all expectations (`_ops` holds the transposes):
-    gemm for a stack of at least `GEMM_MIN_STATES` states and a set whose
-    products are exact, `einsum` otherwise (see `_expectations`). var_sum
-    takes the direct route through <s> and <s^2>, not the decomposition, so
-    the decomposition check compares two computations. Each check is one
-    block maximum, which NaN fails; only a failure looks for the first.
+    One contraction gives all expectations (`_ops` holds the transposes;
+    `_expectations` says which). var_sum takes the direct route through <s>
+    and <s^2>, not the decomposition, so the decomposition check compares two
+    computations. Each check is one block maximum, which NaN fails; only a
+    failure looks for the first.
     """
-    gemm = oset._exact and len(matrices) >= GEMM_MIN_STATES
+    gemm = oset._exact and len(matrices) > 1
     values = _expectations(matrices, oset._ops, gemm)  # <a>, <b>, <s>, <a^2>, <b^2>, <s^2>, <ab>
     imag, tol = np.abs(values.imag), EXPECTATION_IMAG_TOL * oset._scale
     if not imag.max(initial=0.0) < tol:

@@ -478,15 +478,15 @@ def pair_moments_reference(matrices, oset, ops=None) -> tuple:
     The statistic-major kernel that `witness._pair_moments` replaced, with
     its checks and messages: one contraction of the stack with
     `lifted_operators_reference` (or `ops`, in that order), by gemm on a set
-    with exact products and at least `GEMM_MIN_STATES` states, by `einsum`
-    otherwise, read as (7, N, P) rows.
+    with exact products and two or more states, by `einsum` otherwise, read
+    as (7, N, P) rows.
     """
     from lurwit.linalg import NumericsError, first_failure
-    from lurwit.witness import DECOMPOSITION_TOL, EXPECTATION_IMAG_TOL, GEMM_MIN_STATES
+    from lurwit.witness import DECOMPOSITION_TOL, EXPECTATION_IMAG_TOL
 
     ops = lifted_operators_reference(oset.pairs) if ops is None else ops
     n, p = len(matrices), len(ops)
-    if oset._exact and n >= GEMM_MIN_STATES:
+    if oset._exact and n > 1:
         values = (matrices.reshape(n, 16) @ ops.reshape(7 * p, 16).T).reshape(n, p, 7)
         values = np.ascontiguousarray(values.transpose(2, 0, 1))
     else:

@@ -33,7 +33,6 @@ from lurwit.rng import stream
 from lurwit import witness
 from lurwit.states import SX, SY, SZ, Basis, DensityMatrix, NoiseKind, noise_mixtures, parse_state_spec
 from lurwit.witness import (
-    GEMM_MIN_STATES,
     ObservableSet,
     _expectations,
     _pair_moments,
@@ -271,15 +270,15 @@ def _wide_hermitian_stack(g, n: int) -> np.ndarray:
     return (m + m.conj().swapaxes(1, 2)) / 2.0
 
 
-@pytest.mark.parametrize("n", [1, 2, GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 101, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 101, 4096])
 def test_gemm_and_einsum_add_exact_products_in_index_order(n):
-    # `witness._pair_moments` contracts a stack of at least GEMM_MIN_STATES
-    # states with an exact set's lifted operators by one BLAS gemm, and
-    # smaller stacks by einsum. The sweep and haar-study digests hold only
-    # where both add each expectation's 16 exact products in index order;
-    # on these stacks a pairwise order changes about a fifth of the words.
-    # One state never takes gemm: its one-row product goes to gemv, which
-    # adds in another order, so only einsum is checked there
+    # `witness._pair_moments` contracts a stack of two or more states with an
+    # exact set's lifted operators by one BLAS gemm, and one state by einsum.
+    # The sweep and haar-study digests hold only where both add each
+    # expectation's 16 exact products in index order; on these stacks a
+    # pairwise order changes about a fifth of the words. One state never
+    # takes gemm: its one-row product goes to gemv, which adds in another
+    # order, so only einsum is checked there
     g = np.random.default_rng(20261026 + n)
     stack = _wide_hermitian_stack(g, n)
     pairwise = 0
@@ -306,13 +305,13 @@ def test_kernel_rows_equal_one_state_rows_on_both_sides_of_the_cutoff():
     for name, oset in {**EXACT_SETS, **INEXACT_SETS}.items():
         for stack in stacks:
             ones = [_pair_moments(stack[k:k + 1], oset) for k in range(len(stack))]
-            for n in (GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 101):
+            for n in (2, 3, 101):
                 moments = _pair_moments(stack[:n], oset)
                 for k in range(n):
                     assert moments[..., k].tobytes() == ones[k][..., 0].tobytes(), (name, n, k)
 
 
-@pytest.mark.parametrize("n", [GEMM_MIN_STATES, GEMM_MIN_STATES + 1, 33, 101])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 33, 101])
 def test_witness_values_equal_one_state_values_on_stacks_with_signed_zeros(n):
     # under gemm an exactly zero expectation can take another sign than the
     # same state's alone (einsum), so the moments may differ in the sign of
@@ -340,14 +339,14 @@ def test_only_exact_sets_take_gemm(monkeypatch):
     stack = mixed_ensemble(stream(2929), 4096, 4)
     for name, oset in INEXACT_SETS.items():
         assert not oset._exact, name
-        for n in (1, GEMM_MIN_STATES, 4096):
+        for n in (1, 2, 4096):
             evaluate_many(stack[:n], oset)
     assert paths == [False] * 3 * len(INEXACT_SETS), "a set with inexact products took gemm"
     paths.clear()
     for oset in EXACT_SETS.values():
-        for n in (1, GEMM_MIN_STATES - 1, GEMM_MIN_STATES, 4096):
+        for n in (1, 2, 3, 6, 4096):
             evaluate_many(stack[:n], oset)
-    assert paths == [False, False, True, True] * len(EXACT_SETS)
+    assert paths == [False, True, True, True, True] * len(EXACT_SETS), "gemm is for two or more states"
 
 
 def _ppt_stacks():

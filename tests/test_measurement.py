@@ -175,6 +175,35 @@ def test_count_table_refuses_booleans_with_the_integer_message():
         assert str(other.value) == f"expected 4 nonnegative counts, got {text}"
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_among_integer_counts_is_refused_on_every_path(flag):
+    # numpy reads [1, True, 2, 3] as int64, so the bool would count as one shot
+    row = [1, flag, 2, 3]
+    with pytest.raises(ValueError) as table:
+        CountTable(Basis.LIN_0_90, row)
+    assert str(table.value) == f"counts must be integers, got {row}"
+    rest = [[2, 2, 2, 1], [3, 1, 1, 2]]
+    # in a nested list, in a list among arrays, and as a bool array in a list
+    for nested in ([[row, *rest]], [[np.array(rest[0]), row, np.array(rest[1])]],
+                   [[*rest, np.array([flag] * 4)]]):
+        for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis)), drawn_tables):
+            with pytest.raises(ValueError, match="^counts must be integers, got "):
+                call(nested[0] if call is drawn_tables else nested)
+    # the same counts as integers are taken
+    assert CountTable(Basis.LIN_0_90, [1, 1, 2, 3]).shots == 7
+    assert np.isfinite(estimate_standard([[[1, 1, 2, 3], *rest]])).all()
+
+
+def test_count_arrays_are_not_read_again_for_bools():
+    counts = draw_counts(SINGLET, 1000, 3)
+    with mock.patch.object(np, "asarray", wraps=np.asarray) as asarray:
+        drawn_tables(counts)
+        estimate_standard(counts[None])
+        assert all(call.kwargs.get("dtype") is not object for call in asarray.call_args_list)
+        estimate_standard(counts[None].tolist())
+        assert any(call.kwargs.get("dtype") is object for call in asarray.call_args_list)
+
+
 def test_count_table_takes_a_basis_label():
     for basis in Basis:
         assert CountTable(basis.value, [1, 2, 3, 4]).basis is basis

@@ -492,7 +492,7 @@ def test_public_margin_gives_the_verdict_of_evaluate():
     rho = noise_mixture(0.5 + 1e-11, NoiseKind.WERNER)
     report = evaluate(rho, oset)
     reported = ((report.l_value, report.verdict_l), (report.ml_value, report.verdict_ml))
-    for n in (1, witness.GEMM_MIN_STATES):
+    for n in (1, 2):
         for value, (one, verdict) in zip(evaluate_many(np.array([rho.matrix] * n), oset), reported):
             assert (value == one).all()
             gap = oset.separable_bound - value
@@ -651,7 +651,7 @@ def test_kernel_checks_the_variance_decomposition():
         evaluate_many(stack, oset)
 
 
-@pytest.mark.parametrize("n", [witness.GEMM_MIN_STATES - 1, witness.GEMM_MIN_STATES, 101])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 101])
 def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
     paths = []
     real = witness._expectations
@@ -661,7 +661,7 @@ def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
         return real(matrices, ops, gemm)
 
     monkeypatch.setattr(witness, "_expectations", recorded)
-    k = n - 2
+    k = max(0, n - 2)
     for pauli, call, label in ((SZ, lambda m: evaluate_many(m, SETS["L3"]), "0/90"), (SY, evaluate_standard, "R/L")):
         stack = np.array([SINGLET.matrix] * n)
         stack[k] = stack[k] + 1e-3j * np.kron(pauli, pauli)
@@ -673,7 +673,7 @@ def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
     object.__setattr__(oset, "_ops", ops)
     with pytest.raises(NumericsError, match="decomposition failed at stack index 0, pair '45/135'"):
         evaluate_many(np.array([SINGLET.matrix] * n), oset)
-    assert paths == [n >= witness.GEMM_MIN_STATES] * 3
+    assert paths == [n > 1] * 3
 
 
 def test_evaluate_many_rejects_a_bad_shape():
@@ -762,7 +762,7 @@ KERNEL_SETS = {
 
 
 @given(
-    kernel_stacks((1, 2, 3, 4, 5, witness.GEMM_MIN_STATES, 101, STACK_CHUNK + 3)),
+    kernel_stacks((1, 2, 3, 4, 5, 6, 101, STACK_CHUNK + 3)),
     st.sampled_from(sorted(KERNEL_SETS)),
 )
 @settings(max_examples=60, deadline=None)
@@ -774,7 +774,7 @@ def test_kernel_equals_the_statistic_major_reference_bitwise(stack, name):
     assert oset._exact == (name in ("L2", "L3", "exact custom"))
     var_a, var_b, var_sum, cov = want = pair_moments_reference(stack, oset)
     moments, before = witness._pair_moments(stack, oset), np.array((*want, var_a + var_b)).transpose(0, 2, 1)
-    if oset._exact and len(stack) >= witness.GEMM_MIN_STATES:
+    if oset._exact and len(stack) > 1:
         assert np.array_equal(moments, before)
     else:
         assert moments.tobytes() == before.tobytes()
@@ -799,7 +799,7 @@ def _positions(n: int) -> tuple:
     return n // 2, n - 1
 
 
-@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+@pytest.mark.parametrize("n", [1, 5, 6, 101])
 def test_complex_expectations_fail_as_before(n):
     first, second = _positions(n)
     stack = np.array([SINGLET.matrix] * n)
@@ -809,7 +809,7 @@ def test_complex_expectations_fail_as_before(n):
     _raises_as_the_reference(lambda: evaluate_standard(stack), reference, first)
 
 
-@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+@pytest.mark.parametrize("n", [1, 5, 6, 101])
 def test_broken_decompositions_fail_as_before(n):
     # s^2 of the 45/135 pair gains 2^-20 (|00><01| + |01><00|): every product stays exact, and
     # var_sum moves by 2^-19 Re rho_01, which is 0 on the singlet and 2^-20 on |H+>
@@ -827,7 +827,7 @@ def test_broken_decompositions_fail_as_before(n):
     _raises_as_the_reference(lambda: evaluate_many(stack, oset), reference, first)
 
 
-@pytest.mark.parametrize("n", [5, witness.GEMM_MIN_STATES, 101])
+@pytest.mark.parametrize("n", [1, 5, 6, 101])
 @pytest.mark.parametrize("pairs", [(0, 0), (2, 0)], ids=["both-in-L2", "first-only-in-L3"])
 def test_disagreeing_modified_forms_fail_as_before(n, pairs, monkeypatch):
     # var_sum skewed at two states; a skew on the R/L pair shows only at L3's sum,
