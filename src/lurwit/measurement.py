@@ -13,8 +13,9 @@ Estimator conventions, chosen to keep identities exact on finite samples:
   * |cov| enters the modified witness as the absolute value of the plug-in
     covariance, which is biased upward when the true covariance is near 0;
   * standard errors use the first-order delta method on the multinomial
-    covariance of the outcome frequencies (approximate, and reported as 0
-    when the statistic sits at a stationary point of the frequencies).
+    covariance of the outcome frequencies (approximate), as a centred
+    spread (`_table_moments`), exactly 0 when the statistic sits at a
+    stationary point of the frequencies the table saw.
 
 The tables' bases select the standard witness set that supplies the bound,
 and the witness sums (with their check that the two ML forms agree) are the
@@ -34,15 +35,13 @@ bases and shots on every call): the `CountTable`s of one drawn replicate
 (`drawn_tables`) share one record and so one pass for L2 and L3.
 
 The moments are statistic-major: each per-table statistic is one
-contiguous (..., B) row and the gradients one (4, ..., B, 4) stack, so a
+contiguous (..., B) row and the gradients one (2, ..., B, 4) stack, so a
 replicate's few tables run numpy's contiguous loops, cheaper per call than
 strided columns. Results are bit for bit a per-table loop of Python
-scalars, and a row does not depend on its stack: the dot products are
-`np.vecdot` (a constant (3, 1, ..., 1, 4) sign stack against the
-frequencies, the frequencies against the gradients), one BLAS dot per row
-like the 1-D `f @ g` (`sum` or `einsum` add in another order); squares are
-`np.float_power(x, 2.0)`, libm `pow` like Python's `x**2` (numpy's `x*x`
-differs in the last bit now and then).
+floats, and a row does not depend on its stack or on the BLAS build: every
+sum over the four outcomes is `np.add.reduce` of elementwise products,
+which numpy adds left to right with no BLAS call, and every square is
+`x * x`, not libm `pow`.
 
 The outcome-projector stack is built on the first `outcome_probabilities`
 call, and the table of standard-set bounds (and so the sets) on the first
@@ -53,7 +52,6 @@ call, and the table of standard-set bounds (and so the sets) on the first
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import weakref
 from dataclasses import dataclass
@@ -77,10 +75,6 @@ SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
 _SIGNS = np.array([SIGN_A, SIGN_B, SIGN_AB])
 _SIGNS.flags.writeable = False
-# the delta-method gradients' constant vectors (see `_table_moments`)
-_GRAD_VAR_A, _GRAD_VAR_B = -2.0 * SIGN_A, -2.0 * SIGN_B
-_GRAD_SUM_BASE = 2.0 * SIGN_AB
-_GRAD_SUM_SLOPE = 2.0 * (SIGN_A + SIGN_B)
 
 PROB_SUM_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # counts are int64
@@ -112,16 +106,9 @@ class CountTable:
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_basis(self.basis))
         c = _count_array(self.counts)
-        if c.shape != (4,) or c.dtype.kind not in "iuf":
+        if c.shape != (4,) or c.dtype.kind not in "iu" or min(c.tolist()) < 0:
             raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
-        values = c.tolist()
-        if c.dtype.kind == "f":
-            if not all(math.isfinite(v) and v == int(v) for v in values):
-                raise ValueError(f"counts must be whole numbers, got {self.counts}")
-            values = list(map(int, values))
-        if min(values) < 0:
-            raise ValueError(f"expected 4 nonnegative counts, got {self.counts}")
-        total = sum(values)
+        total = sum(c.tolist())
         if total > MAX_SHOTS:
             raise ValueError(f"counts total {total} exceeds the largest supported count {MAX_SHOTS}")
         counts = c.astype(np.int64)
@@ -211,32 +198,30 @@ def _table_moments(counts: np.ndarray, shots: np.ndarray):
     statistic is one contiguous row. Every table needs at least one shot.
     """
     f = counts / shots[..., None]
-    means = np.vecdot(_SIGNS.reshape((3,) + (1,) * (f.ndim - 1) + (4,)), f)  # <A>, <B>, <AB>
+    signs = _SIGNS.reshape((3,) + (1,) * (f.ndim - 1) + (4,))
+    means = np.add.reduce(f * signs, axis=-1)  # <A>, <B>, <AB>
     # rows by index: unpacking iterates over the array, which costs more per row
     m_a, m_b, m_ab = means[0], means[1], means[2]
 
     # outcomes are +/-1 so <A^2> = <B^2> = 1 exactly
-    var_ab = 1.0 - np.float_power(means[:2], 2.0)
+    var_ab = 1.0 - means[:2] * means[:2]
     var_a, var_b = var_ab[0], var_ab[1]
     cov = m_ab - m_a * m_b
     var_sum = var_a + var_b + 2.0 * cov
 
-    # gradients of var_sum and the ML term in the frequencies, then their squares;
-    # the sign vectors are +/-1 and the factors 2, so folding them into constants
-    # changes no rounding
-    a, b = m_a[..., None], m_b[..., None]
-    grads = np.empty((4,) + f.shape)
-    np.subtract(_GRAD_SUM_BASE, (a + b) * _GRAD_SUM_SLOPE, out=grads[0])
-    grad_cov = SIGN_AB - b * SIGN_A - a * SIGN_B
-    # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
-    sign2 = (2.0 * np.sign(cov))[..., None]
-    np.subtract(a * _GRAD_VAR_A + b * _GRAD_VAR_B, sign2 * grad_cov, out=grads[1])
-    np.square(grads[:2], out=grads[2:])
+    # gradients in the frequencies, up to constants (which the SE does not see), over the
+    # centred outcomes u = A - <A> and v = B - <B>: (u + v)^2 for var_sum and
+    # u^2 + v^2 - 2 sign(cov) u v for the ML term, with the subgradient 0 at cov == 0
+    uv = signs[:2] - means[:2, ..., None]
+    u_plus_v, squares = uv[0] + uv[1], uv * uv
+    grads = np.empty((2,) + f.shape)
+    np.multiply(u_plus_v, u_plus_v, out=grads[0])
+    np.subtract(squares[0] + squares[1], (2.0 * np.sign(cov))[..., None] * (uv[0] * uv[1]), out=grads[1])
 
-    # first-order propagation through the multinomial covariance of f
-    moments = np.vecdot(f, grads)  # E[g] of both gradients, then E[g^2]
-    spread = moments[2:] - np.square(moments[:2])
-    se = np.sqrt(np.maximum(0.0, spread) / shots)
+    # first-order propagation through the multinomial covariance of f, centred:
+    # SE^2 = sum f (g - sum f g)^2 / n, exactly 0 where g is constant on the outcomes seen
+    spread = grads - np.add.reduce(f * grads, axis=-1)[..., None]
+    se = np.sqrt(np.add.reduce(f * (spread * spread), axis=-1) / shots)
     return var_a, var_b, var_sum, cov, se
 
 
@@ -282,7 +267,7 @@ def _estimate(moments, first):
     """
     var_a, var_b, var_sum, cov, se = moments
     values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
-    se_sums = np.sqrt(np.add.accumulate(np.float_power(se, 2.0), axis=-1))
+    se_sums = np.sqrt(np.add.accumulate(se * se, axis=-1))
     estimates = []
     for k, l_values, ml_values in zip(range(first, se.shape[-1] + 1), values, values, strict=True):
         estimates += (l_values, se_sums[0, ..., k - 1], ml_values, se_sums[1, ..., k - 1])
@@ -290,12 +275,21 @@ def _estimate(moments, first):
 
 
 def _count_array(counts) -> np.ndarray:
-    """`counts` as an array; ValueError for a bool, which numpy counts as 0 or 1 (ndarrays: by dtype)."""
+    """`counts` as an array, by the count rule of tables and stacks: ValueError for a bool (numpy
+    counts one as 0 or 1), a float, or an integer past MAX_SHOTS (numpy makes it uint64, float or
+    object); an ndarray of numbers is judged by its dtype."""
     c = np.asarray(counts)
     if c.dtype.kind == "b":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
-    if c is not counts and {bool, np.bool_} & set(map(type, np.asarray(counts, dtype=object).flat)):
-        raise ValueError(f"counts must be integers, got {counts}")
+    if c is not counts or c.dtype.kind == "O":
+        items = np.asarray(counts, dtype=object).ravel().tolist()
+        if {bool, np.bool_} & set(map(type, items)):
+            raise ValueError(f"counts must be integers, got {counts}")
+        for v in items:
+            if isinstance(v, numbers.Integral) and v > MAX_SHOTS:
+                raise ValueError(f"count {v} exceeds the largest supported count {MAX_SHOTS}")
+    if c.dtype.kind == "f":
+        raise ValueError(f"counts must be integers, got dtype {c.dtype}")
     return c
 
 

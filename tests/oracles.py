@@ -7,9 +7,12 @@ index definition, and the entanglement test is the sign of a determinant
 `sweep_reference` and `local_bound_reference` are the exceptions: they
 keep the per-state and per-observable loops that the stacked Haar study,
 sweep and local bound replaced. `estimate_reference` keeps the per-table
-estimator loop, and `witness_values_reference` and
-`estimate_values_reference` the per-family row sums that the one witness
-summation kernel and the one estimate function replaced, and
+estimator loop over `basis_estimate_reference`, the estimator's centred
+SEs in Python floats; `basis_estimate_gradient_reference` keeps the
+uncentred gradient form they replaced, and `standard_errors_exact` gives
+both SEs in exact rational arithmetic. `witness_values_reference` and
+`estimate_values_reference` keep the per-family row sums that the one
+witness summation kernel and the one estimate function replaced, and
 `expectations_in_index_order` the order in which both contractions of the
 witness kernel, `einsum` and gemm, must add their exact products.
 `pair_moments_reference` and `witness_sums_reference` keep the
@@ -36,6 +39,7 @@ same draws.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -414,36 +418,102 @@ SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 SIGN_AB = SIGN_A * SIGN_B
 
 
-def _delta_se(grad: np.ndarray, freqs: np.ndarray, shots: int) -> float:
-    # first-order propagation through the multinomial covariance of freqs
-    mean = float(freqs @ grad)
-    second = float(freqs @ (grad * grad))
-    return math.sqrt(max(0.0, second - mean * mean) / shots)
+def _in_order(terms) -> float:
+    """The terms added left to right, starting from the first, as numpy's add.reduce adds four."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def basis_estimate_reference(counts: np.ndarray) -> tuple:
-    """One table's plug-in moments and delta-method SEs, in Python scalars.
+    """One table's plug-in moments and delta-method SEs, in Python floats.
 
     Returns (var_a, var_b, var_sum, cov, var_sum_se, ml_se), where ml_se is
-    the SE of var_a + var_b - 2|cov|.
+    the SE of var_a + var_b - 2|cov|. Each SE is the centred spread
+    sqrt(sum f (g - sum f g)^2 / n) of a gradient over the centred outcomes
+    u = A - <A> and v = B - <B>: (u + v)^2 for var_sum and
+    u^2 + v^2 - 2 sign(cov) u v for the ML term. Every sum runs left to
+    right over the four outcomes, and every square is x * x.
+    """
+    shots = int(counts.sum())
+    f = (counts / shots).tolist()
+    m_a, m_b, m_ab = (
+        _in_order(p * s for p, s in zip(f, signs.tolist())) for signs in (SIGN_A, SIGN_B, SIGN_AB)
+    )
+
+    var_a = 1.0 - m_a * m_a
+    var_b = 1.0 - m_b * m_b
+    cov = m_ab - m_a * m_b
+    var_sum = var_a + var_b + 2.0 * cov
+
+    u = [s - m_a for s in SIGN_A.tolist()]
+    v = [s - m_b for s in SIGN_B.tolist()]
+    # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
+    two_sign = 2.0 * ((cov > 0.0) - (cov < 0.0))
+    grad_var_sum = [(x + y) * (x + y) for x, y in zip(u, v)]
+    grad_ml = [(x * x + y * y) - two_sign * (x * y) for x, y in zip(u, v)]
+    ses = []
+    for grad in (grad_var_sum, grad_ml):
+        mean = _in_order(p * g for p, g in zip(f, grad))
+        ses.append(math.sqrt(_in_order(p * ((g - mean) * (g - mean)) for p, g in zip(f, grad)) / shots))
+    return var_a, var_b, var_sum, cov, *ses
+
+
+def basis_estimate_gradient_reference(counts: np.ndarray) -> tuple:
+    """One table's delta-method SE^2 in the uncentred form, and each form's rounding scale.
+
+    Returns (var_sum_se2, ml_se2, var_sum_scale, ml_scale). Each SE^2 is
+    (E_f[g^2] - E_f[g]^2) / n over gradients built from the sign vectors
+    (BLAS dot products, numpy squares), unclamped; the scale E_f[g^2] / n
+    is what its cancellation error is a few eps of.
     """
     shots = int(counts.sum())
     f = counts / shots
     m_a = float(f @ SIGN_A)
     m_b = float(f @ SIGN_B)
     m_ab = float(f @ SIGN_AB)
-
-    var_a = 1.0 - m_a**2
-    var_b = 1.0 - m_b**2
     cov = m_ab - m_a * m_b
-    var_sum = var_a + var_b + 2.0 * cov
 
     grad_cov = SIGN_AB - m_b * SIGN_A - m_a * SIGN_B
     grad_var_sum = 2.0 * SIGN_AB - 2.0 * (m_a + m_b) * (SIGN_A + SIGN_B)
     # |cov| gradient uses sign(cov); at cov == 0 the subgradient 0 is used
     grad_ml = -2.0 * m_a * SIGN_A - 2.0 * m_b * SIGN_B - 2.0 * np.sign(cov) * grad_cov
-    var_sum_se, ml_se = _delta_se(grad_var_sum, f, shots), _delta_se(grad_ml, f, shots)
-    return var_a, var_b, var_sum, cov, var_sum_se, ml_se
+    spreads, scales = [], []
+    for grad in (grad_var_sum, grad_ml):
+        mean, second = float(f @ grad), float(f @ (grad * grad))
+        spreads.append((second - mean * mean) / shots)
+        scales.append(second / shots)
+    return (*spreads, *scales)
+
+
+def standard_errors_exact(counts) -> tuple:
+    """One table's (var_sum SE^2, ML SE^2, cov) as exact fractions.
+
+    The delta method through the multinomial covariance (diag f - f f^T) / n
+    of the frequencies, with each gradient written as the partial
+    derivatives of the plug-in statistic: no centring, no dropped constants.
+    The ML gradient takes sign(cov) of the exact covariance, 0 at cov == 0.
+    """
+    shots = sum(counts)
+    f = [Fraction(c, shots) for c in counts]
+    a_signs, b_signs = SIGN_A.astype(int).tolist(), SIGN_B.astype(int).tolist()
+    m_a = sum(p * a for p, a in zip(f, a_signs))
+    m_b = sum(p * b for p, b in zip(f, b_signs))
+    cov = sum(p * a * b for p, a, b in zip(f, a_signs, b_signs)) - m_a * m_b
+    sign = (cov > 0) - (cov < 0)
+    grad_var_sum, grad_ml = [], []
+    for a, b in zip(a_signs, b_signs):
+        grad_var_a, grad_var_b = a * a - 2 * a * m_a, b * b - 2 * b * m_b
+        grad_cov = a * b - a * m_b - b * m_a
+        grad_var_sum.append(grad_var_a + grad_var_b + 2 * grad_cov)
+        grad_ml.append(grad_var_a + grad_var_b - 2 * sign * grad_cov)
+    se2 = []
+    for grad in (grad_var_sum, grad_ml):
+        mean = sum(p * g for p, g in zip(f, grad))
+        se2.append((sum(p * g * g for p, g in zip(f, grad)) - mean * mean) / shots)
+    return (*se2, cov)
 
 
 def expectations_in_index_order(matrices, ops) -> np.ndarray:
@@ -563,7 +633,7 @@ def estimate_values_reference(var_a, var_b, var_sum, cov, se) -> tuple:
     basis after another.
     """
     l_values, ml_values = witness_values_reference(var_a, var_b, var_sum, cov)
-    l_var, ml_var = np.add.accumulate(np.float_power(se, 2.0), axis=-2)[..., -1, :].T
+    l_var, ml_var = np.add.accumulate(se * se, axis=-2)[..., -1, :].T
     return l_values, np.sqrt(l_var), ml_values, np.sqrt(ml_var)
 
 
@@ -576,8 +646,8 @@ def estimate_reference(tables) -> tuple:
     per_table = [basis_estimate_reference(t.counts) for t in tables]
     l_var = ml_var = 0.0
     for est in per_table:
-        l_var += est[4] ** 2
-        ml_var += est[5] ** 2
+        l_var += est[4] * est[4]
+        ml_var += est[5] * est[5]
     moments = np.array([[e[:4] for e in per_table]])
     l_values, ml_values = witness_values_reference(*moments.transpose(2, 0, 1))
     return (

@@ -9,25 +9,25 @@ with `float.hex`, and for the matrices of the rotated singlets.
 
 The digests also rest on floating-point behaviour that numpy does not
 promise and that can change with the BLAS or LAPACK kernels a CPU selects:
-the BLAS dot of the estimator, the summation order of the contractions,
-and LAPACK's `eigvalsh`. The first tests check the BLAS dot, the witness
-kernel's contraction order, and `eigvalsh` on the pinned partial
+the summation order of the contractions and LAPACK's `eigvalsh`. The
+estimator calls neither BLAS nor libm (its sums are `np.add.reduce` over
+four outcomes, its squares `x * x`), so the `simulate` and estimate digests
+rest only on the matmul that builds their states. The first tests check the
+witness kernel's contraction order, and `eigvalsh` on the pinned partial
 transposes and in `local_bound`, so they run, and fail, ahead of the
-digests. Each digest's
-message names every assumption its bytes rest on, and the test that checks
-it, if one does.
+digests. Each digest's message names every assumption its bytes rest on,
+and the test that checks it, if one does.
 """
 
 import hashlib
 import itertools
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lurwit.cli import STACK_CHUNK, build_parser, draw_counts, main, simulate_counts
-from lurwit.measurement import _SIGNS, CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
+from lurwit.measurement import CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
 from lurwit.linalg import transpose_second_qubit
 from lurwit.rng import stream
 from lurwit import witness
@@ -71,29 +71,29 @@ RHO_JSON = {
 SIMULATE_DIGESTS = {
     ("singlet", "csv"): "d3d44dbf6e12b8c80eec9f700be8a544e7ef30c39ef037f993559feb80ab9164",
     ("singlet", "json"): "af1ce769da9828fc9c2150fa99e546d52b62236e2c2e09ce54a560227d1048f4",
-    ("phi+", "csv"): "80b12a579cf396595f08f38b3779d223e0bee4d0b3d58b56e75b7afe929eee42",
-    ("phi+", "json"): "8da3df2336291e95f4956fc0eca2f4ff301ff3a8ac3a6ae7dc3bf4cd288fab5a",
+    ("phi+", "csv"): "8dcd6ca908a78cf415de54aeef35f4c1504f1965578432af9542771e4ca1807b",
+    ("phi+", "json"): "64783023712bb740df2059e378d4f7eb9541674d2d4dad5a242d6976995ec509",
     ("u2-singlet", "csv"): "e29d291e17b32cb69b15d78eb07a5b1f0c0ccbccc3771f21c15c6f629e871b9d",
-    ("u2-singlet", "json"): "6927cf4c9db869a48b9d9581d00b7f5edd66c92d4d17cb3026a700f2f07aaa59",
+    ("u2-singlet", "json"): "7ad59f5f83c5ec45e47e6df02d5df8b3391d6267f378756f8c5c850cffab5ef7",
     ("werner:p=0.9", "csv"): "5ad4535a93f2017c73b708688851219dd01c373a77873a8e8b308bea11c0156f",
-    ("werner:p=0.9", "json"): "041427d018b21c3beac206c8b4ba70fb4fba1f48c6c14272cdad20c497bca6d9",
+    ("werner:p=0.9", "json"): "28c5f054ebf2e2e914f8cc0df979a9bc3c6e40524f0b50c18d6a6a95f1f9e89a",
     ("werner:p=0.2", "csv"): "b7e5499b760bcc1d4c65608014ad4bf4d246bfbbf8039d25b2c4e4cce1b731bc",
-    ("werner:p=0.2", "json"): "2d9ba7fac7b3b94288f94040a0a77f9bba334b43d06da67808f6271e2d9bdbd5",
+    ("werner:p=0.2", "json"): "e13a8f8ea69d0c06b3f09167bb11b280040e962d6247f59e8498d8010b795bbf",
     ("polarized:p=0.37", "csv"): "42036205de16e6225e381b83fd301ccf2f51580a0f390639a9697d55fd7e5680",
-    ("polarized:p=0.37", "json"): "51a772a744fefd41549d8b3a0cbd90589ca4ee5296f3568ee183d19f17edd6e0",
+    ("polarized:p=0.37", "json"): "9e978791eff7a0f664ee30431aa442cb7f61c224b21afc00d7f1335deb93a7d5",
     ("file:rho.json", "csv"): "4aa602ffa60b216dca2e8a1f0246d58341bc50eb7d663ff5db6742d15d1447d2",
-    ("file:rho.json", "json"): "4ea952030395e581a7510bc1195947cb54dc493428763609a2a6bab7bdfd0a8d",
+    ("file:rho.json", "json"): "c3a7720caf971593d322dc39c4859d6a6fd306a667b5f63024a907812d0958a0",
 }
 
 # L2 then L3 reports of every drawn replicate of SIMULATE_SPECS x SIMULATE_SHOTS x SIMULATE_SEEDS
-ESTIMATE_DIGEST = "0fc25faed196c668fd063aa3b66e8177203de2de5692a4844707262ac6e0dd90"
+ESTIMATE_DIGEST = "b428ea96a1c9a58d2dd271c671f5968d61759dc7dfe8aaf565cfcf8b421ec1af"
 
 # every basis order that picks L2 or L3, as indices into `Basis`
 BASIS_ORDERS = [*itertools.permutations(range(2)), *itertools.permutations(range(3))]
 # `estimate_witnesses_many` on one stack of every drawn replicate above, in every basis order
-MANY_DIGEST = "544f4f9039a5c67052f05953f44fc30d427d66c30ecb2e02c2ebd4ee10201a89"
+MANY_DIGEST = "2db6d994373f6d79d534b8de2d6cdadb9ba386b36f0b7fa6f0632c775c5480b5"
 # `estimate_witnesses` reports of those replicates' tables in every basis order, drawn and hand-built
-ORDERED_DIGEST = "01ecbdd4ecb7948152fdd0c9b9cf7485d18d0a6f7d44f41d0bccd56828480d51"
+ORDERED_DIGEST = "ada364558fd1fb855b23a9ca5f9bf2796477894786b0a6d015e2303ab8a4506e"
 # `evaluate_many` values and `evaluate` reports of seeded custom sets of 1-4 pairs
 CUSTOM_DIGEST = "c487069ca6ed9cacd543c148db5f8bcea396638f7c4e7734207472c695e6ec99"
 
@@ -158,10 +158,6 @@ PAULI_BOUNDS = {
 ROTATED_SINGLETS_DIGEST = "482924373cf7fcdc3c2b11c1904ba4093898ef0a3c0f68b039241e3634361705"
 
 # what a digest's bytes rest on beyond the code under it, and the test that checks each
-FMA_CHAIN = (
-    "np.vecdot of 4-vectors being a fused multiply-add chain "
-    "(test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain)"
-)
 KERNEL_ORDER = (
     "the witness kernel's einsum and gemm adding each expectation's products in index order "
     "(test_gemm_and_einsum_add_exact_products_in_index_order, on exact sets)"
@@ -204,42 +200,6 @@ def _digest(runs, fmt, capsys, per_sample=None) -> str:
         if per_sample is not None:
             h.update(per_sample.read_bytes())
     return h.hexdigest()
-
-def _fma_chain(x, y) -> float:
-    """x . y as a chain of fused multiply-adds, each rounded once to the nearest float, in index order."""
-    total = 0.0
-    for a, b in zip(x, y):
-        total = float(Fraction(a) * Fraction(b) + Fraction(total))
-    return total
-
-
-def test_vecdot_of_four_vectors_is_a_fused_multiply_add_chain():
-    # the estimator's frequency dot products (`measurement._table_moments`) are
-    # `np.vecdot` of 4-vectors: a constant (3, 1, 1, 4) sign stack broadcast
-    # over (R, B, 4) frequencies, and the frequencies against a (4, R, B, 4)
-    # gradient stack. The pinned `simulate` and estimate digests hold only
-    # where each is the FMA chain (as OpenBLAS's ddot computes it)
-    g = np.random.default_rng(20261019)
-    x = g.standard_normal((2000, 1, 4))
-    y = g.standard_normal((2000, 3, 4))
-    x[:1000] = g.integers(0, 10**6, (1000, 1, 4)) / 999_983.0  # frequency-like rows
-    y[:1000] = g.choice([-2.0, -1.0, 1.0, 2.0], (1000, 3, 4)) * g.random((1000, 3, 4))
-    counts = g.integers(0, 10**6, (400, 3, 4))
-    freqs = counts / counts.sum(axis=-1, keepdims=True)
-    grads = g.choice([-2.0, -1.0, 1.0, 2.0], (4, 400, 3, 4)) * g.random((4, 400, 3, 4))
-    for form, (x, y) in {
-        "rows against vectors": (x, y),
-        "sign stack against frequencies": (_SIGNS.reshape(3, 1, 1, 4), freqs),
-        "frequencies against gradient stack": (freqs, grads),
-    }.items():
-        got = np.vecdot(x, y)
-        x, y = np.broadcast_arrays(x, y)
-        want = [_fma_chain(a, b) for a, b in zip(x.reshape(-1, 4).tolist(), y.reshape(-1, 4).tolist())]
-        differ = sum(map(float.__ne__, got.ravel().tolist(), want))
-        assert differ == 0, (
-            f"np.vecdot of float64 4-vectors ({form}) is not the fused multiply-add chain on {differ} "
-            f"of {len(want)} pairs; the simulate and estimate digests below assume it is"
-        )
 
 
 # every lifted operator all real or all imaginary, with parts 0 or +-2^k, k >= 0
@@ -400,8 +360,8 @@ def test_simulate_output_is_pinned(spec, fmt, in_tmp, capsys):
         for shots in SIMULATE_SHOTS
         for seed in SIMULATE_SEEDS
     ]
-    assert _digest(runs, fmt, capsys) == SIMULATE_DIGESTS[spec, fmt], _rests_on(
-        f"simulate {spec} {fmt}", FMA_CHAIN, MATMUL_ORDER)
+    moved = _rests_on(f"simulate {spec} {fmt}", MATMUL_ORDER)
+    assert _digest(runs, fmt, capsys) == SIMULATE_DIGESTS[spec, fmt], moved
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -429,7 +389,7 @@ def test_estimated_reports_are_pinned(in_tmp):
                 tables = simulate_counts(rho, shots, seed)
                 for report in (estimate_witnesses(tables[:2]), estimate_witnesses(tables)):
                     h.update(_report_fields(report).encode())
-    assert h.hexdigest() == ESTIMATE_DIGEST, _rests_on("estimated reports", FMA_CHAIN, MATMUL_ORDER)
+    assert h.hexdigest() == ESTIMATE_DIGEST, _rests_on("estimated reports", MATMUL_ORDER)
 
 
 def _drawn_stack() -> np.ndarray:
@@ -447,7 +407,7 @@ def test_stacked_estimates_in_every_basis_order_are_pinned(in_tmp):
         bases = [tuple(Basis)[i] for i in order]
         for column in estimate_witnesses_many(counts[:, order], bases):
             h.update(" ".join(map(float.hex, column.tolist())).encode() + b"\n")
-    assert h.hexdigest() == MANY_DIGEST, _rests_on("stacked estimates", FMA_CHAIN, MATMUL_ORDER)
+    assert h.hexdigest() == MANY_DIGEST, _rests_on("stacked estimates", MATMUL_ORDER)
 
 
 def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
@@ -458,7 +418,7 @@ def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
         for order in BASIS_ORDERS:
             for tables in (drawn, built):
                 h.update(_report_fields(estimate_witnesses([tables[i] for i in order])).encode())
-    assert h.hexdigest() == ORDERED_DIGEST, _rests_on("table estimates", FMA_CHAIN, MATMUL_ORDER)
+    assert h.hexdigest() == ORDERED_DIGEST, _rests_on("table estimates", MATMUL_ORDER)
 
 
 def _custom_sets(g) -> list:

@@ -1,7 +1,10 @@
 import gc
+import itertools
 import math
 import warnings
 import weakref
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -34,12 +37,14 @@ from oracles import (
     SX,
     SY,
     SZ,
+    basis_estimate_gradient_reference,
     basis_estimate_reference,
     estimate_reference,
     estimate_values_reference,
     outcome_probabilities_brute,
     random_mixed_matrix,
     random_pure_state,
+    standard_errors_exact,
 )
 from strategies import moment_stacks
 
@@ -143,16 +148,46 @@ def test_count_table_validation():
 
 
 def test_count_table_rejects_fractional_and_overflowing_counts():
-    with pytest.raises(ValueError, match="whole numbers"):
-        CountTable(Basis.LIN_0_90, [1.7, 2, 3, 4])
+    # float counts are refused whole or not, as the stack estimators refuse them
+    for bad in ([1.7, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], [math.nan, 1, 2, 3], [math.inf, 1, 2, 3]):
+        with pytest.raises(ValueError, match="^counts must be integers, got dtype float64$"):
+            CountTable(Basis.LIN_0_90, bad)
     with pytest.raises(ValueError, match="exceeds the largest supported count"):
         CountTable(Basis.LIN_0_90, [2**62] * 3 + [0])
-    for bad in ([math.nan, 1, 2, 3], [math.inf, 1, 2, 3], [True, False, True, True]):
-        with pytest.raises(ValueError):
-            CountTable(Basis.LIN_0_90, bad)
-    whole = CountTable(Basis.LIN_0_90, [1.0, 2.0, 3.0, 4.0])
-    assert whole.counts.dtype == np.int64 and whole.shots == 10
+    with pytest.raises(ValueError):
+        CountTable(Basis.LIN_0_90, [True, False, True, True])
     assert CountTable(Basis.LIN_0_90, [2**62, 2**62 - 1, 0, 0]).shots == MAX_SHOTS
+
+
+_FLOAT = "counts must be integers, got dtype float64"
+
+
+def _past(count: int) -> str:
+    return f"count {count} exceeds the largest supported count {MAX_SHOTS}"
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1.0, 2.0, 3.0, 4.0], _FLOAT),
+    (np.array([1.0, 2.0, 3.0, 4.0]), _FLOAT),
+    ([1.7, 2, 3, 4], _FLOAT),
+    ([math.nan, 1, 2, 3], _FLOAT),
+    ([2**63, 0, 0, 0], _past(2**63)),
+    ([0, 1, 2**64, 3], _past(2**64)),
+    (np.array([2**70, 0, 0, 0], dtype=object), _past(2**70)),
+], ids=["whole-floats", "float-array", "fraction", "nan", "past-int64", "past-uint64", "object-array"])
+def test_tables_and_stacks_share_one_count_rule(row, message):
+    # numpy reads a list holding 2**63 as float64 and one holding 2**64 as object
+    with pytest.raises(ValueError) as table:
+        CountTable(Basis.LIN_0_90, row)
+    assert str(table.value) == message
+    good = [1, 1, 1, 1]
+    with pytest.raises(ValueError) as drawn:
+        drawn_tables([row, good, good])
+    assert str(drawn.value) == message
+    for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis))):
+        with pytest.raises(ValueError) as stack:
+            call([[row, good, good]])
+        assert str(stack.value) == message
 
 
 def test_count_table_refuses_booleans_with_the_integer_message():
@@ -340,10 +375,22 @@ def test_estimated_path_checks_modified_witness_forms(monkeypatch):
 def test_singlet_witness_estimate_is_deterministically_zero():
     # the summed outcome is certain for the singlet, so the plug-in witness
     # estimate and its propagated error both vanish at any shot count
-    for shots in (10, 1000, 100_000):
+    for shots in (2, 3, 10, 1000, 100_000):
         report = estimate_witnesses(simulate_counts(SINGLET, shots, 3))
-        assert report.l_value == 0.0
-        assert report.l_se == 0.0
+        assert report.l_value == report.l_se == 0.0
+        assert report.ml_value == report.ml_se == 0.0
+
+
+@pytest.mark.parametrize("kind", ["psi-", "psi+", "phi+", "phi-"])
+def test_bell_state_ml_errors_are_exactly_zero(kind):
+    # a Bell state's outcomes are perfectly correlated or anti-correlated in
+    # every basis, so on every drawn table the ML gradient is 0 wherever f > 0
+    rho = density_from_pure(bell_state(kind))
+    counts = np.array([
+        draw_counts(rho, shots, seed) for shots in (2, 3, 10, 10**3, 10**6) for seed in range(6)
+    ])
+    _, _, _, ml2_se, _, _, _, ml3_se = estimate_standard(counts)
+    assert ml2_se.tolist() == ml3_se.tolist() == [0.0] * len(counts)
 
 
 def test_werner_estimates_have_positive_errors():
@@ -385,8 +432,8 @@ def _moment_rows(counts) -> list:
 
 def test_estimator_matches_scalar_reference_bitwise():
     # every field of every report and every table's moments and reported SEs,
-    # bit for bit, against the per-table loop in Python scalars (BLAS dot
-    # products, libm pow for the squares)
+    # bit for bit, against the per-table loop in Python floats (sums left to
+    # right over the outcomes, squares as x * x)
     g = stream(4242)
     named = {"singlet": SINGLET, "HH": HH, "H+": H_PLUS, "werner": noise_mixture(0.5, NoiseKind.WERNER)}
     named.update({f"mixed{k}": DensityMatrix(random_mixed_matrix(g)) for k in range(6)})
@@ -437,7 +484,7 @@ def test_table_moments_take_any_leading_shape():
 
 def test_estimator_matches_scalar_reference_on_generic_tables():
     # uniform random partitions of 10^6 shots give generic frequencies, on
-    # which x*x and libm pow(x, 2) differ in about one square in 1,000
+    # which every rounding of the moments and SEs shows
     shots = 10**6
     cuts = np.sort(stream(5151).integers(0, shots + 1, (1500, 3, 3)), axis=-1)
     counts = np.diff(cuts, prepend=0, append=shots, axis=-1)
@@ -452,6 +499,64 @@ def test_estimator_matches_scalar_reference_on_generic_tables():
         assert _moment_rows([replicate]) == rows[3 * r:3 * r + 3] == [_bits(e) for e in per_table]
         assert _bits((report.l_value, report.l_se, report.ml_value, report.ml_se)) == _bits(want)
         assert _bits(c[r] for c in columns) == _bits(want)
+
+
+def _every_table(low: int, high: int) -> np.ndarray:
+    """Every table of `low` to `high` shots, as one (T, 4) int64 stack."""
+    return np.array([
+        c for n in range(low, high + 1) for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n
+    ])
+
+
+def _exact_root(x: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def test_standard_errors_match_exact_rational_arithmetic():
+    # every table of 2 to 12 shots against the delta method in exact fractions
+    counts = _every_table(2, 12)
+    assert len(counts) == 1815
+    *_, cov, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    excluded = branched = 0
+    for table, got, float_cov in zip(counts.tolist(), se.T.tolist(), cov.tolist()):
+        var_sum_se2, ml_se2, exact_cov = standard_errors_exact(table)
+        checked = [(got[0], var_sum_se2)]
+        if exact_cov == 0:
+            # the subgradient 0 is exact here, but a float cov of +-1e-17 takes a +-1 branch
+            excluded += 1
+            branched += float_cov != 0.0
+        else:
+            checked.append((got[1], ml_se2))
+        for value, exact in checked:
+            assert abs(Decimal(value) - _exact_root(exact)) <= Decimal("1e-15"), (table, value, float(exact))
+        # tables on which an SE is exactly 0 give 0.0, not roundoff
+        pp, pm, mp, mm = table
+        if max(table) == sum(table):  # one outcome
+            assert got == [0.0, 0.0], table
+        if pm == mp == 0:  # perfectly correlated
+            assert got[1] == 0.0, table
+        if pp == mm == 0:  # perfectly anti-correlated
+            assert got == [0.0, 0.0], table
+    assert (excluded, branched) == (347, 15), f"{excluded} ML SEs excluded, {branched} on a +-1 branch"
+
+
+def test_centred_and_gradient_forms_agree_within_the_cancellation_bound():
+    # SE^2 = E[g^2] - E[g]^2, the uncentred form the centred spread replaced,
+    # loses a few eps of E[g^2] / n; both forms agree up to that
+    g = stream(5252)
+    counts = [_every_table(2, 12)]
+    for shots in (100, 10**4, 10**6):
+        cuts = np.sort(g.integers(0, shots + 1, (1000, 3)), axis=-1)
+        counts.append(np.diff(cuts, prepend=0, append=shots, axis=-1))
+    counts = np.concatenate(counts)
+    *_, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    eps = np.finfo(float).eps
+    for table, got in zip(counts, se.T.tolist()):
+        var_sum_se2, ml_se2, *scales = basis_estimate_gradient_reference(table)
+        for value, old, scale in zip(got, (var_sum_se2, ml_se2), scales):
+            assert abs(value * value - old) <= 16.0 * eps * scale, (table.tolist(), value * value, old)
 
 
 def test_many_rows_equal_single_calls_bitwise():
