@@ -12,8 +12,7 @@ import argparse
 
 import numpy as np
 
-from lurwit.cli import draw_counts
-from lurwit.measurement import estimate_witnesses_many
+from lurwit.measurement import draw_counts, estimate_witnesses_many
 from lurwit.states import Basis, NoiseKind, noise_mixture
 
 

@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import measurement, rng, states, witness
+from . import measurement, states, witness
 from .linalg import NumericsError
 
 SWEEP_COLUMNS = ("p", "l2", "ml2", "l3", "ml3", "ppt_min_eig")
@@ -343,28 +343,15 @@ def run_study_command(args):
     return [per_sample, (_one_row(summary), STUDY_COLUMNS, args.out)]
 
 
-def draw_counts(rho: states.DensityMatrix, shots: int, seed: int) -> np.ndarray:
-    """One replicate's counts as a read-only (3, 4) int64 stack, rows in `Basis` order.
-
-    Row i is `rng.stream(seed, i).multinomial(shots, p_i)`, bit for bit, drawn by `rng.keyed_draws`.
-    """
-    measurement.check_shots(shots)
-    probs = iter(measurement.outcome_probabilities(rho))
-    counts = np.array(rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs))))
-    counts.flags.writeable = False
-    return counts
-
-
-def simulate_counts(rho: states.DensityMatrix, shots: int, seed: int):
-    """`draw_counts` as one `CountTable` per basis, in `Basis` order (`measurement.drawn_tables`)."""
-    return measurement.drawn_tables(draw_counts(rho, shots, seed))
+# perfbench's `shots` workload and its tracer call the finite-shot draw here
+simulate_counts = measurement.simulate_counts
 
 
 def run_simulate(args):
     if args.shots < 2:
         raise ValueError("need at least 2 shots per basis to estimate a variance")
     _check_seed(args.seed)
-    counts = draw_counts(states.parse_state_spec(args.state), args.shots, args.seed)
+    counts = measurement.draw_counts(states.parse_state_spec(args.state), args.shots, args.seed)
     columns = _one_row({"state": args.state, "shots": args.shots})
     columns.update(zip(SIMULATE_COLUMNS[2:], measurement.estimate_standard(counts[None])))
     return [(columns, SIMULATE_COLUMNS, args.out)]

@@ -23,16 +23,16 @@ exact path's own kernel, `witness._witness_values`.
 
 The layer is array code. `outcome_probabilities` keeps each live state's
 12 projector traces as one read-only (3, 4) array (a `DensityMatrix` is
-read-only, so it cannot go stale). A replicate's counts are one read-only
-(3, 4) int64 stack, one multinomial draw per row (`lurwit.cli.draw_counts`).
-The estimator takes each table of a (..., B, 4) count stack (replicates,
-bases, outcomes) through its moments once, and `_estimate` gives the values
-and SEs after the first k bases for every k from its `first` to B: all B for
-`estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`,
-which `simulate` hands its drawn stack. `estimate_witnesses` adds the bound
-and verdicts on one replicate, through a record of its counts (checking
-bases and shots on every call): the `CountTable`s of one drawn replicate
-(`drawn_tables`) share one record and so one pass for L2 and L3.
+read-only, so it cannot go stale). `draw_counts` gives a replicate's counts
+as one read-only (3, 4) int64 stack, one multinomial draw per row. The
+estimator takes each table of a (..., B, 4) count stack (replicates, bases,
+outcomes) through its moments once, and `_estimate` gives the values and SEs
+after the first k bases for every k from its `first` to B: all B for
+`estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`.
+`estimate_witnesses` adds the bound and verdicts on one replicate, through a
+record of its counts (checking bases and shots on every call): the
+`CountTable`s of one `simulate_counts` draw share one record, over the
+draw's own stack, and so one pass for L2 and L3.
 
 The moments are statistic-major: each per-table statistic is one
 contiguous (..., B) row and the gradients one (2, ..., B, 4) stack, so a
@@ -59,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rng
 from .linalg import NumericsError, first_failure
 from .states import Basis, DensityMatrix, I2
 from .witness import (
@@ -100,7 +101,7 @@ class CountTable:
 
     basis: Basis
     counts: np.ndarray
-    # (record, row) of a table `drawn_tables` built; not a dataclass field
+    # (record, row) of a table `simulate_counts` built; not a dataclass field
     _drawn = (None, -1)
 
     def __post_init__(self):
@@ -179,24 +180,15 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs
 
 
-def check_shots(shots) -> None:
-    """Raise ValueError unless `shots` is an integer in [1, MAX_SHOTS]."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
-
-
-def _table_moments(counts: np.ndarray, shots: np.ndarray):
+def _table_moments(counts: np.ndarray):
     """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
 
-    `shots` holds each table's total, (..., B). Returns var_a, var_b,
-    var_sum and cov, each (..., B), and the SEs as (2, ..., B): those of
-    var_sum and of the table's ML term var_a + var_b - 2|cov|. Every
-    statistic is one contiguous row. Every table needs at least one shot.
+    Returns var_a, var_b, var_sum and cov, each (..., B), and the SEs as
+    (2, ..., B): those of var_sum and of the table's ML term
+    var_a + var_b - 2|cov|. Every statistic is one contiguous row. Every
+    table needs at least one shot.
     """
+    shots = np.add.reduce(counts, axis=-1)
     f = counts / shots[..., None]
     signs = _SIGNS.reshape((3,) + (1,) * (f.ndim - 1) + (4,))
     means = np.add.reduce(f * signs, axis=-1)  # <A>, <B>, <AB>
@@ -245,27 +237,17 @@ def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
     return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
-def _moments(counts: np.ndarray, bases: tuple):
-    """`_table_moments` of an (R, B, 4) stack; ValueError names the first table under 2 shots."""
-    shots = np.add.reduce(counts, axis=-1)
-    failed = first_failure(shots >= 2)
-    if failed is not None:
-        r, b = failed
-        raise _too_few_shots(f"replicate {r}, ", bases[b])
-    return _table_moments(counts, shots)
-
-
-def _estimate(moments, first):
-    """Witness values and SEs after the first k bases, for each k from `first` to B.
+def _estimate(counts: np.ndarray, first: int):
+    """Witness values and SEs of an (R, B, 4) count stack after its first k bases, k = first..B.
 
     Returns (l, l_se, ml, ml_se) for each k in turn, 4 * (B - first + 1)
-    length-R arrays. The witness values are the exact path's sums over
+    length-R arrays. Every table needs at least one shot. The witness values are the exact path's sums over
     pair-major rows (`witness._witness_values`, with its ML check at every
     k). Counts in different bases are independent, so the witness SEs add in
     quadrature: the squared SEs of var_sum and of the ML term add up one
     basis after another.
     """
-    var_a, var_b, var_sum, cov, se = moments
+    var_a, var_b, var_sum, cov, se = _table_moments(counts)
     values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
     se_sums = np.sqrt(np.add.accumulate(se * se, axis=-1))
     estimates = []
@@ -276,8 +258,8 @@ def _estimate(moments, first):
 
 def _count_array(counts) -> np.ndarray:
     """`counts` as an array, by the count rule of tables and stacks: ValueError for a bool (numpy
-    counts one as 0 or 1), a float, or an integer past MAX_SHOTS (numpy makes it uint64, float or
-    object); an ndarray of numbers is judged by its dtype."""
+    counts one as 0 or 1), a float, or an integer past MAX_SHOTS or below int64 (numpy makes it
+    uint64, float or object); an ndarray of numbers is judged by its dtype."""
     c = np.asarray(counts)
     if c.dtype.kind == "b":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
@@ -288,13 +270,16 @@ def _count_array(counts) -> np.ndarray:
         for v in items:
             if isinstance(v, numbers.Integral) and v > MAX_SHOTS:
                 raise ValueError(f"count {v} exceeds the largest supported count {MAX_SHOTS}")
+            if isinstance(v, numbers.Integral) and v < -MAX_SHOTS - 1:
+                raise ValueError(f"count {v} is negative")
     if c.dtype.kind == "f":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
     return c
 
 
 def _checked_counts(counts, bases: tuple) -> np.ndarray:
-    """`counts` as an (R, B, 4) int64 stack; ValueError naming the first bad table."""
+    """`counts` as an (R, B, 4) int64 stack; ValueError naming the first table out of range, or
+    else the first under 2 shots."""
     c = _count_array(counts)
     if c.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
@@ -306,13 +291,18 @@ def _checked_counts(counts, bases: tuple) -> np.ndarray:
         # cannot wrap in uint64, and their sum only matters when each half fits
         u = c.astype(np.uint64)
         low, high = u[..., :2].sum(axis=-1), u[..., 2:].sum(axis=-1)
-        failed = first_failure((low <= MAX_SHOTS) & (high <= MAX_SHOTS) & (low + high <= MAX_SHOTS))
+        shots = low + high
+        failed = first_failure((low <= MAX_SHOTS) & (high <= MAX_SHOTS) & (shots <= MAX_SHOTS))
     if failed is not None:
         r, b = failed
         raise ValueError(
             f"replicate {r}, basis {bases[b].value}: counts {c[r, b].tolist()} are not "
             f"nonnegative with a total of at most {MAX_SHOTS}"
         )
+    failed = first_failure(shots >= 2)
+    if failed is not None:
+        r, b = failed
+        raise _too_few_shots(f"replicate {r}, ", bases[b])
     return c.astype(np.int64, copy=False)
 
 
@@ -333,28 +323,39 @@ class _Record:
     def estimate(self, k: int) -> tuple:
         """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
         if self.estimates is None:
-            moments = _table_moments(self.counts, np.add.reduce(self.counts, axis=-1))
-            values = [v.item() for v in _estimate(moments, self.first)]
+            values = [v.item() for v in _estimate(self.counts, self.first)]
             ends = range(self.first, self.counts.shape[1] + 1)
             self.estimates = {k: tuple(values[4 * i:4 * i + 4]) for i, k in enumerate(ends)}
         return self.estimates[k]
 
 
-def drawn_tables(counts) -> list:
-    """One replicate's `CountTable`s, in `Basis` order, from its three draws of one total each.
+def draw_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
+    """One replicate's counts as a read-only (3, 4) int64 stack, rows in `Basis` order.
 
-    Each table is validated as any `CountTable` is. While they live, the
-    tables keep one read-only (1, 3, 4) stack of their validated counts, so
-    `estimate_witnesses` on the first two or all three, in order, estimates
-    both families from it once (see there).
+    Row i is `rng.stream(seed, i).multinomial(shots, p_i)`, bit for bit, drawn by
+    `rng.keyed_draws`. ValueError unless `shots` is an integer in [1, MAX_SHOTS].
     """
-    tables = [CountTable(basis, c) for basis, c in zip(Basis, counts, strict=True)]
-    totals = [t.shots for t in tables]
-    if len(set(totals)) != 1:
-        raise ValueError(f"a replicate draws the same number of shots per basis, got {totals}")
-    stack = np.array([[t.counts for t in tables]])
-    stack.flags.writeable = False
-    record = _Record(stack, 2)
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots={shots} exceeds the largest supported count {MAX_SHOTS}")
+    probs = iter(outcome_probabilities(rho))
+    counts = np.array(rng.keyed_draws(seed, range(3), lambda g: g.multinomial(shots, next(probs))))
+    counts.flags.writeable = False
+    return counts
+
+
+def simulate_counts(rho: DensityMatrix, shots: int, seed: int) -> list:
+    """`draw_counts` as one `CountTable` per basis, in `Basis` order.
+
+    While they live, the tables keep the draw's stack as their record, so
+    `estimate_witnesses` estimates both families from it once (see there).
+    """
+    counts = draw_counts(rho, shots, seed)
+    tables = [CountTable(basis, c) for basis, c in zip(Basis, counts)]
+    record = _Record(counts[None], 2)
     for row, table in enumerate(tables):
         object.__setattr__(table, "_drawn", (record, row))
     return tables
@@ -378,7 +379,7 @@ def estimate_witnesses_many(counts, bases):
     table), and a failed count check names the first failing replicate.
     """
     bases, _ = _checked_bases(bases)
-    return _estimate(_moments(_checked_counts(counts, bases), bases), len(bases))
+    return _estimate(_checked_counts(counts, bases), len(bases))
 
 
 def estimate_standard(counts):
@@ -390,8 +391,7 @@ def estimate_standard(counts):
     bit for bit that of `estimate_witnesses_many` on the first two bases and
     on all three, and bad counts raise what the call on all three raises.
     """
-    bases = tuple(Basis)
-    return _estimate(_moments(_checked_counts(counts, bases), bases), 2)
+    return _estimate(_checked_counts(counts, tuple(Basis)), 2)
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -402,7 +402,7 @@ def estimate_witnesses(tables) -> EstimatedReport:
     on one replicate, with the bound and the verdicts.
 
     The tables' counts are estimated through one record: on the first two
-    or all three tables of one `drawn_tables` call, in order, that is the
+    or all three tables of one `simulate_counts` call, in order, that is the
     replicate's record, whose first such call estimates L2 and L3 from its
     kept stack in one moments pass (so a failed ML check in either family
     fails both); on any other tables it is a new record over their own

@@ -7,8 +7,8 @@ package's keyed streams, so every run checks the same ensembles.
 
 import numpy as np
 
-from lurwit.cli import run_haar_study, simulate_counts
-from lurwit.measurement import estimate_witnesses
+from lurwit.cli import run_haar_study
+from lurwit.measurement import estimate_witnesses, simulate_counts
 from lurwit.rng import stream
 from lurwit.states import (
     NORM_TOL,

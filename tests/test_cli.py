@@ -762,8 +762,8 @@ def test_simulate_phi_plus_modified_witness(capsys):
 def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkeypatch):
     real = measurement._table_moments
 
-    def skewed(counts, shots):
-        var_a, var_b, var_sum, cov, se = real(counts, shots)
+    def skewed(counts):
+        var_a, var_b, var_sum, cov, se = real(counts)
         return var_a, var_b, var_sum, cov + 1e-6, se
 
     monkeypatch.setattr(measurement, "_table_moments", skewed)
@@ -787,11 +787,11 @@ def test_simulate_estimates_the_drawn_count_stack(capsys):
         probs = measurement.outcome_probabilities(rho)
         for shots in (2, 1000, 10**6):
             for seed in (0, 20261018):
-                counts = cli.draw_counts(rho, shots, seed)
+                counts = measurement.draw_counts(rho, shots, seed)
                 assert counts.shape == (3, 4) and counts.dtype == np.int64 and not counts.flags.writeable
                 for i, row in enumerate(counts):  # basis i draws from stream (seed, i)
                     assert np.array_equal(row, rng.stream(seed, i).multinomial(shots, probs[i]))
-                assert [t.counts.tolist() for t in cli.simulate_counts(rho, shots, seed)] == counts.tolist()
+                assert [t.counts.tolist() for t in measurement.simulate_counts(rho, shots, seed)] == counts.tolist()
                 argv = ["simulate", "--state", spec, "--shots", str(shots), "--seed", str(seed), "--format", "json"]
                 code, stdout, _ = _run(capsys, argv)
                 assert code == 0
@@ -804,9 +804,10 @@ def test_simulate_estimates_the_drawn_count_stack(capsys):
 
 
 def test_simulate_counts_matches_per_basis_sampling():
+    assert cli.simulate_counts is measurement.simulate_counts  # where the benchmark's `shots` workload calls it
     for spec, shots, seed in (("werner:p=0.3", 2, 0), ("u2-singlet", 1000, 5), ("phi+", 10**6, 9)):
         rho = states.parse_state_spec(spec)
-        tables = cli.simulate_counts(rho, shots, seed)
+        tables = measurement.simulate_counts(rho, shots, seed)
         for i, (basis, table) in enumerate(zip(states.Basis, tables)):
             # the oracle's probabilities are the package's, bit for bit
             probs = outcome_probabilities_brute(rho.matrix, basis.pauli)
@@ -816,7 +817,7 @@ def test_simulate_counts_matches_per_basis_sampling():
     singlet = states.parse_state_spec("singlet")
     for shots, message in ((0, "need at least one shot"), (2**63, "exceeds"), (2.5, "integer")):
         with pytest.raises(ValueError, match=message):
-            cli.simulate_counts(singlet, shots, 0)
+            measurement.simulate_counts(singlet, shots, 0)
 
 
 def test_simulate_rejects_single_shot(capsys):

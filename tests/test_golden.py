@@ -26,8 +26,14 @@ import json
 import numpy as np
 import pytest
 
-from lurwit.cli import STACK_CHUNK, build_parser, draw_counts, main, simulate_counts
-from lurwit.measurement import CountTable, drawn_tables, estimate_witnesses, estimate_witnesses_many
+from lurwit.cli import STACK_CHUNK, build_parser, main
+from lurwit.measurement import (
+    CountTable,
+    draw_counts,
+    estimate_witnesses,
+    estimate_witnesses_many,
+    simulate_counts,
+)
 from lurwit.linalg import transpose_second_qubit
 from lurwit.rng import stream
 from lurwit import witness
@@ -412,8 +418,8 @@ def test_stacked_estimates_in_every_basis_order_are_pinned(in_tmp):
 
 def test_table_estimates_in_every_basis_order_are_pinned(in_tmp):
     h = hashlib.sha256()
-    for replicate in _drawn_stack():
-        drawn = drawn_tables(replicate)
+    for spec, shots, seed in itertools.product(SIMULATE_SPECS, SIMULATE_SHOTS, SIMULATE_SEEDS):
+        drawn = simulate_counts(parse_state_spec(spec), shots, seed)
         built = [CountTable(t.basis, t.counts) for t in drawn]
         for order in BASIS_ORDERS:
             for tables in (drawn, built):

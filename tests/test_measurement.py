@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 
 from lurwit import measurement
-from lurwit.cli import STACK_CHUNK, draw_counts, simulate_counts
+from lurwit.cli import STACK_CHUNK
 from lurwit.linalg import NumericsError
 from lurwit.measurement import (
     CountTable,
     MAX_SHOTS,
-    drawn_tables,
+    draw_counts,
     estimate_standard,
     estimate_witnesses,
     estimate_witnesses_many,
     outcome_probabilities,
+    simulate_counts,
 )
 from lurwit.rng import stream
 from lurwit.states import (
@@ -174,16 +175,15 @@ def _past(count: int) -> str:
     ([2**63, 0, 0, 0], _past(2**63)),
     ([0, 1, 2**64, 3], _past(2**64)),
     (np.array([2**70, 0, 0, 0], dtype=object), _past(2**70)),
-], ids=["whole-floats", "float-array", "fraction", "nan", "past-int64", "past-uint64", "object-array"])
+    ([-2**64, 1, 2, 3], f"count {-2**64} is negative"),
+], ids=["whole-floats", "float-array", "fraction", "nan", "past-int64", "past-uint64", "object-array",
+        "below-int64"])
 def test_tables_and_stacks_share_one_count_rule(row, message):
-    # numpy reads a list holding 2**63 as float64 and one holding 2**64 as object
+    # numpy reads a list holding 2**63 as float64, and one holding 2**64 or -2**64 as object
     with pytest.raises(ValueError) as table:
         CountTable(Basis.LIN_0_90, row)
     assert str(table.value) == message
     good = [1, 1, 1, 1]
-    with pytest.raises(ValueError) as drawn:
-        drawn_tables([row, good, good])
-    assert str(drawn.value) == message
     for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis))):
         with pytest.raises(ValueError) as stack:
             call([[row, good, good]])
@@ -199,9 +199,6 @@ def test_count_table_refuses_booleans_with_the_integer_message():
         with pytest.raises(ValueError) as table:
             CountTable(Basis.LIN_0_90, bad)
         assert str(table.value) == str(stack.value)
-    with pytest.raises(ValueError) as drawn:
-        drawn_tables(np.ones((3, 4), dtype=bool))
-    assert str(drawn.value) == str(stack.value)
     # every other input keeps its message
     for text, bad in (("[1, 2, 3]", [1, 2, 3]), ("['a', 'b', 'c', 'd']", ["a", "b", "c", "d"]),
                       ("[ 1 -2  3  4]", np.array([1, -2, 3, 4]))):
@@ -221,9 +218,9 @@ def test_a_bool_among_integer_counts_is_refused_on_every_path(flag):
     # in a nested list, in a list among arrays, and as a bool array in a list
     for nested in ([[row, *rest]], [[np.array(rest[0]), row, np.array(rest[1])]],
                    [[*rest, np.array([flag] * 4)]]):
-        for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis)), drawn_tables):
+        for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis))):
             with pytest.raises(ValueError, match="^counts must be integers, got "):
-                call(nested[0] if call is drawn_tables else nested)
+                call(nested)
     # the same counts as integers are taken
     assert CountTable(Basis.LIN_0_90, [1, 1, 2, 3]).shots == 7
     assert np.isfinite(estimate_standard([[[1, 1, 2, 3], *rest]])).all()
@@ -232,7 +229,7 @@ def test_a_bool_among_integer_counts_is_refused_on_every_path(flag):
 def test_count_arrays_are_not_read_again_for_bools():
     counts = draw_counts(SINGLET, 1000, 3)
     with mock.patch.object(np, "asarray", wraps=np.asarray) as asarray:
-        drawn_tables(counts)
+        simulate_counts(SINGLET, 1000, 3)
         estimate_standard(counts[None])
         assert all(call.kwargs.get("dtype") is not object for call in asarray.call_args_list)
         estimate_standard(counts[None].tolist())
@@ -339,7 +336,7 @@ def test_estimated_identity_is_exact_on_any_table():
         tables = [CountTable(b, g.multinomial(500, p)) for b, p in zip(Basis, outcome_probabilities(rho))]
         report = estimate_witnesses(tables)
         counts = np.array([[t.counts for t in tables]])
-        var_a, var_b, var_sum, cov, _ = measurement._table_moments(counts, counts.sum(axis=-1))
+        var_a, var_b, var_sum, cov, _ = measurement._table_moments(counts)
         # plug-in estimators make this an identity
         assert var_sum.tolist() == (var_a + var_b + 2.0 * cov).tolist()
         assert report.ml_value <= report.l_value + 1e-12
@@ -362,8 +359,8 @@ def test_estimator_input_validation():
 def test_estimated_path_checks_modified_witness_forms(monkeypatch):
     real = measurement._table_moments
 
-    def skewed(counts, shots):
-        var_a, var_b, var_sum, cov, se = real(counts, shots)
+    def skewed(counts):
+        var_a, var_b, var_sum, cov, se = real(counts)
         return var_a, var_b, var_sum, cov + 1e-6, se
 
     monkeypatch.setattr(measurement, "_table_moments", skewed)
@@ -425,7 +422,7 @@ def _bits(values) -> list:
 def _moment_rows(counts) -> list:
     """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_moments`, as bits."""
     counts = np.asarray(counts)
-    var_a, var_b, var_sum, cov, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    var_a, var_b, var_sum, cov, se = measurement._table_moments(counts)
     rows = np.stack([var_a, var_b, var_sum, cov, se[0], se[1]], axis=-1)
     return [_bits(row) for row in rows.reshape(-1, 6)]
 
@@ -469,7 +466,7 @@ def test_table_moments_are_contiguous_statistic_rows(replicates):
     # statistic-major: each per-table statistic is one C-contiguous (R, B)
     # row and the SEs one (2, R, B) block (a structural check, no timing)
     counts = stream(31).multinomial(100, [0.4, 0.1, 0.2, 0.3], (replicates, 3))
-    *statistics, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    *statistics, se = measurement._table_moments(counts)
     for row in statistics:
         assert row.shape == (replicates, 3) and row.flags.c_contiguous
     assert se.shape == (2, replicates, 3) and se.flags.c_contiguous
@@ -518,7 +515,7 @@ def test_standard_errors_match_exact_rational_arithmetic():
     # every table of 2 to 12 shots against the delta method in exact fractions
     counts = _every_table(2, 12)
     assert len(counts) == 1815
-    *_, cov, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    *_, cov, se = measurement._table_moments(counts)
     excluded = branched = 0
     for table, got, float_cov in zip(counts.tolist(), se.T.tolist(), cov.tolist()):
         var_sum_se2, ml_se2, exact_cov = standard_errors_exact(table)
@@ -551,7 +548,7 @@ def test_centred_and_gradient_forms_agree_within_the_cancellation_bound():
         cuts = np.sort(g.integers(0, shots + 1, (1000, 3)), axis=-1)
         counts.append(np.diff(cuts, prepend=0, append=shots, axis=-1))
     counts = np.concatenate(counts)
-    *_, se = measurement._table_moments(counts, counts.sum(axis=-1))
+    *_, se = measurement._table_moments(counts)
     eps = np.finfo(float).eps
     for table, got in zip(counts, se.T.tolist()):
         var_sum_se2, ml_se2, *scales = basis_estimate_gradient_reference(table)
@@ -655,7 +652,7 @@ def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
     counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
     *statistics, se = moments  # the reference reads the SEs as (N, B, 2), the estimator as (2, N, B)
     stacked = (*statistics, np.ascontiguousarray(np.moveaxis(se, -1, 0)))
-    with mock.patch.object(measurement, "_moments", lambda counts, bases: stacked):
+    with mock.patch.object(measurement, "_table_moments", lambda counts: stacked):
         got = estimate_standard(counts)
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
@@ -670,11 +667,15 @@ def _bad_stacks():
     negative[1, 0, 2] = -1
     past = good.copy()
     past[0, 2] = [2**62, 2**62, 0, 0]
+    starved_then_negative = good.copy()
+    starved_then_negative[0, 1] = [1, 0, 0, 0]
+    starved_then_negative[1, 0, 1] = -1
     return {
         "starved-l3": starved_l3,
         "starved-l2": starved_l2,
         "negative": negative,
         "past-max": past,
+        "starved-then-negative": starved_then_negative,
         "float": good.astype(float),
         "two-bases": good[:, :2],
         "one-replicate-2d": good[0],
@@ -692,6 +693,8 @@ def test_standard_estimate_raises_what_the_l3_call_raises(name):
     with pytest.raises(ValueError) as got:
         estimate_standard(counts)
     assert str(got.value) == str(want.value)
+    if name == "starved-then-negative":  # the range rule runs over every table before the 2-shot rule
+        assert str(got.value).startswith("replicate 1, basis 0/90: counts [0, -1, 32, 0] are not ")
 
 
 def test_standard_estimate_of_no_replicates_is_empty():
@@ -719,9 +722,9 @@ def moments_calls(monkeypatch):
     calls = []
     real = measurement._table_moments
 
-    def counted(counts, shots):
+    def counted(counts):
         calls.append(counts.shape)
-        return real(counts, shots)
+        return real(counts)
 
     monkeypatch.setattr(measurement, "_table_moments", counted)
     return calls
@@ -788,8 +791,8 @@ def test_drawn_replicate_checks_every_call():
 def test_drawn_replicate_fails_both_families_on_a_failed_ml_check(monkeypatch, moments_calls):
     real = measurement._table_moments
 
-    def skewed(counts, shots):
-        var_a, var_b, var_sum, cov, se = real(counts, shots)
+    def skewed(counts):
+        var_a, var_b, var_sum, cov, se = real(counts)
         return var_a, var_b, var_sum, cov + 1e-6, se
 
     monkeypatch.setattr(measurement, "_table_moments", skewed)
@@ -811,22 +814,16 @@ def test_one_moments_pass_per_drawn_replicate(moments_calls):
 
 
 def test_drawn_replicate_keeps_one_read_only_stack():
-    counts = draw_counts(noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8)
-    tables = drawn_tables(counts)
+    rho, shots, seed = noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8
+    tables = simulate_counts(rho, shots, seed)
     stack = tables[0]._drawn[0].counts
     assert all(t._drawn[0].counts is stack for t in tables)
     assert stack.shape == (1, 3, 4) and stack.dtype == np.int64 and not stack.flags.writeable
-    assert stack.tolist() == [[t.counts.tolist() for t in tables]]
-    for other in (counts, counts.tolist(), counts.copy(), counts.astype(np.int32)):
-        kept = drawn_tables(other)[0]._drawn[0].counts
-        assert not np.shares_memory(kept, other) and not kept.flags.writeable
-        assert kept.dtype == np.int64 and kept.tolist() == stack.tolist()
-    with pytest.raises(ValueError, match="same number of shots per basis"):
-        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3]])
-    with pytest.raises(ValueError):
-        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0]])  # one table per basis
-    with pytest.raises(ValueError, match="nonnegative"):  # each table is validated as ever
-        drawn_tables([[1, 1, 0, 0], [2, 0, 0, 0], [3, -1, 0, 0]])
+    assert stack.tolist() == [[t.counts.tolist() for t in tables]] == [draw_counts(rho, shots, seed).tolist()]
+    # the record's stack is the draw's own array, and each table keeps its own read-only copy
+    assert stack.base is not None and not stack.base.flags.writeable
+    assert not any(np.shares_memory(t.counts, stack) for t in tables)
+    assert all(t.counts.dtype == np.int64 and not t.counts.flags.writeable for t in tables)
 
 
 def test_drawn_record_goes_away_with_its_tables():

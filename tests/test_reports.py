@@ -2,8 +2,7 @@
 
 import pytest
 
-from lurwit.cli import simulate_counts
-from lurwit.measurement import EstimatedReport, estimate_witnesses
+from lurwit.measurement import EstimatedReport, estimate_witnesses, simulate_counts
 from lurwit.states import parse_state_spec
 from lurwit.witness import PairStats, WitnessReport, evaluate, standard_sets
 
