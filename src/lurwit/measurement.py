@@ -21,27 +21,28 @@ The tables' bases select the standard witness set that supplies the bound,
 and the witness sums (with their check that the two ML forms agree) are the
 exact path's own kernel, `witness._witness_values`.
 
-The layer is array code. `outcome_probabilities` keeps each live state's
-12 projector traces as one read-only (3, 4) array (a `DensityMatrix` is
-read-only, so it cannot go stale). `draw_counts` gives a replicate's counts
-as one read-only (3, 4) int64 stack, one multinomial draw per row. The
-estimator takes each table of a (..., B, 4) count stack (replicates, bases,
-outcomes) through its moments once, and `_estimate` gives the values and SEs
-after the first k bases for every k from its `first` to B: all B for
+`outcome_probabilities` keeps each live state's 12 projector traces as one
+read-only (3, 4) array (a `DensityMatrix` is read-only, so it cannot go
+stale). `draw_counts` gives a replicate's counts as one read-only (3, 4)
+int64 stack, one multinomial draw per row. The estimator takes each table
+of a (..., B, 4) count stack (replicates, bases, outcomes) through its
+moments once, and `_estimate` gives the values and SEs after the first k
+bases for every k from its `first` to B: all B for
 `estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`.
 `estimate_witnesses` adds the bound and verdicts on one replicate, through a
 record of its counts (checking bases and shots on every call): the
 `CountTable`s of one `simulate_counts` draw share one record, over the
 draw's own stack, and so one pass for L2 and L3.
 
-The moments are statistic-major: each per-table statistic is one
-contiguous (..., B) row and the gradients one (2, ..., B, 4) stack, so a
-replicate's few tables run numpy's contiguous loops, cheaper per call than
-strided columns. Results are bit for bit a per-table loop of Python
-floats, and a row does not depend on its stack or on the BLAS build: every
-sum over the four outcomes is `np.add.reduce` of elementwise products,
-which numpy adds left to right with no BLAS call, and every square is
-`x * x`, not libm `pow`.
+Two or more replicates are array code, with statistic-major moments: each
+per-table statistic is one contiguous (..., B) row and the gradients one
+(2, ..., B, 4) stack, cheaper per numpy call than strided columns. One
+replicate (`simulate`, a drawn record) is a loop of Python floats over its
+tables (`_table_floats`), cheaper than numpy's fixed cost per call. The two
+agree bit for bit, and a row does not depend on its stack or on the BLAS
+build: every sum over the four outcomes is `np.add.reduce` of elementwise
+products, which numpy adds left to right with no BLAS call, and every
+square is `x * x`, not libm `pow`.
 
 The outcome-projector stack is built on the first `outcome_probabilities`
 call, and the table of standard-set bounds (and so the sets) on the first
@@ -52,6 +53,7 @@ call, and the table of standard-set bounds (and so the sets) on the first
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import weakref
 from dataclasses import dataclass
@@ -63,6 +65,7 @@ from . import rng
 from .linalg import NumericsError, first_failure
 from .states import Basis, DensityMatrix, I2
 from .witness import (
+    DECOMPOSITION_TOL,
     EXPECTATION_IMAG_TOL,
     Verdict,
     _witness_values,
@@ -217,6 +220,28 @@ def _table_moments(counts: np.ndarray):
     return var_a, var_b, var_sum, cov, se
 
 
+def _table_floats(c0: int, c1: int, c2: int, c3: int) -> tuple:
+    """`_table_moments` of one table in Python floats, bit for bit (its operations in its order):
+    var_a, var_b, var_sum, cov and the two SEs. Over the outcomes u = A - <A> is up, up, um, um
+    and v = B - <B> is vp, vm, vp, vm; 2 sign(cov) is 2 * ((cov > 0) - (cov < 0))."""
+    n = float(c0 + c1 + c2 + c3)
+    f0, f1, f2, f3 = float(c0) / n, float(c1) / n, float(c2) / n, float(c3) / n
+    m_a, m_b, m_ab = f0 + f1 - f2 - f3, f0 - f1 + f2 - f3, f0 - f1 - f2 + f3
+    var_a, var_b, cov = 1.0 - m_a * m_a, 1.0 - m_b * m_b, m_ab - m_a * m_b
+    two_sign = 2.0 * ((cov > 0.0) - (cov < 0.0))
+    up, um, vp, vm = 1.0 - m_a, -1.0 - m_a, 1.0 - m_b, -1.0 - m_b
+    se = []
+    for g0, g1, g2, g3 in (
+        ((up + vp) * (up + vp), (up + vm) * (up + vm), (um + vp) * (um + vp), (um + vm) * (um + vm)),
+        (up * up + vp * vp - two_sign * (up * vp), up * up + vm * vm - two_sign * (up * vm),
+         um * um + vp * vp - two_sign * (um * vp), um * um + vm * vm - two_sign * (um * vm)),
+    ):
+        mean = f0 * g0 + f1 * g1 + f2 * g2 + f3 * g3
+        d0, d1, d2, d3 = g0 - mean, g1 - mean, g2 - mean, g3 - mean
+        se.append(math.sqrt((f0 * (d0 * d0) + f1 * (d1 * d1) + f2 * (d2 * d2) + f3 * (d3 * d3)) / n))
+    return var_a, var_b, var_a + var_b + 2.0 * cov, cov, *se
+
+
 def _checked_bases(bases) -> tuple:
     """The bases as a tuple of `Basis` members, and the bound of the standard set they pick.
 
@@ -237,6 +262,23 @@ def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
     return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
+def _replicate_estimate(counts: np.ndarray, first: int) -> list:
+    """`_estimate` of a (1, B, 4) stack in Python floats, as one list: `_table_floats` per table,
+    then `witness._witness_values`' sums from +0.0 in basis order and its ML check and message."""
+    l = ml = ml_other = l_var = ml_var = 0.0
+    estimates = []
+    for k, table in enumerate(counts.tolist()[0], 1):
+        var_a, var_b, var_sum, cov, l_se, ml_se = _table_floats(*table)
+        l, l_var, ml_var = l + var_sum, l_var + l_se * l_se, ml_var + ml_se * ml_se
+        ml += var_a + var_b - 2.0 * abs(cov)
+        ml_other += var_sum - 4.0 * max(0.0, cov)
+        if k >= first:
+            if not abs(ml - ml_other) <= DECOMPOSITION_TOL:
+                raise NumericsError(f"modified-witness forms disagree at stack index 0: {ml} vs {ml_other}")
+            estimates += (l, math.sqrt(l_var), ml, math.sqrt(ml_var))
+    return estimates
+
+
 def _estimate(counts: np.ndarray, first: int):
     """Witness values and SEs of an (R, B, 4) count stack after its first k bases, k = first..B.
 
@@ -246,7 +288,13 @@ def _estimate(counts: np.ndarray, first: int):
     k). Counts in different bases are independent, so the witness SEs add in
     quadrature: the squared SEs of var_sum and of the ML term add up one
     basis after another.
+
+    The rule: one replicate (R == 1) is estimated in Python floats (`_replicate_estimate`),
+    bit for bit, in place of some 45 fixed-cost numpy calls; two or more replicates take the
+    array code, which costs what a loop of one-replicate estimates does at R = 4 (README).
     """
+    if len(counts) == 1:
+        return tuple(np.array(_replicate_estimate(counts, first))[:, None])
     var_a, var_b, var_sum, cov, se = _table_moments(counts)
     values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
     se_sums = np.sqrt(np.add.accumulate(se * se, axis=-1))
@@ -323,7 +371,7 @@ class _Record:
     def estimate(self, k: int) -> tuple:
         """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
         if self.estimates is None:
-            values = [v.item() for v in _estimate(self.counts, self.first)]
+            values = _replicate_estimate(self.counts, self.first)
             ends = range(self.first, self.counts.shape[1] + 1)
             self.estimates = {k: tuple(values[4 * i:4 * i + 4]) for i, k in enumerate(ends)}
         return self.estimates[k]

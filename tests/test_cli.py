@@ -760,13 +760,14 @@ def test_simulate_phi_plus_modified_witness(capsys):
 
 
 def test_simulate_checks_modified_witness_forms_exits_3(tmp_path, capsys, monkeypatch):
-    real = measurement._table_moments
+    # `simulate` estimates one replicate, whose tables go through `_table_floats`
+    real = measurement._table_floats
 
-    def skewed(counts):
-        var_a, var_b, var_sum, cov, se = real(counts)
-        return var_a, var_b, var_sum, cov + 1e-6, se
+    def skewed(*counts):
+        var_a, var_b, var_sum, cov, *se = real(*counts)
+        return var_a, var_b, var_sum, cov + 1e-6, *se
 
-    monkeypatch.setattr(measurement, "_table_moments", skewed)
+    monkeypatch.setattr(measurement, "_table_floats", skewed)
     out = tmp_path / "simulate.csv"
     code, stdout, err = _run(
         capsys, ["simulate", "--state", "werner:p=0.5", "--shots", "1000", "--out", str(out)]

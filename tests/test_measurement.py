@@ -356,14 +356,19 @@ def test_estimator_input_validation():
         estimate_witnesses([starved, tables[1], tables[2]])
 
 
+def _skew_cov(monkeypatch, name: str) -> None:
+    """Make `measurement.<name>` (`_table_moments` or `_table_floats`) return every cov 1e-6 too high."""
+    real = getattr(measurement, name)
+
+    def skewed(*counts):
+        var_a, var_b, var_sum, cov, *se = real(*counts)
+        return var_a, var_b, var_sum, cov + 1e-6, *se
+
+    monkeypatch.setattr(measurement, name, skewed)
+
+
 def test_estimated_path_checks_modified_witness_forms(monkeypatch):
-    real = measurement._table_moments
-
-    def skewed(counts):
-        var_a, var_b, var_sum, cov, se = real(counts)
-        return var_a, var_b, var_sum, cov + 1e-6, se
-
-    monkeypatch.setattr(measurement, "_table_moments", skewed)
+    _skew_cov(monkeypatch, "_table_floats")  # one replicate's tables are estimated in Python floats
     tables = _tables_from_probabilities(noise_mixture(0.5, NoiseKind.WERNER), 4096)
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
         estimate_witnesses(tables)
@@ -556,6 +561,48 @@ def test_centred_and_gradient_forms_agree_within_the_cancellation_bound():
             assert abs(value * value - old) <= 16.0 * eps * scale, (table.tolist(), value * value, old)
 
 
+def _one_replicate_inputs() -> np.ndarray:
+    """(R, 3, 4) replicates: every table of 2-12 shots in every basis, tables of an exact
+    covariance, and tables of 2^53 + 1 to MAX_SHOTS shots."""
+    tables = _every_table(2, 12)
+    replicates = [np.stack([tables, np.roll(tables, 1, axis=0), np.roll(tables, 2, axis=0)], axis=1)]
+    # perfectly correlated, anti-correlated and uncorrelated; one outcome; one party certain
+    replicates.append([[[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], [[2, 0, 0, 0], [1, 1, 0, 0], [0, 3, 0, 3]]])
+    g = stream(3434)
+    for total in (2**53 + 1, 2**53 + 3, 2**60 + 7, 2**62 + 1, MAX_SHOTS - 1, MAX_SHOTS):
+        cuts = np.sort(g.integers(0, total, (12, 3, 3), endpoint=True), axis=-1)
+        replicates.append(np.diff(cuts, prepend=0, append=total, axis=-1))
+        replicates.append([[[total, 0, 0, 0], [1, total - 1, 0, 0], [total - 2, 0, 1, 1]]])
+    return np.concatenate([np.asarray(r, dtype=np.int64) for r in replicates])
+
+
+def test_one_replicate_estimates_equal_the_array_path_and_the_oracle_bitwise(monkeypatch):
+    # a one-replicate stack is estimated in Python floats; each of its arrays is row 0 of the
+    # same replicate stacked twice, which takes the array code, and each table's moments are
+    # the per-table oracle's
+    replicates = _one_replicate_inputs()
+    assert len(replicates) == 1815 + 2 + 6 * 13
+    assert (replicates.sum(axis=-1) > 2**53).sum() == 6 * 13 * 3
+    for c in replicates:
+        twice = np.stack([c, c])
+        assert [_bits(v) for v in estimate_standard(c[None])] == [_bits(v[:1]) for v in estimate_standard(twice)]
+        for b in (2, 3):
+            bases = list(Basis)[:b]
+            got = estimate_witnesses_many(c[None, :b], bases)
+            assert [_bits(v) for v in got] == [_bits(v[:1]) for v in estimate_witnesses_many(twice[:, :b], bases)]
+        for table in c.tolist():
+            assert _bits(measurement._table_floats(*table)) == _bits(basis_estimate_reference(np.array(table)))
+    # a failed ML check raises the same text on both paths
+    _skew_cov(monkeypatch, "_table_floats")
+    _skew_cov(monkeypatch, "_table_moments")
+    for c in replicates[::200]:
+        with pytest.raises(NumericsError, match="modified-witness forms disagree") as one:
+            estimate_standard(c[None])
+        with pytest.raises(NumericsError) as stacked:
+            estimate_standard(np.stack([c, c]))
+        assert str(one.value) == str(stacked.value)
+
+
 def test_many_rows_equal_single_calls_bitwise():
     g = stream(99)
     rhos = [SINGLET, HH, H_PLUS] + [DensityMatrix(random_mixed_matrix(g)) for _ in range(5)]
@@ -644,10 +691,12 @@ def test_standard_estimate_equals_one_call_per_family():
         assert [_bits(c) for c in estimate_standard(counts[r:r + 1])] == [_bits(c[r:r + 1]) for c in got]
 
 
-@given(moment_stacks((1, STACK_CHUNK + 3)))
+@given(moment_stacks((2, STACK_CHUNK + 3)))
 @settings(max_examples=40, deadline=None)  # N > STACK_CHUNK rows per example
 def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
-    # the values and SEs of the one pass against one row-sum estimate per family
+    # the values and SEs of the one pass against one row-sum estimate per family; two or more
+    # replicates, as one is estimated without `_table_moments` (and pinned to the array path in
+    # test_one_replicate_estimates_equal_the_array_path_and_the_oracle_bitwise)
     want = (*estimate_values_reference(*(m[:, :2] for m in moments)), *estimate_values_reference(*moments))
     counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
     *statistics, se = moments  # the reference reads the SEs as (N, B, 2), the estimator as (2, N, B)
@@ -718,15 +767,16 @@ def _rebuilt(tables) -> list:
 
 @pytest.fixture
 def moments_calls(monkeypatch):
-    """A list that gains one entry per `_table_moments` call: the shape of its count stack."""
+    """A list that gains one entry per one-replicate estimate pass, the pass every record of
+    `estimate_witnesses` takes (`_replicate_estimate`): the shape of its count stack."""
     calls = []
-    real = measurement._table_moments
+    real = measurement._replicate_estimate
 
-    def counted(counts):
+    def counted(counts, first):
         calls.append(counts.shape)
-        return real(counts)
+        return real(counts, first)
 
-    monkeypatch.setattr(measurement, "_table_moments", counted)
+    monkeypatch.setattr(measurement, "_replicate_estimate", counted)
     return calls
 
 
@@ -789,18 +839,13 @@ def test_drawn_replicate_checks_every_call():
 
 
 def test_drawn_replicate_fails_both_families_on_a_failed_ml_check(monkeypatch, moments_calls):
-    real = measurement._table_moments
-
-    def skewed(counts):
-        var_a, var_b, var_sum, cov, se = real(counts)
-        return var_a, var_b, var_sum, cov + 1e-6, se
-
-    monkeypatch.setattr(measurement, "_table_moments", skewed)
+    _skew_cov(monkeypatch, "_table_floats")
     tables = simulate_counts(noise_mixture(0.5, NoiseKind.WERNER), 4096, 3)
     for n in (2, 3, 2):  # nothing is kept from a failed pass, so every call takes it again
         with pytest.raises(NumericsError, match="modified-witness forms disagree"):
             estimate_witnesses(tables[:n])
     assert tables[0]._drawn[0].estimates is None
+    assert moments_calls == [(1, 3, 4)] * 3
 
 
 def test_one_moments_pass_per_drawn_replicate(moments_calls):
