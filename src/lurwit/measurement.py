@@ -29,16 +29,15 @@ of a (..., B, 4) count stack (replicates, bases, outcomes) through its
 moments once, and `_estimate` gives the values and SEs after the first k
 bases for every k from its `first` to B: all B for
 `estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`.
-`estimate_witnesses` adds the bound and verdicts on one replicate, through a
-record of its counts (checking bases and shots on every call): the
-`CountTable`s of one `simulate_counts` draw share one record, over the
-draw's own stack, and so one pass for L2 and L3.
+`estimate_witnesses` adds the bound and verdicts on one replicate: each call
+checks its tables' bases and shots and estimates their counts, so L2 and L3
+on the same tables are two calls over the same counts.
 
 Two or more replicates are array code, with statistic-major moments: each
 per-table statistic is one contiguous (..., B) row and the gradients one
 (2, ..., B, 4) stack, cheaper per numpy call than strided columns. One
-replicate (`simulate`, a drawn record) is a loop of Python floats over its
-tables (`_table_floats`), cheaper than numpy's fixed cost per call. The two
+replicate (`simulate`, `estimate_witnesses`) is a loop of Python floats over
+its tables (`_table_floats`), cheaper than numpy's fixed cost per call. The two
 agree bit for bit, and a row does not depend on its stack or on the BLAS
 build: every sum over the four outcomes is `np.add.reduce` of elementwise
 products, which numpy adds left to right with no BLAS call, and every
@@ -104,8 +103,6 @@ class CountTable:
 
     basis: Basis
     counts: np.ndarray
-    # (record, row) of a table `simulate_counts` built; not a dataclass field
-    _drawn = (None, -1)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_basis(self.basis))
@@ -262,12 +259,13 @@ def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
     return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
-def _replicate_estimate(counts: np.ndarray, first: int) -> list:
-    """`_estimate` of a (1, B, 4) stack in Python floats, as one list: `_table_floats` per table,
-    then `witness._witness_values`' sums from +0.0 in basis order and its ML check and message."""
+def _replicate_estimate(rows: list, first: int) -> list:
+    """`_estimate` of one replicate, given as B rows of four ints, in Python floats, as one list:
+    `_table_floats` per row, then `witness._witness_values`' sums from +0.0 in basis order and its
+    ML check and message."""
     l = ml = ml_other = l_var = ml_var = 0.0
     estimates = []
-    for k, table in enumerate(counts.tolist()[0], 1):
+    for k, table in enumerate(rows, 1):
         var_a, var_b, var_sum, cov, l_se, ml_se = _table_floats(*table)
         l, l_var, ml_var = l + var_sum, l_var + l_se * l_se, ml_var + ml_se * ml_se
         ml += var_a + var_b - 2.0 * abs(cov)
@@ -289,12 +287,13 @@ def _estimate(counts: np.ndarray, first: int):
     quadrature: the squared SEs of var_sum and of the ML term add up one
     basis after another.
 
-    The rule: one replicate (R == 1) is estimated in Python floats (`_replicate_estimate`),
-    bit for bit, in place of some 45 fixed-cost numpy calls; two or more replicates take the
-    array code, which costs what a loop of one-replicate estimates does at R = 4 (README).
+    The rule: one replicate (R == 1) is estimated in Python floats (`_replicate_estimate`, which
+    `estimate_witnesses` calls on its tables' rows), bit for bit, in place of some 45 fixed-cost
+    numpy calls; two or more replicates take the array code, which costs what a loop of
+    one-replicate estimates does at R = 4 (README).
     """
     if len(counts) == 1:
-        return tuple(np.array(_replicate_estimate(counts, first))[:, None])
+        return tuple(np.array(_replicate_estimate(counts.tolist()[0], first))[:, None])
     var_a, var_b, var_sum, cov, se = _table_moments(counts)
     values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
     se_sums = np.sqrt(np.add.accumulate(se * se, axis=-1))
@@ -354,29 +353,6 @@ def _checked_counts(counts, bases: tuple) -> np.ndarray:
     return c.astype(np.int64, copy=False)
 
 
-class _Record:
-    """Count tables as one read-only (1, B, 4) int64 stack, and their estimates once taken.
-
-    `estimates` is None until the first `estimate` call, then maps every k
-    from `first` to B to (l, l_se, ml, ml_se) over the first k tables.
-    """
-
-    __slots__ = ("counts", "first", "estimates", "__weakref__")
-
-    def __init__(self, counts: np.ndarray, first: int):
-        self.counts = counts
-        self.first = first
-        self.estimates = None
-
-    def estimate(self, k: int) -> tuple:
-        """(l, l_se, ml, ml_se) over the first k tables; the caller checked each has 2 or more shots."""
-        if self.estimates is None:
-            values = _replicate_estimate(self.counts, self.first)
-            ends = range(self.first, self.counts.shape[1] + 1)
-            self.estimates = {k: tuple(values[4 * i:4 * i + 4]) for i, k in enumerate(ends)}
-        return self.estimates[k]
-
-
 def draw_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """One replicate's counts as a read-only (3, 4) int64 stack, rows in `Basis` order.
 
@@ -396,25 +372,8 @@ def draw_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
 
 
 def simulate_counts(rho: DensityMatrix, shots: int, seed: int) -> list:
-    """`draw_counts` as one `CountTable` per basis, in `Basis` order.
-
-    While they live, the tables keep the draw's stack as their record, so
-    `estimate_witnesses` estimates both families from it once (see there).
-    """
-    counts = draw_counts(rho, shots, seed)
-    tables = [CountTable(basis, c) for basis, c in zip(Basis, counts)]
-    record = _Record(counts[None], 2)
-    for row, table in enumerate(tables):
-        object.__setattr__(table, "_drawn", (record, row))
-    return tables
-
-
-def _drawn_of(tables: list):
-    """The record of the drawn replicate whose first len(tables) tables these are, in order, or None."""
-    drawn = getattr(tables[0], "_drawn", (None,))[0] if tables else None
-    if drawn is None or any(getattr(t, "_drawn", None) != (drawn, row) for row, t in enumerate(tables)):
-        return None
-    return drawn
+    """`draw_counts` as one `CountTable` per basis, in `Basis` order."""
+    return [CountTable(basis, c) for basis, c in zip(Basis, draw_counts(rho, shots, seed))]
 
 
 def estimate_witnesses_many(counts, bases):
@@ -449,20 +408,15 @@ def estimate_witnesses(tables) -> EstimatedReport:
     three for L3) and its separable bound. This is `estimate_witnesses_many`
     on one replicate, with the bound and the verdicts.
 
-    The tables' counts are estimated through one record: on the first two
-    or all three tables of one `simulate_counts` call, in order, that is the
-    replicate's record, whose first such call estimates L2 and L3 from its
-    kept stack in one moments pass (so a failed ML check in either family
-    fails both); on any other tables it is a new record over their own
-    counts. The bases and the tables' shots are checked on every call, and
-    the values are bit for bit those of any tables with the same counts.
+    Every call checks the bases and the tables' shots, then estimates the
+    tables' counts in Python floats (`_replicate_estimate`), bit for bit as
+    any tables with the same counts.
     """
     tables = list(tables)
     bases, bound = _checked_bases(t.basis for t in tables)
     for table in tables:
         if table.shots < 2:
             raise _too_few_shots("", table.basis)
-    record = _drawn_of(tables) or _Record(np.array([[t.counts for t in tables]]), len(tables))
-    l_value, l_se, ml_value, ml_se = record.estimate(len(tables))
+    l_value, l_se, ml_value, ml_se = _replicate_estimate([t.counts.tolist() for t in tables], len(tables))
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

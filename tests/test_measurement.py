@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import warnings
-import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
@@ -765,22 +764,7 @@ def _rebuilt(tables) -> list:
     return [CountTable(t.basis, t.counts) for t in tables]
 
 
-@pytest.fixture
-def moments_calls(monkeypatch):
-    """A list that gains one entry per one-replicate estimate pass, the pass every record of
-    `estimate_witnesses` takes (`_replicate_estimate`): the shape of its count stack."""
-    calls = []
-    real = measurement._replicate_estimate
-
-    def counted(counts, first):
-        calls.append(counts.shape)
-        return real(counts, first)
-
-    monkeypatch.setattr(measurement, "_replicate_estimate", counted)
-    return calls
-
-
-def test_drawn_replicate_estimates_equal_rebuilt_tables_bitwise(moments_calls):
+def test_simulated_tables_estimate_as_rebuilt_tables_bitwise():
     g = stream(1515)
     rhos = [SINGLET, HH, H_PLUS, noise_mixture(0.9, NoiseKind.WERNER)]
     rhos += [DensityMatrix(random_mixed_matrix(g)) for _ in range(3)]
@@ -791,18 +775,14 @@ def test_drawn_replicate_estimates_equal_rebuilt_tables_bitwise(moments_calls):
             for seed in range(6):
                 for order in ((2, 3), (3, 2)):  # L2 then L3, and L3 then L2
                     tables = simulate_counts(rho, shots, seed)
-                    before = len(moments_calls)
                     for n in order:
                         got = estimate_witnesses(tables[:n])
-                        want = estimate_witnesses(_rebuilt(tables[:n]))
-                        assert _report_bits(got) == _report_bits(want)
+                        assert _report_bits(got) == _report_bits(estimate_witnesses(_rebuilt(tables[:n])))
                         checked += 1
-                    # the drawn replicate's one pass, and one per call on the rebuilt tables
-                    assert moments_calls[before:] == [(1, 3, 4), (1, order[0], 4), (1, order[1], 4)]
     assert checked >= 800
 
 
-def test_other_tables_take_the_per_call_path(moments_calls):
+def test_reordered_mixed_and_hand_built_tables_estimate_as_rebuilt_tables():
     a = simulate_counts(noise_mixture(0.7, NoiseKind.POLARIZED), 500, 1)
     b = simulate_counts(noise_mixture(0.7, NoiseKind.POLARIZED), 500, 2)
     first = a[0]
@@ -816,11 +796,11 @@ def test_other_tables_take_the_per_call_path(moments_calls):
         "hand-built last": [*a[:2], CountTable(a[2].basis, a[2].counts)],
     }
     for name, tables in cases.items():
-        before = len(moments_calls)
         got = estimate_witnesses(tables)
-        assert moments_calls[before:] == [(1, len(tables), 4)], name
         assert _report_bits(got) == _report_bits(estimate_witnesses(_rebuilt(tables))), name
-    assert a[0]._drawn[0].estimates is None and b[0]._drawn[0].estimates is None
+        # the stack path on the same counts, as one replicate
+        stacked = estimate_witnesses_many([[t.counts for t in tables]], [t.basis for t in tables])
+        assert _bits(got[1:5]) == _bits([v[0] for v in stacked]), name
 
 
 def test_drawn_replicate_checks_every_call():
@@ -838,47 +818,53 @@ def test_drawn_replicate_checks_every_call():
             estimate_witnesses(subset)
 
 
-def test_drawn_replicate_fails_both_families_on_a_failed_ml_check(monkeypatch, moments_calls):
-    _skew_cov(monkeypatch, "_table_floats")
+def test_a_failed_ml_check_raises_on_every_call_that_reaches_it(monkeypatch):
     tables = simulate_counts(noise_mixture(0.5, NoiseKind.WERNER), 4096, 3)
-    for n in (2, 3, 2):  # nothing is kept from a failed pass, so every call takes it again
+    l2 = _report_bits(estimate_witnesses(tables[:2]))
+    # skew the third table only: the L3 calls reach it, the L2 calls do not
+    third, real = tuple(tables[2].counts.tolist()), measurement._table_floats
+
+    def skewed(*counts):
+        moments = real(*counts)
+        if counts != third:
+            return moments
+        var_a, var_b, var_sum, cov, *se = moments
+        return var_a, var_b, var_sum, cov + 1e-6, *se
+
+    monkeypatch.setattr(measurement, "_table_floats", skewed)
+    for n in (3, 2, 3, 2):
+        for given in (tables[:n], _rebuilt(tables[:n])):
+            if n == 3:
+                with pytest.raises(NumericsError, match="modified-witness forms disagree"):
+                    estimate_witnesses(given)
+            else:
+                assert _report_bits(estimate_witnesses(given)) == l2
+    _skew_cov(monkeypatch, "_table_floats")  # now every table: both families fail, call after call
+    for n in (2, 3, 2):
         with pytest.raises(NumericsError, match="modified-witness forms disagree"):
             estimate_witnesses(tables[:n])
-    assert tables[0]._drawn[0].estimates is None
-    assert moments_calls == [(1, 3, 4)] * 3
 
 
-def test_one_moments_pass_per_drawn_replicate(moments_calls):
+def test_any_iterable_of_tables_is_accepted():
     rho = noise_mixture(0.9, NoiseKind.WERNER)
-    replicates = [simulate_counts(rho, shots, seed) for shots in (100, 10**6) for seed in range(5)]
-    for tables in replicates:
-        for n in (2, 3, 3, 2):
-            estimate_witnesses(tables[:n])
-        estimate_witnesses(iter(tables))  # any iterable of the tables
-    assert moments_calls == [(1, 3, 4)] * len(replicates)
+    for shots in (100, 10**6):
+        for seed in range(5):
+            tables = simulate_counts(rho, shots, seed)
+            for n in (2, 3):
+                want = _report_bits(estimate_witnesses(tables[:n]))
+                for given in (iter(tables[:n]), tuple(tables[:n]), (t for t in tables[:n])):
+                    assert _report_bits(estimate_witnesses(given)) == want
 
 
-def test_drawn_replicate_keeps_one_read_only_stack():
+def test_simulated_tables_hold_read_only_copies_of_the_draw(monkeypatch):
     rho, shots, seed = noise_mixture(0.4, NoiseKind.POLARIZED), 1000, 8
+    draws, real = [], measurement.draw_counts
+    monkeypatch.setattr(measurement, "draw_counts", lambda *args: draws.append(real(*args)) or draws[-1])
     tables = simulate_counts(rho, shots, seed)
-    stack = tables[0]._drawn[0].counts
-    assert all(t._drawn[0].counts is stack for t in tables)
-    assert stack.shape == (1, 3, 4) and stack.dtype == np.int64 and not stack.flags.writeable
-    assert stack.tolist() == [[t.counts.tolist() for t in tables]] == [draw_counts(rho, shots, seed).tolist()]
-    # the record's stack is the draw's own array, and each table keeps its own read-only copy
-    assert stack.base is not None and not stack.base.flags.writeable
-    assert not any(np.shares_memory(t.counts, stack) for t in tables)
-    assert all(t.counts.dtype == np.int64 and not t.counts.flags.writeable for t in tables)
-
-
-def test_drawn_record_goes_away_with_its_tables():
-    tables = simulate_counts(SINGLET, 100, 4)
-    estimate_witnesses(tables)
-    kept = weakref.ref(tables[0]._drawn[0])
-    assert kept().estimates is not None
-    del tables[1:]
-    gc.collect()
-    assert kept() is not None  # one table still holds it
-    del tables
-    gc.collect()
-    assert kept() is None
+    (drawn,) = draws
+    assert [t.basis for t in tables] == list(Basis)
+    assert [t.counts.tolist() for t in tables] == drawn.tolist() == real(rho, shots, seed).tolist()
+    assert all(t.counts.dtype == np.int64 and not t.counts.flags.writeable and t.shots == shots for t in tables)
+    assert not any(np.shares_memory(t.counts, drawn) for t in tables)
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0].counts[0] = 9
