@@ -18,23 +18,30 @@ of pure states given by its amplitudes, such as the Haar stack of
 `haar-study`, needs none: `pure_ppt_min_eigenvalues` gives the same
 eigenvalue as the Schmidt determinant -|psi_00 psi_11 - psi_01 psi_10|.
 
-Every witness quantity is linear in the state, so one kernel serves every
-caller and there is no scalar path beside it: a single contraction of an
-(N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted operators
-of an `ObservableSet` gives all 7 * P expectations of all N states at once,
-as (7, P, N) rows, by `einsum` or gemm (`_expectations` states the rule).
-One summation kernel, `_witness_values`, adds each pair's terms in pair
-order and returns the sums after k pairs for each k from the first asked
-for to P: `evaluate_many` asks for P, and `evaluate` is the same on a stack
-of one, plus the per-pair report. `evaluate_standard` asks for two and
-three, L2 and L3, from one pass over L3's operators: L2's pairs are L3's
-first two, so the two families read the same per-basis statistics, as they
-would in the lab. The finite-shot estimator (`lurwit.measurement`) sums its
-per-table moments with the same kernel. The runtime invariant checks (real
-expectations, the variance decomposition, the agreement of the two
-modified-witness forms at every sum returned) run on every call, each as
-one maximum over its whole block, with tolerances (and the verdict margin)
-scaled by the set; only a failed check looks for the first failing state.
+Every witness quantity is linear in the state, so one contraction serves every
+caller: an (N, 4, 4) stack of density matrices with the (P, 7, 4, 4) lifted
+operators of an `ObservableSet` gives all 7 * P expectations of all N states
+at once, as (7, P, N) rows, by `einsum` or gemm (`_expectations` states the
+rule). The witness sums add each pair's terms in pair order from +0.0 and
+return the sums after k pairs for each k from the first asked for to P:
+`evaluate_many` asks for P, and `evaluate` is the same on a stack of one,
+plus the per-pair report. `evaluate_standard` asks for two and three, L2
+and L3, from one pass over L3's operators: L2's pairs are L3's first two,
+so the two families read the same per-basis statistics, as they would in
+the lab. The runtime invariant checks (real expectations, the variance
+decomposition, the agreement of the two modified-witness forms at every sum
+returned) run on every call, in that order, with tolerances (and the
+verdict margin) scaled by the set.
+
+The rule, shared with the finite-shot estimator (`lurwit.measurement`): one
+row in Python scalars, two or more in arrays. One state is finished in
+Python floats after its contraction (`_state_moments`, then `_float_sums`,
+whose loop the estimator's one replicate repeats with its SEs), in place of
+some 20 numpy calls of fixed cost. Two or more take the array kernel
+(`_pair_moments`, then `_witness_values`, which also sums the estimator's
+stacks), where each check is one maximum over its whole block and only a
+failed check looks for the first failing state. The two give the same bits,
+messages and order of checks.
 
 The standard sets are built on the first `standard_sets` or
 `evaluate_standard` call, not at import. The report records `PairStats` and
@@ -265,6 +272,61 @@ def _witness_values(moments, first, scale=1.0):
     return tuple(sums[:2].swapaxes(0, 1).reshape(2 * sums.shape[1], sums.shape[2]))
 
 
+def _state_moments(matrices: np.ndarray, oset: ObservableSet) -> list:
+    """`_pair_moments` of a stack of one state in Python floats, bit for bit (its operations in its
+    order): var_a, var_b, var_sum and cov of each pair. After the same `einsum`, every pair's
+    expectations are checked real, then every pair's decomposition, with the same messages."""
+    rows = _expectations(matrices, oset._ops, False).T.tolist()[0]  # <a>, <b>, <s>, <a^2>, <b^2>, <s^2>, <ab>
+    tol = EXPECTATION_IMAG_TOL * oset._scale
+    if [v for row in rows for v in row if not abs(v.imag) < tol]:  # only a failure looks for the first
+        for (_, _, label), row in zip(oset.pairs, rows):
+            imag = np.abs(np.imag(row)).max()
+            if not imag < tol:
+                raise NumericsError(
+                    f"expectation of a Hermitian operator came out complex at stack index 0, "
+                    f"pair {label!r}: imaginary part {imag}"
+                )
+    moments, tol = [], DECOMPOSITION_TOL * oset._scale
+    for (_, _, label), (a, b, s, a2, b2, s2, ab) in zip(oset.pairs, rows):
+        a, b, s = a.real, b.real, s.real
+        var_a, var_b, var_sum, cov = a2.real - a * a, b2.real - b * b, s2.real - s * s, ab.real - a * b
+        if not abs(var_sum - (var_a + var_b + 2.0 * cov)) <= tol:
+            raise NumericsError(
+                f"variance decomposition failed at stack index 0, pair {label!r}: "
+                f"{var_sum} vs {var_a + var_b + 2.0 * cov}"
+            )
+        moments.append((var_a, var_b, var_sum, cov))
+    return moments
+
+
+def _float_sums(moments, first: int, scale: float = 1.0) -> list:
+    """`_witness_values` of one state in Python floats, bit for bit, as one list: l and ml after k
+    pairs for each k from `first`. Each item of `moments` starts with a pair's var_a, var_b,
+    var_sum and cov, in pair order; the sums start from +0.0, and the two modified forms are checked
+    at every k returned, with the array code's tolerance and message."""
+    l = ml = ml_other = 0.0
+    sums, tol = [], DECOMPOSITION_TOL * scale
+    for k, m in enumerate(moments, 1):  # by index: a star unpacking costs more
+        var_sum, cov = m[2], m[3]
+        l += var_sum
+        ml += m[0] + m[1] - 2.0 * abs(cov)
+        ml_other += var_sum - 4.0 * max(0.0, cov)
+        if k >= first:
+            if not abs(ml - ml_other) <= tol:
+                raise NumericsError(f"modified-witness forms disagree at stack index 0: {ml} vs {ml_other}")
+            sums += (l, ml)
+    return sums
+
+
+def _stack_values(matrices, oset: ObservableSet, first: int, scale: float) -> tuple:
+    """The witness sums of an (N, 4, 4) stack after k pairs, k = first..P, as length-N arrays, by
+    the rule: one state in Python floats, two or more in arrays."""
+    matrices = _stack(matrices)
+    if len(matrices) == 1:
+        return tuple(np.array(_float_sums(_state_moments(matrices, oset), first, scale))[:, None])
+    return _witness_values(_pair_moments(matrices, oset)[2:], first, scale)
+
+
 def _first_non_hermitian(obs: np.ndarray) -> tuple | None:
     """Index of the first non-Hermitian matrix in a finite (..., 2, 2) stack, or None (see `local_bound`)."""
     deviation = np.abs(obs - obs.conj().swapaxes(-1, -2))
@@ -368,7 +430,7 @@ def evaluate_many(matrices, oset: ObservableSet) -> tuple[np.ndarray, np.ndarray
     The matrices are taken as given (no density-matrix validation); every
     runtime check of `evaluate` runs on each of them.
     """
-    return _witness_values(_pair_moments(_stack(matrices), oset)[2:], len(oset.pairs), oset._scale)
+    return _stack_values(matrices, oset, len(oset.pairs), oset._scale)
 
 
 def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -379,7 +441,7 @@ def evaluate_standard(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     with its two modified forms checked, bit for bit `evaluate_many` with
     that family's set.
     """
-    return _witness_values(_pair_moments(_stack(matrices), _standard_sets()["L3"])[2:], 2)
+    return _stack_values(matrices, _standard_sets()["L3"], 2, 1.0)
 
 
 def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
@@ -388,10 +450,9 @@ def evaluate(rho: DensityMatrix, oset: ObservableSet) -> WitnessReport:
     The modified value is also formed as sum_i var(a_i + b_i) - 4*max(0, cov_i);
     the two forms must agree to within roundoff or the statistics code is broken.
     """
-    moments = _pair_moments(rho.matrix[None], oset)
-    l_values, ml_values = _witness_values(moments[2:], len(oset.pairs), oset._scale)
-    rows = moments[:4, :, 0].T.tolist()  # var_a, var_b, var_sum, cov of each pair
-    stats = tuple(PairStats(label, *row) for (_, _, label), row in zip(oset.pairs, rows))
-    l_value, ml_value, bound = float(l_values[0]), float(ml_values[0]), oset.separable_bound
+    moments = _state_moments(rho.matrix[None], oset)  # var_a, var_b, var_sum, cov of each pair
+    l_value, ml_value = _float_sums(moments, len(oset.pairs), oset._scale)
+    stats = tuple(PairStats(label, *row) for (_, _, label), row in zip(oset.pairs, moments))
+    bound = oset.separable_bound
     verdicts = (verdict_for(value, bound, oset.verdict_margin) for value in (l_value, ml_value))
     return WitnessReport(stats, l_value, ml_value, bound, *verdicts)

@@ -558,6 +558,18 @@ def test_haar_study_summary_and_per_sample(tmp_path, capsys):
         assert float(row["ppt_min_eig"]) == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_one_haar_sample_writes_row_zero_of_two(tmp_path, capsys):
+    # one sample is evaluated on the one-state path, two on the array kernel
+    lines = {}
+    for n in (1, 2):
+        per_sample = tmp_path / f"samples-{n}.csv"
+        argv = ["haar-study", "--samples", str(n), "--seed", "5", "--per-sample", str(per_sample)]
+        assert _run(capsys, argv)[0] == 0
+        lines[n] = per_sample.read_bytes().splitlines(keepends=True)
+    assert len(lines[1]) == 2 and len(lines[2]) == 3
+    assert lines[1] == lines[2][:2]
+
+
 def test_haar_study_is_deterministic(tmp_path, capsys):
     args = ["haar-study", "--samples", "50", "--seed", "7"]
     a = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 
 from lurwit import measurement
 from lurwit.cli import STACK_CHUNK
-from lurwit.linalg import NumericsError
+from lurwit.linalg import NumericsError, first_failure
 from lurwit.measurement import (
     CountTable,
     MAX_SHOTS,
@@ -743,6 +744,57 @@ def test_standard_estimate_raises_what_the_l3_call_raises(name):
     assert str(got.value) == str(want.value)
     if name == "starved-then-negative":  # the range rule runs over every table before the 2-shot rule
         assert str(got.value).startswith("replicate 1, basis 0/90: counts [0, -1, 32, 0] are not ")
+
+
+def _one_replicate_stacks():
+    good = np.array([t.counts for t in _tables_from_probabilities(SINGLET, 64)])
+
+    def replicate(*tables, dtype=np.int64):
+        counts = good.astype(dtype)
+        for b, row in tables:
+            counts[b] = row
+        return counts[None]
+
+    return {
+        "bool": np.ones((1, 3, 4), dtype=bool),
+        "float": good[None].astype(float),
+        "wrong-shape": good[None, :, :3],
+        "negative": replicate((1, [3, -1, 0, 0])),
+        "past-max": replicate((2, [2**63, 0, 0, 0]), dtype=np.uint64),
+        "uint64-total-past-max": replicate((0, [2**62, 0, 2**62, 0]), dtype=np.uint64),
+        "int64-half-past-max": replicate((1, [2**62, 2**62, 0, 0])),
+        "total-then-negative": replicate((0, [2**62, 2**62, 0, 0]), (2, [0, 0, -4, 9])),
+        "starved": replicate((1, [1, 0, 0, 0])),
+        "empty": replicate((2, [0, 0, 0, 0])),
+        "starved-then-negative": replicate((0, [1, 0, 0, 0]), (1, [-1, 5, 0, 0])),
+        "negative-then-starved": replicate((0, [0, 0, 0, -2]), (2, [0, 1, 0, 0])),
+    }
+
+
+ONE_REPLICATE_STACKS = _one_replicate_stacks()
+
+
+@pytest.mark.parametrize("name", sorted(ONE_REPLICATE_STACKS))
+def test_one_replicate_counts_fail_as_the_first_of_two(name, monkeypatch):
+    # one replicate is checked in Python ints, two or more in arrays: the same text for the same
+    # replicate, and the range rule over every table before the 2-shot rule
+    counts = ONE_REPLICATE_STACKS[name]
+    second = counts if counts.shape[1:] != (3, 4) else np.ones_like(counts)
+    searches = []
+    monkeypatch.setattr(measurement, "first_failure", lambda ok: searches.append(ok) or first_failure(ok))
+    for call in (estimate_standard, lambda c: estimate_witnesses_many(c, tuple(Basis))):
+        with pytest.raises(ValueError) as want:
+            call(np.concatenate([counts, second]))
+        del searches[:]
+        with pytest.raises(ValueError) as got:
+            call(counts)
+        assert not searches  # no array search ran
+        # a shape error names the whole stack's shape
+        assert str(got.value) == str(want.value).replace("got (2, ", "got (1, ")
+    if name.endswith("-then-negative"):
+        assert re.fullmatch(r"replicate 0, basis (R/L|45/135): counts \[.*\] are not .*", str(got.value))
+    if name.startswith("negative-then"):
+        assert str(got.value).startswith("replicate 0, basis 0/90: counts [0, 0, 0, -2] are not ")
 
 
 def test_standard_estimate_of_no_replicates_is_empty():

@@ -103,7 +103,7 @@ def test_expectation_maximally_mixed_traceless():
 
 
 def test_expectation_flags_complex_value():
-    # `evaluate` is the kernel on a stack of one; a matrix that skipped the
+    # `evaluate` takes the one-state path; a matrix that skipped the
     # density checks gives its complex expectation away there too
     rho = density_from_pure(bell_state("psi-"))
     object.__setattr__(rho, "matrix", rho.matrix + 1e-3j * np.kron(SZ, SZ))
@@ -619,15 +619,26 @@ def test_detection_margin_on_scalars_and_arrays():
     assert [v is Verdict.ENTANGLEMENT_DETECTED for v in verdicts] == expected
 
 
-def test_evaluate_checks_modified_witness_forms(monkeypatch):
-    real = witness._pair_moments
+def _skew_var_sum(monkeypatch, skew) -> None:
+    """Add `skew`, a (P, N) array, to var_sum of every pair and state the kernel checks: in the block
+    of `_pair_moments` on a stack, in the rows of `_state_moments` on one state."""
+    pair_moments, state_moments = witness._pair_moments, witness._state_moments
 
-    def skewed(matrices, oset):
-        moments = real(matrices, oset)  # var_a, var_b, var_sum, cov, var_a + var_b
-        moments[2] += 1e-6
+    def skewed_block(matrices, oset):
+        moments = pair_moments(matrices, oset)  # var_a, var_b, var_sum, cov, var_a + var_b
+        moments[2] += skew
         return moments
 
-    monkeypatch.setattr(witness, "_pair_moments", skewed)
+    def skewed_rows(matrices, oset):
+        rows = state_moments(matrices, oset)  # var_a, var_b, var_sum, cov of each pair
+        return [(var_a, var_b, var_sum + d, cov) for (var_a, var_b, var_sum, cov), d in zip(rows, skew[:, 0])]
+
+    monkeypatch.setattr(witness, "_pair_moments", skewed_block)
+    monkeypatch.setattr(witness, "_state_moments", skewed_rows)
+
+
+def test_evaluate_checks_modified_witness_forms(monkeypatch):
+    _skew_var_sum(monkeypatch, np.full((3, 1), 1e-6))
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
         evaluate(SINGLET, SETS["L3"])
 
@@ -674,6 +685,31 @@ def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
     with pytest.raises(NumericsError, match="decomposition failed at stack index 0, pair '45/135'"):
         evaluate_many(np.array([SINGLET.matrix] * n), oset)
     assert paths == [n > 1] * 3
+
+
+def test_one_state_takes_the_float_path_and_a_stack_the_arrays(monkeypatch):
+    calls = []
+
+    def recorded(name):
+        real = getattr(witness, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_state_moments", "_float_sums", "_pair_moments", "_witness_values"):
+        monkeypatch.setattr(witness, name, recorded(name))
+    one, two = np.array([SINGLET.matrix]), np.array([SINGLET.matrix] * 2)
+    for call in (evaluate_standard, lambda m: evaluate_many(m, SETS["L2"]), lambda m: evaluate(SINGLET, SETS["L3"])):
+        calls.clear()
+        call(one)
+        assert calls == ["_state_moments", "_float_sums"]
+    for call in (evaluate_standard, lambda m: evaluate_many(m, SETS["L2"])):
+        calls.clear()
+        call(two)
+        assert calls == ["_pair_moments", "_witness_values"]
 
 
 def test_evaluate_many_rejects_a_bad_shape():
@@ -785,6 +821,24 @@ def test_kernel_equals_the_statistic_major_reference_bitwise(stack, name):
         assert [v.tobytes() for v in evaluate_standard(stack)] == [v.tobytes() for v in want]
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_SETS))
+def test_report_rows_equal_the_stacked_moments_bytewise(name):
+    # each state alone takes the float path, its stack the array kernel (gemm for an exact set)
+    oset = KERNEL_SETS[name]
+    stack = np.concatenate([mixed_ensemble(stream(3636), 60, 5), STANDARD_STACKS["mixed-37"]])
+    moments = witness._pair_moments(stack, oset)
+    l_values, ml_values = evaluate_many(stack, oset)
+    for k, m in enumerate(stack):
+        report = evaluate(DensityMatrix(m), oset)
+        rows = np.array([(s.var_a, s.var_b, s.var_sum, s.covariance) for s in report.pairs]).T
+        assert rows.tobytes() == np.ascontiguousarray(moments[:4, :, k]).tobytes()
+        assert _bits_of(report.l_value, report.ml_value) == _bits_of(l_values[k], ml_values[k])
+
+
+def _bits_of(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
 def _raises_as_the_reference(call, reference, index: int) -> None:
     """`call` raises the `NumericsError` text that `reference` raises, and it names stack index `index`."""
     with pytest.raises(NumericsError) as want:
@@ -837,14 +891,7 @@ def test_disagreeing_modified_forms_fail_as_before(n, pairs, monkeypatch):
     skew[pairs[0], first] = skew[pairs[1], second] = 1e-6
     stack = np.array([SINGLET.matrix] * n)
     var_a, var_b, var_sum, cov = pair_moments_reference(stack, SETS["L3"])
-    real = witness._pair_moments
-
-    def skewed(matrices, oset):
-        moments = real(matrices, oset)
-        moments[2] += skew
-        return moments
-
-    monkeypatch.setattr(witness, "_pair_moments", skewed)
+    _skew_var_sum(monkeypatch, skew)
     reference = lambda: witness_sums_reference(var_a, var_b, var_sum + skew.T, cov, (2, 3))
     _raises_as_the_reference(lambda: evaluate_standard(stack), reference, first if pairs[0] < 2 else second)
 
@@ -934,7 +981,9 @@ def test_standard_running_sums_equal_one_sum_per_family(moments):
     family = (var_a, var_b, var_sum, cov)
     want = (*witness_values_reference(*(m[:, :2] for m in family)), *witness_values_reference(*family))
     block = np.array([m.T for m in (*family, var_a + var_b)])  # the kernel's (5, P, N) layout
-    with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: block):
+    rows = [tuple(row) for row in np.array(family)[:, 0].T.tolist()]  # one state's pairs, for N == 1
+    with mock.patch.object(witness, "_pair_moments", lambda matrices, oset: block), \
+            mock.patch.object(witness, "_state_moments", lambda matrices, oset: rows):
         got = evaluate_standard(np.zeros((len(var_a), 4, 4)))
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -942,14 +991,7 @@ def test_standard_running_sums_equal_one_sum_per_family(moments):
 @pytest.mark.parametrize("skew", [[1e-6, 0.0, -1e-6], [0.0, 0.0, 1e-6]], ids=["L2-only", "L3-only"])
 def test_standard_pass_checks_both_families(skew, monkeypatch):
     # the first skew cancels in L3's sum over three pairs, the second is outside L2's two
-    real = witness._pair_moments
-
-    def skewed(matrices, oset):
-        moments = real(matrices, oset)
-        moments[2] += np.array(skew)[:, None]  # var_sum of each pair
-        return moments
-
-    monkeypatch.setattr(witness, "_pair_moments", skewed)
+    _skew_var_sum(monkeypatch, np.array(skew)[:, None])  # var_sum of each pair
     with pytest.raises(NumericsError, match="modified-witness forms disagree at stack index 0"):
         evaluate_standard(np.array([SINGLET.matrix]))
 
