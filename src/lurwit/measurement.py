@@ -14,19 +14,18 @@ Estimator conventions, chosen to keep identities exact on finite samples:
     covariance, which is biased upward when the true covariance is near 0;
   * standard errors use the first-order delta method on the multinomial
     covariance of the outcome frequencies (approximate), as a centred
-    spread (`_table_moments`), exactly 0 when the statistic sits at a
+    spread (`_table_floats`), exactly 0 when the statistic sits at a
     stationary point of the frequencies the table saw.
 
 The tables' bases select the standard witness set that supplies the bound,
-and the witness sums (with their check that the two ML forms agree) are the
-exact path's own: `witness._witness_values` on a stack, and on one replicate
-those of `witness._float_sums`.
+and the witness sums (with their check that the two ML forms agree) are
+those of the exact path's one-state loop, `witness._float_sums`.
 
 `outcome_probabilities` keeps each live state's 12 projector traces as one
 read-only (3, 4) array (a `DensityMatrix` is read-only, so it cannot go
 stale). `draw_counts` gives a replicate's counts as one read-only (3, 4)
 int64 stack, one multinomial draw per row. The estimator takes each table
-of a (..., B, 4) count stack (replicates, bases, outcomes) through its
+of an (R, B, 4) count stack (replicates, bases, outcomes) through its
 moments once, and `_estimate` gives the values and SEs after the first k
 bases for every k from its `first` to B: all B for
 `estimate_witnesses_many`; two and three (L2 and L3) for `estimate_standard`.
@@ -34,18 +33,14 @@ bases for every k from its `first` to B: all B for
 checks its tables' bases and shots and estimates their counts, so L2 and L3
 on the same tables are two calls over the same counts.
 
-The rule, shared with the exact path (`lurwit.witness`): one row in Python
-scalars, two or more in arrays. Two or more replicates are array code, with
-statistic-major moments: each per-table statistic is one contiguous (..., B)
-row and the gradients one (2, ..., B, 4) stack, cheaper per numpy call than
-strided columns. One replicate (`simulate`, `estimate_witnesses`) is a loop
-of Python floats over its tables (`_table_floats`), and a one-replicate stack
-has its counts checked in Python ints (`_checked_counts`), each cheaper than
-numpy's fixed cost per call. The two agree bit for bit, and in the text and
-order of their checks, and a row does not depend on its stack or on the BLAS
-build: every sum over the four outcomes is `np.add.reduce` of elementwise
-products, which numpy adds left to right with no BLAS call, and every
-square is `x * x`, not libm `pow`.
+The estimator has one path. A stack's counts are checked in Python ints
+(`_checked_counts`), and every replicate, one after another, is a loop of
+Python floats over its tables (`_table_floats`, `_replicate_estimate`),
+cheaper on one replicate (`simulate`, `estimate_witnesses`) than numpy's
+fixed cost per call, and linear in R on a stack (README gives the cost). A
+row does not depend on its stack or on the BLAS build: every sum over the
+four outcomes is added left to right, and every square is `x * x`, not
+libm `pow`.
 
 The outcome-projector stack is built on the first `outcome_probabilities`
 call, and the table of standard-set bounds (and so the sets) on the first
@@ -71,17 +66,9 @@ from .witness import (
     DECOMPOSITION_TOL,
     EXPECTATION_IMAG_TOL,
     Verdict,
-    _witness_values,
     standard_sets,
     verdict_for,
 )
-
-# joint outcomes in the fixed order (+,+), (+,-), (-,+), (-,-)
-SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
-SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
-SIGN_AB = SIGN_A * SIGN_B
-_SIGNS = np.array([SIGN_A, SIGN_B, SIGN_AB])
-_SIGNS.flags.writeable = False
 
 PROB_SUM_TOL = 1e-12
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # counts are int64
@@ -184,47 +171,13 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs
 
 
-def _table_moments(counts: np.ndarray):
-    """Plug-in moments and delta-method SEs of every table in a (..., B, 4) int64 stack.
-
-    Returns var_a, var_b, var_sum and cov, each (..., B), and the SEs as
-    (2, ..., B): those of var_sum and of the table's ML term
-    var_a + var_b - 2|cov|. Every statistic is one contiguous row. Every
-    table needs at least one shot.
-    """
-    shots = np.add.reduce(counts, axis=-1)
-    f = counts / shots[..., None]
-    signs = _SIGNS.reshape((3,) + (1,) * (f.ndim - 1) + (4,))
-    means = np.add.reduce(f * signs, axis=-1)  # <A>, <B>, <AB>
-    # rows by index: unpacking iterates over the array, which costs more per row
-    m_a, m_b, m_ab = means[0], means[1], means[2]
-
-    # outcomes are +/-1 so <A^2> = <B^2> = 1 exactly
-    var_ab = 1.0 - means[:2] * means[:2]
-    var_a, var_b = var_ab[0], var_ab[1]
-    cov = m_ab - m_a * m_b
-    var_sum = var_a + var_b + 2.0 * cov
-
-    # gradients in the frequencies, up to constants (which the SE does not see), over the
-    # centred outcomes u = A - <A> and v = B - <B>: (u + v)^2 for var_sum and
-    # u^2 + v^2 - 2 sign(cov) u v for the ML term, with the subgradient 0 at cov == 0
-    uv = signs[:2] - means[:2, ..., None]
-    u_plus_v, squares = uv[0] + uv[1], uv * uv
-    grads = np.empty((2,) + f.shape)
-    np.multiply(u_plus_v, u_plus_v, out=grads[0])
-    np.subtract(squares[0] + squares[1], (2.0 * np.sign(cov))[..., None] * (uv[0] * uv[1]), out=grads[1])
-
-    # first-order propagation through the multinomial covariance of f, centred:
-    # SE^2 = sum f (g - sum f g)^2 / n, exactly 0 where g is constant on the outcomes seen
-    spread = grads - np.add.reduce(f * grads, axis=-1)[..., None]
-    se = np.sqrt(np.add.reduce(f * (spread * spread), axis=-1) / shots)
-    return var_a, var_b, var_sum, cov, se
-
-
 def _table_floats(c0: int, c1: int, c2: int, c3: int) -> tuple:
-    """`_table_moments` of one table in Python floats, bit for bit (its operations in its order):
-    var_a, var_b, var_sum, cov and the two SEs. Over the outcomes u = A - <A> is up, up, um, um
-    and v = B - <B> is vp, vm, vp, vm; 2 sign(cov) is 2 * ((cov > 0) - (cov < 0))."""
+    """Plug-in moments and delta-method SEs of one table of at least one shot, in Python floats:
+    var_a, var_b, var_sum, cov and the centred SEs of var_sum and of the ML term
+    var_a + var_b - 2|cov|. c0..c3 count the outcomes (+,+), (+,-), (-,+), (-,-), each +/-1, so
+    <A^2> = <B^2> = 1. Over them u = A - <A> is up, up, um, um and v = B - <B> is vp, vm, vp, vm;
+    the SE gradients are (u + v)^2 and u^2 + v^2 - 2 sign(cov) u v (README), and 2 sign(cov) is
+    2 * ((cov > 0) - (cov < 0)), the subgradient 0 at cov == 0."""
     n = float(c0 + c1 + c2 + c3)
     f0, f1, f2, f3 = float(c0) / n, float(c1) / n, float(c2) / n, float(c3) / n
     m_a, m_b, m_ab = f0 + f1 - f2 - f3, f0 - f1 + f2 - f3, f0 - f1 - f2 + f3
@@ -263,10 +216,14 @@ def _too_few_shots(prefix: str, basis: Basis) -> ValueError:
     return ValueError(f"{prefix}basis {basis.value}: need at least 2 shots to estimate a variance")
 
 
-def _replicate_estimate(rows: list, first: int) -> list:
-    """`_estimate` of one replicate, given as B rows of four ints, in Python floats, as one list:
+def _replicate_estimate(rows: list, first: int, r: int) -> list:
+    """Witness values and SEs of replicate `r`, given as B rows of four ints, after its first k
+    bases, k = first..B, as one list: (l, l_se, ml, ml_se) for each k in turn.
+
     `_table_floats` per row, then `witness._float_sums`' sums from +0.0 in basis order and its ML
-    check and message, in one loop with the squared SEs (a call to it costs more)."""
+    check (naming stack index `r`), in one loop with the squared SEs (a call to it costs more).
+    Counts in different bases are independent, so the witness SEs add in quadrature.
+    """
     l = ml = ml_other = l_var = ml_var = 0.0
     estimates = []
     for k, table in enumerate(rows, 1):
@@ -276,35 +233,24 @@ def _replicate_estimate(rows: list, first: int) -> list:
         ml_other += var_sum - 4.0 * max(0.0, cov)
         if k >= first:
             if not abs(ml - ml_other) <= DECOMPOSITION_TOL:
-                raise NumericsError(f"modified-witness forms disagree at stack index 0: {ml} vs {ml_other}")
+                raise NumericsError(f"modified-witness forms disagree at stack index {r}: {ml} vs {ml_other}")
             estimates += (l, math.sqrt(l_var), ml, math.sqrt(ml_var))
     return estimates
 
 
-def _estimate(counts: np.ndarray, first: int):
-    """Witness values and SEs of an (R, B, 4) count stack after its first k bases, k = first..B.
+def _estimate(rows: list, first: int, b: int) -> tuple:
+    """Witness values and SEs of R replicates, each B = `b` rows of checked counts, after their
+    first k bases, k = first..B: 4 * (B - first + 1) length-R arrays, (l, l_se, ml, ml_se) per k.
 
-    Returns (l, l_se, ml, ml_se) for each k in turn, 4 * (B - first + 1)
-    length-R arrays. Every table needs at least one shot. The witness values are the exact path's sums over
-    pair-major rows (`witness._witness_values`, with its ML check at every
-    k). Counts in different bases are independent, so the witness SEs add in
-    quadrature: the squared SEs of var_sum and of the ML term add up one
-    basis after another.
-
-    The rule: one replicate (R == 1) is estimated in Python floats (`_replicate_estimate`, which
-    `estimate_witnesses` calls on its tables' rows), bit for bit, in place of some 45 fixed-cost
-    numpy calls, as `_checked_counts` checks its counts in Python ints; two or more replicates take
-    the array code, which costs what a loop of one-replicate estimates does at R = 4 (README).
+    Each replicate is `_replicate_estimate` in turn, so the first failed ML check is that of the
+    lowest replicate, and the results are stacked by one `np.array` call.
     """
-    if len(counts) == 1:
-        return tuple(np.array(_replicate_estimate(counts.tolist()[0], first))[:, None])
-    var_a, var_b, var_sum, cov, se = _table_moments(counts)
-    values = iter(_witness_values((var_sum.T, cov.T, (var_a + var_b).T), first))
-    se_sums = np.sqrt(np.add.accumulate(se * se, axis=-1))
+    if not rows:  # an empty list would give numpy no shape
+        return tuple(np.empty((4 * (b - first + 1), 0)))
     estimates = []
-    for k, l_values, ml_values in zip(range(first, se.shape[-1] + 1), values, values, strict=True):
-        estimates += (l_values, se_sums[0, ..., k - 1], ml_values, se_sums[1, ..., k - 1])
-    return tuple(estimates)
+    for r, replicate in enumerate(rows):  # a loop: a comprehension costs more on one replicate
+        estimates.append(_replicate_estimate(replicate, first, r))
+    return tuple(np.array(estimates).T)
 
 
 def _count_array(counts) -> np.ndarray:
@@ -335,43 +281,29 @@ def _out_of_range(r: int, basis: Basis, counts: list) -> ValueError:
     )
 
 
-def _checked_counts(counts, bases: tuple) -> np.ndarray:
-    """`counts` as an (R, B, 4) int64 stack; ValueError naming the first table out of range, or
-    else the first under 2 shots. One replicate is checked in Python ints, in the same order with
-    the same messages, in place of some 15 numpy calls (the rule of `_estimate`)."""
+def _checked_counts(counts, bases: tuple) -> list:
+    """`counts`, an (R, B, 4) integer stack, as R lists of B rows of four Python ints.
+
+    ValueError naming the first table, in replicate-then-basis order, whose entries are out of
+    range; or else the first whose total passes MAX_SHOTS; or else the first under 2 shots.
+    """
     c = _count_array(counts)
     if c.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got dtype {c.dtype}")
     if c.ndim != 3 or c.shape[1:] != (len(bases), 4):
         raise ValueError(f"expected counts of shape (R, {len(bases)}, 4), got {c.shape}")
-    if len(c) == 1:
-        rows = c.tolist()[0]
-        for basis, row in zip(bases, rows):  # every table's entries, then every table's total
-            if not 0 <= min(row) <= max(row) <= MAX_SHOTS:
-                raise _out_of_range(0, basis, row)
-        for basis, row in zip(bases, rows):
-            if sum(row) > MAX_SHOTS:
-                raise _out_of_range(0, basis, row)
-        for basis, row in zip(bases, rows):
-            if sum(row) < 2:
-                raise _too_few_shots("replicate 0, ", basis)
-        return c.astype(np.int64, copy=False)
-    failed = first_failure(((0 <= c) & (c <= MAX_SHOTS)).all(axis=-1))
-    if failed is None:
-        # no table's total may pass MAX_SHOTS; two halves of entries <= MAX_SHOTS
-        # cannot wrap in uint64, and their sum only matters when each half fits
-        u = c.astype(np.uint64)
-        low, high = u[..., :2].sum(axis=-1), u[..., 2:].sum(axis=-1)
-        shots = low + high
-        failed = first_failure((low <= MAX_SHOTS) & (high <= MAX_SHOTS) & (shots <= MAX_SHOTS))
-    if failed is not None:
-        r, b = failed
-        raise _out_of_range(r, bases[b], c[r, b].tolist())
-    failed = first_failure(shots >= 2)
-    if failed is not None:
-        r, b = failed
-        raise _too_few_shots(f"replicate {r}, ", bases[b])
-    return c.astype(np.int64, copy=False)
+    stack = c.tolist()
+    tables = [(r, basis, row, sum(row)) for r, rows in enumerate(stack) for basis, row in zip(bases, rows)]
+    for r, basis, row, _ in tables:  # every table's entries, then every table's total
+        if not 0 <= min(row) <= max(row) <= MAX_SHOTS:
+            raise _out_of_range(r, basis, row)
+    for r, basis, row, shots in tables:
+        if shots > MAX_SHOTS:
+            raise _out_of_range(r, basis, row)
+    for r, basis, _, shots in tables:
+        if shots < 2:
+            raise _too_few_shots(f"replicate {r}, ", basis)
+    return stack
 
 
 def draw_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
@@ -407,7 +339,7 @@ def estimate_witnesses_many(counts, bases):
     table), and a failed count check names the first failing replicate.
     """
     bases, _ = _checked_bases(bases)
-    return _estimate(_checked_counts(counts, bases), len(bases))
+    return _estimate(_checked_counts(counts, bases), len(bases), len(bases))
 
 
 def estimate_standard(counts):
@@ -419,7 +351,8 @@ def estimate_standard(counts):
     bit for bit that of `estimate_witnesses_many` on the first two bases and
     on all three, and bad counts raise what the call on all three raises.
     """
-    return _estimate(_checked_counts(counts, tuple(Basis)), 2)
+    bases = tuple(Basis)
+    return _estimate(_checked_counts(counts, bases), 2, len(bases))
 
 
 def estimate_witnesses(tables) -> EstimatedReport:
@@ -438,6 +371,6 @@ def estimate_witnesses(tables) -> EstimatedReport:
     for table in tables:
         if table.shots < 2:
             raise _too_few_shots("", table.basis)
-    l_value, l_se, ml_value, ml_se = _replicate_estimate([t.counts.tolist() for t in tables], len(tables))
+    l_value, l_se, ml_value, ml_se = _replicate_estimate([t.counts.tolist() for t in tables], len(tables), 0)
     verdicts = verdict_for(l_value, bound), verdict_for(ml_value, bound)
     return EstimatedReport(bases, l_value, l_se, ml_value, ml_se, bound, *verdicts)

@@ -33,15 +33,14 @@ decomposition, the agreement of the two modified-witness forms at every sum
 returned) run on every call, in that order, with tolerances (and the
 verdict margin) scaled by the set.
 
-The rule, shared with the finite-shot estimator (`lurwit.measurement`): one
-row in Python scalars, two or more in arrays. One state is finished in
-Python floats after its contraction (`_state_moments`, then `_float_sums`,
-whose loop the estimator's one replicate repeats with its SEs), in place of
-some 20 numpy calls of fixed cost. Two or more take the array kernel
-(`_pair_moments`, then `_witness_values`, which also sums the estimator's
-stacks), where each check is one maximum over its whole block and only a
-failed check looks for the first failing state. The two give the same bits,
-messages and order of checks.
+The rule: one row in Python scalars, two or more in arrays. One state is
+finished in Python floats after its contraction (`_state_moments`, then
+`_float_sums`, whose loop the finite-shot estimator in `lurwit.measurement`
+repeats with its SEs on every replicate), in place of some 20 numpy calls
+of fixed cost. Two or more take the array kernel (`_pair_moments`, then
+`_witness_values`), where each check is one maximum over its whole block
+and only a failed check looks for the first failing state. The two give
+the same bits, messages and order of checks.
 
 The standard sets are built on the first `standard_sets` or
 `evaluate_standard` call, not at import. The report records `PairStats` and

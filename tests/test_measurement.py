@@ -335,10 +335,10 @@ def test_estimated_identity_is_exact_on_any_table():
         rho = DensityMatrix(random_mixed_matrix(g))
         tables = [CountTable(b, g.multinomial(500, p)) for b, p in zip(Basis, outcome_probabilities(rho))]
         report = estimate_witnesses(tables)
-        counts = np.array([[t.counts for t in tables]])
-        var_a, var_b, var_sum, cov, _ = measurement._table_moments(counts)
-        # plug-in estimators make this an identity
-        assert var_sum.tolist() == (var_a + var_b + 2.0 * cov).tolist()
+        for t in tables:
+            var_a, var_b, var_sum, cov, *_ = measurement._table_floats(*t.counts.tolist())
+            # plug-in estimators make this an identity
+            assert var_sum == var_a + var_b + 2.0 * cov
         assert report.ml_value <= report.l_value + 1e-12
 
 
@@ -356,19 +356,19 @@ def test_estimator_input_validation():
         estimate_witnesses([starved, tables[1], tables[2]])
 
 
-def _skew_cov(monkeypatch, name: str) -> None:
-    """Make `measurement.<name>` (`_table_moments` or `_table_floats`) return every cov 1e-6 too high."""
-    real = getattr(measurement, name)
+def _skew_cov(monkeypatch) -> None:
+    """Make `measurement._table_floats` return every cov 1e-6 too high."""
+    real = measurement._table_floats
 
     def skewed(*counts):
         var_a, var_b, var_sum, cov, *se = real(*counts)
         return var_a, var_b, var_sum, cov + 1e-6, *se
 
-    monkeypatch.setattr(measurement, name, skewed)
+    monkeypatch.setattr(measurement, "_table_floats", skewed)
 
 
 def test_estimated_path_checks_modified_witness_forms(monkeypatch):
-    _skew_cov(monkeypatch, "_table_floats")  # one replicate's tables are estimated in Python floats
+    _skew_cov(monkeypatch)  # every table is estimated in Python floats
     tables = _tables_from_probabilities(noise_mixture(0.5, NoiseKind.WERNER), 4096)
     with pytest.raises(NumericsError, match="modified-witness forms disagree"):
         estimate_witnesses(tables)
@@ -425,11 +425,8 @@ def _bits(values) -> list:
 
 
 def _moment_rows(counts) -> list:
-    """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_moments`, as bits."""
-    counts = np.asarray(counts)
-    var_a, var_b, var_sum, cov, se = measurement._table_moments(counts)
-    rows = np.stack([var_a, var_b, var_sum, cov, se[0], se[1]], axis=-1)
-    return [_bits(row) for row in rows.reshape(-1, 6)]
+    """Each table's (var_a, var_b, var_sum, cov, var_sum SE, ML SE) from `_table_floats`, as bits."""
+    return [_bits(measurement._table_floats(*table)) for table in np.reshape(counts, (-1, 4)).tolist()]
 
 
 def test_estimator_matches_scalar_reference_bitwise():
@@ -466,24 +463,6 @@ def test_estimator_matches_scalar_reference_bitwise():
     assert checked >= 2000
 
 
-@pytest.mark.parametrize("replicates", [0, 1, 5000])
-def test_table_moments_are_contiguous_statistic_rows(replicates):
-    # statistic-major: each per-table statistic is one C-contiguous (R, B)
-    # row and the SEs one (2, R, B) block (a structural check, no timing)
-    counts = stream(31).multinomial(100, [0.4, 0.1, 0.2, 0.3], (replicates, 3))
-    *statistics, se = measurement._table_moments(counts)
-    for row in statistics:
-        assert row.shape == (replicates, 3) and row.flags.c_contiguous
-    assert se.shape == (2, replicates, 3) and se.flags.c_contiguous
-
-
-def test_table_moments_take_any_leading_shape():
-    counts = stream(32).multinomial(50, [0.1, 0.2, 0.3, 0.4], (6, 3))
-    want = _moment_rows(counts)
-    assert _moment_rows(counts.reshape(2, 3, 3, 4)) == want
-    assert _moment_rows(counts[1]) == want[3:6]  # one replicate's (B, 4) tables, no leading axis
-
-
 def test_estimator_matches_scalar_reference_on_generic_tables():
     # uniform random partitions of 10^6 shots give generic frequencies, on
     # which every rounding of the moments and SEs shows
@@ -492,7 +471,7 @@ def test_estimator_matches_scalar_reference_on_generic_tables():
     counts = np.diff(cuts, prepend=0, append=shots, axis=-1)
     bases = list(Basis)
     columns = estimate_witnesses_many(counts, bases)
-    rows = _moment_rows(counts)  # the whole stack at once: a row does not depend on it
+    rows = _moment_rows(counts)  # the whole stack at once, then each replicate's tables apart
     assert rows == [_bits(basis_estimate_reference(c)) for replicate in counts for c in replicate]
     for r, replicate in enumerate(counts):
         tables = [CountTable(b, c) for b, c in zip(bases, replicate)]
@@ -520,9 +499,10 @@ def test_standard_errors_match_exact_rational_arithmetic():
     # every table of 2 to 12 shots against the delta method in exact fractions
     counts = _every_table(2, 12)
     assert len(counts) == 1815
-    *_, cov, se = measurement._table_moments(counts)
     excluded = branched = 0
-    for table, got, float_cov in zip(counts.tolist(), se.T.tolist(), cov.tolist()):
+    for table in counts.tolist():
+        *_, float_cov, var_sum_se, ml_se = measurement._table_floats(*table)
+        got = [var_sum_se, ml_se]
         var_sum_se2, ml_se2, exact_cov = standard_errors_exact(table)
         checked = [(got[0], var_sum_se2)]
         if exact_cov == 0:
@@ -553,9 +533,9 @@ def test_centred_and_gradient_forms_agree_within_the_cancellation_bound():
         cuts = np.sort(g.integers(0, shots + 1, (1000, 3)), axis=-1)
         counts.append(np.diff(cuts, prepend=0, append=shots, axis=-1))
     counts = np.concatenate(counts)
-    *_, se = measurement._table_moments(counts)
     eps = np.finfo(float).eps
-    for table, got in zip(counts, se.T.tolist()):
+    for table in counts:
+        got = measurement._table_floats(*table.tolist())[4:]
         var_sum_se2, ml_se2, *scales = basis_estimate_gradient_reference(table)
         for value, old, scale in zip(got, (var_sum_se2, ml_se2), scales):
             assert abs(value * value - old) <= 16.0 * eps * scale, (table.tolist(), value * value, old)
@@ -576,10 +556,9 @@ def _one_replicate_inputs() -> np.ndarray:
     return np.concatenate([np.asarray(r, dtype=np.int64) for r in replicates])
 
 
-def test_one_replicate_estimates_equal_the_array_path_and_the_oracle_bitwise(monkeypatch):
-    # a one-replicate stack is estimated in Python floats; each of its arrays is row 0 of the
-    # same replicate stacked twice, which takes the array code, and each table's moments are
-    # the per-table oracle's
+def test_one_replicate_estimates_equal_its_row_in_a_stack_and_the_oracle_bitwise(monkeypatch):
+    # each array of a one-replicate stack is row 0 of the same replicate stacked twice, and each
+    # table's moments are the per-table oracle's
     replicates = _one_replicate_inputs()
     assert len(replicates) == 1815 + 2 + 6 * 13
     assert (replicates.sum(axis=-1) > 2**53).sum() == 6 * 13 * 3
@@ -592,15 +571,39 @@ def test_one_replicate_estimates_equal_the_array_path_and_the_oracle_bitwise(mon
             assert [_bits(v) for v in got] == [_bits(v[:1]) for v in estimate_witnesses_many(twice[:, :b], bases)]
         for table in c.tolist():
             assert _bits(measurement._table_floats(*table)) == _bits(basis_estimate_reference(np.array(table)))
-    # a failed ML check raises the same text on both paths
-    _skew_cov(monkeypatch, "_table_floats")
-    _skew_cov(monkeypatch, "_table_moments")
+    # a failed ML check raises the same text alone and stacked twice
+    _skew_cov(monkeypatch)
     for c in replicates[::200]:
         with pytest.raises(NumericsError, match="modified-witness forms disagree") as one:
             estimate_standard(c[None])
         with pytest.raises(NumericsError) as stacked:
             estimate_standard(np.stack([c, c]))
         assert str(one.value) == str(stacked.value)
+
+
+def test_a_failed_ml_check_names_the_failing_replicate(monkeypatch):
+    counts = np.array([draw_counts(noise_mixture(0.5, NoiseKind.WERNER), 4096, seed) for seed in range(4)])
+    tables = [tuple(t) for replicate in counts.tolist() for t in replicate]
+    assert len(set(tables)) == len(tables)
+    real, skewed = measurement._table_floats, set()
+
+    def skewing(*table):
+        moments = real(*table)
+        if table not in skewed:
+            return moments
+        var_a, var_b, var_sum, cov, *se = moments
+        return var_a, var_b, var_sum, cov + 1e-6, *se
+
+    monkeypatch.setattr(measurement, "_table_floats", skewing)
+    skewed.update(tables[6:9])  # replicate 2's tables only
+    for call in (estimate_standard, lambda c: estimate_witnesses_many(c, list(Basis))):
+        with pytest.raises(NumericsError, match="modified-witness forms disagree at stack index 2: "):
+            call(counts)
+    # replicate-major: replicate 2's R/L table fails L3 before replicate 3's 45/135 table fails L2
+    skewed.clear()
+    skewed.update((tables[8], tables[10]))
+    with pytest.raises(NumericsError, match="at stack index 2: "):
+        estimate_standard(counts)
 
 
 def test_many_rows_equal_single_calls_bitwise():
@@ -694,15 +697,16 @@ def test_standard_estimate_equals_one_call_per_family():
 @given(moment_stacks((2, STACK_CHUNK + 3)))
 @settings(max_examples=40, deadline=None)  # N > STACK_CHUNK rows per example
 def test_standard_estimate_running_sums_equal_one_estimate_per_family(moments):
-    # the values and SEs of the one pass against one row-sum estimate per family; two or more
-    # replicates, as one is estimated without `_table_moments` (and pinned to the array path in
-    # test_one_replicate_estimates_equal_the_array_path_and_the_oracle_bitwise)
+    # the values and SEs of the one pass against one row-sum estimate per family, with each
+    # table's moments injected in the order the estimator reads them: replicate after replicate,
+    # basis after basis
     want = (*estimate_values_reference(*(m[:, :2] for m in moments)), *estimate_values_reference(*moments))
     counts = np.ones((len(moments[0]), 3, 4), dtype=np.int64)
-    *statistics, se = moments  # the reference reads the SEs as (N, B, 2), the estimator as (2, N, B)
-    stacked = (*statistics, np.ascontiguousarray(np.moveaxis(se, -1, 0)))
-    with mock.patch.object(measurement, "_table_moments", lambda counts: stacked):
+    *statistics, se = moments  # the SEs are (N, B, 2)
+    tables = iter(np.stack([*statistics, se[..., 0], se[..., 1]], axis=-1).reshape(-1, 6).tolist())
+    with mock.patch.object(measurement, "_table_floats", lambda *counts: next(tables)):
         got = estimate_standard(counts)
+    assert next(tables, None) is None
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
@@ -776,8 +780,8 @@ ONE_REPLICATE_STACKS = _one_replicate_stacks()
 
 @pytest.mark.parametrize("name", sorted(ONE_REPLICATE_STACKS))
 def test_one_replicate_counts_fail_as_the_first_of_two(name, monkeypatch):
-    # one replicate is checked in Python ints, two or more in arrays: the same text for the same
-    # replicate, and the range rule over every table before the 2-shot rule
+    # the same text for the same replicate alone and stacked with another, and the range rule
+    # over every table before the 2-shot rule
     counts = ONE_REPLICATE_STACKS[name]
     second = counts if counts.shape[1:] != (3, 4) else np.ones_like(counts)
     searches = []
@@ -788,7 +792,7 @@ def test_one_replicate_counts_fail_as_the_first_of_two(name, monkeypatch):
         del searches[:]
         with pytest.raises(ValueError) as got:
             call(counts)
-        assert not searches  # no array search ran
+        assert not searches  # the counts are checked in Python ints, with no array search
         # a shape error names the whole stack's shape
         assert str(got.value) == str(want.value).replace("got (2, ", "got (1, ")
     if name.endswith("-then-negative"):
@@ -891,7 +895,7 @@ def test_a_failed_ml_check_raises_on_every_call_that_reaches_it(monkeypatch):
                     estimate_witnesses(given)
             else:
                 assert _report_bits(estimate_witnesses(given)) == l2
-    _skew_cov(monkeypatch, "_table_floats")  # now every table: both families fail, call after call
+    _skew_cov(monkeypatch)  # now every table: both families fail, call after call
     for n in (2, 3, 2):
         with pytest.raises(NumericsError, match="modified-witness forms disagree"):
             estimate_witnesses(tables[:n])
