@@ -38,9 +38,10 @@ finished in Python floats after its contraction (`_state_moments`, then
 `_float_sums`, whose loop the finite-shot estimator in `lurwit.measurement`
 repeats with its SEs on every replicate), in place of some 20 numpy calls
 of fixed cost. Two or more take the array kernel (`_pair_moments`, then
-`_witness_values`), where each check is one maximum over its whole block
-and only a failed check looks for the first failing state. The two give
-the same bits, messages and order of checks.
+`_witness_values`, whose sums are `add.reduce` calls over the pair axis,
+which numpy adds one pair at a time), where each check is one maximum over
+its whole block and only a failed check looks for the first failing state.
+The two give the same bits, messages and order of checks.
 
 The standard sets are built on the first `standard_sets` or
 `evaluate_standard` call, not at import. The report records `PairStats` and
@@ -66,9 +67,6 @@ VERDICT_MARGIN = 1e-9
 # modulus or more are refused: below it every square and product the kernel
 # and `local_bound` form, and their sums, stay finite
 ENTRY_LIMIT = 2.0**500
-# the largest stack whose witness sums take one `accumulate` call; above it one add
-# per pair is cheaper, as `accumulate` walks its rows state by state (README)
-ACCUMULATE_MAX_STATES = 63
 
 
 class Verdict(enum.Enum):
@@ -245,23 +243,23 @@ def _witness_values(moments, first, scale=1.0):
 
     `moments` holds var_sum, cov and var_a + var_b as (P, N) rows (the last
     three of `_pair_moments`' block); returns (l, ml) for each k in turn.
-    Each pair's three terms go into one block after a +0.0 row and are added
-    in pair order (see `ACCUMULATE_MAX_STATES`). The two modified forms must
-    agree at every k returned, to DECOMPOSITION_TOL times `scale`. Below 8
-    pairs this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0,
-    which a `cumsum` from the first term would not give).
+    Each pair's three terms go into one (3, P, N) block, and the sums after k
+    pairs are one `add.reduce` of its first k rows from +0.0: numpy adds
+    along any axis but the fastest one row at a time, so in pair order. A
+    stack of one, whose pair axis numpy would make the fastest and add
+    pairwise, takes `_float_sums` instead. The two modified forms must agree
+    at every k returned, to DECOMPOSITION_TOL times `scale`. Below 8 pairs
+    this is numpy's row sum bit for bit (all -0.0 terms sum to +0.0, which a
+    `cumsum` from the first term would not give).
     """
     var_sum, cov, var_ab = moments[0], moments[1], moments[2]
-    terms = np.zeros((3, len(var_sum) + 1, var_sum.shape[1]))
-    terms[0, 1:] = var_sum
-    np.subtract(var_ab, 2.0 * np.abs(cov), out=terms[1, 1:])
-    np.subtract(var_sum, 4.0 * np.maximum(0.0, cov), out=terms[2, 1:])
-    if terms.shape[2] <= ACCUMULATE_MAX_STATES:
-        terms = np.add.accumulate(terms, axis=1)
-    else:
-        for p in range(1, len(terms[0])):
-            np.add(terms[:, p - 1], terms[:, p], out=terms[:, p])
-    sums = terms[:, first:]  # l, ml and ml's other form after each k pairs
+    terms = np.empty((3,) + var_sum.shape)
+    terms[0] = var_sum
+    np.subtract(var_ab, 2.0 * np.abs(cov), out=terms[1])
+    np.subtract(var_sum, 4.0 * np.maximum(0.0, cov), out=terms[2])
+    sums = np.empty((3, len(var_sum) - first + 1, var_sum.shape[1]))  # l, ml and ml's other form
+    for k in range(first, len(var_sum) + 1):
+        np.add.reduce(terms[:, :k], axis=1, initial=0.0, out=sums[:, k - first])
     gap, tol = np.abs(sums[1] - sums[2]), DECOMPOSITION_TOL * scale
     if not gap.max(initial=0.0) <= tol:
         k, n = first_failure(gap <= tol)

@@ -662,8 +662,8 @@ def test_kernel_checks_the_variance_decomposition():
         evaluate_many(stack, oset)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 6, 101])
-def test_kernel_checks_run_on_both_sides_of_the_gemm_cutoff(n, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 63, 64, 65, 101])
+def test_kernel_checks_run_on_one_state_by_einsum_and_on_a_stack_by_gemm(n, monkeypatch):
     paths = []
     real = witness._expectations
 
@@ -794,6 +794,8 @@ KERNEL_SETS = {
     "exact custom": ObservableSet(((SX, SZ, "x-z"), (SZ, -SX, "z-x"), (2 * SY, 2 * SY, "2y-2y"))),
     "inexact custom": ObservableSet(((SX, SY, "x-y"), (SX, 3 * SZ, "x-3z"))),
     "random": _random_set(stream(2801), 4),
+    "random one pair": _random_set(stream(3801), 1),
+    "random twelve pairs": _random_set(stream(3802), 12),
 }
 
 
@@ -819,6 +821,24 @@ def test_kernel_equals_the_statistic_major_reference_bitwise(stack, name):
     if name == "L3":
         want = witness_sums_reference(var_a, var_b, var_sum, cov, (2, 3))
         assert [v.tobytes() for v in evaluate_standard(stack)] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 4099])
+@pytest.mark.parametrize("name", sorted(KERNEL_SETS))
+def test_stacked_sums_add_in_pair_order_bitwise(name, n):
+    oset = KERNEL_SETS[name]
+    stack = mixed_ensemble(stream(3803), n, 5)
+    want = witness_sums_reference(*pair_moments_reference(stack, oset), (len(oset.pairs),), oset._scale)
+    assert [v.tobytes() for v in evaluate_many(stack, oset)] == [v.tobytes() for v in want]
+
+
+def test_twelve_pair_order_sums_are_not_row_sums():
+    # numpy sums a contiguous row of 8 or more pairwise, so the pair-order test above can tell
+    # a row sum from the sum in pair order on twelve pairs
+    oset = KERNEL_SETS["random twelve pairs"]
+    var_a, var_b, var_sum, cov = pair_moments_reference(mixed_ensemble(stream(3803), 4099, 5), oset)
+    l_values, _ = witness_sums_reference(var_a, var_b, var_sum, cov, (12,), oset._scale)
+    assert (l_values != np.ascontiguousarray(var_sum).sum(axis=1)).any()
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SETS))
